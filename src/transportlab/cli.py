@@ -1,8 +1,9 @@
 """Command-line front end for the study runners and ad-hoc solves.
 
 Exit codes follow the usual triage: 0 when every check passes, 1 when the
-study ran but a check failed, 2 for usage or configuration problems. No
-check failure ever exits 0.
+study ran but a check failed, 2 for usage or configuration problems,
+including a configuration the library refuses to run. No check failure ever
+exits 0.
 """
 
 from __future__ import annotations
@@ -13,8 +14,10 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .characteristics import solve_classical
-from .fields import save_snapshot
+from .analysis import AnalysisError
+from .characteristics import CharacteristicsError, solve_classical
+from .fields import FieldError, save_snapshot
+from .geometry import GeometryError
 from .studies import (
     OUTPUT_ROOT_ENV,
     RUNNERS,
@@ -25,8 +28,20 @@ from .studies import (
     parse_study_config,
     resolve_out_dir,
 )
+from .weakform import WeakformError
 
 _STUDIES = ("conservation", "mollify", "renorm", "stability")
+
+# A configuration that parses but cannot be run surfaces as one of these
+# from the library; it is exit 2, like any other unusable configuration.
+_RUN_ERRORS = (
+    AnalysisError,
+    CharacteristicsError,
+    FieldError,
+    GeometryError,
+    StudiesError,
+    WeakformError,
+)
 
 _COMMAND_HELP = {
     "conservation": "classical solve plus the norm-history gate for every p",
@@ -128,10 +143,13 @@ def main(argv=None) -> int:
         if not ns.quiet:
             print(config_text(cfg), end="")
         return 0
-    if ns.command == "solve":
-        return _run_solve(cfg, ns.quiet)
-
-    outcome = RUNNERS[ns.command](cfg)
+    try:
+        if ns.command == "solve":
+            return _run_solve(cfg, ns.quiet)
+        outcome = RUNNERS[ns.command](cfg)
+    except _RUN_ERRORS as exc:
+        print(f"{ns.command}: {exc}", file=sys.stderr)
+        return 2
     if not ns.quiet:
         for line in outcome.lines():
             print(line)

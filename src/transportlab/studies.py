@@ -60,6 +60,7 @@ from .geometry import (
 )
 from .weakform import (
     RemainderCurve,
+    ResidualAccumulator,
     ResidualReport,
     WeakformError,
     commutator_at_points,
@@ -429,7 +430,8 @@ def build_case(cfg: StudyConfig):
             center=cfg.v_center,
             radius=cfg.v_radius,
             amplitude=cfg.v_amplitude,
-            modulation=cfg.modulation,
+            # config values are hyphenated, library keys use underscores
+            modulation=cfg.modulation.replace("-", "_"),
         )
     rho0 = static_field(grid, gaussian_blob(cfg.d_center, cfg.d_sigma, cfg.d_amplitude))
     return grid, times, u, rho0
@@ -523,24 +525,20 @@ def _identity_gap(
     the space-time pairing of the commutator remainder with phi."""
     grid = sol.grid
     kern = make_kernel(eps=eps)
-    moll = np.stack([mollify_density(sol, kern, j).values for j in range(sol.n_layers)])
-    moll_field = ScalarField(grid, sol.times, moll)
-    moll0 = ScalarField(grid, sol.times[:1], moll[:1])
-    rep = weak_residual(moll_field, moll0, u, phi)
-    lhs = rep.term_time + rep.term_initial + rep.term_advective
-
+    acc = ResidualAccumulator(grid, sol.times, u, phi)
     X, Y = grid.meshes()
     phi_sp = phi.spatial(X, Y)
-    tw = np.empty(sol.n_layers)
-    tw[1:-1] = 0.5 * (sol.times[2:] - sol.times[:-2])
-    tw[0] = 0.5 * (sol.times[1] - sol.times[0])
-    tw[-1] = 0.5 * (sol.times[-1] - sol.times[-2])
     rhs = 0.0
     for j in range(sol.n_layers):
+        moll = mollify_density(sol, kern, j).values
+        if j == 0:
+            moll0 = moll
+        acc.add_layer(j, moll)
         rem = commutator_remainder(sol, u, kern, j)
         psi = float(phi.time_profile.value(sol.times[j]))
-        rhs += tw[j] * psi * integrate(rem.values * phi_sp, grid)
-    return lhs, rhs
+        rhs += acc.tw[j] * psi * integrate(rem.values * phi_sp, grid)
+    rep = acc.report(moll0)
+    return rep.term_time + rep.term_initial + rep.term_advective, rhs
 
 
 def run_mollification_study(cfg: StudyConfig) -> StudyOutcome:
@@ -615,8 +613,8 @@ def run_mollification_study(cfg: StudyConfig) -> StudyOutcome:
         )
     )
 
-    # Probe-point sampling (the seed's only job): the windowed full-layer
-    # stencil and the per-point gather must agree to roundoff.
+    # Probe-point sampling (the seed's only job): the FFT-windowed full
+    # layer and the per-point gather must agree to roundoff.
     rng = np.random.default_rng(cfg.seed)
     kern = make_kernel(eps=cfg.eps_list[-1])
     mid = sol.n_layers // 2

@@ -19,9 +19,11 @@ curve.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
+from scipy.fft import irfft2, next_fast_len, rfft2
 
 from transportlab.characteristics import iter_solution_layers
 from transportlab.fields import (
@@ -278,27 +280,53 @@ class InnerLayer:
     kind: str
 
 
-def _stencil(kernel: Kernel, grid: Grid):
+@dataclass(frozen=True)
+class _WindowSpectra:
+    """Real-FFT transforms of the flipped stencils of one (kernel, grid) pair.
+
+    The stencils are zero-padded to `shape`, at least n + 2K nodes per axis,
+    so the circular correlation they realize is the linear one: no window
+    wraps around into the opposite edge of the grid.
+    """
+
+    Kx: int
+    Ky: int
+    nodes: tuple[int, int]
+    shape: tuple[int, int]
+    H: np.ndarray
+    G1: np.ndarray
+    G2: np.ndarray
+
+
+@lru_cache(maxsize=8)
+def _window_spectra(kernel: Kernel, grid: Grid) -> _WindowSpectra:
     Kx = int(np.floor(kernel.eps / grid.hx))
     Ky = int(np.floor(kernel.eps / grid.hy))
     ox = grid.hx * np.arange(-Kx, Kx + 1)
     oy = grid.hy * np.arange(-Ky, Ky + 1)
-    return Kx, Ky, np.meshgrid(ox, oy, indexing="ij")
+    OX, OY = np.meshgrid(ox, oy, indexing="ij")
+    n1, n2 = grid.shape
+    shape = (
+        next_fast_len(n1 + 2 * Kx, real=True),
+        next_fast_len(n2 + 2 * Ky, real=True),
+    )
+    stencils = (kernel.value(OX, OY), *kernel.grad(OX, OY))
+    spectra = [rfft2(S[::-1, ::-1], s=shape) for S in stencils]
+    for S in spectra:
+        S.flags.writeable = False  # shared by every caller through the cache
+    return _WindowSpectra(Kx, Ky, (n1, n2), shape, *spectra)
 
 
-def _window_convolve(F: np.ndarray, stencil: np.ndarray, Kx: int, Ky: int) -> np.ndarray:
-    """out[m] = sum_o stencil[o] F[m + o], F zero-padded outside the grid."""
-    n1, n2 = F.shape
-    P = np.zeros((n1 + 2 * Kx, n2 + 2 * Ky))
-    P[Kx : Kx + n1, Ky : Ky + n2] = F
-    out = np.zeros_like(F)
-    for a in range(2 * Kx + 1):
-        row = stencil[a]
-        for b in range(2 * Ky + 1):
-            wgt = row[b]
-            if wgt != 0.0:
-                out += wgt * P[a : a + n1, b : b + n2]
-    return out
+def _window_inverse(spec: _WindowSpectra, product: np.ndarray) -> np.ndarray:
+    """out[m] = sum_o stencil[o] F[m + o], F zero-padded outside the grid.
+
+    `product` is rfft2(F) times a stencil spectrum; correlating with the
+    stencil is convolving with its flip, whose full output is offset by K.
+    The slice is copied so a stored layer does not keep the padded buffer.
+    """
+    n1, n2 = spec.nodes
+    full = irfft2(product, s=spec.shape)
+    return full[spec.Kx : spec.Kx + n1, spec.Ky : spec.Ky + n2].copy()
 
 
 def _inner_region(grid: Grid, eps: float) -> Domain:
@@ -317,10 +345,9 @@ def mollify_density(rho: ScalarField, kernel: Kernel, t_index: int = 0) -> Inner
     """
     grid = rho.grid
     region = _inner_region(grid, kernel.eps)
-    Kx, Ky, (OX, OY) = _stencil(kernel, grid)
-    H = kernel.value(OX, OY)
+    spec = _window_spectra(kernel, grid)
     F = rho.layer(t_index) * grid.quadrature_weights
-    vals = _window_convolve(F, H, Kx, Ky)
+    vals = _window_inverse(spec, rfft2(F, s=spec.shape) * spec.H)
     return InnerLayer(grid, region, kernel.eps, float(rho.times[t_index]), vals, "mollified")
 
 
@@ -330,21 +357,29 @@ def commutator_remainder(
     """Nodal layer of r_eps = int rho(y) (u(x) - u(y)) . grad(eta_eps)(y - x) dy.
 
     Splitting the parenthesis turns the integral into four windowed
-    convolutions (two gradient components over rho and over rho u), plus a
-    pointwise multiplication by u at the evaluation nodes.
+    correlations (two gradient components over rho and over rho u), plus a
+    pointwise multiplication by u at the evaluation nodes. Each correlation
+    is a product in frequency space with the cached real-FFT spectrum of a
+    zero-padded stencil: the forward transform of rho is shared by both
+    gradient components and the two rho u terms are summed before their one
+    inverse transform, so a layer costs three forward and three inverse
+    transforms. commutator_at_points evaluates the same quadrature by a
+    direct per-point gather; the stencil-consistency check compares the two.
     """
     grid = rho.grid
     region = _inner_region(grid, kernel.eps)
     t = float(rho.times[t_index])
-    Kx, Ky, (OX, OY) = _stencil(kernel, grid)
-    G1, G2 = kernel.grad(OX, OY)
+    spec = _window_spectra(kernel, grid)
     X, Y = grid.meshes()
     ux, uy = u.eval(X, Y, t)
-    w = grid.quadrature_weights
-    F = rho.layer(t_index) * w
-    conv_b1 = _window_convolve(F, G1, Kx, Ky)
-    conv_b2 = _window_convolve(F, G2, Kx, Ky)
-    conv_u = _window_convolve(F * ux, G1, Kx, Ky) + _window_convolve(F * uy, G2, Kx, Ky)
+    F = rho.layer(t_index) * grid.quadrature_weights
+    F_hat = rfft2(F, s=spec.shape)
+    conv_b1 = _window_inverse(spec, F_hat * spec.G1)
+    conv_b2 = _window_inverse(spec, F_hat * spec.G2)
+    conv_u = _window_inverse(
+        spec,
+        rfft2(F * ux, s=spec.shape) * spec.G1 + rfft2(F * uy, s=spec.shape) * spec.G2,
+    )
     vals = ux * conv_b1 + uy * conv_b2 - conv_u
     return InnerLayer(grid, region, kernel.eps, t, vals, "remainder")
 

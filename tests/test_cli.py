@@ -155,3 +155,40 @@ def test_env_var_sets_default_output_root(tiny_cfg, tmp_path, monkeypatch):
     )
     assert code == 0
     assert (tmp_path / "root" / "renorm" / "summary.json").exists()
+
+
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        # velocity support margin below one cell: CharacteristicsError
+        (["grid.nx=4", "grid.ny=4"], "support margin"),
+        # inner region does not exist: StudiesError raised inside the runner
+        (["grid.nx=16", "grid.ny=16", "mollify.inner_margin=0.6"], "mollify.inner_margin"),
+    ],
+)
+def test_unrunnable_config_exits_2_without_traceback(tmp_path, overrides, field):
+    args = [sys.executable, "-m", "transportlab", "mollify", "--out", str(tmp_path)]
+    for item in overrides:
+        args += ["--set", item]
+    proc = subprocess.run(args, capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert field in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+
+
+def test_inverse_sqrt_modulation_runs_without_traceback(tiny_cfg, tmp_path):
+    # the solver's global substep follows the t -> 0 speed peak (1000x at the
+    # clip), so the amplitude is kept small to keep the run short
+    proc = subprocess.run(
+        [sys.executable, "-m", "transportlab", "conservation", str(tiny_cfg),
+         "--set", "velocity.kind=vortex", "--set", "velocity.modulation=inverse-sqrt",
+         "--set", "velocity.amplitude=0.002",
+         "--set", "grid.nx=24", "--set", "grid.ny=24", "--set", "time.nt=10"],
+        capture_output=True, text=True,
+    )
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode in (0, 1)
+    assert (proc.returncode == 1) == ("[FAIL]" in proc.stdout)
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["study"] == "conservation"

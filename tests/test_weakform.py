@@ -337,6 +337,60 @@ def test_commutator_at_points_matches_layer_nodes():
     assert np.max(np.abs(pts - layer.values[i, j])) < 1e-14
 
 
+def _direct_window_layers(rho, u, kern):
+    """Mollified and remainder layers by a direct nested sum over each node's
+    window, with the same nodal stencil and zero data outside the grid."""
+    grid = rho.grid
+    Kx = int(np.floor(kern.eps / grid.hx))
+    Ky = int(np.floor(kern.eps / grid.hy))
+    F = rho.layer(0) * grid.quadrature_weights
+    X, Y = grid.meshes()
+    ux, uy = u.eval(X, Y, 0.0)
+    moll = np.zeros(grid.shape)
+    rem = np.zeros(grid.shape)
+    for m1 in range(grid.shape[0]):
+        for m2 in range(grid.shape[1]):
+            for a in range(max(-Kx, -m1), min(Kx, grid.nx - m1) + 1):
+                for b in range(max(-Ky, -m2), min(Ky, grid.ny - m2) + 1):
+                    ox, oy = a * grid.hx, b * grid.hy
+                    f = F[m1 + a, m2 + b]
+                    moll[m1, m2] += kern.value(ox, oy) * f
+                    g1, g2 = kern.grad(ox, oy)
+                    rem[m1, m2] += f * (
+                        (ux[m1, m2] - ux[m1 + a, m2 + b]) * g1
+                        + (uy[m1, m2] - uy[m1 + a, m2 + b]) * g2
+                    )
+    return moll, rem
+
+
+@pytest.mark.parametrize(
+    "nx, ny, eps",
+    [
+        (17, 11, 0.2),  # Kx = 3, Ky = 2
+        (21, 13, 0.45),  # Kx = 9, Ky = 5: windows span most of the grid
+    ],
+)
+def test_fft_layers_match_direct_window_sums(nx, ny, eps):
+    grid = Grid(DOM, nx, ny)
+    rng = np.random.default_rng(7)
+    rho = ScalarField(grid, np.array([0.0]), rng.uniform(0.0, 1.0, (1, *grid.shape)))
+    u = vortex_field(DOM)
+    kern = make_kernel(eps=eps)
+    moll, rem = _direct_window_layers(rho, u, kern)
+    got_moll = mollify_density(rho, kern).values
+    got_rem = commutator_remainder(rho, u, kern).values
+    assert np.max(np.abs(got_moll - moll)) < 1e-12 * np.max(np.abs(moll))
+    assert np.max(np.abs(got_rem - rem)) < 1e-12 * np.max(np.abs(rem))
+
+
+def test_window_layers_own_their_memory():
+    grid = Grid(DOM, 40, 30)
+    rho = static_field(grid, gaussian_blob())
+    kern = make_kernel(eps=0.1)
+    assert mollify_density(rho, kern).values.base is None
+    assert commutator_remainder(rho, vortex_field(DOM), kern).values.base is None
+
+
 def test_weak_residual_of_mollified_equals_remainder_pairing():
     # Mollifying a transport solution leaves exactly the commutator as a
     # source: the weak residual of rho_eps and the space-time pairing of
