@@ -53,7 +53,7 @@ print()
 # mollified density and the space-time pairing of r_eps against the same
 # test function are two discretizations of one identity.
 eps = eps_list[0]
-kernel = make_kernel("bump", eps)
+kernel = make_kernel(eps=eps)
 phi = make_test_function((0.62, 0.44), 0.2, quadratic_decay_profile(times.T), domain)
 
 moll = np.stack([mollify_density(rho, kernel, j).values for j in range(rho.n_layers)])

@@ -1,20 +1,22 @@
 """Norm diagnostics, truncation thresholds, boundary-layer checks, stability.
 
-Everything here consumes solved densities or velocity fields and reduces
-them to the handful of numbers the transport theory says must behave:
-conserved L^p norms, uniformly small super-level tails, vanishing
-boundary-layer flux, and perturbation distances that shrink together.
+Everything here reduces densities or velocity fields to the handful of
+numbers the transport theory says must behave: conserved L^p norms,
+uniformly small super-level tails, vanishing boundary-layer flux, and
+perturbation distances that shrink together. Most functions consume solved
+densities; the stability experiment streams its own solves, one lockstep
+pass over the reference and every family member that takes the L^p and
+the renormalized distances together.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from transportlab.characteristics import solve_classical
+from transportlab.characteristics import iter_solution_layers
 from transportlab.fields import AdmissibleBeta, ScalarField, StreamFunction, VelocityField
 from transportlab.geometry import (
     Grid,
@@ -22,6 +24,7 @@ from transportlab.geometry import (
     TimePartition,
     integrate,
     shrink,
+    trapezoid_weights,
 )
 
 
@@ -149,15 +152,10 @@ def conservation_report(
     reports: dict[float, NormReport] = {}
     for p in p_list:
         norms = np.array([lp_norm(rho.layer(j), rho.grid, p) for j in range(rho.n_layers)])
-        ref = float(norms[0])
         gate = tol_sup if np.isinf(p) else tol
-        scale = ref if ref > 0.0 else 1.0
-        if np.isinf(p):
-            devs = np.maximum(norms - ref, 0.0) / scale
-        else:
-            devs = np.abs(norms - ref) / scale
-        flagged = tuple(int(j) for j in np.nonzero(devs > gate)[0])
-        reports[float(p)] = NormReport(float(p), rho.times, norms, ref, gate, flagged)
+        rep = NormReport(float(p), rho.times, norms, float(norms[0]), gate, ())
+        flagged = tuple(int(j) for j in np.nonzero(rep._deviations() > gate)[0])
+        reports[float(p)] = replace(rep, flagged=flagged)
     return reports
 
 
@@ -279,19 +277,93 @@ def boundary_flux_decay(u, h_list: Sequence[float], grid: Grid, t: float = 0.0):
 
 
 # ---------------------------------------------------------------------------
+# Renormalized convergence
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class RenormalizationTrend:
+    """L2 space-time distances ||beta(rho_n) - beta(rho)|| per beta."""
+
+    labels: tuple[str, ...]
+    distances: tuple[tuple[float, ...], ...]
+    decreasing: tuple[bool, ...]
+
+
+class _RenormalizedDistances:
+    """Running ||beta(rho_n) - beta(rho)||^2 in L2((0,T) x Omega), per beta and n.
+
+    Fed one time node at a time, with the reference layer and the same
+    layer of every family member: each beta adds the trapezoid time weight
+    times the spatial integral of (beta(rho_n) - beta(rho))^2. A lone time
+    node carries unit weight.
+    """
+
+    def __init__(
+        self,
+        grid: Grid,
+        times: np.ndarray,
+        betas: Sequence[AdmissibleBeta],
+        members: int,
+    ):
+        self.grid = grid
+        self.betas = list(betas)
+        self.tw = trapezoid_weights(times) if len(times) > 1 else np.array([1.0])
+        self.sq = [[0.0] * members for _ in self.betas]
+
+    def add_layer(self, j: int, reference: np.ndarray, layers: Sequence[np.ndarray]) -> None:
+        for beta, sq in zip(self.betas, self.sq):
+            base = beta(reference)
+            for m, layer in enumerate(layers):
+                sq[m] += self.tw[j] * integrate((beta(layer) - base) ** 2, self.grid)
+
+    def trend(self) -> RenormalizationTrend:
+        rows = tuple(tuple(float(np.sqrt(v)) for v in sq) for sq in self.sq)
+        return RenormalizationTrend(
+            tuple(beta.label for beta in self.betas),
+            rows,
+            tuple(all(b <= a for a, b in zip(r, r[1:])) for r in rows),
+        )
+
+
+def renormalization_convergence_check(
+    rho_list: Sequence[ScalarField],
+    rho: ScalarField,
+    betas: Sequence[AdmissibleBeta],
+) -> RenormalizationTrend:
+    """Per beta, the trend of ||beta(rho_n) - beta(rho)||_{L2((0,T) x Omega)}.
+
+    The stored-solution route; stability_experiment takes the same
+    distances while it streams the solves.
+    """
+    for r in rho_list:
+        if r.grid != rho.grid or r.n_layers != rho.n_layers:
+            raise AnalysisError("all densities must share grid and time layout")
+    dist = _RenormalizedDistances(rho.grid, rho.times, betas, len(rho_list))
+    for j in range(rho.n_layers):
+        dist.add_layer(j, rho.layer(j), [r.layer(j) for r in rho_list])
+    return dist.trend()
+
+
+# ---------------------------------------------------------------------------
 # Stability experiment
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Velocity and solution distances for a family of perturbed problems."""
+    """Velocity and solution distances for a family of perturbed problems.
+
+    renormalization carries the ||beta(rho_n) - beta(rho)|| trend taken in
+    the same pass; it is empty when no beta was asked for.
+    """
 
     n: tuple[int, ...]
     d: tuple[float, ...]
     e: tuple[float, ...]
     p: float
     monotone: bool
+    renormalization: RenormalizationTrend = RenormalizationTrend((), (), ())
 
     def __post_init__(self) -> None:
         if len(self.n) != len(self.d) or len(self.n) != len(self.e):
@@ -357,14 +429,20 @@ def stability_experiment(
     family: Callable,
     n_list: Sequence[int],
     p: float = 2.0,
-    workers: int | None = None,
+    betas: Sequence[AdmissibleBeta] = (),
     enforce: bool = True,
 ) -> StabilityReport:
-    """Solve the reference and each perturbed problem; report d_n and e_n.
+    """Solve the reference and each perturbed problem once; report d_n and e_n.
 
     d_n = ||u_n - u|| in L1 of time and space; e_n = max over time nodes of
     ||rho_n(t_j) - rho(t_j)||_p, the discrete stand-in for the uniform-in-
-    time L^p distance. With enforce on, e_n failing to be nonincreasing
+    time L^p distance. The reference and every member stream their layers
+    side by side (one iter_solution_layers pass each, nothing stored); at
+    each time node the running e_n maxima are updated and, for each beta in
+    betas, the renormalized distances ||beta(rho_n) - beta(rho)|| in
+    L2((0,T) x Omega) accumulate exactly as renormalization_convergence_check
+    takes them on stored solutions. Their trend is the report's
+    renormalization field. With enforce on, e_n failing to be nonincreasing
     (5 percent slack) or to at least halve across the sweep is an error;
     an identically zero sequence (unperturbed family) is exempt.
     """
@@ -372,26 +450,21 @@ def stability_experiment(
     if not ns or any(n <= 0 for n in ns) or any(b <= a for a, b in zip(ns, ns[1:])):
         raise AnalysisError("n_list must be positive and strictly increasing")
     grid = rho0.grid
-    reference = solve_classical(rho0, u, times)
-
-    def run(n: int):
-        u_n, rho0_n = family(n)
-        sol = solve_classical(rho0_n, u_n, times)
-        e_n = max(
-            lp_norm(sol.layer(j) - reference.layer(j), grid, p)
-            for j in range(sol.n_layers)
-        )
-        return _velocity_distance(u_n, u, grid, times), e_n
-
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, ns))
-    else:
-        results = [run(n) for n in ns]
-    d = tuple(r[0] for r in results)
-    e = tuple(r[1] for r in results)
+    members = [family(n) for n in ns]
+    streams = [iter_solution_layers(rho0, u, times)] + [
+        iter_solution_layers(rho0_n, u_n, times) for u_n, rho0_n in members
+    ]
+    e = [0.0] * len(ns)
+    dist = _RenormalizedDistances(grid, times.times, betas, len(ns))
+    for (j, _, reference), *solved in zip(*streams):
+        layers = [layer for _, _, layer in solved]
+        for m, layer in enumerate(layers):
+            e[m] = max(e[m], lp_norm(layer - reference, grid, p))
+        dist.add_layer(j, reference, layers)
+    d = tuple(_velocity_distance(u_n, u, grid, times) for u_n, _ in members)
+    e = tuple(e)
     monotone = all(b <= 1.05 * a for a, b in zip(e, e[1:]))
-    report = StabilityReport(tuple(ns), d, e, float(p), monotone)
+    report = StabilityReport(tuple(ns), d, e, float(p), monotone, dist.trend())
     if enforce and any(v > 0.0 for v in e):
         if not monotone:
             raise AnalysisError(f"solution distances not nonincreasing: {e}")
@@ -400,50 +473,3 @@ def stability_experiment(
                 f"solution distances failed to halve: first {e[0]:.3e}, last {e[-1]:.3e}"
             )
     return report
-
-
-# ---------------------------------------------------------------------------
-# Renormalized convergence
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RenormalizationTrend:
-    """L2 space-time distances ||beta(rho_n) - beta(rho)|| per beta."""
-
-    labels: tuple[str, ...]
-    distances: tuple[tuple[float, ...], ...]
-    decreasing: tuple[bool, ...]
-
-
-def renormalization_convergence_check(
-    rho_list: Sequence[ScalarField],
-    rho: ScalarField,
-    betas: Sequence[AdmissibleBeta],
-) -> RenormalizationTrend:
-    """Per beta, the trend of ||beta(rho_n) - beta(rho)||_{L2((0,T) x Omega)}."""
-    for r in rho_list:
-        if r.grid != rho.grid or r.n_layers != rho.n_layers:
-            raise AnalysisError("all densities must share grid and time layout")
-    t = rho.times
-    if t.size > 1:
-        tw = np.empty(t.size)
-        tw[1:-1] = 0.5 * (t[2:] - t[:-2])
-        tw[0] = 0.5 * (t[1] - t[0])
-        tw[-1] = 0.5 * (t[-1] - t[-2])
-    else:
-        tw = np.array([1.0])
-    labels, rows, trends = [], [], []
-    for beta in betas:
-        base = [beta(rho.layer(j)) for j in range(rho.n_layers)]
-        dists = []
-        for r in rho_list:
-            sq = sum(
-                tw[j] * integrate((beta(r.layer(j)) - base[j]) ** 2, rho.grid)
-                for j in range(rho.n_layers)
-            )
-            dists.append(float(np.sqrt(sq)))
-        labels.append(beta.label)
-        rows.append(tuple(dists))
-        trends.append(all(b <= a for a, b in zip(dists, dists[1:])))
-    return RenormalizationTrend(tuple(labels), tuple(rows), tuple(trends))

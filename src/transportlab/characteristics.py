@@ -17,7 +17,7 @@ from typing import Iterator
 import numpy as np
 
 from transportlab.fields import ScalarField, VelocityField
-from transportlab.geometry import TimePartition
+from transportlab.geometry import TimePartition, trapezoid_weights
 
 
 class CharacteristicsError(ValueError):
@@ -44,13 +44,10 @@ class FlowMapIntegrator:
 
     velocity: VelocityField
     dt: float
-    scheme: str = "rk4"
 
     def __post_init__(self) -> None:
         if self.dt <= 0.0:
             raise CharacteristicsError(f"step size must be positive, got {self.dt}")
-        if self.scheme != "rk4":
-            raise CharacteristicsError(f"unknown scheme {self.scheme!r}")
 
     def steps(self, t_from: float, t_to: float) -> list[float]:
         """Signed step sequence covering [t_from, t_to]."""
@@ -229,16 +226,14 @@ def slice_identity_residual(
     if j0 == 0:
         return abs(lhs - init)
     # trapezoid in time over [0, t0] of the advective pairing
-    dt = float(times[1] - times[0])
+    tw = trapezoid_weights(times[: j0 + 1])
     adv = 0.0
     if u.autonomous:
         ux, uy = u.eval(X, Y, 0.0)
         for j in range(j0 + 1):
-            tw = 0.5 * dt if j in (0, j0) else dt
-            adv += tw * float(np.sum(rho.layer(j) * (ux * gx + uy * gy) * w))
+            adv += tw[j] * float(np.sum(rho.layer(j) * (ux * gx + uy * gy) * w))
     else:
         for j in range(j0 + 1):
             ux, uy = u.eval(X, Y, float(times[j]))
-            tw = 0.5 * dt if j in (0, j0) else dt
-            adv += tw * float(np.sum(rho.layer(j) * (ux * gx + uy * gy) * w))
+            adv += tw[j] * float(np.sum(rho.layer(j) * (ux * gx + uy * gy) * w))
     return abs(lhs - (init - adv))

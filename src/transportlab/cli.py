@@ -9,10 +9,8 @@ exits 0.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 from .analysis import AnalysisError
 from .characteristics import CharacteristicsError, solve_classical
@@ -21,6 +19,7 @@ from .geometry import GeometryError
 from .studies import (
     OUTPUT_ROOT_ENV,
     RUNNERS,
+    STUDY_NAMES,
     StudiesError,
     StudyConfig,
     build_case,
@@ -29,8 +28,6 @@ from .studies import (
     resolve_out_dir,
 )
 from .weakform import WeakformError
-
-_STUDIES = ("conservation", "mollify", "renorm", "stability")
 
 # A configuration that parses but cannot be run surfaces as one of these
 # from the library; it is exit 2, like any other unusable configuration.
@@ -84,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command")
-    for name in (*_STUDIES, "solve", "validate-config"):
+    for name in (*STUDY_NAMES, "solve", "validate-config"):
         sub.add_parser(name, parents=[common], help=_COMMAND_HELP[name])
     return parser
 
@@ -96,23 +93,17 @@ def _load_config(ns: argparse.Namespace) -> StudyConfig:
         )
     path = ns.config_pos or ns.config
     cfg = parse_study_config(path, ns.overrides)
-    if ns.command in _STUDIES:
+    if ns.command in STUDY_NAMES:
         cfg = replace(cfg, study=ns.command)
     if ns.out:
         cfg = replace(cfg, out_dir=ns.out)
     return cfg
 
 
-def _solve_out_dir(cfg: StudyConfig) -> Path:
-    if cfg.out_dir:
-        return Path(cfg.out_dir)
-    return Path(os.environ.get(OUTPUT_ROOT_ENV, "runs")) / "solve"
-
-
 def _run_solve(cfg: StudyConfig, quiet: bool) -> int:
     _, times, u, rho0 = build_case(cfg)
     sol = solve_classical(rho0, u, times)
-    out = _solve_out_dir(cfg)
+    out = resolve_out_dir(cfg, "solve")
     out.mkdir(parents=True, exist_ok=True)
     csv_path, json_path = save_snapshot(sol, sol.n_layers - 1, out / "solution_final")
     (out / "config.cfg").write_text(config_text(cfg))

@@ -257,13 +257,6 @@ def from_stream_function(
     return VelocityField(comps, domain)
 
 
-def eval_velocity(u: VelocityField, x, y=None, t: float = 0.0):
-    """Closed-form velocity at a point of the closed domain."""
-    if y is None:
-        (x, y) = x
-    return u.eval(x, y, t)
-
-
 def vortex_field(
     domain: Domain,
     center: tuple[float, float] = (0.5, 0.5),
@@ -296,9 +289,11 @@ def _bump_profile_constant() -> float:
 
 @dataclass(frozen=True)
 class Kernel:
-    """Scaled mollifier eta_eps(x) = eps^{-2} eta(x/eps), supp in B(0, eps)."""
+    """Scaled mollifier eta_eps(x) = eps^{-2} eta(x/eps), supp in B(0, eps).
 
-    profile: str
+    eta is the smooth bump exp(-1/(1 - |x|^2)) scaled to unit mass.
+    """
+
     eps: float
     normalization: float
 
@@ -317,12 +312,10 @@ class Kernel:
         return g * x, g * y
 
 
-def make_kernel(profile: str = "bump", eps: float = 0.1) -> Kernel:
+def make_kernel(eps: float = 0.1) -> Kernel:
     if eps <= 0.0:
         raise FieldError(f"kernel scale must be positive, got {eps}")
-    if profile != "bump":
-        raise FieldError(f"unknown kernel profile {profile!r}")
-    return Kernel(profile, float(eps), _bump_profile_constant())
+    return Kernel(float(eps), _bump_profile_constant())
 
 
 # ---------------------------------------------------------------------------

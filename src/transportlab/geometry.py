@@ -292,7 +292,22 @@ class TimePartition:
 
     @cached_property
     def weights(self) -> np.ndarray:
-        """Trapezoid weights in time, summing to T exactly."""
-        w = np.full(self.nt + 1, self.dt)
-        w[0] = w[-1] = 0.5 * self.dt
-        return w
+        """Trapezoid weights in time, summing to T up to roundoff."""
+        return trapezoid_weights(self.times)
+
+
+def trapezoid_weights(times) -> np.ndarray:
+    """Trapezoid quadrature weights on arbitrary increasing node times.
+
+    Node j gets half the span of its neighbours, 0.5 * (t[j+1] - t[j-1]),
+    with the one-sided half step at either end. At least two nodes are
+    needed; a single node spans no interval.
+    """
+    t = np.asarray(times, dtype=float)
+    if t.size < 2:
+        raise GeometryError("need at least two time nodes for trapezoid weights")
+    w = np.empty_like(t)
+    w[1:-1] = 0.5 * (t[2:] - t[:-2])
+    w[0] = 0.5 * (t[1] - t[0])
+    w[-1] = 0.5 * (t[-1] - t[-2])
+    return w

@@ -29,7 +29,6 @@ from .analysis import (
     amplitude_family,
     conservation_report,
     initial_data_family,
-    renormalization_convergence_check,
     stability_experiment,
 )
 from .characteristics import solve_classical
@@ -68,7 +67,6 @@ from .weakform import (
     gamma_exponent,
     mollify_density,
     remainder_decay_study,
-    renormalized_residual,
     streamed_weak_residuals,
     weak_residual,
 )
@@ -113,7 +111,6 @@ class StudyConfig:
     inner_margin: float
     family: str
     p_stab: float
-    workers: int
     corruption: str
     tol_drift: float
     tol_drift_sup: float
@@ -213,7 +210,6 @@ _SCHEMA: dict[tuple[str, str], tuple[str, Callable]] = {
     ("mollify", "inner_margin"): ("inner_margin", _pos_float),
     ("stability", "family"): ("family", _choice("amplitude", "initial-data", "identity")),
     ("stability", "p"): ("p_stab", _exponent),
-    ("stability", "workers"): ("workers", _pos_int),
     ("renorm", "corruption"): ("corruption", _choice("none", "freeze-time")),
     ("tolerances", "drift"): ("tol_drift", _pos_float),
     ("tolerances", "drift_sup"): ("tol_drift_sup", _pos_float),
@@ -249,7 +245,6 @@ _DEFAULTS = StudyConfig(
     inner_margin=0.15,
     family="amplitude",
     p_stab=2.0,
-    workers=1,
     corruption="none",
     tol_drift=1e-3,
     tol_drift_sup=1e-6,
@@ -437,11 +432,15 @@ def build_case(cfg: StudyConfig):
     return grid, times, u, rho0
 
 
-def resolve_out_dir(cfg: StudyConfig) -> Path:
+def resolve_out_dir(cfg: StudyConfig, command: str | None = None) -> Path:
+    """The config's output directory, else <root>/<command or study>.
+
+    The root is $TRANSPORTLAB_OUT when set and ./runs otherwise.
+    """
     if cfg.out_dir:
         return Path(cfg.out_dir)
     root = os.environ.get(OUTPUT_ROOT_ENV, "runs")
-    return Path(root) / cfg.study
+    return Path(root) / (command or cfg.study)
 
 
 def _write_outputs(
@@ -681,13 +680,9 @@ def run_renormalization_study(cfg: StudyConfig) -> StudyOutcome:
         frozen = ScalarField(
             grid, sol.times, np.repeat(sol.values[:1], sol.n_layers, axis=0)
         )
-        reports = []
-        for beta in betas:
-            for phi in phis:
-                if beta is None:
-                    reports.append(weak_residual(frozen, rho0, u, phi))
-                else:
-                    reports.append(renormalized_residual(frozen, rho0, u, beta, phi))
+        reports = [
+            weak_residual(frozen, rho0, u, phi, beta=beta) for beta in betas for phi in phis
+        ]
 
     checks = []
     rows: list[Sequence[str]] = []
@@ -711,7 +706,11 @@ def run_renormalization_study(cfg: StudyConfig) -> StudyOutcome:
 
 
 def run_stability_study(cfg: StudyConfig) -> StudyOutcome:
-    """Perturbation family sweep: e_n decay plus renormalized convergence."""
+    """Perturbation family sweep: e_n decay plus renormalized convergence.
+
+    Both come from one stability_experiment pass, which solves the
+    reference and each family member once.
+    """
     _, times, u, rho0 = build_case(cfg)
     if cfg.family == "amplitude":
         family = amplitude_family(u, rho0)
@@ -728,7 +727,7 @@ def run_stability_study(cfg: StudyConfig) -> StudyOutcome:
         family,
         cfg.n_list,
         p=cfg.p_stab,
-        workers=cfg.workers if cfg.workers > 1 else None,
+        betas=[beta_smooth_approx(1.0, 10)],
         enforce=False,
     )
     zero = all(e == 0.0 for e in rep.e)
@@ -750,13 +749,7 @@ def run_stability_study(cfg: StudyConfig) -> StudyOutcome:
             "derived",
         ),
     ]
-
-    reference = solve_classical(rho0, u, times)
-    perturbed = []
-    for n in cfg.n_list:
-        u_n, rho0_n = family(n)
-        perturbed.append(solve_classical(rho0_n, u_n, times))
-    trend = renormalization_convergence_check(perturbed, reference, [beta_smooth_approx(1.0, 10)])
+    trend = rep.renormalization
     for label, dists, decreasing in zip(trend.labels, trend.distances, trend.decreasing):
         checks.append(
             CheckResult(

@@ -41,6 +41,7 @@ from transportlab.geometry import (
     dist_to_boundary,
     integrate,
     shrink,
+    trapezoid_weights,
 )
 
 
@@ -108,17 +109,6 @@ class ResidualReport:
         ]
 
 
-def _time_weights(times: np.ndarray) -> np.ndarray:
-    t = np.asarray(times, dtype=float)
-    if t.size < 2:
-        raise WeakformError("need at least two time layers for a residual")
-    w = np.empty_like(t)
-    w[1:-1] = 0.5 * (t[2:] - t[:-2])
-    w[0] = 0.5 * (t[1] - t[0])
-    w[-1] = 0.5 * (t[-1] - t[-2])
-    return w
-
-
 class ResidualAccumulator:
     """Streaming evaluation of the three weak-form terms, layer by layer.
 
@@ -151,7 +141,9 @@ class ResidualAccumulator:
         self.u = u
         self.phi = phi
         self.beta = beta
-        self.tw = _time_weights(self.times)
+        if self.times.size < 2:
+            raise WeakformError("need at least two time layers for a residual")
+        self.tw = trapezoid_weights(self.times)
         X, Y = grid.meshes()
         w = grid.quadrature_weights
         self.phi_w = phi.spatial(X, Y) * w
@@ -213,22 +205,15 @@ def weak_residual(
     phi: TestFunction,
     beta: AdmissibleBeta | None = None,
 ) -> ResidualReport:
-    """Three-term weak-form pairing of a stored solution with phi."""
+    """Three-term weak-form pairing of a stored solution with phi.
+
+    With beta given, the pairing is that of beta(rho) with beta(rho0)
+    initial data: the renormalized residual.
+    """
     acc = ResidualAccumulator(rho.grid, rho.times, u, phi, beta=beta)
     for j in range(rho.n_layers):
         acc.add_layer(j, rho.layer(j))
     return acc.report(rho0.layer(0))
-
-
-def renormalized_residual(
-    rho: ScalarField,
-    rho0: ScalarField,
-    u: VelocityField,
-    beta: AdmissibleBeta,
-    phi: TestFunction,
-) -> ResidualReport:
-    """Weak residual of beta(rho) against phi, with beta(rho0) initial data."""
-    return weak_residual(rho, rho0, u, phi, beta=beta)
 
 
 def streamed_weak_residuals(
@@ -535,7 +520,7 @@ def remainder_decay_study(
         raise WeakformError(
             f"inner region margin {margin:.3g} must exceed the largest eps {max(eps):.3g}"
         )
-    tw = _time_weights(rho.times) if rho.n_layers > 1 else np.array([1.0])
+    tw = trapezoid_weights(rho.times) if rho.n_layers > 1 else np.array([1.0])
     norms = []
     for e in eps:
         kern = make_kernel(eps=e)

@@ -324,16 +324,29 @@ def test_stability_amplitude_family(vortex_solution):
     assert len(rows) == 4 and all(len(r) == len(StabilityReport.CSV_HEADER) for r in rows)
 
 
-def test_stability_threaded_matches_serial():
+@pytest.mark.parametrize(
+    "family", [amplitude_family, initial_data_family], ids=["amplitude", "initial-data"]
+)
+def test_stability_lockstep_matches_stored_route(family):
     grid = Grid(DOM, 48, 48)
     times = TimePartition(1.0, 60)
     u = vortex_field(DOM)
     rho0 = static_field(grid, gaussian_blob())
-    fam = amplitude_family(u, rho0)
-    serial = stability_experiment(u, rho0, times, fam, [2, 4, 8])
-    threaded = stability_experiment(u, rho0, times, fam, [2, 4, 8], workers=3)
-    assert serial.d == threaded.d
-    assert serial.e == threaded.e
+    fam = family(u, rho0)
+    ns = [2, 4, 8]
+    beta = beta_smooth_approx(1.0, 10)
+    rep = stability_experiment(u, rho0, times, fam, ns, betas=[beta])
+    # the stored route: every problem solved and kept, then reduced
+    ref = solve_classical(rho0, u, times)
+    sols = [solve_classical(r0, u_n, times) for u_n, r0 in map(fam, ns)]
+    e = tuple(
+        max(lp_norm(s.layer(j) - ref.layer(j), grid, 2.0) for j in range(s.n_layers))
+        for s in sols
+    )
+    assert rep.e == e
+    assert rep.renormalization == renormalization_convergence_check(sols, ref, [beta])
+    assert rep.renormalization.labels == (beta.label,)
+    assert stability_experiment(u, rho0, times, fam, ns).renormalization.labels == ()
 
 
 def test_stability_unperturbed_family_is_exactly_zero():

@@ -39,8 +39,6 @@ def test_integrator_validation():
     u = vortex_field(unit_square())
     with pytest.raises(CharacteristicsError):
         FlowMapIntegrator(u, 0.0)
-    with pytest.raises(CharacteristicsError):
-        FlowMapIntegrator(u, 1e-3, scheme="euler")
 
 
 def test_integrator_step_layout(vortex):

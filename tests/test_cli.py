@@ -148,6 +148,15 @@ def test_solve_dumps_the_final_layer(tmp_path, capsys):
     assert np.all(np.isfinite(restored.values))
 
 
+def test_solve_without_out_lands_under_the_output_root(tmp_path, monkeypatch):
+    monkeypatch.setenv("TRANSPORTLAB_OUT", str(tmp_path / "root"))
+    code = main(
+        ["solve", "--set", "grid.nx=32", "--set", "grid.ny=32", "--set", "time.nt=5", "--quiet"]
+    )
+    assert code == 0
+    assert (tmp_path / "root" / "solve" / "config.cfg").exists()
+
+
 def test_env_var_sets_default_output_root(tiny_cfg, tmp_path, monkeypatch):
     monkeypatch.setenv("TRANSPORTLAB_OUT", str(tmp_path / "root"))
     code = main(

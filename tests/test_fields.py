@@ -14,7 +14,6 @@ from transportlab.fields import (
     beta_truncation,
     cosine_decay_profile,
     dirac_time_family,
-    eval_velocity,
     from_stream_function,
     gaussian_blob,
     load_snapshot,
@@ -157,10 +156,10 @@ def test_velocity_exactly_zero_on_thousand_boundary_points():
 
 def test_eval_velocity_boundary_and_exterior():
     u = vortex_field(unit_square())
-    assert eval_velocity(u, (0.0, 0.3)) == (0.0, 0.0)
-    assert eval_velocity(u, (1.0, 1.0)) == (0.0, 0.0)
+    assert u.eval(0.0, 0.3) == (0.0, 0.0)
+    assert u.eval(1.0, 1.0) == (0.0, 0.0)
     with pytest.raises(FieldError):
-        eval_velocity(u, (1.2, 0.5))
+        u.eval(1.2, 0.5)
 
 
 def test_time_modulation_zero_kills_field():
@@ -188,11 +187,11 @@ def test_superposition_and_scaling():
     u_a = from_stream_function(a, unit_square())
     u_b = from_stream_function(b, unit_square())
     p = (0.55, 0.52)
-    got = eval_velocity(u_ab, p)
-    want = np.add(eval_velocity(u_a, p), eval_velocity(u_b, p))
+    got = u_ab.eval(*p)
+    want = np.add(u_a.eval(*p), u_b.eval(*p))
     assert np.allclose(got, want, rtol=1e-14)
     doubled = u_ab.scaled(2.0)
-    assert np.allclose(eval_velocity(doubled, p), 2.0 * np.asarray(got), rtol=1e-14)
+    assert np.allclose(doubled.eval(*p), 2.0 * np.asarray(got), rtol=1e-14)
 
 
 def test_support_margin_and_max_speed():
@@ -219,8 +218,6 @@ def test_kernel_validation():
         make_kernel(eps=0.0)
     with pytest.raises(FieldError):
         make_kernel(eps=-0.1)
-    with pytest.raises(FieldError):
-        make_kernel(profile="triangle", eps=0.1)
 
 
 def test_kernel_normalization_constant_frozen():

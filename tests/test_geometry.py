@@ -10,6 +10,7 @@ from transportlab.geometry import (
     dist_to_boundary,
     integrate,
     shrink,
+    trapezoid_weights,
     unit_square,
 )
 
@@ -230,6 +231,16 @@ def test_time_partition_nodes():
     assert np.all(np.diff(tp.times) > 0)
     assert np.allclose(np.diff(tp.times), tp.dt)
     assert np.sum(tp.weights) == pytest.approx(2.0, rel=1e-14)
+
+
+def test_trapezoid_weights_on_uneven_nodes():
+    t = np.array([0.0, 0.1, 0.35, 0.4, 1.0])
+    w = trapezoid_weights(t)
+    assert w.tolist() == pytest.approx([0.05, 0.175, 0.15, 0.325, 0.3], rel=1e-14)
+    assert np.sum(w) == pytest.approx(1.0, rel=1e-14)
+    assert np.array_equal(TimePartition(1.0, 7).weights, trapezoid_weights(np.linspace(0, 1, 8)))
+    with pytest.raises(GeometryError):
+        trapezoid_weights([0.5])
 
 
 def test_time_partition_validation():

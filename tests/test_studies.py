@@ -1,10 +1,14 @@
 """End-to-end study runs: configs, checks, artifacts, determinism."""
 
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
+from transportlab import characteristics
 from transportlab.studies import (
+    STUDY_NAMES,
     StudiesError,
     StudyOutcome,
     CheckResult,
@@ -17,6 +21,9 @@ from transportlab.studies import (
     run_stability_study,
     run_study,
 )
+
+
+CONFIGS = Path(__file__).parents[1] / "configs"
 
 
 def cfg_for(study, out, *overrides):
@@ -34,6 +41,20 @@ def test_config_round_trips_through_its_text_form(tmp_path):
     path = tmp_path / "default.cfg"
     path.write_text(config_text(cfg))
     assert parse_study_config(path) == cfg
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.stem)
+def test_shipped_config_parses_and_round_trips(path, tmp_path):
+    cfg = parse_study_config(path)
+    assert cfg.study == path.stem
+    text = tmp_path / "echo.cfg"
+    text.write_text(config_text(cfg))
+    assert parse_study_config(text) == cfg
+
+
+def test_every_study_ships_a_config():
+    shipped = {p.stem for p in CONFIGS.glob("*.cfg")}
+    assert shipped == set(STUDY_NAMES)
 
 
 def test_config_overrides_apply():
@@ -284,17 +305,23 @@ def test_stability_study_initial_data_family(tmp_path):
     assert out.passed
 
 
-def test_stability_study_workers_are_deterministic(tmp_path):
-    for tag, workers in (("serial", 1), ("pool", 3)):
-        cfg = cfg_for(
-            "stability", tmp_path / tag,
-            "grid.nx=48", "grid.ny=48", "time.nt=30", f"stability.workers={workers}",
-        )
-        run_stability_study(cfg)
-    assert (
-        (tmp_path / "serial" / "stability.csv").read_bytes()
-        == (tmp_path / "pool" / "stability.csv").read_bytes()
-    )
+def test_stability_study_solves_each_problem_once(tmp_path, monkeypatch):
+    calls = []
+    original = characteristics.iter_solution_layers
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    # every module holding the solver, so a solve_classical route counts too
+    for name, module in list(sys.modules.items()):
+        held = getattr(module, "iter_solution_layers", None)
+        if name.startswith("transportlab") and held is original:
+            monkeypatch.setattr(module, "iter_solution_layers", counted)
+    cfg = cfg_for("stability", tmp_path / "run", "grid.nx=32", "grid.ny=32", "time.nt=12")
+    out = run_stability_study(cfg)
+    assert len(calls) == 1 + len(cfg.n_list)
+    assert out.checks[-1].name.startswith("analysis.renormalized_convergence[")
 
 
 # ---------------------------------------------------------------------------

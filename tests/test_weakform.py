@@ -29,7 +29,6 @@ from transportlab.weakform import (
     mollify_at_points,
     mollify_density,
     remainder_decay_study,
-    renormalized_residual,
     streamed_weak_residuals,
     weak_residual,
 )
@@ -195,9 +194,7 @@ def test_identity_clip_renormalization_matches_plain(half_case):
     r0 = ScalarField(half_case.grid, half_case.rho.times[:1], half_case.rho.values[:1])
     phi = off_center_phi()
     plain = weak_residual(half_case.rho, r0, half_case.u, phi)
-    clipped = renormalized_residual(
-        half_case.rho, r0, half_case.u, beta_truncation(10.0), phi
-    )
+    clipped = weak_residual(half_case.rho, r0, half_case.u, phi, beta=beta_truncation(10.0))
     # clipping at a level above max|rho| is the identity on every layer
     assert clipped.term_time == plain.term_time
     assert clipped.term_initial == plain.term_initial
@@ -207,8 +204,8 @@ def test_identity_clip_renormalization_matches_plain(half_case):
 
 def test_smooth_clip_renormalization_small(half_case):
     r0 = ScalarField(half_case.grid, half_case.rho.times[:1], half_case.rho.values[:1])
-    rep = renormalized_residual(
-        half_case.rho, r0, half_case.u, beta_smooth_approx(1.0, 10), off_center_phi()
+    rep = weak_residual(
+        half_case.rho, r0, half_case.u, off_center_phi(), beta=beta_smooth_approx(1.0, 10)
     )
     assert rep.residual < 1e-3
 
@@ -217,9 +214,7 @@ def test_constant_beta_residual_vanishes(half_case):
     # beta(rho) constant in space and time: the time and initial terms
     # telescope and the advective term is the integral of a divergence.
     r0 = ScalarField(half_case.grid, half_case.rho.times[:1], half_case.rho.values[:1])
-    rep = renormalized_residual(
-        half_case.rho, r0, half_case.u, constant_beta(), off_center_phi()
-    )
+    rep = weak_residual(half_case.rho, r0, half_case.u, off_center_phi(), beta=constant_beta())
     assert rep.residual < 1e-6
 
 
