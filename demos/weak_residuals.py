@@ -41,11 +41,9 @@ betas = [
     beta_bounded_power(2.0, 4.0, 10),
 ]
 
-# streamed_weak_residuals pairs the two banks elementwise, so the cross
-# product gets spelled out; one backward solve still feeds every accumulator.
-phi_bank = [phi for phi in phis for _ in betas]
-beta_bank = [b for _ in phis for b in betas]
-reports = streamed_weak_residuals(rho0, u, times, phi_bank, beta_bank)
+# one backward solve feeds one accumulator that pairs every beta with every
+# test function; each layer evaluates each beta once
+reports = streamed_weak_residuals(rho0, u, times, phis, betas)
 
 print(f"{'test function':<36} {'beta':<14} {'residual':>10}")
 for rep in reports:

@@ -150,6 +150,13 @@ def iter_solution_layers(
     modulation the stored departure points advance incrementally (the same
     fixed steps a per-layer integration would take, so the results are
     identical); time-dependent fields re-integrate each layer from scratch.
+
+    Only nodes strictly inside some support ball are integrated. Elsewhere
+    u vanishes at every time, so every RK4 stage slope is exactly zero and
+    the node is a fixed point of the integrator and of its clamp: its foot
+    is the node itself in every layer, and its value is interpolated once
+    per solve. Every operation is elementwise, so splitting the nodes this
+    way changes no bit of any layer.
     """
     grid = rho0.grid
     if grid.domain != u.domain:
@@ -163,20 +170,36 @@ def iter_solution_layers(
     base = rho0.layer(0)
     step = _solver_step(u, times, grid, cfl)
     X0, Y0 = grid.meshes()
+    moving = u.support_mask(X0, Y0)
+    still = ~moving
+    x0, y0 = X0[moving], Y0[moving]
+    # interpolation at a node need not return the nodal value, so the still
+    # nodes keep what interpolate gives, as the moving ones do
+    still_values = grid.interpolate(base, X0[still], Y0[still])
+
+    def layer(xd, yd) -> np.ndarray:
+        out = np.empty(grid.shape)
+        out[still] = still_values
+        out[moving] = grid.interpolate(base, xd, yd)
+        return out
+
     yield 0, 0.0, np.array(base, copy=True)
     if u.autonomous:
         # substeps per layer, exact divisors of the layer interval
         k = max(1, int(np.ceil(times.dt / step - 1e-12)))
         integ = FlowMapIntegrator(u, times.dt / k)
-        xd, yd = np.array(X0, copy=True), np.array(Y0, copy=True)
+        xd, yd = x0, y0
         for j in range(1, times.nt + 1):
-            xd, yd = integ.advance(xd, yd, times.times[j], times.times[j - 1], h_min)
-            yield j, float(times.times[j]), grid.interpolate(base, xd, yd)
+            if x0.size:
+                xd, yd = integ.advance(xd, yd, times.times[j], times.times[j - 1], h_min)
+            yield j, float(times.times[j]), layer(xd, yd)
     else:
         integ = FlowMapIntegrator(u, step)
+        xd, yd = x0, y0
         for j in range(1, times.nt + 1):
-            xd, yd = integ.advance(X0, Y0, times.times[j], 0.0, h_min)
-            yield j, float(times.times[j]), grid.interpolate(base, xd, yd)
+            if x0.size:
+                xd, yd = integ.advance(x0, y0, times.times[j], 0.0, h_min)
+            yield j, float(times.times[j]), layer(xd, yd)
 
 
 def solve_classical(

@@ -180,6 +180,19 @@ class VelocityField:
             for c in self.components
         )
 
+    def support_mask(self, x, y) -> np.ndarray:
+        """True where a point lies strictly inside some component's support.
+
+        This is the q < 1 test the bump derivatives use, so outside the mask
+        every component's gradient is exactly zero at every time.
+        """
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        mask = np.zeros(np.broadcast(x, y).shape, dtype=bool)
+        for c in self.components:
+            mask |= c._rel(x, y)[2] < 1.0
+        return mask
+
     def eval(self, x, y, t: float = 0.0, checked: bool = True):
         """Velocity components at points; arrays in, arrays out.
 

@@ -68,7 +68,6 @@ from .weakform import (
     mollify_density,
     remainder_decay_study,
     streamed_weak_residuals,
-    weak_residual,
 )
 
 OUTPUT_ROOT_ENV = "TRANSPORTLAB_OUT"
@@ -524,7 +523,7 @@ def _identity_gap(
     the space-time pairing of the commutator remainder with phi."""
     grid = sol.grid
     kern = make_kernel(eps=eps)
-    acc = ResidualAccumulator(grid, sol.times, u, phi)
+    acc = ResidualAccumulator(grid, sol.times, u, [phi])
     X, Y = grid.meshes()
     phi_sp = phi.spatial(X, Y)
     rhs = 0.0
@@ -536,7 +535,7 @@ def _identity_gap(
         rem = commutator_remainder(sol, u, kern, j)
         psi = float(phi.time_profile.value(sol.times[j]))
         rhs += acc.tw[j] * psi * integrate(rem.values * phi_sp, grid)
-    rep = acc.report(moll0)
+    rep = acc.report(moll0)[0]
     return rep.term_time + rep.term_initial + rep.term_advective, rhs
 
 
@@ -663,8 +662,8 @@ def _beta_bank() -> list[AdmissibleBeta]:
 def run_renormalization_study(cfg: StudyConfig) -> StudyOutcome:
     """Weak and renormalized residuals over the full phi and beta banks.
 
-    The freeze-time corruption knob is a negative control: it replaces every
-    layer with the initial one after solving, which leaves the advective
+    The freeze-time corruption knob is a negative control: it feeds the
+    initial layer in place of every solved one, which leaves the advective
     term unbalanced and must trip the residual gate.
     """
     grid, times, u, rho0 = build_case(cfg)
@@ -672,17 +671,13 @@ def run_renormalization_study(cfg: StudyConfig) -> StudyOutcome:
     betas: list[AdmissibleBeta | None] = [None] + list(_beta_bank())
 
     if cfg.corruption == "none":
-        all_phis = [phi for _ in betas for phi in phis]
-        all_betas = [beta for beta in betas for _ in phis]
-        reports = streamed_weak_residuals(rho0, u, times, all_phis, all_betas)
+        reports = streamed_weak_residuals(rho0, u, times, phis, betas)
     else:
-        sol = solve_classical(rho0, u, times)
-        frozen = ScalarField(
-            grid, sol.times, np.repeat(sol.values[:1], sol.n_layers, axis=0)
-        )
-        reports = [
-            weak_residual(frozen, rho0, u, phi, beta=beta) for beta in betas for phi in phis
-        ]
+        base = rho0.layer(0)
+        acc = ResidualAccumulator(grid, times.times, u, phis, betas)
+        for j in range(times.nt + 1):
+            acc.add_layer(j, base)
+        reports = acc.report(base)
 
     checks = []
     rows: list[Sequence[str]] = []

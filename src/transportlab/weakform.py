@@ -110,12 +110,23 @@ class ResidualReport:
 
 
 class ResidualAccumulator:
-    """Streaming evaluation of the three weak-form terms, layer by layer.
+    """Streaming evaluation of the three weak-form terms for a whole bank.
 
-    Feeding layers as they are produced keeps refined solves at constant
-    memory; weak_residual on a stored field is the same accumulator run
-    over its layers. An optional renormalization is applied to every layer
-    (and to rho0) before pairing.
+    One accumulator pairs every renormalization in `betas` (None pairs the
+    density itself) with every test function in `phis`. Feeding layers as
+    they are produced keeps refined solves at constant memory; weak_residual
+    on a stored field is a one-pair bank run over its layers.
+
+    The spatial weights of the bank are stacked once, shape
+    (len(phis), nx + 1, ny + 1). Each layer evaluates each beta once and
+    reduces it against the stack with np.sum(vals * W, axis=(1, 2)): the two
+    reduced axes are contiguous, so every slice is summed exactly as
+    np.sum(vals * W[k]) would sum it and a bank of any size gives the bits
+    of a one-pair accumulator. A matvec would not: BLAS results depend on
+    how many rows are batched together.
+
+    report returns the pairings beta-major: entry b * len(phis) + k pairs
+    betas[b] with phis[k].
     """
 
     def __init__(
@@ -123,40 +134,46 @@ class ResidualAccumulator:
         grid: Grid,
         times: np.ndarray,
         u: VelocityField,
-        phi: TestFunction,
-        beta: AdmissibleBeta | None = None,
+        phis: Sequence[TestFunction],
+        betas: Sequence[AdmissibleBeta | None] = (None,),
     ):
-        if phi.domain != grid.domain:
-            raise WeakformError("test function lives on a different domain")
-        cx, cy = phi.center
-        if dist_to_boundary(grid.domain, cx, cy) <= phi.radius:
-            raise WeakformError("test function support is not strictly interior")
+        self.phis = tuple(phis)
+        self.betas = tuple(betas)
+        if not self.phis or not self.betas:
+            raise WeakformError("need at least one test function and one beta")
         self.times = np.asarray(times, dtype=float)
         T = float(self.times[-1])
-        if abs(float(np.asarray(phi.time_profile.value(T)))) > 1e-12:
-            raise WeakformError(
-                "test function time profile does not vanish at the final time"
-            )
+        for phi in self.phis:
+            if phi.domain != grid.domain:
+                raise WeakformError("test function lives on a different domain")
+            cx, cy = phi.center
+            if dist_to_boundary(grid.domain, cx, cy) <= phi.radius:
+                raise WeakformError("test function support is not strictly interior")
+            if abs(float(np.asarray(phi.time_profile.value(T)))) > 1e-12:
+                raise WeakformError(
+                    "test function time profile does not vanish at the final time"
+                )
         self.grid = grid
         self.u = u
-        self.phi = phi
-        self.beta = beta
         if self.times.size < 2:
             raise WeakformError("need at least two time layers for a residual")
         self.tw = trapezoid_weights(self.times)
         X, Y = grid.meshes()
         w = grid.quadrature_weights
-        self.phi_w = phi.spatial(X, Y) * w
-        gx, gy = phi.spatial_gradient(X, Y)
-        self._gx_w, self._gy_w = gx * w, gy * w
+        self.phi_w = np.stack([phi.spatial(X, Y) * w for phi in self.phis])
+        grads = [phi.spatial_gradient(X, Y) for phi in self.phis]
+        gx_w = np.stack([gx * w for gx, _ in grads])
+        gy_w = np.stack([gy * w for _, gy in grads])
         if u.autonomous:
             ux, uy = u.eval(X, Y, 0.0)
-            self._adv_w = ux * self._gx_w + uy * self._gy_w
+            self._adv_w = ux * gx_w + uy * gy_w
         else:
             self._adv_w = None
+            self._gx_w, self._gy_w = gx_w, gy_w
             self._X, self._Y = X, Y
-        self.term_time = 0.0
-        self.term_advective = 0.0
+        shape = (len(self.betas), len(self.phis))
+        self.term_time = np.zeros(shape)
+        self.term_advective = np.zeros(shape)
         self._seen = 0
 
     def _advection_weights(self, t: float) -> np.ndarray:
@@ -165,37 +182,49 @@ class ResidualAccumulator:
         ux, uy = self.u.eval(self._X, self._Y, t)
         return ux * self._gx_w + uy * self._gy_w
 
+    def _time_profiles(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """psi(t) and psi'(t) of every test function."""
+        psi = [float(np.asarray(phi.time_profile.value(t))) for phi in self.phis]
+        dpsi = [float(np.asarray(phi.time_profile.derivative(t))) for phi in self.phis]
+        return np.array(psi), np.array(dpsi)
+
     def add_layer(self, j: int, layer: np.ndarray) -> None:
         if j != self._seen:
             raise WeakformError(f"layers must arrive in order, expected {self._seen}")
-        vals = layer if self.beta is None else self.beta(layer)
         t = float(self.times[j])
-        psi = float(np.asarray(self.phi.time_profile.value(t)))
-        dpsi = float(np.asarray(self.phi.time_profile.derivative(t)))
-        self.term_time -= self.tw[j] * dpsi * float(np.sum(vals * self.phi_w))
-        self.term_advective += self.tw[j] * psi * float(
-            np.sum(vals * self._advection_weights(t))
-        )
+        psi, dpsi = self._time_profiles(t)
+        tw_psi, tw_dpsi = self.tw[j] * psi, self.tw[j] * dpsi
+        adv_w = self._advection_weights(t)
+        for b, beta in enumerate(self.betas):
+            vals = layer if beta is None else beta(layer)
+            self.term_time[b] -= tw_dpsi * np.sum(vals * self.phi_w, axis=(1, 2))
+            self.term_advective[b] += tw_psi * np.sum(vals * adv_w, axis=(1, 2))
         self._seen += 1
 
-    def report(self, rho0_layer: np.ndarray) -> ResidualReport:
+    def report(self, rho0_layer: np.ndarray) -> list[ResidualReport]:
         if self._seen != self.times.size:
             raise WeakformError(
                 f"saw {self._seen} layers, expected {self.times.size}"
             )
-        vals0 = rho0_layer if self.beta is None else self.beta(rho0_layer)
-        psi0 = float(np.asarray(self.phi.time_profile.value(self.times[0])))
-        term_initial = -psi0 * float(np.sum(vals0 * self.phi_w))
-        return ResidualReport(
-            term_time=self.term_time,
-            term_initial=term_initial,
-            term_advective=self.term_advective,
-            phi=self.phi.label,
-            nx=self.grid.nx,
-            ny=self.grid.ny,
-            nt=self.times.size - 1,
-            beta=self.beta.label if self.beta is not None else None,
-        )
+        psi0, _ = self._time_profiles(float(self.times[0]))
+        reports = []
+        for b, beta in enumerate(self.betas):
+            vals0 = rho0_layer if beta is None else beta(rho0_layer)
+            term_initial = -psi0 * np.sum(vals0 * self.phi_w, axis=(1, 2))
+            reports += [
+                ResidualReport(
+                    term_time=float(self.term_time[b, k]),
+                    term_initial=float(term_initial[k]),
+                    term_advective=float(self.term_advective[b, k]),
+                    phi=phi.label,
+                    nx=self.grid.nx,
+                    ny=self.grid.ny,
+                    nt=self.times.size - 1,
+                    beta=beta.label if beta is not None else None,
+                )
+                for k, phi in enumerate(self.phis)
+            ]
+        return reports
 
 
 def weak_residual(
@@ -210,10 +239,10 @@ def weak_residual(
     With beta given, the pairing is that of beta(rho) with beta(rho0)
     initial data: the renormalized residual.
     """
-    acc = ResidualAccumulator(rho.grid, rho.times, u, phi, beta=beta)
+    acc = ResidualAccumulator(rho.grid, rho.times, u, [phi], [beta])
     for j in range(rho.n_layers):
         acc.add_layer(j, rho.layer(j))
-    return acc.report(rho0.layer(0))
+    return acc.report(rho0.layer(0))[0]
 
 
 def streamed_weak_residuals(
@@ -221,26 +250,18 @@ def streamed_weak_residuals(
     u: VelocityField,
     times: TimePartition,
     phis: Sequence[TestFunction],
-    betas: Sequence[AdmissibleBeta | None] | None = None,
+    betas: Sequence[AdmissibleBeta | None] = (None,),
 ) -> list[ResidualReport]:
-    """Solve and accumulate residuals for a whole test-function bank.
+    """Solve once and pair every beta with every test function of the bank.
 
-    One transport sweep feeds every accumulator, so memory stays at a few
-    layers no matter how fine the solve is.
+    One transport sweep feeds one accumulator, so memory stays at a few
+    layers no matter how fine the solve is. Reports are beta-major, as
+    ResidualAccumulator.report orders them.
     """
-    if betas is None:
-        betas = [None] * len(phis)
-    if len(betas) != len(phis):
-        raise WeakformError("betas and phis must align")
-    accs = [
-        ResidualAccumulator(rho0.grid, times.times, u, phi, beta=b)
-        for phi, b in zip(phis, betas)
-    ]
+    acc = ResidualAccumulator(rho0.grid, times.times, u, phis, betas)
     for j, _, layer in iter_solution_layers(rho0, u, times):
-        for acc in accs:
-            acc.add_layer(j, layer)
-    base = rho0.layer(0)
-    return [acc.report(base) for acc in accs]
+        acc.add_layer(j, layer)
+    return acc.report(rho0.layer(0))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,9 @@ layers, T = 1) is the reference configuration for residual and conservation
 checks; it is expensive enough (~10 s, ~0.5 GB) that a single session-wide
 instance is computed and shared. A half-resolution twin supports the
 refinement comparisons.
+
+exact_vortex_flow is the closed-form flow map of the default vortex, an
+oracle for the RK4 integrator that shares no code with it.
 """
 
 import time
@@ -29,6 +32,31 @@ def make_transport_case(n: int, nt: int, T: float = 1.0) -> SimpleNamespace:
     return SimpleNamespace(
         grid=grid, times=times, u=u, rho0=rho0, rho=rho, solve_seconds=solve_seconds
     )
+
+
+def exact_vortex_flow(x, y, t_from, t_to, center=(0.5, 0.5), radius=0.3, amplitude=0.5):
+    """Closed-form flow_map(vortex_field(unit_square()), t_from, t_to, (x, y)).
+
+    The stream function A exp(-1/(1 - r^2/R^2)) is radial, so dX/ds = -u(X)
+    turns X - c about the center at the constant angular speed of its
+    orbit, g(r) = 2A bump_dq(r^2/R^2) / R^2 with
+    bump_dq(q) = -exp(-1/(1 - q)) / (1 - q)^2 (and g = 0 outside the
+    support): the flow map rotates x - c by the angle g (t_to - t_from).
+    """
+    dx = np.asarray(x, dtype=float) - center[0]
+    dy = np.asarray(y, dtype=float) - center[1]
+    q = (dx * dx + dy * dy) / radius**2
+    inside = q < 1.0
+    s = np.where(inside, 1.0 - q, 1.0)
+    bump_dq = np.where(inside, -np.exp(-1.0 / s) / s**2, 0.0)
+    angle = 2.0 * amplitude * bump_dq / radius**2 * (t_to - t_from)
+    c, sn = np.cos(angle), np.sin(angle)
+    return center[0] + c * dx - sn * dy, center[1] + sn * dx + c * dy
+
+
+@pytest.fixture(scope="session")
+def vortex_rotation():
+    return exact_vortex_flow
 
 
 @pytest.fixture(scope="session")

@@ -15,6 +15,7 @@ from transportlab.characteristics import (
 from transportlab.fields import (
     ScalarField,
     StreamFunction,
+    VelocityField,
     from_stream_function,
     gaussian_blob,
     make_test_function,
@@ -75,10 +76,20 @@ def test_flow_map_rejects_exterior_start(vortex):
         flow_map(vortex, 0.0, 1.0, (1.2, 0.5))
 
 
-def test_flow_map_matches_refined_reference(vortex):
+def test_flow_map_matches_refined_reference(vortex, vortex_rotation):
     coarse = flow_map(vortex, 0.0, 1.0, (0.65, 0.5), dt=1e-3)
-    ref = flow_map(vortex, 0.0, 1.0, (0.65, 0.5), dt=1e-5)
+    ref = vortex_rotation(0.65, 0.5, 0.0, 1.0)
     assert np.hypot(coarse[0] - ref[0], coarse[1] - ref[1]) < 1e-8
+
+
+def test_flow_map_matches_exact_rotation(vortex, vortex_rotation):
+    # backward over [0, 1], as the solver traces feet, on points inside and
+    # outside the support
+    rng = np.random.default_rng(7)
+    px, py = rng.uniform(0.0, 1.0, 200), rng.uniform(0.0, 1.0, 200)
+    fx, fy = flow_map(vortex, 1.0, 0.0, px, py, dt=1e-3)
+    ex, ey = vortex_rotation(px, py, 1.0, 0.0)
+    assert np.max(np.hypot(fx - ex, fy - ey)) < 1e-8
 
 
 def test_flow_map_group_property(vortex):
@@ -228,6 +239,29 @@ def test_iter_solution_layers_streams_same_values(vortex):
     for j, t, layer in iter_solution_layers(rho0, vortex, times):
         assert t == pytest.approx(float(times.times[j]))
         assert np.array_equal(layer, rho.layer(j))
+
+
+@pytest.mark.parametrize(
+    "u",
+    [
+        VelocityField((), unit_square()),
+        # time-modulated support ball between four nodes of the 32^2 grid
+        vortex_field(
+            unit_square(), center=(0.5 + 1 / 64, 0.5 + 1 / 64), radius=0.4 / 32,
+            modulation="linear",
+        ),
+    ],
+    ids=["no-components", "support-between-nodes"],
+)
+def test_iter_solution_layers_without_moving_nodes(u):
+    # no node lies inside a support ball, so nothing is integrated; on a
+    # 32^2 grid interpolation at a node returns the nodal value
+    grid = Grid(unit_square(), 32, 32)
+    rho0 = static_field(grid, gaussian_blob((0.58, 0.5), 0.14))
+    layers = list(iter_solution_layers(rho0, u, TimePartition(0.5, 4)))
+    assert [j for j, _, _ in layers] == [0, 1, 2, 3, 4]
+    for _, _, layer in layers:
+        assert np.array_equal(layer, rho0.layer(0))
 
 
 def test_solve_validations(vortex):

@@ -1,5 +1,6 @@
 """End-to-end study runs: configs, checks, artifacts, determinism."""
 
+import csv
 import json
 import sys
 from pathlib import Path
@@ -252,6 +253,19 @@ def test_renormalization_study_passes(tmp_path):
     assert const.provenance == "trivial"
     rows = (tmp_path / "run" / "residuals.csv").read_text().strip().split("\n")
     assert len(rows) == 1 + 5 * 6  # header + (raw + 4 betas) x 6 phis
+
+
+def test_renormalization_csv_numbers_are_plain_floats(tmp_path):
+    cfg = cfg_for("renorm", tmp_path / "run", "grid.nx=32", "grid.ny=32", "time.nt=20")
+    run_renormalization_study(cfg)
+    with open(tmp_path / "run" / "residuals.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 1 + 5 * 6
+    # every column after phi and beta is a number
+    assert rows[0][:2] == ["phi", "beta"]
+    for row in rows[1:]:
+        for cell in row[2:]:
+            float(cell)
 
 
 def test_renormalization_frozen_solution_is_detected(tmp_path):

@@ -165,7 +165,7 @@ def test_residual_validation():
 
 def test_accumulator_requires_ordered_complete_layers():
     grid, times, u, rho0, sol = small_solution(32, 5)
-    acc = ResidualAccumulator(grid, sol.times, u, off_center_phi())
+    acc = ResidualAccumulator(grid, sol.times, u, [off_center_phi()])
     with pytest.raises(WeakformError):
         acc.add_layer(1, sol.layer(1))
     acc.add_layer(0, sol.layer(0))
@@ -178,8 +178,11 @@ def test_streamed_matches_stored():
     phis = [off_center_phi(), make_test_function((0.4, 0.58), 0.18, quadratic_decay_profile(1.0), DOM)]
     betas = [None, beta_smooth_approx(1.0, 10)]
     streamed = streamed_weak_residuals(rho0, u, times, phis, betas)
-    for rep, phi, beta in zip(streamed, phis, betas):
+    pairs = [(phi, beta) for beta in betas for phi in phis]
+    assert len(streamed) == len(pairs)
+    for rep, (phi, beta) in zip(streamed, pairs):
         ref = weak_residual(sol, rho0, u, phi, beta=beta)
+        assert (rep.phi, rep.beta) == (ref.phi, ref.beta)
         assert rep.term_time == ref.term_time
         assert rep.term_initial == ref.term_initial
         assert rep.term_advective == ref.term_advective
