@@ -8,18 +8,12 @@ density against a test function, and the direct space-time pairing of r_eps
 with that test function.
 """
 
-import numpy as np
-
 from transportlab import (
     Grid,
-    ScalarField,
     TimePartition,
-    commutator_remainder,
+    consistency_identity,
     gaussian_blob,
-    integrate,
-    make_kernel,
     make_test_function,
-    mollify_density,
     quadratic_decay_profile,
     remainder_decay_study,
     shrink,
@@ -27,7 +21,6 @@ from transportlab import (
     static_field,
     unit_square,
     vortex_field,
-    weak_residual,
 )
 
 domain = unit_square()
@@ -53,26 +46,8 @@ print()
 # mollified density and the space-time pairing of r_eps against the same
 # test function are two discretizations of one identity.
 eps = eps_list[0]
-kernel = make_kernel(eps=eps)
 phi = make_test_function((0.62, 0.44), 0.2, quadratic_decay_profile(times.T), domain)
-
-moll = np.stack([mollify_density(rho, kernel, j).values for j in range(rho.n_layers)])
-moll_field = ScalarField(grid, rho.times, moll)
-moll0 = ScalarField(grid, rho.times[:1], moll[:1])
-rep = weak_residual(moll_field, moll0, u, phi)
-lhs = rep.term_time + rep.term_initial + rep.term_advective
-
-X, Y = grid.meshes()
-phi_sp = phi.spatial(X, Y)
-tw = np.empty(rho.n_layers)
-tw[1:-1] = 0.5 * (rho.times[2:] - rho.times[:-2])
-tw[0] = 0.5 * (rho.times[1] - rho.times[0])
-tw[-1] = 0.5 * (rho.times[-1] - rho.times[-2])
-rhs = 0.0
-for j in range(rho.n_layers):
-    rem = commutator_remainder(rho, u, kernel, j)
-    psi = float(phi.time_profile.value(rho.times[j]))
-    rhs += tw[j] * psi * integrate(rem.values * phi_sp, grid)
+lhs, rhs = consistency_identity(rho, u, eps, phi)
 
 print(f"weak residual of mollified density : {lhs: .6e}")
 print(f"space-time pairing of r_eps        : {rhs: .6e}")

@@ -492,12 +492,6 @@ def cosine_decay_profile(T: float) -> TimeProfile:
     return TimeProfile("cosine", T, val, der)
 
 
-TIME_PROFILES = {
-    "quadratic": quadratic_decay_profile,
-    "cosine": cosine_decay_profile,
-}
-
-
 @dataclass(frozen=True)
 class TestFunction:
     """Product test function psi(t) * phi(x, y) with closed-form derivatives.
@@ -625,7 +619,6 @@ class ScalarField:
     grid: Grid
     times: np.ndarray
     values: np.ndarray  # shape (len(times), nx+1, ny+1)
-    interpolation: str = "bilinear"
 
     def __post_init__(self) -> None:
         times = np.asarray(self.times, dtype=float)
@@ -699,7 +692,6 @@ def save_snapshot(field: ScalarField, t_index: int, basename: str | Path) -> tup
         "nx": g.nx,
         "ny": g.ny,
         "time": float(field.times[t_index]),
-        "interpolation": field.interpolation,
     }
     with open(json_path, "w") as fh:
         json.dump(header, fh, indent=2, sort_keys=True)

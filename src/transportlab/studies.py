@@ -19,7 +19,7 @@ import configparser
 import csv
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -34,7 +34,6 @@ from .analysis import (
 from .characteristics import solve_classical
 from .fields import (
     AdmissibleBeta,
-    ScalarField,
     TestFunction,
     VelocityField,
     beta_bounded_power,
@@ -54,7 +53,6 @@ from .geometry import (
     Grid,
     TimePartition,
     dist_to_boundary,
-    integrate,
     shrink,
 )
 from .weakform import (
@@ -64,8 +62,8 @@ from .weakform import (
     WeakformError,
     commutator_at_points,
     commutator_remainder,
+    consistency_identity,
     gamma_exponent,
-    mollify_density,
     remainder_decay_study,
     streamed_weak_residuals,
 )
@@ -82,42 +80,6 @@ class StudiesError(ValueError):
 # ---------------------------------------------------------------------------
 # Configuration
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StudyConfig:
-    study: str
-    seed: int
-    nx: int
-    ny: int
-    horizon: float
-    nt: int
-    velocity: str
-    v_center: tuple[float, float]
-    v_radius: float
-    v_amplitude: float
-    modulation: str
-    density: str
-    d_center: tuple[float, float]
-    d_sigma: float
-    d_amplitude: float
-    eps_list: tuple[float, ...]
-    n_list: tuple[int, ...]
-    h_list: tuple[float, ...]
-    p_list: tuple[float, ...]
-    alpha: float
-    p_moll: float
-    inner_margin: float
-    family: str
-    p_stab: float
-    corruption: str
-    tol_drift: float
-    tol_drift_sup: float
-    tol_residual: float
-    tol_identity: float
-    tol_decay_ratio: float
-    tol_stability_ratio: float
-    out_dir: str
 
 
 def _float(s: str) -> float:
@@ -182,77 +144,58 @@ def _exponent(s: str) -> float:
     return v
 
 
-# (section, key) -> (StudyConfig attribute, parser). The file format is the
-# flat one this table implies: every value is a scalar, a pair, or a list.
-_SCHEMA: dict[tuple[str, str], tuple[str, Callable]] = {
-    ("study", "name"): ("study", _choice(*STUDY_NAMES)),
-    ("study", "seed"): ("seed", _seed),
-    ("grid", "nx"): ("nx", _pos_int),
-    ("grid", "ny"): ("ny", _pos_int),
-    ("time", "horizon"): ("horizon", _pos_float),
-    ("time", "nt"): ("nt", _pos_int),
-    ("velocity", "kind"): ("velocity", _choice("vortex", "zero")),
-    ("velocity", "center"): ("v_center", _pair),
-    ("velocity", "radius"): ("v_radius", _pos_float),
-    ("velocity", "amplitude"): ("v_amplitude", _float),
-    ("velocity", "modulation"): ("modulation", _choice("none", "linear", "inverse-sqrt")),
-    ("density", "kind"): ("density", _choice("gaussian",)),
-    ("density", "center"): ("d_center", _pair),
-    ("density", "sigma"): ("d_sigma", _pos_float),
-    ("density", "amplitude"): ("d_amplitude", _float),
-    ("sweeps", "eps_list"): ("eps_list", _float_list),
-    ("sweeps", "n_list"): ("n_list", _int_list),
-    ("sweeps", "h_list"): ("h_list", _float_list),
-    ("sweeps", "p_list"): ("p_list", _float_list),
-    ("mollify", "alpha"): ("alpha", _exponent),
-    ("mollify", "p"): ("p_moll", _exponent),
-    ("mollify", "inner_margin"): ("inner_margin", _pos_float),
-    ("stability", "family"): ("family", _choice("amplitude", "initial-data", "identity")),
-    ("stability", "p"): ("p_stab", _exponent),
-    ("renorm", "corruption"): ("corruption", _choice("none", "freeze-time")),
-    ("tolerances", "drift"): ("tol_drift", _pos_float),
-    ("tolerances", "drift_sup"): ("tol_drift_sup", _pos_float),
-    ("tolerances", "residual"): ("tol_residual", _pos_float),
-    ("tolerances", "identity"): ("tol_identity", _pos_float),
-    ("tolerances", "decay_ratio"): ("tol_decay_ratio", _pos_float),
-    ("tolerances", "stability_ratio"): ("tol_stability_ratio", _pos_float),
-    ("output", "dir"): ("out_dir", str),
-}
+def _key(section: str, key: str, parse: Callable, default):
+    """A config field: where it sits in the file, how it parses, its default."""
+    return field(default=default, metadata={"key": (section, key), "parse": parse})
 
-_DEFAULTS = StudyConfig(
-    study="conservation",
-    seed=20240817,
-    nx=128,
-    ny=128,
-    horizon=1.0,
-    nt=200,
-    velocity="vortex",
-    v_center=(0.5, 0.5),
-    v_radius=0.3,
-    v_amplitude=0.5,
-    modulation="none",
-    density="gaussian",
-    d_center=(0.6, 0.5),
-    d_sigma=0.08,
-    d_amplitude=1.0,
-    eps_list=(0.1, 0.05, 0.025),
-    n_list=(2, 4, 8, 16),
-    h_list=(4.0, 8.0, 16.0, 64.0, 256.0),
-    p_list=(1.0, 2.0, 3.0, float("inf")),
-    alpha=float("inf"),
-    p_moll=1.0,
-    inner_margin=0.15,
-    family="amplitude",
-    p_stab=2.0,
-    corruption="none",
-    tol_drift=1e-3,
-    tol_drift_sup=1e-6,
-    tol_residual=1e-3,
-    tol_identity=1e-3,
-    tol_decay_ratio=0.5,
-    tol_stability_ratio=0.35,
-    out_dir="",
-)
+
+@dataclass(frozen=True)
+class StudyConfig:
+    """Every key a study reads, declared once. The file format is the flat one
+    these fields imply: every value is a scalar, a pair, or a list."""
+
+    study: str = _key("study", "name", _choice(*STUDY_NAMES), "conservation")
+    seed: int = _key("study", "seed", _seed, 20240817)
+    nx: int = _key("grid", "nx", _pos_int, 128)
+    ny: int = _key("grid", "ny", _pos_int, 128)
+    horizon: float = _key("time", "horizon", _pos_float, 1.0)
+    nt: int = _key("time", "nt", _pos_int, 200)
+    velocity: str = _key("velocity", "kind", _choice("vortex", "zero"), "vortex")
+    v_center: tuple[float, float] = _key("velocity", "center", _pair, (0.5, 0.5))
+    v_radius: float = _key("velocity", "radius", _pos_float, 0.3)
+    v_amplitude: float = _key("velocity", "amplitude", _float, 0.5)
+    modulation: str = _key(
+        "velocity", "modulation", _choice("none", "linear", "inverse-sqrt"), "none"
+    )
+    d_center: tuple[float, float] = _key("density", "center", _pair, (0.6, 0.5))
+    d_sigma: float = _key("density", "sigma", _pos_float, 0.08)
+    d_amplitude: float = _key("density", "amplitude", _float, 1.0)
+    eps_list: tuple[float, ...] = _key("sweeps", "eps_list", _float_list, (0.1, 0.05, 0.025))
+    n_list: tuple[int, ...] = _key("sweeps", "n_list", _int_list, (2, 4, 8, 16))
+    p_list: tuple[float, ...] = _key(
+        "sweeps", "p_list", _float_list, (1.0, 2.0, 3.0, float("inf"))
+    )
+    alpha: float = _key("mollify", "alpha", _exponent, float("inf"))
+    p_moll: float = _key("mollify", "p", _exponent, 1.0)
+    inner_margin: float = _key("mollify", "inner_margin", _pos_float, 0.15)
+    family: str = _key(
+        "stability", "family", _choice("amplitude", "initial-data", "identity"), "amplitude"
+    )
+    p_stab: float = _key("stability", "p", _exponent, 2.0)
+    corruption: str = _key("renorm", "corruption", _choice("none", "freeze-time"), "none")
+    tol_drift: float = _key("tolerances", "drift", _pos_float, 1e-3)
+    tol_drift_sup: float = _key("tolerances", "drift_sup", _pos_float, 1e-6)
+    tol_residual: float = _key("tolerances", "residual", _pos_float, 1e-3)
+    tol_identity: float = _key("tolerances", "identity", _pos_float, 1e-3)
+    tol_decay_ratio: float = _key("tolerances", "decay_ratio", _pos_float, 0.5)
+    tol_stability_ratio: float = _key("tolerances", "stability_ratio", _pos_float, 0.35)
+    out_dir: str = _key("output", "dir", str, "")
+
+
+# (section, key) -> (StudyConfig attribute, parser), in declaration order.
+_SCHEMA: dict[tuple[str, str], tuple[str, Callable]] = {
+    f.metadata["key"]: (f.name, f.metadata["parse"]) for f in fields(StudyConfig)
+}
 
 
 def _coerce(section: str, key: str, raw: str) -> tuple[str, object]:
@@ -267,16 +210,12 @@ def _coerce(section: str, key: str, raw: str) -> tuple[str, object]:
 
 
 def _validate(cfg: StudyConfig) -> StudyConfig:
-    def fail(field: str, msg: str):
-        raise StudiesError(f"{field}: {msg}")
+    def fail(name: str, msg: str):
+        raise StudiesError(f"{name}: {msg}")
 
-    for field, sweep in (
-        ("sweeps.eps_list", cfg.eps_list),
-        ("sweeps.h_list", cfg.h_list),
-        ("sweeps.p_list", cfg.p_list),
-    ):
+    for name, sweep in (("sweeps.eps_list", cfg.eps_list), ("sweeps.p_list", cfg.p_list)):
         if any(v <= 0.0 for v in sweep):
-            fail(field, f"entries must be positive, got {sweep}")
+            fail(name, f"entries must be positive, got {sweep}")
     if any(n < 1 for n in cfg.n_list):
         fail("sweeps.n_list", f"entries must be positive integers, got {cfg.n_list}")
     if any(p < 1.0 for p in cfg.p_list):
@@ -320,7 +259,7 @@ def parse_study_config(
         section, key = dotted.split(".")
         attr, value = _coerce(section.strip(), key.strip(), raw.strip())
         updates[attr] = value
-    return _validate(replace(_DEFAULTS, **updates))
+    return _validate(StudyConfig(**updates))
 
 
 def config_text(cfg: StudyConfig) -> str:
@@ -516,29 +455,6 @@ def run_conservation_study(cfg: StudyConfig) -> StudyOutcome:
     return _write_outputs(cfg, outcome, {"conservation.csv": (reports[cfg.p_list[0]].CSV_HEADER, rows)})
 
 
-def _identity_gap(
-    sol: ScalarField, u: VelocityField, eps: float, phi: TestFunction
-) -> tuple[float, float]:
-    """Two routes to one number: weak residual of the mollified solution vs
-    the space-time pairing of the commutator remainder with phi."""
-    grid = sol.grid
-    kern = make_kernel(eps=eps)
-    acc = ResidualAccumulator(grid, sol.times, u, [phi])
-    X, Y = grid.meshes()
-    phi_sp = phi.spatial(X, Y)
-    rhs = 0.0
-    for j in range(sol.n_layers):
-        moll = mollify_density(sol, kern, j).values
-        if j == 0:
-            moll0 = moll
-        acc.add_layer(j, moll)
-        rem = commutator_remainder(sol, u, kern, j)
-        psi = float(phi.time_profile.value(sol.times[j]))
-        rhs += acc.tw[j] * psi * integrate(rem.values * phi_sp, grid)
-    rep = acc.report(moll0)[0]
-    return rep.term_time + rep.term_initial + rep.term_advective, rhs
-
-
 def run_mollification_study(cfg: StudyConfig) -> StudyOutcome:
     """Remainder decay along the eps sweep plus the consistency identity.
 
@@ -600,7 +516,7 @@ def run_mollification_study(cfg: StudyConfig) -> StudyOutcome:
         ),
     ]
 
-    lhs, rhs = _identity_gap(sol, u, eps_id, phi)
+    lhs, rhs = consistency_identity(sol, u, eps_id, phi)
     checks.append(
         CheckResult(
             "weakform.consistency_identity",

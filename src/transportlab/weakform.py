@@ -390,6 +390,30 @@ def commutator_remainder(
     return InnerLayer(grid, region, kernel.eps, t, vals, "remainder")
 
 
+def consistency_identity(
+    rho: ScalarField, u: VelocityField, eps: float, phi: TestFunction
+) -> tuple[float, float]:
+    """Two routes to one number: (lhs, rhs) with lhs the weak residual of the
+    mollified solution and rhs the space-time pairing of the commutator
+    remainder with phi, each side taken by its own quadrature path."""
+    grid = rho.grid
+    kern = make_kernel(eps=eps)
+    acc = ResidualAccumulator(grid, rho.times, u, [phi])
+    X, Y = grid.meshes()
+    phi_sp = phi.spatial(X, Y)
+    rhs = 0.0
+    for j in range(rho.n_layers):
+        moll = mollify_density(rho, kern, j).values
+        if j == 0:
+            moll0 = moll
+        acc.add_layer(j, moll)
+        rem = commutator_remainder(rho, u, kern, j)
+        psi = float(phi.time_profile.value(rho.times[j]))
+        rhs += acc.tw[j] * psi * integrate(rem.values * phi_sp, grid)
+    rep = acc.report(moll0)[0]
+    return rep.term_time + rep.term_initial + rep.term_advective, rhs
+
+
 def _window_indices(grid: Grid, x0: float, y0: float, eps: float):
     i0 = max(0, int(np.ceil((x0 - eps - grid.domain.x_lo) / grid.hx - 1e-12)))
     i1 = min(grid.nx, int(np.floor((x0 + eps - grid.domain.x_lo) / grid.hx + 1e-12)))

@@ -30,7 +30,6 @@ from transportlab.fields import (
 )
 from transportlab.geometry import Grid, TimePartition, shrink, unit_square
 from transportlab.studies import (
-    _identity_gap,
     _phi_bank,
     parse_study_config,
     run_study,
@@ -38,6 +37,7 @@ from transportlab.studies import (
 from transportlab.weakform import (
     ResidualAccumulator,
     commutator_remainder,
+    consistency_identity,
     mollify_density,
     remainder_decay_study,
 )
@@ -189,7 +189,7 @@ def test_criterion_5_commutator_decay():
     rho0_id = static_field(grid_id, gaussian_blob((0.6, 0.5), 0.08))
     sol_id = solve_classical(rho0_id, u, TimePartition(1.0, 80))
     phi = make_test_function((0.62, 0.44), 0.22, quadratic_decay_profile(1.0), DOM)
-    lhs, rhs = _identity_gap(sol_id, u, 0.1, phi)
+    lhs, rhs = consistency_identity(sol_id, u, 0.1, phi)
     ok = decreasing and ratio < 0.5 and abs(lhs - rhs) < 1e-3
     gate(
         "criterion 5 (commutator decay)",

@@ -7,9 +7,10 @@ import sys
 import numpy as np
 import pytest
 
+from transportlab.characteristics import solve_classical
 from transportlab.cli import main
 from transportlab.fields import load_snapshot
-from transportlab.studies import config_text, parse_study_config
+from transportlab.studies import build_case, config_text, parse_study_config
 
 
 @pytest.fixture()
@@ -146,6 +147,11 @@ def test_solve_dumps_the_final_layer(tmp_path, capsys):
     assert restored.grid.nx == 32
     assert float(restored.times[0]) == 1.0
     assert np.all(np.isfinite(restored.values))
+    # the streamed last layer is the stored solve's last layer, bit for bit
+    _, times, u, rho0 = build_case(
+        parse_study_config(None, ["grid.nx=32", "grid.ny=32", "time.nt=5"])
+    )
+    assert np.array_equal(restored.values[0], solve_classical(rho0, u, times).values[-1])
 
 
 def test_solve_without_out_lands_under_the_output_root(tmp_path, monkeypatch):

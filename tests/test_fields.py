@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from mpmath import mp, mpf
@@ -524,3 +526,16 @@ def test_snapshot_round_trip(tmp_path):
     first = csv_path.read_bytes()
     save_snapshot(field, 0, base)
     assert csv_path.read_bytes() == first
+
+
+def test_snapshot_header_from_older_writers_still_loads(tmp_path):
+    # headers once carried an "interpolation" key; the reader ignores it
+    g = Grid(Domain(0.0, 0.0, 1.0, 1.0), 4, 3)
+    field = ScalarField(g, np.array([0.5]), np.arange(20.0).reshape(1, 5, 4))
+    base = tmp_path / "snap"
+    _, json_path = save_snapshot(field, 0, base)
+    header = json.loads(json_path.read_text())
+    assert "interpolation" not in header
+    json_path.write_text(json.dumps({**header, "interpolation": "bilinear"}))
+    back = load_snapshot(base)
+    assert np.array_equal(back.values, field.values)

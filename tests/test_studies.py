@@ -76,6 +76,8 @@ def test_config_overrides_apply():
         ("sweeps.eps_list=", "eps_list"),
         ("mollify.alpha=0.5", "mollify.alpha"),
         ("sweeps.p_list=0.5, 2", "sweeps.p_list"),
+        ("sweeps.h_list=4", "sweeps.h_list"),
+        ("density.kind=gaussian", "density.kind"),
     ],
 )
 def test_config_errors_name_the_field(override, field):

@@ -25,6 +25,7 @@ from transportlab.weakform import (
     WeakformError,
     commutator_at_points,
     commutator_remainder,
+    consistency_identity,
     gamma_exponent,
     mollify_at_points,
     mollify_density,
@@ -420,6 +421,8 @@ def test_weak_residual_of_mollified_equals_remainder_pairing():
     assert abs(lhs) > 1e-4 and abs(rhs) > 1e-4
     assert lhs < 0.0 and rhs < 0.0
     assert abs(lhs - rhs) < 5e-5
+    # the library's single home for the identity takes the same two routes
+    assert consistency_identity(sol, u, eps, phi) == (lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
