@@ -28,7 +28,7 @@ rho0 = static_field(grid, gaussian_blob((0.6, 0.5), 0.08))
 print("solving 128^2, 200 layers, T = 1 ...")
 rho = solve_classical(rho0, u, times)
 
-reports = conservation_report(rho, (1.0, 2.0, 3.0, np.inf))
+reports = conservation_report(grid, rho.times, rho.values, (1.0, 2.0, 3.0, np.inf))
 print(f"{'p':>5} {'initial norm':>14} {'final norm':>14} {'gate statistic':>15}")
 for p, rep in reports.items():
     print(f"{p:>5g} {rep.reference:>14.8f} {rep.values[-1]:>14.8f} {rep.statistic:>15.3e}")

@@ -12,7 +12,7 @@ the renormalized distances together.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -139,21 +139,24 @@ class NormReport:
 
 
 def conservation_report(
-    rho: ScalarField,
+    grid: Grid,
+    times: np.ndarray,
+    layers: Iterable[np.ndarray],
     p_list: Sequence[float] = (1.0, 2.0, 3.0, np.inf),
     tol: float = 1e-3,
     tol_sup: float = 1e-6,
 ) -> dict[float, NormReport]:
     """Norm history per exponent, with nodes breaching tolerance flagged.
 
+    layers is read once, in time order: stored values or a solver stream.
     The flag statistic matches the gate: one-sided for p = inf (see
     NormReport), two-sided otherwise, against tol_sup and tol respectively.
     """
+    norms = np.array([[lp_norm(layer, grid, p) for p in p_list] for layer in layers])
     reports: dict[float, NormReport] = {}
-    for p in p_list:
-        norms = np.array([lp_norm(rho.layer(j), rho.grid, p) for j in range(rho.n_layers)])
+    for k, p in enumerate(p_list):
         gate = tol_sup if np.isinf(p) else tol
-        rep = NormReport(float(p), rho.times, norms, float(norms[0]), gate, ())
+        rep = NormReport(float(p), times, norms[:, k], float(norms[0, k]), gate, ())
         flagged = tuple(int(j) for j in np.nonzero(rep._deviations() > gate)[0])
         reports[float(p)] = replace(rep, flagged=flagged)
     return reports

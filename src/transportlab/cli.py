@@ -14,7 +14,7 @@ from dataclasses import replace
 
 from .analysis import AnalysisError
 from .characteristics import CharacteristicsError, iter_solution_layers
-from .fields import FieldError, ScalarField, save_snapshot
+from .fields import FieldError, save_snapshot
 from .geometry import GeometryError
 from .studies import (
     OUTPUT_ROOT_ENV,
@@ -102,12 +102,11 @@ def _load_config(ns: argparse.Namespace) -> StudyConfig:
 
 def _run_solve(cfg: StudyConfig, quiet: bool) -> int:
     grid, times, u, rho0 = build_case(cfg)
-    for _, _, final in iter_solution_layers(rho0, u, times):
+    for _, t, final in iter_solution_layers(rho0, u, times):
         pass
     out = resolve_out_dir(cfg, "solve")
     out.mkdir(parents=True, exist_ok=True)
-    last = ScalarField(grid, times.times[-1:], final[None])
-    csv_path, json_path = save_snapshot(last, 0, out / "solution_final")
+    csv_path, json_path = save_snapshot(grid, final, t, out / "solution_final")
     (out / "config.cfg").write_text(config_text(cfg))
     if not quiet:
         print(f"solved {cfg.nx}x{cfg.ny} over {cfg.nt} steps to t = {cfg.horizon:g}")

@@ -670,8 +670,10 @@ def gaussian_blob(
 # ---------------------------------------------------------------------------
 
 
-def save_snapshot(field: ScalarField, t_index: int, basename: str | Path) -> tuple[Path, Path]:
-    """Write one layer as basename.csv (x, y, value rows) + basename.json.
+def save_snapshot(
+    grid: Grid, layer: np.ndarray, t: float, basename: str | Path
+) -> tuple[Path, Path]:
+    """Write one layer at time t as basename.csv (x, y, value rows) + basename.json.
 
     Floats go through repr, so a round trip preserves values to full
     precision and repeated writes are byte identical.
@@ -679,19 +681,17 @@ def save_snapshot(field: ScalarField, t_index: int, basename: str | Path) -> tup
     base = Path(basename)
     csv_path = base.with_suffix(".csv")
     json_path = base.with_suffix(".json")
-    g = field.grid
-    layer = field.values[t_index]
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "y", "value"])
-        for i, x in enumerate(g.xs):
-            for j, y in enumerate(g.ys):
+        for i, x in enumerate(grid.xs):
+            for j, y in enumerate(grid.ys):
                 writer.writerow([repr(float(x)), repr(float(y)), repr(float(layer[i, j]))])
     header = {
-        "domain": [g.domain.x_lo, g.domain.y_lo, g.domain.x_hi, g.domain.y_hi],
-        "nx": g.nx,
-        "ny": g.ny,
-        "time": float(field.times[t_index]),
+        "domain": [grid.domain.x_lo, grid.domain.y_lo, grid.domain.x_hi, grid.domain.y_hi],
+        "nx": grid.nx,
+        "ny": grid.ny,
+        "time": float(t),
     }
     with open(json_path, "w") as fh:
         json.dump(header, fh, indent=2, sort_keys=True)

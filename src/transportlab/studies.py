@@ -31,7 +31,7 @@ from .analysis import (
     initial_data_family,
     stability_experiment,
 )
-from .characteristics import solve_classical
+from .characteristics import iter_solution_layers
 from .fields import (
     AdmissibleBeta,
     TestFunction,
@@ -41,7 +41,6 @@ from .fields import (
     beta_truncation,
     cosine_decay_profile,
     gaussian_blob,
-    make_kernel,
     make_test_function,
     quadratic_decay_profile,
     static_field,
@@ -56,15 +55,14 @@ from .geometry import (
     shrink,
 )
 from .weakform import (
+    IdentityPairing,
     RemainderCurve,
+    RemainderSweep,
     ResidualAccumulator,
     ResidualReport,
     WeakformError,
     commutator_at_points,
-    commutator_remainder,
-    consistency_identity,
     gamma_exponent,
-    remainder_decay_study,
     streamed_weak_residuals,
 )
 
@@ -216,8 +214,9 @@ def _validate(cfg: StudyConfig) -> StudyConfig:
     for name, sweep in (("sweeps.eps_list", cfg.eps_list), ("sweeps.p_list", cfg.p_list)):
         if any(v <= 0.0 for v in sweep):
             fail(name, f"entries must be positive, got {sweep}")
-    if any(n < 1 for n in cfg.n_list):
-        fail("sweeps.n_list", f"entries must be positive integers, got {cfg.n_list}")
+    n = cfg.n_list
+    if len(n) < 2 or n[0] < 1 or any(b <= a for a, b in zip(n, n[1:])):
+        fail("sweeps.n_list", f"need >= 2 strictly increasing positive integers, got {n}")
     if any(p < 1.0 for p in cfg.p_list):
         fail("sweeps.p_list", f"norm exponents must be >= 1, got {cfg.p_list}")
     if not np.isfinite(cfg.v_amplitude):
@@ -417,39 +416,26 @@ def _ratio(last: float, first: float) -> float:
 
 
 def run_conservation_study(cfg: StudyConfig) -> StudyOutcome:
-    """Classical solve, then the norm-history gate for every requested p.
+    """Norm-history gate for every requested p over one streamed solve.
 
     Finite exponents instantiate the norm-conservation invariant (two-sided
     drift); p = inf instantiates the max principle (one-sided growth), which
     the bilinear evaluation satisfies by convexity.
     """
-    _, times, u, rho0 = build_case(cfg)
-    sol = solve_classical(rho0, u, times)
-    reports = conservation_report(sol, cfg.p_list, tol=cfg.tol_drift, tol_sup=cfg.tol_drift_sup)
+    grid, times, u, rho0 = build_case(cfg)
+    layers = (layer for _, _, layer in iter_solution_layers(rho0, u, times))
+    reports = conservation_report(
+        grid, times.times, layers, cfg.p_list, tol=cfg.tol_drift, tol_sup=cfg.tol_drift_sup
+    )
     checks = []
     rows: list[Sequence[str]] = []
     for p in cfg.p_list:
         rep = reports[p]
         if np.isinf(p):
-            checks.append(
-                CheckResult(
-                    "characteristics.max_principle",
-                    rep.passed,
-                    rep.statistic,
-                    cfg.tol_drift_sup,
-                    "trivial",
-                )
-            )
+            name, tol, provenance = "characteristics.max_principle", cfg.tol_drift_sup, "trivial"
         else:
-            checks.append(
-                CheckResult(
-                    f"analysis.norm_conservation[p={p:g}]",
-                    rep.passed,
-                    rep.statistic,
-                    cfg.tol_drift,
-                    "derived",
-                )
-            )
+            name, tol, provenance = f"analysis.norm_conservation[p={p:g}]", cfg.tol_drift, "derived"
+        checks.append(CheckResult(name, rep.passed, rep.statistic, tol, provenance))
         rows.extend(rep.csv_rows())
     outcome = StudyOutcome(cfg.study, tuple(checks))
     return _write_outputs(cfg, outcome, {"conservation.csv": (reports[cfg.p_list[0]].CSV_HEADER, rows)})
@@ -458,9 +444,11 @@ def run_conservation_study(cfg: StudyConfig) -> StudyOutcome:
 def run_mollification_study(cfg: StudyConfig) -> StudyOutcome:
     """Remainder decay along the eps sweep plus the consistency identity.
 
-    If the config's (alpha, p) pairing gives gamma < 1 the commutator
-    estimate does not apply; the study still runs, measures the curve in the
-    always-defined L1 gauge, and flags the hypothesis as not satisfied.
+    One streamed solve feeds both: each layer's remainder at the largest
+    eps also pairs with the identity probe. If the config's (alpha, p)
+    pairing gives gamma < 1 the commutator estimate does not apply; the
+    study still runs, measures the curve in the always-defined L1 gauge,
+    and flags the hypothesis as not satisfied.
     """
     grid, times, u, rho0 = build_case(cfg)
     domain = grid.domain
@@ -469,8 +457,8 @@ def run_mollification_study(cfg: StudyConfig) -> StudyOutcome:
     except GeometryError as exc:
         raise StudiesError(f"mollify.inner_margin: {exc}") from None
 
-    # geometry of the identity probe is pure config validation: fail before
-    # any solve happens
+    # the probe geometry and both consumers are pure config validation:
+    # fail before any solve happens
     eps_id = cfg.eps_list[0]
     phi = make_test_function((0.62, 0.44), 0.22, quadratic_decay_profile(cfg.horizon), domain)
     if dist_to_boundary(domain, phi.center) <= phi.radius + eps_id:
@@ -478,6 +466,10 @@ def run_mollification_study(cfg: StudyConfig) -> StudyOutcome:
             f"sweeps.eps_list: largest eps {eps_id:g} pushes the identity probe "
             "support outside the mollification region"
         )
+    lo_x, hi_x = np.searchsorted(grid.xs, (inner.x_lo, inner.x_hi)) + (1, -1)
+    lo_y, hi_y = np.searchsorted(grid.ys, (inner.y_lo, inner.y_hi)) + (1, -1)
+    if hi_x <= lo_x or hi_y <= lo_y:
+        raise StudiesError("grid.nx: too coarse to sample probes inside the inner region")
 
     hypothesis = "satisfied"
     alpha_eff, p_eff = cfg.alpha, cfg.p_moll
@@ -486,19 +478,25 @@ def run_mollification_study(cfg: StudyConfig) -> StudyOutcome:
     except WeakformError:
         hypothesis = "not satisfied"
         alpha_eff, p_eff = float("inf"), 1.0
-
-    sol = solve_classical(rho0, u, times)
     try:
-        curve = remainder_decay_study(
-            sol, u, cfg.eps_list, alpha_eff, p_eff, inner, enforce=False
-        )
+        sweep = RemainderSweep(grid, times.times, u, cfg.eps_list, alpha_eff, p_eff, inner)
     except WeakformError as exc:
         raise StudiesError(f"sweeps.eps_list: {exc}") from None
+    pairing = IdentityPairing(grid, times.times, u, eps_id, phi)
 
+    mid = (times.nt + 1) // 2
+    for j, t, layer in iter_solution_layers(rho0, u, times):
+        rems = sweep.add_layer(j, t, layer)
+        pairing.add_layer(j, t, layer, rems[0])
+        if j == mid:
+            mid_t, mid_layer, mid_rem = t, layer, rems[-1]
+
+    curve = sweep.curve(enforce=False)
     norms = curve.norms
     zero_curve = norms[0] == 0.0 and norms[-1] == 0.0
     decay = _ratio(norms[-1], norms[0])
     worst_step = 0.0 if zero_curve else max(_ratio(b, a) for a, b in zip(norms, norms[1:]))
+    lhs, rhs = pairing.result()
     checks = [
         CheckResult(
             "weakform.remainder_decay",
@@ -514,35 +512,24 @@ def run_mollification_study(cfg: StudyConfig) -> StudyOutcome:
             1.0,
             "derived",
         ),
-    ]
-
-    lhs, rhs = consistency_identity(sol, u, eps_id, phi)
-    checks.append(
         CheckResult(
             "weakform.consistency_identity",
             abs(lhs - rhs) < cfg.tol_identity,
             abs(lhs - rhs),
             cfg.tol_identity,
             "derived",
-        )
-    )
+        ),
+    ]
 
     # Probe-point sampling (the seed's only job): the FFT-windowed full
     # layer and the per-point gather must agree to roundoff.
     rng = np.random.default_rng(cfg.seed)
-    kern = make_kernel(eps=cfg.eps_list[-1])
-    mid = sol.n_layers // 2
-    layer = commutator_remainder(sol, u, kern, mid)
-    lo_x = int(np.searchsorted(grid.xs, inner.x_lo)) + 1
-    hi_x = int(np.searchsorted(grid.xs, inner.x_hi)) - 1
-    lo_y = int(np.searchsorted(grid.ys, inner.y_lo)) + 1
-    hi_y = int(np.searchsorted(grid.ys, inner.y_hi)) - 1
-    if hi_x <= lo_x or hi_y <= lo_y:
-        raise StudiesError("grid.nx: too coarse to sample probes inside the inner region")
     ii = rng.integers(lo_x, hi_x, size=5)
     jj = rng.integers(lo_y, hi_y, size=5)
-    probed = commutator_at_points(sol, u, kern, mid, grid.xs[ii], grid.ys[jj])
-    gap = float(np.max(np.abs(probed - layer.values[ii, jj])))
+    probed = commutator_at_points(
+        grid, mid_layer, u, sweep.kernels[-1], grid.xs[ii], grid.ys[jj], mid_t
+    )
+    gap = float(np.max(np.abs(probed - mid_rem[ii, jj])))
     checks.append(
         CheckResult("weakform.stencil_consistency", gap < 1e-10, gap, 1e-10, "trivial")
     )

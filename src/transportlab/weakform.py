@@ -270,23 +270,6 @@ def streamed_weak_residuals(
 
 
 @dataclass(frozen=True)
-class InnerLayer:
-    """One nodal layer defined on an interior shrinkage of the domain.
-
-    values covers the whole grid so that region-weighted quadrature has all
-    cell corners it needs; only nodes inside `region` carry the advertised
-    meaning (outside it the window was truncated at the boundary).
-    """
-
-    grid: Grid
-    region: Domain
-    eps: float
-    time: float
-    values: np.ndarray
-    kind: str
-
-
-@dataclass(frozen=True)
 class _WindowSpectra:
     """Real-FFT transforms of the flipped stencils of one (kernel, grid) pair.
 
@@ -342,25 +325,27 @@ def _inner_region(grid: Grid, eps: float) -> Domain:
         raise WeakformError(f"kernel scale {eps} leaves no interior region") from exc
 
 
-def mollify_density(rho: ScalarField, kernel: Kernel, t_index: int = 0) -> InnerLayer:
+def mollify_density(grid: Grid, layer: np.ndarray, kernel: Kernel) -> np.ndarray:
     """Convolve one density layer with the kernel: the layer of rho_eps.
 
     Nodal quadrature of int rho(y) eta_eps(x - y) dy over the grid; exact
     unit kernel mass makes this a local average, so values contract every
-    Lp norm on the shrunk region.
+    Lp norm on the shrunk region. The result covers the whole grid so that
+    region-weighted quadrature has all cell corners it needs; only nodes
+    inside shrink(grid.domain, eps) carry that meaning (outside it the
+    window was truncated at the boundary).
     """
-    grid = rho.grid
-    region = _inner_region(grid, kernel.eps)
+    _inner_region(grid, kernel.eps)
     spec = _window_spectra(kernel, grid)
-    F = rho.layer(t_index) * grid.quadrature_weights
-    vals = _window_inverse(spec, rfft2(F, s=spec.shape) * spec.H)
-    return InnerLayer(grid, region, kernel.eps, float(rho.times[t_index]), vals, "mollified")
+    F = layer * grid.quadrature_weights
+    return _window_inverse(spec, rfft2(F, s=spec.shape) * spec.H)
 
 
 def commutator_remainder(
-    rho: ScalarField, u: VelocityField, kernel: Kernel, t_index: int = 0
-) -> InnerLayer:
-    """Nodal layer of r_eps = int rho(y) (u(x) - u(y)) . grad(eta_eps)(y - x) dy.
+    grid: Grid, layer: np.ndarray, u: VelocityField, kernel: Kernel, t: float = 0.0
+) -> np.ndarray:
+    """Nodal layer of r_eps = int rho(y) (u(x) - u(y)) . grad(eta_eps)(y - x) dy
+    for the density layer at time t.
 
     Splitting the parenthesis turns the integral into four windowed
     correlations (two gradient components over rho and over rho u), plus a
@@ -372,13 +357,11 @@ def commutator_remainder(
     transforms. commutator_at_points evaluates the same quadrature by a
     direct per-point gather; the stencil-consistency check compares the two.
     """
-    grid = rho.grid
-    region = _inner_region(grid, kernel.eps)
-    t = float(rho.times[t_index])
+    _inner_region(grid, kernel.eps)
     spec = _window_spectra(kernel, grid)
     X, Y = grid.meshes()
     ux, uy = u.eval(X, Y, t)
-    F = rho.layer(t_index) * grid.quadrature_weights
+    F = layer * grid.quadrature_weights
     F_hat = rfft2(F, s=spec.shape)
     conv_b1 = _window_inverse(spec, F_hat * spec.G1)
     conv_b2 = _window_inverse(spec, F_hat * spec.G2)
@@ -386,8 +369,31 @@ def commutator_remainder(
         spec,
         rfft2(F * ux, s=spec.shape) * spec.G1 + rfft2(F * uy, s=spec.shape) * spec.G2,
     )
-    vals = ux * conv_b1 + uy * conv_b2 - conv_u
-    return InnerLayer(grid, region, kernel.eps, t, vals, "remainder")
+    return ux * conv_b1 + uy * conv_b2 - conv_u
+
+
+class IdentityPairing:
+    """The consistency identity fed one layer at a time: add_layer takes each
+    density layer with its commutator remainder at this eps, and result
+    returns (lhs, rhs) as consistency_identity does."""
+
+    def __init__(self, grid: Grid, times, u: VelocityField, eps: float, phi: TestFunction):
+        self.grid, self.phi, self.kernel = grid, phi, make_kernel(eps=eps)
+        self.acc = ResidualAccumulator(grid, times, u, [phi])
+        self.phi_sp = phi.spatial(*grid.meshes())
+        self.rhs, self.moll0 = 0.0, None
+
+    def add_layer(self, j: int, t: float, layer: np.ndarray, remainder: np.ndarray) -> None:
+        moll = mollify_density(self.grid, layer, self.kernel)
+        if j == 0:
+            self.moll0 = moll
+        self.acc.add_layer(j, moll)
+        psi = float(self.phi.time_profile.value(t))
+        self.rhs += self.acc.tw[j] * psi * integrate(remainder * self.phi_sp, self.grid)
+
+    def result(self) -> tuple[float, float]:
+        rep = self.acc.report(self.moll0)[0]
+        return rep.term_time + rep.term_initial + rep.term_advective, self.rhs
 
 
 def consistency_identity(
@@ -396,22 +402,10 @@ def consistency_identity(
     """Two routes to one number: (lhs, rhs) with lhs the weak residual of the
     mollified solution and rhs the space-time pairing of the commutator
     remainder with phi, each side taken by its own quadrature path."""
-    grid = rho.grid
-    kern = make_kernel(eps=eps)
-    acc = ResidualAccumulator(grid, rho.times, u, [phi])
-    X, Y = grid.meshes()
-    phi_sp = phi.spatial(X, Y)
-    rhs = 0.0
-    for j in range(rho.n_layers):
-        moll = mollify_density(rho, kern, j).values
-        if j == 0:
-            moll0 = moll
-        acc.add_layer(j, moll)
-        rem = commutator_remainder(rho, u, kern, j)
-        psi = float(phi.time_profile.value(rho.times[j]))
-        rhs += acc.tw[j] * psi * integrate(rem.values * phi_sp, grid)
-    rep = acc.report(moll0)[0]
-    return rep.term_time + rep.term_initial + rep.term_advective, rhs
+    pairing = IdentityPairing(rho.grid, rho.times, u, eps, phi)
+    for j, (t, layer) in enumerate(zip(rho.times, rho.values)):
+        pairing.add_layer(j, t, layer, commutator_remainder(rho.grid, layer, u, pairing.kernel, t))
+    return pairing.result()
 
 
 def _window_indices(grid: Grid, x0: float, y0: float, eps: float):
@@ -422,12 +416,9 @@ def _window_indices(grid: Grid, x0: float, y0: float, eps: float):
     return i0, i1, j0, j1
 
 
-def mollify_at_points(
-    rho: ScalarField, kernel: Kernel, t_index: int, xs, ys
-) -> np.ndarray:
+def mollify_at_points(grid: Grid, layer: np.ndarray, kernel: Kernel, xs, ys) -> np.ndarray:
     """rho_eps at arbitrary interior points (same quadrature as the layer)."""
-    grid = rho.grid
-    F = rho.layer(t_index) * grid.quadrature_weights
+    F = layer * grid.quadrature_weights
     out = np.empty(np.asarray(xs, dtype=float).shape)
     flat = out.reshape(-1)
     for idx, (x0, y0) in enumerate(
@@ -440,12 +431,10 @@ def mollify_at_points(
 
 
 def commutator_at_points(
-    rho: ScalarField, u: VelocityField, kernel: Kernel, t_index: int, xs, ys
+    grid: Grid, layer: np.ndarray, u: VelocityField, kernel: Kernel, xs, ys, t: float = 0.0
 ) -> np.ndarray:
     """r_eps at arbitrary interior points (same quadrature as the layer)."""
-    grid = rho.grid
-    t = float(rho.times[t_index])
-    F = rho.layer(t_index) * grid.quadrature_weights
+    F = layer * grid.quadrature_weights
     X, Y = grid.meshes()
     u1, u2 = u.eval(X, Y, t)
     out = np.empty(np.asarray(xs, dtype=float).shape)
@@ -538,6 +527,50 @@ def _lgamma_norm(values: np.ndarray, gamma: float, grid: Grid, region: Domain) -
     return float(integrate(np.abs(values) ** gamma, grid, region) ** (1.0 / gamma))
 
 
+class RemainderSweep:
+    """||r_eps||_{L1(time; L^gamma(inner))} for every eps of a decreasing
+    sweep, fed one layer at a time.
+
+    The inner region must clear the boundary by more than the largest eps,
+    so every remainder layer is genuinely a mollification statement there.
+    add_layer returns the layer's remainders, largest eps first.
+    """
+
+    def __init__(self, grid: Grid, times, u: VelocityField, eps_list, alpha, p, inner: Domain):
+        self.eps = tuple(float(e) for e in eps_list)
+        if len(self.eps) < 2 or any(b >= a for a, b in zip(self.eps, self.eps[1:])):
+            raise WeakformError("eps_list must be strictly decreasing with >= 2 entries")
+        self.gamma = gamma_exponent(alpha, p)
+        self.margin = margin = _region_margin(inner, grid.domain)
+        if margin <= self.eps[0]:
+            raise WeakformError(
+                f"inner region margin {margin:.3g} must exceed the largest eps {self.eps[0]:.3g}"
+            )
+        self.grid, self.u, self.inner = grid, u, inner
+        self.kernels = [make_kernel(eps=e) for e in self.eps]
+        self.tw = trapezoid_weights(times) if len(times) > 1 else np.array([1.0])
+        self.norms = [0.0] * len(self.eps)
+
+    def add_layer(self, j: int, t: float, layer: np.ndarray) -> list[np.ndarray]:
+        rems = [commutator_remainder(self.grid, layer, self.u, k, t) for k in self.kernels]
+        for i, rem in enumerate(rems):
+            norm = _lgamma_norm(rem, self.gamma, self.grid, self.inner)
+            self.norms[i] += float(self.tw[j]) * norm
+        return rems
+
+    def curve(self, enforce: bool = True) -> RemainderCurve:
+        """The final norm must come out below the first (the decay the
+        commutator estimate promises); with enforce anything else raises."""
+        norms = self.norms
+        # a transport-free density has an identically zero remainder: that is
+        # decay in the degenerate sense, not a failure
+        if enforce and norms[-1] >= norms[0] and norms[-1] > 0.0:
+            raise WeakformError(
+                f"remainder norms failed to decay: first {norms[0]:.3e}, last {norms[-1]:.3e}"
+            )
+        return RemainderCurve(self.eps, tuple(norms), self.gamma, self.inner, self.margin)
+
+
 def remainder_decay_study(
     rho: ScalarField,
     u: VelocityField,
@@ -547,37 +580,10 @@ def remainder_decay_study(
     inner: Domain,
     enforce: bool = True,
 ) -> RemainderCurve:
-    """Measure ||r_eps||_{L1(time; L^gamma(inner))} along a decreasing sweep.
-
-    The inner region must clear the boundary by more than the largest eps,
-    so every remainder layer is genuinely a mollification statement there.
-    The final norm must come out below the first (the decay the commutator
-    estimate promises); anything else raises. Callers that want to report a
-    failed decay rather than die on it pass enforce=False and inspect the
-    curve themselves.
-    """
-    eps = [float(e) for e in eps_list]
-    if len(eps) < 2 or any(b >= a for a, b in zip(eps, eps[1:])):
-        raise WeakformError("eps_list must be strictly decreasing with >= 2 entries")
-    gamma = gamma_exponent(alpha, p)
-    margin = _region_margin(inner, rho.grid.domain)
-    if margin <= max(eps):
-        raise WeakformError(
-            f"inner region margin {margin:.3g} must exceed the largest eps {max(eps):.3g}"
-        )
-    tw = trapezoid_weights(rho.times) if rho.n_layers > 1 else np.array([1.0])
-    norms = []
-    for e in eps:
-        kern = make_kernel(eps=e)
-        total = 0.0
-        for j in range(rho.n_layers):
-            layer = commutator_remainder(rho, u, kern, j)
-            total += float(tw[j]) * _lgamma_norm(layer.values, gamma, rho.grid, inner)
-        norms.append(total)
-    # a transport-free density has an identically zero remainder: that is
-    # decay in the degenerate sense, not a failure
-    if enforce and norms[-1] >= norms[0] and norms[-1] > 0.0:
-        raise WeakformError(
-            f"remainder norms failed to decay: first {norms[0]:.3e}, last {norms[-1]:.3e}"
-        )
-    return RemainderCurve(tuple(eps), tuple(norms), gamma, inner, margin)
+    """RemainderSweep over the stored layers of rho. Callers that want to
+    report a failed decay rather than die on it pass enforce=False and
+    inspect the curve themselves."""
+    sweep = RemainderSweep(rho.grid, rho.times, u, eps_list, alpha, p, inner)
+    for j, (t, layer) in enumerate(zip(rho.times, rho.values)):
+        sweep.add_layer(j, t, layer)
+    return sweep.curve(enforce)

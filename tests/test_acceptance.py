@@ -122,7 +122,8 @@ def bank_reports(base_case, half_case):
 
 
 def test_criterion_1_norm_conservation(base_case):
-    reports = conservation_report(base_case.rho, (1.0, 2.0, 3.0, np.inf))
+    rho = base_case.rho
+    reports = conservation_report(rho.grid, rho.times, rho.values, (1.0, 2.0, 3.0, np.inf))
     finite = {p: reports[p].statistic for p in (1.0, 2.0, 3.0)}
     sup = reports[np.inf]
     ok = (
@@ -230,15 +231,17 @@ def test_criterion_7_oracle_equivalence(vortex_rotation):
     flow_gap = float(np.max(np.hypot(X1 - X2, Y1 - Y2)))
 
     grid_m = Grid(DOM, 256, 256)
-    moll = mollify_density(static_field(grid_m, gaussian_blob()), make_kernel(eps=0.1), 0)
-    got_m = np.array([moll.values[i, j] for i, j in MOLL_NODES])
+    moll = mollify_density(
+        grid_m, static_field(grid_m, gaussian_blob()).layer(0), make_kernel(eps=0.1)
+    )
+    got_m = np.array([moll[i, j] for i, j in MOLL_NODES])
     rel_m = float(np.max(np.abs(got_m - MOLL_ORACLE) / np.abs(MOLL_ORACLE)))
 
     grid_c = Grid(DOM, 640, 640)
     comm = commutator_remainder(
-        static_field(grid_c, gaussian_blob()), u, make_kernel(eps=0.1), 0
+        grid_c, static_field(grid_c, gaussian_blob()).layer(0), u, make_kernel(eps=0.1)
     )
-    got_c = np.array([comm.values[i, j] for i, j in COMM_NODES])
+    got_c = np.array([comm[i, j] for i, j in COMM_NODES])
     rel_c = float(np.max(np.abs(got_c - COMM_ORACLE) / np.abs(COMM_ORACLE)))
 
     ok = flow_gap < 1e-8 and rel_m < 1e-4 and rel_c < 1e-4

@@ -165,15 +165,17 @@ def test_conservation_still_solve_has_zero_drift():
     grid = Grid(DOM, 64, 64)
     times = TimePartition(1.0, 20)
     sol = solve_classical(static_field(grid, gaussian_blob()), VelocityField((), DOM), times)
-    for rep in conservation_report(sol, (1.0, 2.0, np.inf)).values():
+    for rep in conservation_report(grid, sol.times, sol.values, (1.0, 2.0, np.inf)).values():
         assert rep.drift == 0.0
         assert rep.growth == 0.0
         assert rep.passed
 
 
 def test_conservation_vortex_drifts(vortex_solution):
-    _, _, _, _, sol = vortex_solution
-    reps = conservation_report(sol, (1.0, 2.0, 3.0, np.inf), tol=1e-2, tol_sup=1e-9)
+    grid, _, _, _, sol = vortex_solution
+    reps = conservation_report(
+        grid, sol.times, sol.values, (1.0, 2.0, 3.0, np.inf), tol=1e-2, tol_sup=1e-9
+    )
     assert reps[1.0].drift < 2e-3
     assert reps[2.0].drift < 5e-3
     assert reps[3.0].drift < 6e-3
@@ -188,15 +190,15 @@ def test_conservation_vortex_drifts(vortex_solution):
 
 
 def test_conservation_flags_nodes_beyond_tolerance(vortex_solution):
-    _, _, _, _, sol = vortex_solution
-    rep = conservation_report(sol, (2.0,), tol=1e-6)[2.0]
+    grid, _, _, _, sol = vortex_solution
+    rep = conservation_report(grid, sol.times, sol.values, (2.0,), tol=1e-6)[2.0]
     assert rep.flagged and not rep.passed
     assert rep.drift == rep.statistic > 1e-6
 
 
 def test_conservation_csv_layout(vortex_solution):
-    _, times, _, _, sol = vortex_solution
-    rep = conservation_report(sol, (2.0,))[2.0]
+    grid, times, _, _, sol = vortex_solution
+    rep = conservation_report(grid, sol.times, sol.values, (2.0,))[2.0]
     rows = rep.csv_rows()
     assert len(rows) == times.nt + 1
     assert len(rows[0]) == len(NormReport.CSV_HEADER) == 4
@@ -205,9 +207,8 @@ def test_conservation_csv_layout(vortex_solution):
 
 def test_conservation_drift_is_scale_invariant(vortex_solution):
     grid, _, _, _, sol = vortex_solution
-    scaled = ScalarField(grid, sol.times, 3.7 * sol.values)
-    base = conservation_report(sol, (2.0, np.inf))
-    big = conservation_report(scaled, (2.0, np.inf))
+    base = conservation_report(grid, sol.times, sol.values, (2.0, np.inf))
+    big = conservation_report(grid, sol.times, 3.7 * sol.values, (2.0, np.inf))
     assert big[2.0].drift == pytest.approx(base[2.0].drift, rel=1e-10, abs=1e-14)
     assert big[np.inf].drift == pytest.approx(base[np.inf].drift, rel=1e-10, abs=1e-14)
 

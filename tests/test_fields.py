@@ -518,13 +518,13 @@ def test_snapshot_round_trip(tmp_path):
     rng = np.random.default_rng(11)
     field = ScalarField(g, np.array([0.25]), rng.normal(size=(1, 10, 8)))
     base = tmp_path / "snap"
-    csv_path, json_path = save_snapshot(field, 0, base)
+    csv_path, json_path = save_snapshot(g, field.values[0], 0.25, base)
     back = load_snapshot(base)
     assert back.grid == g
     assert back.times[0] == 0.25
     assert np.allclose(back.values, field.values, rtol=1e-15, atol=0)
     first = csv_path.read_bytes()
-    save_snapshot(field, 0, base)
+    save_snapshot(g, field.values[0], 0.25, base)
     assert csv_path.read_bytes() == first
 
 
@@ -533,7 +533,7 @@ def test_snapshot_header_from_older_writers_still_loads(tmp_path):
     g = Grid(Domain(0.0, 0.0, 1.0, 1.0), 4, 3)
     field = ScalarField(g, np.array([0.5]), np.arange(20.0).reshape(1, 5, 4))
     base = tmp_path / "snap"
-    _, json_path = save_snapshot(field, 0, base)
+    _, json_path = save_snapshot(g, field.values[0], 0.5, base)
     header = json.loads(json_path.read_text())
     assert "interpolation" not in header
     json_path.write_text(json.dumps({**header, "interpolation": "bilinear"}))

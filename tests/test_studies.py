@@ -7,12 +7,18 @@ from pathlib import Path
 
 import pytest
 
-from transportlab import characteristics
+import numpy as np
+
+from transportlab import characteristics, weakform
+from transportlab.analysis import conservation_report
+from transportlab.fields import make_test_function, quadratic_decay_profile
+from transportlab.geometry import shrink
 from transportlab.studies import (
     STUDY_NAMES,
     StudiesError,
     StudyOutcome,
     CheckResult,
+    build_case,
     config_text,
     parse_study_config,
     resolve_out_dir,
@@ -22,6 +28,7 @@ from transportlab.studies import (
     run_stability_study,
     run_study,
 )
+from transportlab.weakform import consistency_identity, remainder_decay_study
 
 
 CONFIGS = Path(__file__).parents[1] / "configs"
@@ -78,6 +85,8 @@ def test_config_overrides_apply():
         ("sweeps.p_list=0.5, 2", "sweeps.p_list"),
         ("sweeps.h_list=4", "sweeps.h_list"),
         ("density.kind=gaussian", "density.kind"),
+        ("sweeps.n_list=1", "sweeps.n_list"),
+        ("sweeps.n_list=4, 2", "sweeps.n_list"),
     ],
 )
 def test_config_errors_name_the_field(override, field):
@@ -321,6 +330,16 @@ def test_stability_study_initial_data_family(tmp_path):
     assert out.passed
 
 
+def replace_everywhere(monkeypatch, original, replacement):
+    """Rebind every transportlab module's reference to original."""
+    for name, module in list(sys.modules.items()):
+        if not name.startswith("transportlab"):
+            continue
+        for key, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, key, replacement)
+
+
 def test_stability_study_solves_each_problem_once(tmp_path, monkeypatch):
     calls = []
     original = characteristics.iter_solution_layers
@@ -330,14 +349,98 @@ def test_stability_study_solves_each_problem_once(tmp_path, monkeypatch):
         return original(*args, **kwargs)
 
     # every module holding the solver, so a solve_classical route counts too
-    for name, module in list(sys.modules.items()):
-        held = getattr(module, "iter_solution_layers", None)
-        if name.startswith("transportlab") and held is original:
-            monkeypatch.setattr(module, "iter_solution_layers", counted)
+    replace_everywhere(monkeypatch, original, counted)
     cfg = cfg_for("stability", tmp_path / "run", "grid.nx=32", "grid.ny=32", "time.nt=12")
     out = run_stability_study(cfg)
     assert len(calls) == 1 + len(cfg.n_list)
     assert out.checks[-1].name.startswith("analysis.renormalized_convergence[")
+
+
+# ---------------------------------------------------------------------------
+# One layer stream per study
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("study", STUDY_NAMES)
+def test_every_study_runs_without_a_stored_solve(study, tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a study stored its solution")
+
+    replace_everywhere(monkeypatch, characteristics.solve_classical, refuse)
+    cfg = cfg_for(study, tmp_path / "run", "grid.nx=32", "grid.ny=32", "time.nt=8")
+    out = run_study(cfg)
+    assert out.study == study and out.checks
+
+
+def test_mollification_fails_before_the_solve(tmp_path, monkeypatch):
+    class Sentinel(Exception):
+        pass
+
+    def refuse(*args, **kwargs):
+        raise Sentinel
+
+    replace_everywhere(monkeypatch, characteristics.iter_solution_layers, refuse)
+    cfg = cfg_for("mollify", tmp_path / "run", "sweeps.eps_list=0.1")
+    with pytest.raises(StudiesError, match=r"sweeps\.eps_list"):
+        run_mollification_study(cfg)
+
+
+def test_mollification_computes_each_remainder_once(tmp_path, monkeypatch):
+    calls = []
+    original = weakform.commutator_remainder
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    replace_everywhere(monkeypatch, original, counted)
+    cfg = cfg_for("mollify", tmp_path / "run", "grid.nx=48", "grid.ny=48", "time.nt=6")
+    run_mollification_study(cfg)
+    assert len(calls) == len(cfg.eps_list) * (cfg.nt + 1)
+
+
+@pytest.mark.parametrize(
+    "overrides", [(), ("mollify.alpha=1.5", "mollify.p=1.5")], ids=["satisfied", "not-satisfied"]
+)
+def test_mollification_stream_matches_the_stored_routes(overrides, tmp_path):
+    cfg = cfg_for(
+        "mollify", tmp_path / "run", "grid.nx=48", "grid.ny=48", "time.nt=6", *overrides
+    )
+    out = run_mollification_study(cfg)
+    by_name = {c.name: c for c in out.checks}
+
+    grid, times, u, rho0 = build_case(cfg)
+    sol = characteristics.solve_classical(rho0, u, times)
+    inner = shrink(grid.domain, cfg.inner_margin)
+    if out.hypothesis == "satisfied":
+        alpha, p = cfg.alpha, cfg.p_moll
+    else:
+        alpha, p = float("inf"), 1.0
+    curve = remainder_decay_study(sol, u, cfg.eps_list, alpha, p, inner, enforce=False)
+    assert by_name["weakform.remainder_decay"].measured == curve.norms[-1] / curve.norms[0]
+    with open(tmp_path / "run" / "remainder.csv", newline="") as fh:
+        assert list(csv.reader(fh))[1:] == curve.csv_rows()
+
+    phi = make_test_function(
+        (0.62, 0.44), 0.22, quadratic_decay_profile(cfg.horizon), grid.domain
+    )
+    lhs, rhs = consistency_identity(sol, u, cfg.eps_list[0], phi)
+    assert by_name["weakform.consistency_identity"].measured == abs(lhs - rhs)
+
+
+def test_streamed_conservation_report_matches_the_stored_one():
+    cfg = parse_study_config(None, ["grid.nx=40", "grid.ny=40", "time.nt=15"])
+    grid, times, u, rho0 = build_case(cfg)
+    sol = characteristics.solve_classical(rho0, u, times)
+    stored = conservation_report(grid, sol.times, sol.values, cfg.p_list, tol=1e-4)
+    layers = (layer for _, _, layer in characteristics.iter_solution_layers(rho0, u, times))
+    streamed = conservation_report(grid, times.times, layers, cfg.p_list, tol=1e-4)
+    assert stored.keys() == streamed.keys()
+    for p, rep in stored.items():
+        assert np.array_equal(streamed[p].values, rep.values)
+        assert np.array_equal(streamed[p].times, rep.times)
+        assert streamed[p].reference == rep.reference
+        assert streamed[p].flagged == rep.flagged
 
 
 # ---------------------------------------------------------------------------
