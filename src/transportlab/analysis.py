@@ -61,22 +61,17 @@ def bochner_norm_u(
 
     The W^{1,p} norm is the sum of the L^p norms of |u| and of the
     Frobenius norm of the Jacobian, both in closed form from the stream
-    functions. Autonomous fields shortcut to T times one spatial norm.
+    functions. u = m(t) v with m >= 0, so the integral is exactly M(T) times
+    the spatial norm of v.
     """
     X, Y = grid.meshes()
-
-    def spatial(t: float) -> float:
-        sp = u.speed(X, Y, t)
-        total = lp_norm(sp, grid, p_space)
-        if include_gradient:
-            u1x, u1y, u2x, u2y = u.eval_gradient(X, Y, t)
-            jac = np.sqrt(u1x**2 + u1y**2 + u2x**2 + u2y**2)
-            total += lp_norm(jac, grid, p_space)
-        return total
-
-    if u.autonomous:
-        return times.T * spatial(0.0)
-    return float(np.sum(times.weights * np.array([spatial(t) for t in times.times])))
+    v = u.profile
+    total = lp_norm(v.speed(X, Y), grid, p_space)
+    if include_gradient:
+        u1x, u1y, u2x, u2y = v.eval_gradient(X, Y)
+        jac = np.sqrt(u1x**2 + u1y**2 + u2x**2 + u2y**2)
+        total += lp_norm(jac, grid, p_space)
+    return float(u.modulation.integral(times.T)) * total
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +396,7 @@ def initial_data_family(
     """Perturbation n -> (u, rho0 + (1/n) * smooth bump): fixed field."""
     bump = StreamFunction(center, radius, amplitude)
     X, Y = rho0.grid.meshes()
-    layer = bump.value(X, Y, 0.0)
+    layer = bump.value(X, Y)
 
     def member(n: int):
         values = rho0.values + layer[None, :, :] / n
@@ -413,16 +408,11 @@ def initial_data_family(
 def _velocity_distance(
     u_n: VelocityField, u: VelocityField, grid: Grid, times: TimePartition
 ) -> float:
+    """M(T) ||v_n - v||_1: family members share u's modulation by construction."""
     X, Y = grid.meshes()
-
-    def at(t: float) -> float:
-        ax, ay = u_n.eval(X, Y, t)
-        bx, by = u.eval(X, Y, t)
-        return integrate(np.hypot(ax - bx, ay - by), grid)
-
-    if u_n.autonomous and u.autonomous:
-        return times.T * at(0.0)
-    return float(np.sum(times.weights * np.array([at(t) for t in times.times])))
+    ax, ay = u_n.profile.eval(X, Y)
+    bx, by = u.profile.eval(X, Y)
+    return float(u.modulation.integral(times.T)) * integrate(np.hypot(ax - bx, ay - by), grid)
 
 
 def stability_experiment(

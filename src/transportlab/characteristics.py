@@ -4,9 +4,12 @@ The transport equation rho_t - u . grad(rho) = 0 is constant along the
 curves dX/ds = -u(X, s), so the solver evaluates each time layer by tracing
 every node backward to time zero and reading the initial density there
 (semi-Lagrangian evaluation: nodal values come out directly, no scatter
-step). Trajectories of admissible fields never reach the boundary, so any
-numerically drifting point is clamped if the excursion is tiny and treated
-as a blowup otherwise.
+step). Every field is u = m(t) v(x), and its characteristics are those of
+the time-independent field v on the clock tau = M(t) = int_0^t m, so one
+incremental integration of v serves modulated and unmodulated fields alike,
+including an unbounded but time-integrable m. Trajectories of admissible
+fields never reach the boundary, so any numerically drifting point is
+clamped if the excursion is tiny and treated as a blowup otherwise.
 """
 
 from __future__ import annotations
@@ -128,15 +131,6 @@ def flow_map(
     return xi, yi
 
 
-def _solver_step(u: VelocityField, times: TimePartition, grid, cfl: float) -> float:
-    """Global substep honoring max|u| dt <= cfl * min(hx, hy)."""
-    vmax = u.max_speed(grid, times.times)
-    h_min = min(grid.hx, grid.hy)
-    if vmax == 0.0:
-        return times.dt
-    return min(times.dt, cfl * h_min / vmax)
-
-
 def iter_solution_layers(
     rho0: ScalarField,
     u: VelocityField,
@@ -146,17 +140,21 @@ def iter_solution_layers(
     """Yield (j, t_j, layer) of the classical solution without storing it.
 
     Layer j is rho0 evaluated at the backward characteristic foot of every
-    node, i.e. at flow_map(u, t_j, 0, node). For fields with no time
-    modulation the stored departure points advance incrementally (the same
-    fixed steps a per-layer integration would take, so the results are
-    identical); time-dependent fields re-integrate each layer from scratch.
+    node, i.e. at flow_map(u, t_j, 0, node). For u = m(t) v(x) that foot is
+    the flow of the time-independent v run backward over the clock interval
+    [0, tau_j], tau_j = M(t_j), so the stored departure points advance
+    incrementally from tau_j to tau_{j-1} in fixed RK4 steps of v. The step
+    is times.dt / k with k the fewest substeps per layer interval that keep
+    max|v| step within the CFL cap, so it is CFL-safe in tau whatever the
+    modulation; for an unmodulated field tau is times.times itself and each
+    layer takes exactly the steps a per-layer integration would.
 
     Only nodes strictly inside some support ball are integrated. Elsewhere
-    u vanishes at every time, so every RK4 stage slope is exactly zero and
-    the node is a fixed point of the integrator and of its clamp: its foot
-    is the node itself in every layer, and its value is interpolated once
-    per solve. Every operation is elementwise, so splitting the nodes this
-    way changes no bit of any layer.
+    v vanishes, so every RK4 stage slope is exactly zero and the node is a
+    fixed point of the integrator and of its clamp: its foot is the node
+    itself in every layer, and its value is interpolated once per solve.
+    Every operation is elementwise, so splitting the nodes this way changes
+    no bit of any layer.
     """
     grid = rho0.grid
     if grid.domain != u.domain:
@@ -168,11 +166,17 @@ def iter_solution_layers(
             f"grid cell {h_min:.3e}; boundary-vanishing is not resolved"
         )
     base = rho0.layer(0)
-    step = _solver_step(u, times, grid, cfl)
+    v = u.profile
+    tau = u.modulation.integral(times.times)
+    # k equal substeps per dt, the fewest that keep max|v| step <= cfl h_min
+    vmax = v.max_speed(grid)
+    step = times.dt if vmax == 0.0 else min(times.dt, cfl * h_min / vmax)
+    k = max(1, int(np.ceil(times.dt / step - 1e-12)))
+    integ = FlowMapIntegrator(v, times.dt / k)
     X0, Y0 = grid.meshes()
     moving = u.support_mask(X0, Y0)
     still = ~moving
-    x0, y0 = X0[moving], Y0[moving]
+    xd, yd = X0[moving], Y0[moving]
     # interpolation at a node need not return the nodal value, so the still
     # nodes keep what interpolate gives, as the moving ones do
     still_values = grid.interpolate(base, X0[still], Y0[still])
@@ -184,22 +188,10 @@ def iter_solution_layers(
         return out
 
     yield 0, 0.0, np.array(base, copy=True)
-    if u.autonomous:
-        # substeps per layer, exact divisors of the layer interval
-        k = max(1, int(np.ceil(times.dt / step - 1e-12)))
-        integ = FlowMapIntegrator(u, times.dt / k)
-        xd, yd = x0, y0
-        for j in range(1, times.nt + 1):
-            if x0.size:
-                xd, yd = integ.advance(xd, yd, times.times[j], times.times[j - 1], h_min)
-            yield j, float(times.times[j]), layer(xd, yd)
-    else:
-        integ = FlowMapIntegrator(u, step)
-        xd, yd = x0, y0
-        for j in range(1, times.nt + 1):
-            if x0.size:
-                xd, yd = integ.advance(x0, y0, times.times[j], 0.0, h_min)
-            yield j, float(times.times[j]), layer(xd, yd)
+    for j in range(1, times.nt + 1):
+        if xd.size:
+            xd, yd = integ.advance(xd, yd, tau[j], tau[j - 1], h_min)
+        yield j, float(times.times[j]), layer(xd, yd)
 
 
 def solve_classical(
@@ -248,15 +240,12 @@ def slice_identity_residual(
     init = float(np.sum(rho0.layer(0) * phi_vals * w))
     if j0 == 0:
         return abs(lhs - init)
-    # trapezoid in time over [0, t0] of the advective pairing
+    # trapezoid in time over [0, t0] of the advective pairing; u = m(t) v,
+    # so v is evaluated once and m scales each time weight
     tw = trapezoid_weights(times[: j0 + 1])
+    ux, uy = u.profile.eval(X, Y)
     adv = 0.0
-    if u.autonomous:
-        ux, uy = u.eval(X, Y, 0.0)
-        for j in range(j0 + 1):
-            adv += tw[j] * float(np.sum(rho.layer(j) * (ux * gx + uy * gy) * w))
-    else:
-        for j in range(j0 + 1):
-            ux, uy = u.eval(X, Y, float(times[j]))
-            adv += tw[j] * float(np.sum(rho.layer(j) * (ux * gx + uy * gy) * w))
+    for j in range(j0 + 1):
+        m = u.modulation.value(float(times[j]))
+        adv += tw[j] * m * float(np.sum(rho.layer(j) * (ux * gx + uy * gy) * w))
     return abs(lhs - (init - adv))

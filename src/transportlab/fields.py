@@ -65,16 +65,21 @@ def _bump_d2q(q: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Time modulation of stream functions.
+# Time modulation of velocity fields.
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class TimeModulation:
-    """Scalar factor a(t) applied to a stream function."""
+    """Scalar factor m(t) of a velocity field and its primitive M(t) = int_0^t m.
+
+    Every modulation is nonnegative, so M is nondecreasing and serves as the
+    clock of the field's characteristics. integral takes scalars or arrays.
+    """
 
     label: str
     value: Callable[[float], float]
+    integral: Callable
 
 
 def _inverse_sqrt(t: float) -> float:
@@ -83,10 +88,17 @@ def _inverse_sqrt(t: float) -> float:
     return float(max(t, 1e-6)) ** -0.5
 
 
+def _inverse_sqrt_integral(t):
+    # exact primitive of the clipped factor: 1e3 t up to the clip, then
+    # 2 sqrt(t) minus what the clip takes off 2 sqrt(1e-6)
+    t = np.asarray(t, dtype=float)
+    return np.where(t < 1e-6, 1e3 * t, 2.0 * np.sqrt(np.maximum(t, 1e-6)) - 1e-3)
+
+
 _MODULATIONS = {
-    "none": TimeModulation("none", lambda t: 1.0),
-    "linear": TimeModulation("linear", lambda t: float(t)),
-    "inverse_sqrt": TimeModulation("inverse_sqrt", _inverse_sqrt),
+    "none": TimeModulation("none", lambda t: 1.0, lambda t: t),
+    "linear": TimeModulation("linear", lambda t: float(t), lambda t: 0.5 * t * t),
+    "inverse_sqrt": TimeModulation("inverse_sqrt", _inverse_sqrt, _inverse_sqrt_integral),
 }
 
 
@@ -106,26 +118,22 @@ def time_modulation(label: str) -> TimeModulation:
 
 @dataclass(frozen=True)
 class StreamFunction:
-    """Radial bump stream function A * a(t) * exp(-1/(1 - (r/R)^2)).
+    """Radial bump stream function A * exp(-1/(1 - (r/R)^2)).
 
     The perpendicular gradient of psi gives one vortex of the velocity
     field. Value, gradient and second partials are closed form; everything
-    vanishes identically at distance >= R from the center.
+    vanishes identically at distance >= R from the center. The derivatives
+    take a scale that multiplies A inside their one scalar coefficient, which
+    is where a velocity field puts its time factor.
     """
 
     center: tuple[float, float]
     radius: float
     amplitude: float
-    modulation: TimeModulation | None = None
 
     def __post_init__(self) -> None:
         if self.radius <= 0.0:
             raise FieldError(f"support radius must be positive, got {self.radius}")
-
-    def factor(self, t: float) -> float:
-        if self.modulation is None:
-            return 1.0
-        return self.modulation.value(t)
 
     def _rel(self, x, y):
         dx = np.asarray(x, dtype=float) - self.center[0]
@@ -133,20 +141,20 @@ class StreamFunction:
         q = (dx * dx + dy * dy) / self.radius**2
         return dx, dy, q
 
-    def value(self, x, y, t: float = 0.0) -> np.ndarray:
+    def value(self, x, y) -> np.ndarray:
         _, _, q = self._rel(x, y)
-        return self.amplitude * self.factor(t) * _bump(q)
+        return self.amplitude * _bump(q)
 
-    def gradient(self, x, y, t: float = 0.0):
-        """(psi_x, psi_y) in closed form."""
+    def gradient(self, x, y, scale: float = 1.0):
+        """(psi_x, psi_y) of scale * psi in closed form."""
         dx, dy, q = self._rel(x, y)
-        g = _bump_dq(q) * (2.0 * self.amplitude * self.factor(t) / self.radius**2)
+        g = _bump_dq(q) * (2.0 * self.amplitude * scale / self.radius**2)
         return g * dx, g * dy
 
-    def second_partials(self, x, y, t: float = 0.0):
-        """(psi_xx, psi_xy, psi_yy) in closed form."""
+    def second_partials(self, x, y, scale: float = 1.0):
+        """(psi_xx, psi_xy, psi_yy) of scale * psi in closed form."""
         dx, dy, q = self._rel(x, y)
-        c = 2.0 * self.amplitude * self.factor(t) / self.radius**2
+        c = 2.0 * self.amplitude * scale / self.radius**2
         g = _bump_dq(q) * c
         gp = _bump_d2q(q) * (2.0 * c / self.radius**2)
         return g + dx * dx * gp, dx * dy * gp, g + dy * dy * gp
@@ -154,15 +162,24 @@ class StreamFunction:
 
 @dataclass(frozen=True)
 class VelocityField:
-    """Superposition of perpendicular stream-function gradients.
+    """u(x, t) = m(t) v(x): one time modulation times a superposition of
+    perpendicular stream-function gradients.
 
-    u = (psi_y, -psi_x) summed over components, hence divergence free
+    v = (psi_y, -psi_x) summed over components, hence divergence free
     analytically and identically zero within the support margin of the
-    boundary.
+    boundary. The characteristics of u are the flow of the time-independent
+    v on the clock tau = M(t) = int_0^t m, which is how the solver
+    integrates them.
     """
 
     components: tuple[StreamFunction, ...]
     domain: Domain
+    modulation: TimeModulation = _MODULATIONS["none"]
+
+    @property
+    def profile(self) -> VelocityField:
+        """The spatial factor v, unmodulated."""
+        return VelocityField(self.components, self.domain)
 
     @property
     def support_margin(self) -> float:
@@ -172,13 +189,6 @@ class VelocityField:
             cx, cy = c.center
             margins.append(dist_to_boundary(self.domain, cx, cy) - c.radius)
         return min(margins) if margins else float("inf")
-
-    @property
-    def autonomous(self) -> bool:
-        return all(
-            c.modulation is None or c.modulation.label == "none"
-            for c in self.components
-        )
 
     def support_mask(self, x, y) -> np.ndarray:
         """True where a point lies strictly inside some component's support.
@@ -204,10 +214,11 @@ class VelocityField:
         y = np.asarray(y, dtype=float)
         if checked and not np.all(self.domain.contains_closure(x, y)):
             raise FieldError("velocity evaluation outside the closed domain")
+        m = self.modulation.value(t)
         ux = np.zeros(np.broadcast(x, y).shape)
         uy = np.zeros_like(ux)
         for c in self.components:
-            px, py = c.gradient(x, y, t)
+            px, py = c.gradient(x, y, m)
             ux += py
             uy -= px
         if ux.ndim == 0:
@@ -218,13 +229,14 @@ class VelocityField:
         """Entries (u1_x, u1_y, u2_x, u2_y) of the velocity Jacobian."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
+        m = self.modulation.value(t)
         shape = np.broadcast(x, y).shape
         u1x = np.zeros(shape)
         u1y = np.zeros(shape)
         u2x = np.zeros(shape)
         u2y = np.zeros(shape)
         for c in self.components:
-            pxx, pxy, pyy = c.second_partials(x, y, t)
+            pxx, pxy, pyy = c.second_partials(x, y, m)
             u1x += pxy
             u1y += pyy
             u2x -= pxx
@@ -235,22 +247,20 @@ class VelocityField:
         ux, uy = self.eval(x, y, t, checked=checked)
         return np.hypot(ux, uy)
 
-    def max_speed(self, grid: Grid, times: Sequence[float] = (0.0,)) -> float:
-        """Nodal sup of |u| over the given times (one sample if autonomous)."""
+    def max_speed(self, grid: Grid) -> float:
+        """Nodal sup of |v|, the unmodulated profile."""
         X, Y = grid.meshes()
-        if self.autonomous:
-            times = (0.0,)
-        return float(max(np.max(self.speed(X, Y, t)) for t in times))
+        return float(np.max(self.profile.speed(X, Y)))
 
     def scaled(self, factor: float) -> VelocityField:
         comps = tuple(replace(c, amplitude=factor * c.amplitude) for c in self.components)
-        return VelocityField(comps, self.domain)
+        return replace(self, components=comps)
 
 
 def from_stream_function(
-    psi: StreamFunction | Sequence[StreamFunction], domain: Domain
+    psi: StreamFunction | Sequence[StreamFunction], domain: Domain, modulation: str = "none"
 ) -> VelocityField:
-    """Build the divergence-free field u = (psi_y, -psi_x) on a domain.
+    """Build the divergence-free field u = m(t) (psi_y, -psi_x) on a domain.
 
     Each component's support ball must stay strictly inside the domain;
     a support touching the boundary would break the boundary-vanishing
@@ -267,7 +277,7 @@ def from_stream_function(
                 f"stream function support (center {c.center}, radius {c.radius}) "
                 f"touches the boundary (margin {margin:.3g})"
             )
-    return VelocityField(comps, domain)
+    return VelocityField(comps, domain, time_modulation(modulation))
 
 
 def vortex_field(
@@ -278,10 +288,7 @@ def vortex_field(
     modulation: str = "none",
 ) -> VelocityField:
     """The workhorse single-vortex field used by studies and tests."""
-    mod = None if modulation == "none" else time_modulation(modulation)
-    return from_stream_function(
-        StreamFunction(center, radius, amplitude, mod), domain
-    )
+    return from_stream_function(StreamFunction(center, radius, amplitude), domain, modulation)
 
 
 # ---------------------------------------------------------------------------

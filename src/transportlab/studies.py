@@ -53,6 +53,7 @@ from .geometry import (
     TimePartition,
     dist_to_boundary,
     shrink,
+    unit_square,
 )
 from .weakform import (
     IdentityPairing,
@@ -223,6 +224,19 @@ def _validate(cfg: StudyConfig) -> StudyConfig:
         fail("velocity.amplitude", "must be finite")
     if not np.isfinite(cfg.d_amplitude):
         fail("density.amplitude", "must be finite")
+    if cfg.velocity == "vortex":
+        # the solver resolves boundary vanishing only with a cell to spare
+        domain = unit_square()
+        if domain.locate(*cfg.v_center) != "interior":
+            fail("velocity.center", f"{cfg.v_center} is not inside the unit square")
+        margin = dist_to_boundary(domain, cfg.v_center) - cfg.v_radius
+        cell = min(1.0 / cfg.nx, 1.0 / cfg.ny)
+        if margin < cell:
+            fail(
+                "velocity.radius",
+                f"support margin {margin:.3g} around velocity.center {cfg.v_center} "
+                f"is below one grid cell {cell:.3g}",
+            )
     return cfg
 
 
@@ -351,7 +365,7 @@ class StudyOutcome:
 
 def build_case(cfg: StudyConfig):
     """Grid, time partition, velocity, and initial density from the config."""
-    domain = Domain(0.0, 0.0, 1.0, 1.0)
+    domain = unit_square()
     grid = Grid(domain, cfg.nx, cfg.ny)
     times = TimePartition(cfg.horizon, cfg.nt)
     if cfg.velocity == "zero":

@@ -164,23 +164,14 @@ class ResidualAccumulator:
         grads = [phi.spatial_gradient(X, Y) for phi in self.phis]
         gx_w = np.stack([gx * w for gx, _ in grads])
         gy_w = np.stack([gy * w for _, gy in grads])
-        if u.autonomous:
-            ux, uy = u.eval(X, Y, 0.0)
-            self._adv_w = ux * gx_w + uy * gy_w
-        else:
-            self._adv_w = None
-            self._gx_w, self._gy_w = gx_w, gy_w
-            self._X, self._Y = X, Y
+        # u = m(t) v: v enters the advective weights once, m each layer's
+        # time weight
+        ux, uy = u.profile.eval(X, Y)
+        self._adv_w = ux * gx_w + uy * gy_w
         shape = (len(self.betas), len(self.phis))
         self.term_time = np.zeros(shape)
         self.term_advective = np.zeros(shape)
         self._seen = 0
-
-    def _advection_weights(self, t: float) -> np.ndarray:
-        if self._adv_w is not None:
-            return self._adv_w
-        ux, uy = self.u.eval(self._X, self._Y, t)
-        return ux * self._gx_w + uy * self._gy_w
 
     def _time_profiles(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """psi(t) and psi'(t) of every test function."""
@@ -193,12 +184,12 @@ class ResidualAccumulator:
             raise WeakformError(f"layers must arrive in order, expected {self._seen}")
         t = float(self.times[j])
         psi, dpsi = self._time_profiles(t)
-        tw_psi, tw_dpsi = self.tw[j] * psi, self.tw[j] * dpsi
-        adv_w = self._advection_weights(t)
+        tw_dpsi = self.tw[j] * dpsi
+        tw_psi = self.tw[j] * self.u.modulation.value(t) * psi
         for b, beta in enumerate(self.betas):
             vals = layer if beta is None else beta(layer)
             self.term_time[b] -= tw_dpsi * np.sum(vals * self.phi_w, axis=(1, 2))
-            self.term_advective[b] += tw_psi * np.sum(vals * adv_w, axis=(1, 2))
+            self.term_advective[b] += tw_psi * np.sum(vals * self._adv_w, axis=(1, 2))
         self._seen += 1
 
     def report(self, rho0_layer: np.ndarray) -> list[ResidualReport]:

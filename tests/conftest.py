@@ -6,8 +6,9 @@ checks; it is expensive enough (~10 s, ~0.5 GB) that a single session-wide
 instance is computed and shared. A half-resolution twin supports the
 refinement comparisons.
 
-exact_vortex_flow is the closed-form flow map of the default vortex, an
-oracle for the RK4 integrator that shares no code with it.
+exact_vortex_flow is the closed-form flow map of the default vortex under
+any of the library's time modulations, an oracle for the RK4 integrator
+that shares no code with it.
 """
 
 import time
@@ -34,14 +35,31 @@ def make_transport_case(n: int, nt: int, T: float = 1.0) -> SimpleNamespace:
     )
 
 
-def exact_vortex_flow(x, y, t_from, t_to, center=(0.5, 0.5), radius=0.3, amplitude=0.5):
-    """Closed-form flow_map(vortex_field(unit_square()), t_from, t_to, (x, y)).
+def _clock(modulation, t):
+    """M(t) = int_0^t m for the library's modulations, written out here."""
+    t = np.asarray(t, dtype=float)
+    if modulation == "none":
+        return t
+    if modulation == "linear":
+        return t * t / 2.0
+    if modulation == "inverse_sqrt":
+        # m = max(t, 1e-6)^(-1/2): slope 1e3 up to the clip, 2 sqrt(t) after
+        # it, minus the 2e-3 - 1e-3 that the clip takes off
+        return np.where(t < 1e-6, 1e3 * t, 2.0 * np.sqrt(np.maximum(t, 1e-6)) - 1e-3)
+    raise ValueError(f"no clock for modulation {modulation!r}")
 
-    The stream function A exp(-1/(1 - r^2/R^2)) is radial, so dX/ds = -u(X)
-    turns X - c about the center at the constant angular speed of its
-    orbit, g(r) = 2A bump_dq(r^2/R^2) / R^2 with
+
+def exact_vortex_flow(
+    x, y, t_from, t_to, center=(0.5, 0.5), radius=0.3, amplitude=0.5, modulation="none"
+):
+    """Closed-form flow_map(vortex_field(unit_square(), modulation=...), t_from, t_to, (x, y)).
+
+    The stream function A m(t) exp(-1/(1 - r^2/R^2)) is radial, so
+    dX/ds = -u(X, s) turns X - c about the center at the angular speed
+    m(s) g(r) of its orbit, g(r) = 2A bump_dq(r^2/R^2) / R^2 with
     bump_dq(q) = -exp(-1/(1 - q)) / (1 - q)^2 (and g = 0 outside the
-    support): the flow map rotates x - c by the angle g (t_to - t_from).
+    support): the flow map rotates x - c by the angle
+    g (M(t_to) - M(t_from)), M(t) = int_0^t m.
     """
     dx = np.asarray(x, dtype=float) - center[0]
     dy = np.asarray(y, dtype=float) - center[1]
@@ -49,7 +67,8 @@ def exact_vortex_flow(x, y, t_from, t_to, center=(0.5, 0.5), radius=0.3, amplitu
     inside = q < 1.0
     s = np.where(inside, 1.0 - q, 1.0)
     bump_dq = np.where(inside, -np.exp(-1.0 / s) / s**2, 0.0)
-    angle = 2.0 * amplitude * bump_dq / radius**2 * (t_to - t_from)
+    elapsed = _clock(modulation, t_to) - _clock(modulation, t_from)
+    angle = 2.0 * amplitude * bump_dq / radius**2 * elapsed
     c, sn = np.cos(angle), np.sin(angle)
     return center[0] + c * dx - sn * dy, center[1] + sn * dx + c * dy
 

@@ -130,16 +130,17 @@ def test_bochner_autonomous_is_time_times_spatial():
 
 
 def test_bochner_linear_modulation_separates():
-    # |a(t) u| integrates in time independently of space: a(t) = t gives
-    # exactly T^2/2 times the autonomous spatial factor, and the trapezoid
-    # rule is exact on the linear integrand.
+    # |m(t) v| integrates in time independently of space: m(t) = t gives
+    # exactly T^2/2 times the spatial factor, and the clipped 1/sqrt(t)
+    # gives 2 sqrt(T) - 1e-3
     grid = Grid(DOM, 96, 96)
     times = TimePartition(1.0, 50)
-    u_lin = vortex_field(DOM, modulation="linear")
     X, Y = grid.meshes()
     spatial = integrate(vortex_field(DOM).speed(X, Y, 0.0), grid)
-    got = bochner_norm_u(u_lin, grid, times, 1.0)
-    assert got == pytest.approx(0.5 * spatial, rel=1e-6)
+    got = bochner_norm_u(vortex_field(DOM, modulation="linear"), grid, times, 1.0)
+    assert got == pytest.approx(0.5 * spatial, rel=1e-13)
+    got = bochner_norm_u(vortex_field(DOM, modulation="inverse_sqrt"), grid, times, 1.0)
+    assert got == pytest.approx((2.0 - 1e-3) * spatial, rel=1e-13)
 
 
 def test_bochner_gradient_part_matches_finite_differences():
@@ -366,7 +367,7 @@ def test_stability_initial_data_family_obeys_linearity_bound():
     u = vortex_field(DOM)
     rho0 = static_field(grid, gaussian_blob())
     rep = stability_experiment(u, rho0, times, initial_data_family(u, rho0), [2, 4, 8, 16])
-    bump = StreamFunction((0.4, 0.6), 0.15, 1.0).value(*grid.meshes(), 0.0)
+    bump = StreamFunction((0.4, 0.6), 0.15, 1.0).value(*grid.meshes())
     for n, e in zip(rep.n, rep.e):
         assert e <= lp_norm(bump / n, grid, 2.0) + 1e-3
 
@@ -376,7 +377,7 @@ def test_stability_rejects_non_decaying_family():
     times = TimePartition(1.0, 30)
     u = VelocityField((), DOM)
     rho0 = static_field(grid, gaussian_blob())
-    bump = StreamFunction((0.4, 0.6), 0.15, 1.0).value(*grid.meshes(), 0.0)
+    bump = StreamFunction((0.4, 0.6), 0.15, 1.0).value(*grid.meshes())
 
     def stuck(n):
         return u, ScalarField(grid, rho0.times, rho0.values + bump[None])

@@ -212,23 +212,47 @@ def test_solve_layers_match_flow_map_composition(vortex):
         assert np.array_equal(rho.layer(j), grid.interpolate(rho0.layer(0), dx, dy))
 
 
-def test_solve_time_modulated_field():
+def solver_feet(u, grid, times):
+    """(j, t_j, foot_x, foot_y) of every node, read off the solver's layers.
+
+    Bilinear interpolation reproduces the coordinate functions x and y to
+    roundoff, so transporting them returns the backward characteristic feet.
+    """
+    fx = static_field(grid, lambda x, y: x)
+    fy = static_field(grid, lambda x, y: y)
+    for (j, t, lx), (_, _, ly) in zip(
+        iter_solution_layers(fx, u, times), iter_solution_layers(fy, u, times)
+    ):
+        yield j, t, lx, ly
+
+
+@pytest.mark.parametrize("modulation", ["linear", "inverse_sqrt"])
+def test_solve_time_modulated_field(modulation, vortex_rotation):
+    # every foot of every layer against the exact rotation by
+    # g(r) (M(t_j) - M(0)), with M written out in conftest
+    u = vortex_field(unit_square(), modulation=modulation)
+    grid = Grid(unit_square(), 32, 32)
+    times = TimePartition(1.0, 1000)
+    X, Y = grid.meshes()
+    worst = 0.0
+    for _, t, fx, fy in solver_feet(u, grid, times):
+        ex, ey = vortex_rotation(X, Y, t, 0.0, modulation=modulation)
+        worst = max(worst, float(np.max(np.hypot(fx - ex, fy - ey))))
+    assert worst < 1e-8
+
+
+def test_solve_time_modulated_field_tracks_flow_map():
+    # a route that never reparametrizes time: flow_map integrates
+    # m(t) v(x) in t itself, here at a step far below the solver's
     u = vortex_field(unit_square(), modulation="linear")
     grid = Grid(unit_square(), 48, 48)
     times = TimePartition(0.5, 8)
-    rho0 = static_field(grid, gaussian_blob((0.6, 0.5), 0.12))
-    rho = solve_classical(rho0, u, times)
-    # early layers barely move (a(t) ~ 0), late ones do
-    assert np.max(np.abs(rho.layer(1) - rho.layer(0))) < np.max(
-        np.abs(rho.layer(8) - rho.layer(0))
-    )
-    assert np.max(np.abs(rho.layer(8) - rho.layer(0))) > 1e-3
-    # non-autonomous layers also equal a from-scratch backward integration
-    vmax = u.max_speed(grid, times.times)
-    step = min(times.dt, 0.5 * min(grid.hx, grid.hy) / vmax)
     X, Y = grid.meshes()
-    dx, dy = flow_map(u, float(times.times[5]), 0.0, X, Y, dt=step, escape_tol=grid.hx)
-    assert np.array_equal(rho.layer(5), grid.interpolate(rho0.layer(0), dx, dy))
+    feet = {j: (fx, fy) for j, _, fx, fy in solver_feet(u, grid, times)}
+    # early layers barely move (m(t) ~ 0), late ones do
+    assert np.max(np.abs(feet[1][0] - X)) < np.max(np.abs(feet[8][0] - X))
+    dx, dy = flow_map(u, float(times.times[5]), 0.0, X, Y, dt=1e-4, escape_tol=grid.hx)
+    assert np.max(np.hypot(feet[5][0] - dx, feet[5][1] - dy)) < 2e-7
 
 
 def test_iter_solution_layers_streams_same_values(vortex):

@@ -175,7 +175,7 @@ def test_env_var_sets_default_output_root(tiny_cfg, tmp_path, monkeypatch):
 @pytest.mark.parametrize(
     "overrides, field",
     [
-        # velocity support margin below one cell: CharacteristicsError
+        # velocity support margin below one cell, caught by config validation
         (["grid.nx=4", "grid.ny=4"], "support margin"),
         # inner region does not exist: StudiesError raised inside the runner
         (["grid.nx=16", "grid.ny=16", "mollify.inner_margin=0.6"], "mollify.inner_margin"),
@@ -193,12 +193,9 @@ def test_unrunnable_config_exits_2_without_traceback(tmp_path, overrides, field)
 
 
 def test_inverse_sqrt_modulation_runs_without_traceback(tiny_cfg, tmp_path):
-    # the solver's global substep follows the t -> 0 speed peak (1000x at the
-    # clip), so the amplitude is kept small to keep the run short
     proc = subprocess.run(
         [sys.executable, "-m", "transportlab", "conservation", str(tiny_cfg),
          "--set", "velocity.kind=vortex", "--set", "velocity.modulation=inverse-sqrt",
-         "--set", "velocity.amplitude=0.002",
          "--set", "grid.nx=24", "--set", "grid.ny=24", "--set", "time.nt=10"],
         capture_output=True, text=True,
     )

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 from mpmath import mp, mpf
+from scipy.integrate import quad
 
 from transportlab.geometry import GeometryError, Grid, Domain, unit_square
 from transportlab.fields import (
@@ -56,8 +57,23 @@ def test_time_modulation_registry():
     assert time_modulation("inverse_sqrt").value(4.0) == pytest.approx(0.5)
     # clip keeps the integrable singularity finite at t = 0
     assert time_modulation("inverse_sqrt").value(0.0) == pytest.approx(1e3)
+    # the unmodulated clock is the time itself, bit for bit
+    ts = np.linspace(0.0, 1.0, 7)
+    assert time_modulation("none").integral(ts) is ts
     with pytest.raises(FieldError):
         time_modulation("sawtooth")
+
+
+@pytest.mark.parametrize("label", ["none", "linear", "inverse_sqrt"])
+def test_time_modulation_integral_is_the_primitive(label):
+    mod = time_modulation(label)
+    for t in (0.0, 5e-7, 1e-6, 3e-6, 0.01, 0.37, 1.0, 2.5):
+        # adaptive quadrature of the clipped factor, split at the clip
+        pieces = [(0.0, min(t, 1e-6)), (min(t, 1e-6), t)]
+        want = sum(quad(mod.value, a, b, epsabs=1e-14, epsrel=1e-13)[0] for a, b in pieces)
+        assert float(mod.integral(t)) == pytest.approx(want, rel=1e-12, abs=1e-15)
+    ts = np.linspace(0.0, 1.0, 7)
+    assert np.array_equal(np.asarray(mod.integral(ts)), [float(mod.integral(t)) for t in ts])
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +182,7 @@ def test_eval_velocity_boundary_and_exterior():
 
 def test_time_modulation_zero_kills_field():
     u = vortex_field(unit_square(), modulation="linear")
-    assert not u.autonomous
+    assert u.modulation.label == "linear" and u.profile.modulation.label == "none"
     assert u.eval(0.65, 0.5, 0.0) == (0.0, 0.0)
     moving = u.eval(0.65, 0.5, 0.5)
     still = vortex_field(unit_square()).eval(0.65, 0.5, 0.0)

@@ -87,6 +87,9 @@ def test_config_overrides_apply():
         ("density.kind=gaussian", "density.kind"),
         ("sweeps.n_list=1", "sweeps.n_list"),
         ("sweeps.n_list=4, 2", "sweeps.n_list"),
+        ("velocity.radius=0.5", "velocity.radius"),
+        ("velocity.radius=0.496", "velocity.radius"),
+        ("velocity.center=1.2, 0.5", "velocity.center"),
     ],
 )
 def test_config_errors_name_the_field(override, field):
@@ -361,13 +364,24 @@ def test_stability_study_solves_each_problem_once(tmp_path, monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("study", STUDY_NAMES)
-def test_every_study_runs_without_a_stored_solve(study, tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "study, modulation",
+    [
+        # unmodulated cases keep the bare study name as their id
+        pytest.param(s, m, id=s if m == "none" else f"{s}-{m}")
+        for m in ("none", "linear", "inverse-sqrt")
+        for s in STUDY_NAMES
+    ],
+)
+def test_every_study_runs_without_a_stored_solve(study, modulation, tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a study stored its solution")
 
     replace_everywhere(monkeypatch, characteristics.solve_classical, refuse)
-    cfg = cfg_for(study, tmp_path / "run", "grid.nx=32", "grid.ny=32", "time.nt=8")
+    cfg = cfg_for(
+        study, tmp_path / "run", "grid.nx=32", "grid.ny=32", "time.nt=8",
+        f"velocity.modulation={modulation}",
+    )
     out = run_study(cfg)
     assert out.study == study and out.checks
 
