@@ -212,9 +212,9 @@ def _validate(cfg: StudyConfig) -> StudyConfig:
     def fail(name: str, msg: str):
         raise StudiesError(f"{name}: {msg}")
 
-    for name, sweep in (("sweeps.eps_list", cfg.eps_list), ("sweeps.p_list", cfg.p_list)):
-        if any(v <= 0.0 for v in sweep):
-            fail(name, f"entries must be positive, got {sweep}")
+    e = cfg.eps_list
+    if len(e) < 2 or not e[-1] > 0.0 or not all(b < a for a, b in zip(e, e[1:])):
+        fail("sweeps.eps_list", f"need >= 2 strictly decreasing positive entries, got {e}")
     n = cfg.n_list
     if len(n) < 2 or n[0] < 1 or any(b <= a for a, b in zip(n, n[1:])):
         fail("sweeps.n_list", f"need >= 2 strictly increasing positive integers, got {n}")

@@ -109,6 +109,47 @@ class ResidualReport:
         ]
 
 
+@lru_cache(maxsize=8)
+def _profile_on_grid(v: VelocityField, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """The unmodulated field v at every node of the grid.
+
+    u = m(t) v, so every layer of u is this pair times the scalar m(t).
+    """
+    vx, vy = v.eval(*grid.meshes())
+    for a in (vx, vy):
+        a.flags.writeable = False  # shared by every caller through the cache
+    return vx, vy
+
+
+Box = tuple[slice, slice]
+
+
+def _node_box(mask: np.ndarray) -> tuple[int, int, int, int]:
+    """(i0, i1, j0, j1): the smallest index box holding every True of a 2-D
+    mask, empty (all zeros) when the mask has none."""
+    rows = np.flatnonzero(mask.any(axis=1))
+    cols = np.flatnonzero(mask.any(axis=0))
+    if rows.size == 0:
+        return 0, 0, 0, 0
+    return int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
+
+
+def _union_box(boxes: Sequence[tuple[int, int, int, int]]) -> tuple[Box, list[Box]]:
+    """The union box of `boxes` on the grid, and each box relative to it."""
+    full = [b for b in boxes if b[0] < b[1]]
+    i0 = min((b[0] for b in full), default=0)
+    i1 = max((b[1] for b in full), default=0)
+    j0 = min((b[2] for b in full), default=0)
+    j1 = max((b[3] for b in full), default=0)
+    relative = [
+        (slice(b[0] - i0, b[1] - i0), slice(b[2] - j0, b[3] - j0))
+        if b[0] < b[1]
+        else (slice(0, 0), slice(0, 0))
+        for b in boxes
+    ]
+    return (slice(i0, i1), slice(j0, j1)), relative
+
+
 class ResidualAccumulator:
     """Streaming evaluation of the three weak-form terms for a whole bank.
 
@@ -117,13 +158,14 @@ class ResidualAccumulator:
     they are produced keeps refined solves at constant memory; weak_residual
     on a stored field is a one-pair bank run over its layers.
 
-    The spatial weights of the bank are stacked once, shape
-    (len(phis), nx + 1, ny + 1). Each layer evaluates each beta once and
-    reduces it against the stack with np.sum(vals * W, axis=(1, 2)): the two
-    reduced axes are contiguous, so every slice is summed exactly as
-    np.sum(vals * W[k]) would sum it and a bank of any size gives the bits
-    of a one-pair accumulator. A matvec would not: BLAS results depend on
-    how many rows are batched together.
+    Every test function vanishes outside its support ball, so each phi keeps
+    its time and advective weights only on its node box: the bounding box of
+    the nodes where either weight is nonzero. Outside it both weights are
+    exact zeros, so dropping those nodes drops only exact zeros. Each layer is
+    cut to the union of the boxes once, each beta is evaluated once on that
+    cut, and each phi reduces the values on its own box with np.sum. A
+    pairing's bits therefore depend only on its own box, and a bank of any
+    size gives, pair for pair, the bits of a one-pair accumulator.
 
     report returns the pairings beta-major: entry b * len(phis) + k pairs
     betas[b] with phis[k].
@@ -160,14 +202,18 @@ class ResidualAccumulator:
         self.tw = trapezoid_weights(self.times)
         X, Y = grid.meshes()
         w = grid.quadrature_weights
-        self.phi_w = np.stack([phi.spatial(X, Y) * w for phi in self.phis])
-        grads = [phi.spatial_gradient(X, Y) for phi in self.phis]
-        gx_w = np.stack([gx * w for gx, _ in grads])
-        gy_w = np.stack([gy * w for _, gy in grads])
         # u = m(t) v: v enters the advective weights once, m each layer's
         # time weight
-        ux, uy = u.profile.eval(X, Y)
-        self._adv_w = ux * gx_w + uy * gy_w
+        vx, vy = _profile_on_grid(u.profile, grid)
+        boxes, self._weights = [], []
+        for phi in self.phis:
+            phi_w = phi.spatial(X, Y) * w
+            gx, gy = phi.spatial_gradient(X, Y)
+            adv_w = vx * (gx * w) + vy * (gy * w)
+            i0, i1, j0, j1 = box = _node_box((phi_w != 0) | (adv_w != 0))
+            boxes.append(box)
+            self._weights.append(np.stack([phi_w[i0:i1, j0:j1], adv_w[i0:i1, j0:j1]]))
+        self._union, self._boxes = _union_box(boxes)
         shape = (len(self.betas), len(self.phis))
         self.term_time = np.zeros(shape)
         self.term_advective = np.zeros(shape)
@@ -179,6 +225,21 @@ class ResidualAccumulator:
         dpsi = [float(np.asarray(phi.time_profile.derivative(t))) for phi in self.phis]
         return np.array(psi), np.array(dpsi)
 
+    def _cut(self, layer: np.ndarray) -> np.ndarray:
+        """The union box of a full-grid layer."""
+        if np.shape(layer) != self.grid.shape:
+            raise WeakformError(
+                f"layer shape {np.shape(layer)} does not match grid {self.grid.shape}"
+            )
+        return layer[self._union]
+
+    def _box_sums(self, vals: np.ndarray) -> np.ndarray:
+        """Shape (len(phis), 2): each phi's time and advective weights summed
+        against vals on that phi's box."""
+        return np.array(
+            [np.sum(vals[box] * W, axis=(1, 2)) for box, W in zip(self._boxes, self._weights)]
+        ).reshape(-1, 2)
+
     def add_layer(self, j: int, layer: np.ndarray) -> None:
         if j != self._seen:
             raise WeakformError(f"layers must arrive in order, expected {self._seen}")
@@ -186,10 +247,12 @@ class ResidualAccumulator:
         psi, dpsi = self._time_profiles(t)
         tw_dpsi = self.tw[j] * dpsi
         tw_psi = self.tw[j] * self.u.modulation.value(t) * psi
+        cut = self._cut(layer)
         for b, beta in enumerate(self.betas):
-            vals = layer if beta is None else beta(layer)
-            self.term_time[b] -= tw_dpsi * np.sum(vals * self.phi_w, axis=(1, 2))
-            self.term_advective[b] += tw_psi * np.sum(vals * self._adv_w, axis=(1, 2))
+            vals = cut if beta is None else beta(cut)
+            sums = self._box_sums(vals)
+            self.term_time[b] -= tw_dpsi * sums[:, 0]
+            self.term_advective[b] += tw_psi * sums[:, 1]
         self._seen += 1
 
     def report(self, rho0_layer: np.ndarray) -> list[ResidualReport]:
@@ -198,10 +261,11 @@ class ResidualAccumulator:
                 f"saw {self._seen} layers, expected {self.times.size}"
             )
         psi0, _ = self._time_profiles(float(self.times[0]))
+        cut0 = self._cut(rho0_layer)
         reports = []
         for b, beta in enumerate(self.betas):
-            vals0 = rho0_layer if beta is None else beta(rho0_layer)
-            term_initial = -psi0 * np.sum(vals0 * self.phi_w, axis=(1, 2))
+            vals0 = cut0 if beta is None else beta(cut0)
+            term_initial = -psi0 * self._box_sums(vals0)[:, 0]
             reports += [
                 ResidualReport(
                     term_time=float(self.term_time[b, k]),
@@ -345,13 +409,16 @@ def commutator_remainder(
     zero-padded stencil: the forward transform of rho is shared by both
     gradient components and the two rho u terms are summed before their one
     inverse transform, so a layer costs three forward and three inverse
-    transforms. commutator_at_points evaluates the same quadrature by a
-    direct per-point gather; the stencil-consistency check compares the two.
+    transforms. u is the cached nodal profile v scaled by m(t), so no call
+    evaluates the field. commutator_at_points evaluates the same quadrature
+    by a direct per-point gather; the stencil-consistency check compares the
+    two.
     """
     _inner_region(grid, kernel.eps)
     spec = _window_spectra(kernel, grid)
-    X, Y = grid.meshes()
-    ux, uy = u.eval(X, Y, t)
+    m = u.modulation.value(t)
+    vx, vy = _profile_on_grid(u.profile, grid)
+    ux, uy = vx * m, vy * m
     F = layer * grid.quadrature_weights
     F_hat = rfft2(F, s=spec.shape)
     conv_b1 = _window_inverse(spec, F_hat * spec.G1)

@@ -81,6 +81,8 @@ def test_config_overrides_apply():
         ("tolerances.drift=-1", "tolerances.drift"),
         ("velocity.kind=tornado", "velocity.kind"),
         ("sweeps.eps_list=", "eps_list"),
+        ("sweeps.eps_list=0.1", "sweeps.eps_list"),
+        ("sweeps.eps_list=0.05, 0.1", "sweeps.eps_list"),
         ("mollify.alpha=0.5", "mollify.alpha"),
         ("sweeps.p_list=0.5, 2", "sweeps.p_list"),
         ("sweeps.h_list=4", "sweeps.h_list"),
@@ -291,6 +293,8 @@ def test_renormalization_frozen_solution_is_detected(tmp_path):
     assert not out.passed
     raw = next(c for c in out.checks if c.name == "weakform.distributional_residual")
     assert raw.measured > 1e-2
+    # every beta that keeps the transport content trips the gate as well
+    assert all(not c.passed for c in out.checks if "const" not in c.name)
     # a constant beta wipes out the transport content, so even the frozen
     # field looks fine through it
     const = next(c for c in out.checks if "const" in c.name)
@@ -394,7 +398,13 @@ def test_mollification_fails_before_the_solve(tmp_path, monkeypatch):
         raise Sentinel
 
     replace_everywhere(monkeypatch, characteristics.iter_solution_layers, refuse)
-    cfg = cfg_for("mollify", tmp_path / "run", "sweeps.eps_list=0.1")
+    # a one-entry sweep is refused by config validation, before any runner
+    with pytest.raises(StudiesError, match=r"sweeps\.eps_list"):
+        cfg_for("mollify", tmp_path / "run", "sweeps.eps_list=0.1")
+    # the eps margin of the identity probe is the runner's to check
+    cfg = cfg_for(
+        "mollify", tmp_path / "run", "sweeps.eps_list=0.3, 0.15", "mollify.inner_margin=0.35"
+    )
     with pytest.raises(StudiesError, match=r"sweeps\.eps_list"):
         run_mollification_study(cfg)
 

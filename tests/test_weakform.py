@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.fft import rfft2
 
 from transportlab.characteristics import solve_classical
 from transportlab.fields import (
@@ -23,6 +24,8 @@ from transportlab.weakform import (
     RemainderCurve,
     ResidualAccumulator,
     WeakformError,
+    _window_inverse,
+    _window_spectra,
     commutator_at_points,
     commutator_remainder,
     consistency_identity,
@@ -187,6 +190,104 @@ def test_streamed_matches_stored():
         assert rep.term_time == ref.term_time
         assert rep.term_initial == ref.term_initial
         assert rep.term_advective == ref.term_advective
+
+
+def mixed_bank():
+    # unequal radii give unequal node boxes; the small ball sits near the
+    # (x_hi, y_lo) corner of the union box and away from the vortex
+    prof = quadratic_decay_profile(1.0)
+    return [
+        make_test_function((0.45, 0.45), 0.3, prof, DOM),
+        make_test_function((0.4, 0.58), 0.2, prof, DOM),
+        make_test_function((0.8, 0.2), 0.05, prof, DOM),
+    ]
+
+
+def _full_grid_terms(sol, rho0, u, phi, beta):
+    """The three weak-form terms by full-grid sums, one layer at a time, each
+    with the sum of the absolute values of its summands (its scale)."""
+    grid = sol.grid
+    X, Y = grid.meshes()
+    w = grid.quadrature_weights
+    phi_w = phi.spatial(X, Y) * w
+    gx, gy = phi.spatial_gradient(X, Y)
+    t = sol.times
+    tw = np.empty(t.size)
+    tw[1:-1] = 0.5 * (t[2:] - t[:-2])
+    tw[0] = 0.5 * (t[1] - t[0])
+    tw[-1] = 0.5 * (t[-1] - t[-2])
+    terms = np.zeros(3)
+    scales = np.zeros(3)
+    for j in range(sol.n_layers):
+        vals = beta(sol.layer(j)) if beta is not None else sol.layer(j)
+        ux, uy = u.eval(X, Y, t[j])
+        time_part = -tw[j] * phi.time_profile.derivative(t[j]) * (vals * phi_w)
+        adv_w = ux * (gx * w) + uy * (gy * w)
+        adv_part = tw[j] * phi.time_profile.value(t[j]) * (vals * adv_w)
+        terms[[0, 2]] += np.sum(time_part), np.sum(adv_part)
+        scales[[0, 2]] += np.sum(np.abs(time_part)), np.sum(np.abs(adv_part))
+    vals0 = beta(rho0.layer(0)) if beta is not None else rho0.layer(0)
+    initial_part = -phi.time_profile.value(t[0]) * (vals0 * phi_w)
+    terms[1], scales[1] = np.sum(initial_part), np.sum(np.abs(initial_part))
+    return terms, scales
+
+
+def test_boxed_bank_matches_full_grid_sums():
+    grid, times, u, rho0, sol = small_solution(64, 20)
+    phis = mixed_bank()
+    betas = [None, beta_smooth_approx(1.0, 10), constant_beta()]
+    acc = ResidualAccumulator(grid, sol.times, u, phis, betas)
+    for j in range(sol.n_layers):
+        acc.add_layer(j, sol.layer(j))
+    reports = acc.report(rho0.layer(0))
+    pairs = [(phi, beta) for beta in betas for phi in phis]
+    for rep, (phi, beta) in zip(reports, pairs):
+        ref, scale = _full_grid_terms(sol, rho0, u, phi, beta)
+        got = np.array([rep.term_time, rep.term_initial, rep.term_advective])
+        # relative to the summands' scale: under a constant beta the
+        # advective term integrates a divergence, ~1e-4 of its summands
+        assert np.all(np.abs(got - ref) <= 1e-13 * scale), (rep.phi, rep.beta, got, ref)
+    # the small ball lies outside the vortex, so only its advective terms
+    # are exact zeros on the density itself
+    assert all(rep.term_time != 0.0 and rep.term_initial != 0.0 for rep in reports)
+    assert [rep.term_advective == 0.0 for rep in reports[:3]] == [False, False, True]
+
+
+def test_support_between_nodes_pairs_to_zero():
+    # on an 8 x 8 grid the nearest node is 0.088 away from this center
+    grid, times, u, rho0, sol = small_solution(8, 5)
+    empty = make_test_function((0.5625, 0.5625), 0.03, quadratic_decay_profile(1.0), DOM)
+    reports = streamed_weak_residuals(rho0, u, times, [empty, off_center_phi()])
+    assert (reports[0].term_time, reports[0].term_initial, reports[0].term_advective) == (
+        0.0,
+        0.0,
+        0.0,
+    )
+    assert reports[1].term_time != 0.0
+    alone = streamed_weak_residuals(rho0, u, times, [empty])[0]
+    assert alone.residual == 0.0
+
+
+def test_unequal_boxes_pair_like_one_pair_accumulators():
+    grid, times, u, rho0, sol = small_solution(64, 20)
+    phis = mixed_bank()
+    betas = [None, beta_smooth_approx(1.0, 10)]
+    bank = streamed_weak_residuals(rho0, u, times, phis, betas)
+    pairs = [(phi, beta) for beta in betas for phi in phis]
+    for rep, (phi, beta) in zip(bank, pairs):
+        ref = weak_residual(sol, rho0, u, phi, beta=beta)
+        assert (rep.term_time, rep.term_initial, rep.term_advective) == (
+            ref.term_time,
+            ref.term_initial,
+            ref.term_advective,
+        )
+
+
+def test_accumulator_rejects_layers_off_the_grid():
+    grid, times, u, rho0, sol = small_solution(32, 5)
+    acc = ResidualAccumulator(grid, sol.times, u, [off_center_phi()])
+    with pytest.raises(WeakformError, match="layer shape"):
+        acc.add_layer(0, sol.layer(0)[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +486,36 @@ def test_window_layers_own_their_memory():
     kern = make_kernel(eps=0.1)
     assert mollify_density(grid, rho.layer(0), kern).base is None
     assert commutator_remainder(grid, rho.layer(0), vortex_field(DOM), kern).base is None
+
+
+def _remainder_via_eval(grid, layer, u, kern, t):
+    """commutator_remainder's transforms with u evaluated at every node."""
+    spec = _window_spectra(kern, grid)
+    ux, uy = u.eval(*grid.meshes(), t)
+    F = layer * grid.quadrature_weights
+    F_hat = rfft2(F, s=spec.shape)
+    conv_b1 = _window_inverse(spec, F_hat * spec.G1)
+    conv_b2 = _window_inverse(spec, F_hat * spec.G2)
+    conv_u = _window_inverse(
+        spec,
+        rfft2(F * ux, s=spec.shape) * spec.G1 + rfft2(F * uy, s=spec.shape) * spec.G2,
+    )
+    return ux * conv_b1 + uy * conv_b2 - conv_u
+
+
+@pytest.mark.parametrize("modulation", ["none", "linear", "inverse_sqrt"])
+def test_remainder_scales_the_cached_profile(modulation):
+    grid, times, u, rho0, sol = small_solution(32, 8, vortex_field(DOM, modulation=modulation))
+    kern = make_kernel(eps=0.1)
+    for t, layer in zip(sol.times, sol.values):
+        got = commutator_remainder(grid, layer, u, kern, t)
+        ref = _remainder_via_eval(grid, layer, u, kern, t)
+        if modulation == "none":
+            assert np.array_equal(got, ref)
+        elif modulation == "linear" and t == 0.0:
+            assert np.max(np.abs(got)) == 0.0  # m(0) = 0
+        else:
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_weak_residual_of_mollified_equals_remainder_pairing():
