@@ -13,12 +13,10 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from transportlab.geometry import Domain, Grid, dist_to_boundary
 
@@ -33,35 +31,31 @@ class FieldError(ValueError):
 # _bump(q) = exp(-1/(1-q)) for q < 1 (q is the squared relative radius), with
 # value 0 at q >= 1; _bump_dq is its q-derivative, and _bump_d2q the second.
 # All three vanish with all derivatives at q = 1, which is what makes every
-# construction here genuinely smooth across its support edge.
+# construction here genuinely smooth across its support edge. Each takes its
+# closed form on the whole array and keeps it where q < 1: at q >= 1 the form
+# divides by zero or overflows, which errstate silences and np.where discards.
 # ---------------------------------------------------------------------------
 
 
 def _bump(q: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=float)
-    out = np.zeros_like(q)
-    m = q < 1.0
-    t = 1.0 - q[m]
-    out[m] = np.exp(-1.0 / t)
-    return out
+    with np.errstate(all="ignore"):
+        t = 1.0 - q
+        return np.where(q < 1.0, np.exp(-1.0 / t), 0.0)
 
 
 def _bump_dq(q: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=float)
-    out = np.zeros_like(q)
-    m = q < 1.0
-    t = 1.0 - q[m]
-    out[m] = -np.exp(-1.0 / t) / (t * t)
-    return out
+    with np.errstate(all="ignore"):
+        t = 1.0 - q
+        return np.where(q < 1.0, -np.exp(-1.0 / t) / (t * t), 0.0)
 
 
 def _bump_d2q(q: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=float)
-    out = np.zeros_like(q)
-    m = q < 1.0
-    t = 1.0 - q[m]
-    out[m] = np.exp(-1.0 / t) * (1.0 - 2.0 * t) / t**4
-    return out
+    with np.errstate(all="ignore"):
+        t = 1.0 - q
+        return np.where(q < 1.0, np.exp(-1.0 / t) * (1.0 - 2.0 * t) / t**4, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -214,14 +208,18 @@ class VelocityField:
         y = np.asarray(y, dtype=float)
         if checked and not np.all(self.domain.contains_closure(x, y)):
             raise FieldError("velocity evaluation outside the closed domain")
+        if not self.components:
+            shape = np.broadcast(x, y).shape
+            return (np.zeros(shape), np.zeros(shape)) if shape else (0.0, 0.0)
         m = self.modulation.value(t)
-        ux = np.zeros(np.broadcast(x, y).shape)
-        uy = np.zeros_like(ux)
+        # summed from the scalar 0.0, which turns an exact -0.0 into +0.0
+        # as a zero-filled accumulator would
+        ux = uy = 0.0
         for c in self.components:
             px, py = c.gradient(x, y, m)
-            ux += py
-            uy -= px
-        if ux.ndim == 0:
+            ux = ux + py
+            uy = uy - px
+        if np.ndim(ux) == 0:
             return float(ux), float(uy)
         return ux, uy
 
@@ -296,15 +294,11 @@ def vortex_field(
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _bump_profile_constant() -> float:
-    # Unit mass in the plane: Z * 2*pi * int_0^1 r exp(-1/(1-r^2)) dr = 1.
-    # Computed once by adaptive quadrature of the radial profile and shared
-    # by every scale (mass is invariant under the eps^{-2} rescaling).
-    integral, err = quad(lambda r: r * np.exp(-1.0 / (1.0 - r * r)), 0.0, 1.0)
-    if err > 1e-9:
-        raise FieldError(f"kernel normalization quadrature too loose: {err}")
-    return 1.0 / (2.0 * np.pi * integral)
+# Unit mass in the plane: Z * 2*pi * int_0^1 r exp(-1/(1-r^2)) dr = 1, shared
+# by every scale (mass is invariant under the eps^{-2} rescaling). With
+# s = 1 - r^2 the integral is (e^{-1} - E1(1)) / 2, so in closed form
+# Z = 1 / (pi (e^{-1} - E1(1))), E1 the exponential integral.
+_BUMP_PROFILE_CONSTANT = 2.143565775792248
 
 
 @dataclass(frozen=True)
@@ -335,7 +329,7 @@ class Kernel:
 def make_kernel(eps: float = 0.1) -> Kernel:
     if eps <= 0.0:
         raise FieldError(f"kernel scale must be positive, got {eps}")
-    return Kernel(float(eps), _bump_profile_constant())
+    return Kernel(float(eps), _BUMP_PROFILE_CONSTANT)
 
 
 # ---------------------------------------------------------------------------
@@ -571,12 +565,9 @@ def make_test_function(
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _time_bump_mass() -> float:
-    integral, err = quad(lambda s: np.exp(-1.0 / (1.0 - s * s)), -1.0, 1.0)
-    if err > 1e-9:
-        raise FieldError(f"time bump normalization quadrature too loose: {err}")
-    return float(integral)
+# int_{-1}^{1} exp(-1/(1-s^2)) ds, in closed form e^{-1/2} (K1(1/2) - K0(1/2))
+# with K0, K1 the modified Bessel functions of the second kind.
+_TIME_BUMP_MASS = 0.44399381616807865
 
 
 @dataclass(frozen=True)
@@ -588,7 +579,7 @@ class TimeBump:
 
     def value(self, t) -> np.ndarray:
         tau = (np.asarray(t, dtype=float) - self.t0) / self.w
-        return _bump(tau * tau) / (self.w * _time_bump_mass())
+        return _bump(tau * tau) / (self.w * _TIME_BUMP_MASS)
 
     def smear(self, fn: Callable[[np.ndarray], np.ndarray], samples: int = 4097):
         """Trapezoid quadrature of profile * fn over the support window."""

@@ -216,8 +216,13 @@ class Grid:
         y = np.asarray(y, dtype=float)
         d = self.domain
         tol = 1e-12 * max(d.width, d.height)
-        ok = d.contains_closure(x, y, tol=tol)
-        if not np.all(ok):
+        # an empty query has no min; the comparisons are written negated so
+        # that a NaN query fails the check
+        if x.size and y.size and not (
+            x.min() >= d.x_lo - tol and x.max() <= d.x_hi + tol
+            and y.min() >= d.y_lo - tol and y.max() <= d.y_hi + tol
+        ):
+            ok = d.contains_closure(x, y, tol=tol)
             bad = int(np.size(ok) - np.count_nonzero(ok))
             raise GeometryError(
                 f"{bad} interpolation point(s) outside the closed domain"
@@ -228,16 +233,16 @@ class Grid:
         j = np.minimum(fy.astype(int), self.ny - 1)
         sx = fx - i
         sy = fy - j
-        v00 = values[i, j]
-        v10 = values[i + 1, j]
-        v01 = values[i, j + 1]
-        v11 = values[i + 1, j + 1]
-        return (
-            v00 * (1 - sx) * (1 - sy)
-            + v10 * sx * (1 - sy)
-            + v01 * (1 - sx) * sy
-            + v11 * sx * sy
-        )
+        rx = 1 - sx
+        ry = 1 - sy
+        # corner values gathered by flat index from the row-major nodes
+        flat = values.ravel()
+        k = i * (self.ny + 1) + j
+        v00 = flat[k]
+        v10 = flat[k + (self.ny + 1)]
+        v01 = flat[k + 1]
+        v11 = flat[k + (self.ny + 2)]
+        return v00 * rx * ry + v10 * sx * ry + v01 * rx * sy + v11 * sx * sy
 
 
 def integrate(g: np.ndarray, grid: Grid, region: Domain | None = None) -> float:

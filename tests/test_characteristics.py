@@ -120,6 +120,53 @@ def test_flow_map_is_sliceable(vortex):
     assert np.array_equal(np.concatenate([ay, by]), fy)
 
 
+@pytest.mark.parametrize("t_from, t_to", [(0.0, 0.1875), (0.7, 0.55)])
+def test_advance_matches_textbook_rk4(t_from, t_to):
+    u = from_stream_function(
+        [StreamFunction((0.4, 0.5), 0.25, 0.5), StreamFunction((0.65, 0.55), 0.2, -0.3)],
+        unit_square(),
+        "linear",
+    )
+    integ = FlowMapIntegrator(u, 0.0625)
+    steps = integ.steps(t_from, t_to)
+    assert len(steps) == 3
+    X, Y = Grid(unit_square(), 24, 24).meshes()
+    x0, y0 = X[3:-3, 3:-3], Y[3:-3, 3:-3]
+
+    def slope(x, y, t):
+        ux, uy = u.eval(x, y, t, checked=False)
+        return -ux, -uy
+
+    x, y, t = x0, y0, t_from
+    for h in steps:
+        k1x, k1y = slope(x, y, t)
+        k2x, k2y = slope(x + 0.5 * h * k1x, y + 0.5 * h * k1y, t + 0.5 * h)
+        k3x, k3y = slope(x + 0.5 * h * k2x, y + 0.5 * h * k2y, t + 0.5 * h)
+        k4x, k4y = slope(x + h * k3x, y + h * k3y, t + h)
+        x = x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+        y = y + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+        t += h
+    gx, gy = integ.advance(x0, y0, t_from, t_to, escape_tol=1e-9)
+    assert np.array_equal(gx, x) and np.array_equal(gy, y)
+    assert not np.array_equal(gx, x0)
+
+
+def test_clamp_raises_past_tolerance_and_clamps_onto_the_edge():
+    integ = FlowMapIntegrator(vortex_field(unit_square()), 0.01)
+    tol = 1e-6
+    x = np.array([0.5, 1.0 + 0.5 * tol, -0.5 * tol, 0.25])
+    y = np.array([0.5, 0.5, 1.0, -0.9 * tol])
+    integ._clamp(x, y, tol)
+    assert x.tolist() == [0.5, 1.0, 0.0, 0.25]
+    assert y.tolist() == [0.5, 0.5, 1.0, 0.0]
+    inside = np.array([0.3, 0.7])
+    integ._clamp(inside, inside[::-1].copy(), tol)
+    assert inside.tolist() == [0.3, 0.7]
+    for bad in ([1.0 + 2.0 * tol, 0.5], [0.5, -2.0 * tol]):
+        with pytest.raises(FlowEscapeError, match="left the domain by 2.000e-06"):
+            integ._clamp(np.array([bad[0]]), np.array([bad[1]]), tol)
+
+
 @dataclass(frozen=True)
 class UniformDrift:
     """Minimal velocity-like object; u = (-1, 0) pushes characteristics +x."""

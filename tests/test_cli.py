@@ -1,12 +1,15 @@
 """Exit codes, flag handling, and artifact placement for the CLI."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import transportlab
 from transportlab.characteristics import solve_classical
 from transportlab.cli import main
 from transportlab.fields import load_snapshot
@@ -45,6 +48,29 @@ def test_module_invocation_reaches_the_parser():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage: transportlab")
+
+
+def test_runs_without_importing_scipy_integrate(tmp_path):
+    # the package pays for no quadrature module at import or in a study run
+    script = f"""
+import sys
+import transportlab
+assert "scipy.integrate" not in sys.modules, "after import"
+from transportlab.cli import main
+rc = main(["conservation", "--set", "grid.nx=16", "--set", "grid.ny=16",
+           "--set", "time.nt=4", "--out", {str(tmp_path / "out")!r}, "--quiet"])
+assert "scipy.integrate" not in sys.modules, "after the run"
+print(rc)
+"""
+    src = str(Path(transportlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, cwd=tmp_path, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    # 16^2 is too coarse for the conservation gate; the run itself completes
+    assert proc.stdout.strip() in ("0", "1")
+    assert (tmp_path / "out" / "summary.json").is_file()
 
 
 def test_unknown_subcommand_is_a_usage_error(capsys):

@@ -1,17 +1,25 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 from mpmath import mp, mpf
 from scipy.integrate import quad
+from scipy.special import exp1, k0, k1
 
 from transportlab.geometry import GeometryError, Grid, Domain, unit_square
 from transportlab.fields import (
+    _BUMP_PROFILE_CONSTANT,
+    _TIME_BUMP_MASS,
     FieldError,
     Kernel,
     ScalarField,
     StreamFunction,
     TimeProfile,
+    VelocityField,
+    _bump,
+    _bump_d2q,
+    _bump_dq,
     beta_bounded_power,
     beta_smooth_approx,
     beta_truncation,
@@ -44,6 +52,63 @@ def mp_velocity(x0, y0):
     ux = mp.diff(lambda yy: mp_psi(mpf(x0), yy), mpf(y0))
     uy = -mp.diff(lambda xx: mp_psi(xx, mpf(y0)), mpf(x0))
     return float(ux), float(uy)
+
+
+def bits_equal(a, b) -> bool:
+    """Same values, shapes and zero signs (NaN-free arrays)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (
+        a.shape == b.shape
+        and np.array_equal(a, b)
+        and np.array_equal(np.signbit(a), np.signbit(b))
+    )
+
+
+# ---------------------------------------------------------------------------
+# Bump building blocks
+# ---------------------------------------------------------------------------
+
+
+def masked_bump_formula(q, form):
+    """The closed form evaluated only where q < 1, zero elsewhere."""
+    q = np.asarray(q, dtype=float)
+    out = np.zeros_like(q)
+    m = q < 1.0
+    out[m] = form(1.0 - q[m])
+    return out
+
+
+BUMP_FORMS = {
+    "bump": (_bump, lambda t: np.exp(-1.0 / t)),
+    "dq": (_bump_dq, lambda t: -np.exp(-1.0 / t) / (t * t)),
+    "d2q": (_bump_d2q, lambda t: np.exp(-1.0 / t) * (1.0 - 2.0 * t) / t**4),
+}
+# interior, the underflow band just inside q = 1 (where dq is -0.0), the
+# last doubles either side of the edge, and far outside
+BUMP_QS = [0.0, 0.5, 0.9999, 1.0 - 2.0**-52, 1.0, 1.0 + 2.0**-52, 4.0, np.inf]
+
+
+@pytest.mark.parametrize("name", sorted(BUMP_FORMS))
+def test_bump_kernels_match_the_masked_formula(name):
+    kernel, form = BUMP_FORMS[name]
+    grid_q = np.array(BUMP_QS).reshape(2, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for q in BUMP_QS:
+            assert bits_equal(kernel(q), masked_bump_formula(q, form)), q
+        assert bits_equal(kernel(grid_q), masked_bump_formula(grid_q, form))
+
+
+def test_normalization_constants_match_quadrature_and_closed_forms():
+    radial, _ = quad(lambda r: r * np.exp(-1.0 / (1.0 - r * r)), 0.0, 1.0)
+    line, _ = quad(lambda s: np.exp(-1.0 / (1.0 - s * s)), -1.0, 1.0)
+    # int_0^1 e^{-1/s} ds = e^{-1} - E1(1) after s = 1 - r^2
+    closed_z = 1.0 / (np.pi * (np.exp(-1.0) - exp1(1.0)))
+    closed_mass = np.exp(-0.5) * (k1(0.5) - k0(0.5))
+    for want in (1.0 / (2.0 * np.pi * radial), closed_z):
+        assert _BUMP_PROFILE_CONSTANT == pytest.approx(want, rel=1e-14, abs=0)
+    for want in (line, closed_mass):
+        assert _TIME_BUMP_MASS == pytest.approx(want, rel=1e-14, abs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +275,44 @@ def test_superposition_and_scaling():
     assert np.allclose(got, want, rtol=1e-14)
     doubled = u_ab.scaled(2.0)
     assert np.allclose(doubled.eval(*p), 2.0 * np.asarray(got), rtol=1e-14)
+
+
+def zero_accumulated_velocity(u: VelocityField, x, y, t):
+    """u from zero-filled accumulators and the masked bump derivative."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    m = u.modulation.value(t)
+    ux = np.zeros(np.broadcast(x, y).shape)
+    uy = np.zeros_like(ux)
+    for c in u.components:
+        dx = x - c.center[0]
+        dy = y - c.center[1]
+        q = (dx * dx + dy * dy) / c.radius**2
+        dq = masked_bump_formula(q, BUMP_FORMS["dq"][1])
+        g = dq * (2.0 * c.amplitude * m / c.radius**2)
+        ux += g * dy
+        uy -= g * dx
+    return ux, uy
+
+
+@pytest.mark.parametrize("modulation", ["none", "linear"])
+def test_velocity_eval_matches_zero_accumulated_sum(modulation):
+    u = from_stream_function(
+        [StreamFunction((0.4, 0.5), 0.25, 0.5), StreamFunction((0.65, 0.55), 0.2, -0.3)],
+        unit_square(),
+        modulation,
+    )
+    # the grid holds both centers' rows and columns, where one partial
+    # of psi is an exact zero of either sign, and nodes outside both balls
+    X, Y = Grid(unit_square(), 40, 20).meshes()
+    for t in (0.0, 0.35):
+        got = u.eval(X, Y, t)
+        want = zero_accumulated_velocity(u, X, Y, t)
+        assert bits_equal(got[0], want[0]) and bits_equal(got[1], want[1])
+    got = u.eval(0.4, 0.5, 0.35)
+    assert type(got[0]) is float and type(got[1]) is float
+    want = zero_accumulated_velocity(u, 0.4, 0.5, 0.35)
+    assert bits_equal(got[0], want[0]) and bits_equal(got[1], want[1])
 
 
 def test_support_margin_and_max_speed():

@@ -223,6 +223,27 @@ def test_interpolate_rejects_exterior_queries():
         g.interpolate(vals, np.array([0.2, -0.01]), np.array([0.2, 0.5]))
 
 
+def test_interpolate_range_check_guards():
+    g = Grid(unit_square(), 4, 4)
+    vals = g.sample(lambda x, y: 1.0 + x + 2.0 * y)
+    with pytest.raises(GeometryError, match="^1 interpolation"):
+        g.interpolate(vals, np.array([0.5, np.nan]), np.array([0.5, 0.5]))
+    with pytest.raises(GeometryError, match="^1 interpolation"):
+        g.interpolate(vals, 0.5, np.nan)
+    # two tolerances out on each side, and once in a corner; the slack is
+    # 1e-12 of the longer side
+    off = 2e-12
+    qx = np.array([0.5, -off, 1.0 + off, 0.5, 0.5, -off, 0.25])
+    qy = np.array([0.5, 0.5, 0.5, -off, 1.0 + off, 1.0 + off, 0.75])
+    with pytest.raises(GeometryError, match="^5 interpolation"):
+        g.interpolate(vals, qx, qy)
+    # one ulp outside the closed square reads the edge value
+    up, down = np.nextafter(1.0, 2.0), np.nextafter(0.0, -1.0)
+    assert g.interpolate(vals, up, down) == g.interpolate(vals, 1.0, 0.0) == 2.0
+    empty = g.interpolate(vals, np.array([]), np.array([]))
+    assert empty.shape == (0,)
+
+
 def test_time_partition_nodes():
     tp = TimePartition(2.0, 8)
     assert tp.dt == pytest.approx(0.25)
