@@ -48,8 +48,10 @@ class AnalysisError(ValueError):
 def lp_norm(values: np.ndarray, grid: Grid, p: float, region: Domain | None = None) -> float:
     """L^p norm of one nodal layer over the domain or a sub-rectangle of it.
 
-    p = inf is the sup over the nodes in the region; finite p integrates
-    |values|^p by geometry.integrate over the same region.
+    p = inf is the sup over the nodes in the region, and a region that holds
+    no node is refused; finite p integrates |values|^p by geometry.integrate
+    over the same region, which weights cell overlaps and so has a value on
+    any region.
     """
     if p < 1.0:
         raise AnalysisError(f"p must be >= 1, got {p}")
@@ -60,6 +62,12 @@ def lp_norm(values: np.ndarray, grid: Grid, p: float, region: Domain | None = No
         if region is not None:
             mask_x = (grid.xs >= region.x_lo) & (grid.xs <= region.x_hi)
             mask_y = (grid.ys >= region.y_lo) & (grid.ys <= region.y_hi)
+            if not (mask_x.any() and mask_y.any()):
+                raise AnalysisError(
+                    f"region [{region.x_lo:g}, {region.x_hi:g}] x "
+                    f"[{region.y_lo:g}, {region.y_hi:g}] holds no grid node; "
+                    "its sup norm is undefined"
+                )
             values = values[np.ix_(mask_x, mask_y)]
         return float(np.max(np.abs(values)))
     return float(integrate(np.abs(values) ** p, grid, region) ** (1.0 / p))

@@ -12,6 +12,10 @@ import argparse
 import sys
 from dataclasses import replace
 
+# Only for its __version__: the benchmark harness (perfbench/child.py) reads
+# sys.modules["scipy"] after a run. The bare package loads no submodule.
+import scipy  # noqa: F401
+
 from .analysis import AnalysisError
 from .characteristics import CharacteristicsError, iter_solution_layers
 from .fields import FieldError, save_snapshot
@@ -114,7 +118,30 @@ def _run_solve(cfg: StudyConfig, quiet: bool) -> int:
     return 0
 
 
+def _steady_heap() -> None:
+    """Keep every layer's grid-sized temporaries on the heap.
+
+    By default glibc serves a block above its mmap threshold with a fresh
+    mapping, and returns freed heap tops above its trim threshold to the
+    system. Both thresholds start low and only grow as the process frees
+    large mappings, so a study that allocates and frees the same few
+    grid-sized arrays every layer would unmap or trim them and fault them
+    back in, layer after layer. Pinning both at the ceilings the dynamic
+    thresholds grow to on a 64-bit build makes those arrays reuse heap
+    pages. Where no glibc mallopt resolves, this does nothing.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+    except (OSError, AttributeError, TypeError):
+        pass
+
+
 def main(argv=None) -> int:
+    _steady_heap()
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)

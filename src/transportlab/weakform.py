@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy.fft import irfft2, next_fast_len, rfft2
+from numpy.fft import ifft, irfft, rfft2
 
 from transportlab.analysis import lp_norm
 from transportlab.characteristics import iter_solution_layers
@@ -344,6 +344,20 @@ class _WindowSpectra:
     G2: np.ndarray
 
 
+def _fast_len(n: int) -> int:
+    """The smallest 5-smooth integer >= n: a length the real FFT factors
+    into radix-2, 3 and 5 passes only."""
+    m = n
+    while True:
+        k = m
+        for prime in (2, 3, 5):
+            while k % prime == 0:
+                k //= prime
+        if k == 1:
+            return m
+        m += 1
+
+
 @lru_cache(maxsize=8)
 def _window_spectra(kernel: Kernel, grid: Grid) -> _WindowSpectra:
     Kx = int(np.floor(kernel.eps / grid.hx))
@@ -353,8 +367,8 @@ def _window_spectra(kernel: Kernel, grid: Grid) -> _WindowSpectra:
     OX, OY = np.meshgrid(ox, oy, indexing="ij")
     n1, n2 = grid.shape
     shape = (
-        next_fast_len(n1 + 2 * Kx, real=True),
-        next_fast_len(n2 + 2 * Ky, real=True),
+        _fast_len(n1 + 2 * Kx),
+        _fast_len(n2 + 2 * Ky),
     )
     stencils = (kernel.value(OX, OY), *kernel.grad(OX, OY))
     spectra = [rfft2(S[::-1, ::-1], s=shape) for S in stencils]
@@ -368,11 +382,14 @@ def _window_inverse(spec: _WindowSpectra, product: np.ndarray) -> np.ndarray:
 
     `product` is rfft2(F) times a stencil spectrum; correlating with the
     stencil is convolving with its flip, whose full output is offset by K.
-    The slice is copied so a stored layer does not keep the padded buffer.
+    This is numpy's irfft2 taken one axis after the other, with the last
+    axis transformed only on the rows that are kept; the kept values are
+    the same bits. The slice is copied so a stored layer does not keep the
+    padded buffer.
     """
     n1, n2 = spec.nodes
-    full = irfft2(product, s=spec.shape)
-    return full[spec.Kx : spec.Kx + n1, spec.Ky : spec.Ky + n2].copy()
+    rows = ifft(product, spec.shape[0], axis=0)[spec.Kx : spec.Kx + n1]
+    return irfft(rows, spec.shape[1], axis=1)[:, spec.Ky : spec.Ky + n2].copy()
 
 
 def _inner_region(grid: Grid, eps: float) -> Domain:

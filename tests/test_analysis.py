@@ -31,7 +31,7 @@ from transportlab.fields import (
     static_field,
     vortex_field,
 )
-from transportlab.geometry import Grid, TimePartition, integrate, shrink, unit_square
+from transportlab.geometry import Domain, Grid, TimePartition, integrate, shrink, unit_square
 
 DOM = unit_square()
 
@@ -107,6 +107,17 @@ def test_lp_norm_validation():
         lp_norm(layer, grid, 0.5)
     with pytest.raises(AnalysisError):
         lp_norm(np.zeros((4, 4)), grid, 2.0)
+
+
+def test_lp_norm_of_a_region_without_nodes():
+    # finite p has the cell-overlap value of the region; a sup over no node
+    # is refused, naming the region
+    grid = Grid(DOM, 8, 8)
+    layer = np.ones(grid.shape)
+    region = Domain(0.51, 0.51, 0.52, 0.52)
+    assert lp_norm(layer, grid, 1.0, region) == pytest.approx(1e-4, rel=1e-12)
+    with pytest.raises(AnalysisError, match=r"region \[0\.51, 0\.52\] x \[0\.51, 0\.52\]"):
+        lp_norm(layer, grid, np.inf, region)
 
 
 def test_lp_norm_monotone_in_the_field(rng):

@@ -1,7 +1,9 @@
 """Exit codes, flag handling, and artifact placement for the CLI."""
 
+import ctypes
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +13,7 @@ import pytest
 
 import transportlab
 from transportlab.characteristics import solve_classical
-from transportlab.cli import main
+from transportlab.cli import _steady_heap, main
 from transportlab.fields import load_snapshot
 from transportlab.studies import build_case, config_text, parse_study_config
 
@@ -51,15 +53,24 @@ def test_module_invocation_reaches_the_parser():
 
 
 def test_runs_without_importing_scipy_integrate(tmp_path):
-    # the package pays for no quadrature module at import or in a study run
+    # the package pays for no quadrature module at import or in a study run,
+    # and for no scipy FFT either: numpy.fft does every transform
     script = f"""
 import sys
 import transportlab
+ABSENT = ("scipy.integrate", "scipy.fft", "scipy.special")
 assert "scipy.integrate" not in sys.modules, "after import"
 from transportlab.cli import main
+assert not [m for m in ABSENT if m in sys.modules], "after importing the CLI"
 rc = main(["conservation", "--set", "grid.nx=16", "--set", "grid.ny=16",
            "--set", "time.nt=4", "--out", {str(tmp_path / "out")!r}, "--quiet"])
 assert "scipy.integrate" not in sys.modules, "after the run"
+assert not [m for m in ABSENT if m in sys.modules], "after the conservation run"
+for study, n in (("mollify", 48), ("renorm", 32), ("stability", 32)):
+    other = main([study, "--set", f"grid.nx={{n}}", "--set", f"grid.ny={{n}}",
+                  "--set", "time.nt=6", "--out", {str(tmp_path / "other")!r}, "--quiet"])
+    assert other in (0, 1), (study, other)
+    assert not [m for m in ABSENT if m in sys.modules], f"after the {{study}} run"
 print(rc)
 """
     src = str(Path(transportlab.__file__).resolve().parents[1])
@@ -71,6 +82,53 @@ print(rc)
     # 16^2 is too coarse for the conservation gate; the run itself completes
     assert proc.stdout.strip() in ("0", "1")
     assert (tmp_path / "out" / "summary.json").is_file()
+
+
+def _run_faults(tmp_path, nt: int) -> int:
+    """Minor page faults of one 256^2 conservation run through main, in a
+    fresh interpreter, counted from the start of main to its return."""
+    script = f"""
+import resource
+from transportlab.cli import main
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+main(["conservation", {str(Path(__file__).parents[1] / "configs" / "conservation.cfg")!r},
+      "--set", "time.nt={nt}", "--out", {str(tmp_path / f"nt{nt}")!r}, "--quiet"])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+    src = str(Path(transportlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, cwd=tmp_path, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout)
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+    reason="the heap thresholds are glibc's",
+)
+def test_page_faults_do_not_grow_with_the_layer_count(tmp_path):
+    # with the heap thresholds pinned, every layer reuses the pages of the
+    # last; unpinned, each layer of a 256^2 run faults its temporaries back
+    # in (about 1.4k faults per layer)
+    short, long = _run_faults(tmp_path, 20), _run_faults(tmp_path, 40)
+    assert long - short < 0.1 * short, (short, long)
+
+
+@pytest.mark.parametrize("failure", ["no symbol", "no library"])
+def test_steady_heap_is_quiet_without_mallopt(monkeypatch, capsys, failure):
+    class NoMallopt:
+        pass
+
+    def cdll(name):
+        if failure == "no library":
+            raise OSError("no C library")
+        return NoMallopt()
+
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    assert _steady_heap() is None
+    assert capsys.readouterr() == ("", "")
 
 
 def test_unknown_subcommand_is_a_usage_error(capsys):

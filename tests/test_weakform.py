@@ -2,7 +2,8 @@
 
 import numpy as np
 import pytest
-from scipy.fft import rfft2
+import scipy.fft
+from numpy.fft import irfft2, rfft2
 
 from transportlab.characteristics import solve_classical
 from transportlab.fields import (
@@ -31,6 +32,7 @@ from transportlab.weakform import (
     RemainderCurve,
     ResidualAccumulator,
     WeakformError,
+    _fast_len,
     _window_inverse,
     _window_spectra,
     commutator_at_points,
@@ -515,6 +517,24 @@ def test_window_layers_own_their_memory():
     kern = make_kernel(eps=0.1)
     assert mollify_density(grid, rho.layer(0), kern).base is None
     assert commutator_remainder(grid, rho.layer(0), vortex_field(DOM), kern).base is None
+
+
+def test_fast_len_is_scipys_real_fast_length():
+    # the padded transform shapes are the ones scipy.fft would choose
+    for n in range(1, 4097):
+        assert _fast_len(n) == scipy.fft.next_fast_len(n, real=True), n
+
+
+@pytest.mark.parametrize("n, eps", [(32, 0.1), (48, 0.05), (128, 0.025)])
+def test_window_inverse_is_the_cropped_irfft2(n, eps, rng):
+    # transforming only the kept rows on the last axis changes no bit
+    grid = Grid(DOM, n, n + 5)
+    spec = _window_spectra(make_kernel(eps=eps), grid)
+    product = rfft2(rng.standard_normal(grid.shape), s=spec.shape) * spec.G1
+    full = irfft2(product, s=spec.shape)
+    n1, n2 = grid.shape
+    want = full[spec.Kx : spec.Kx + n1, spec.Ky : spec.Ky + n2]
+    assert np.array_equal(_window_inverse(spec, product), want)
 
 
 def _remainder_via_eval(grid, layer, u, kern, t):
