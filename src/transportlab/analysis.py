@@ -1,12 +1,12 @@
-"""Norm diagnostics, truncation thresholds, boundary-layer checks, stability.
+"""Norm diagnostics, boundary-layer checks, stability.
 
 Everything here reduces densities or velocity fields to the handful of
 numbers the transport theory says must behave: conserved L^p norms,
-uniformly small super-level tails, vanishing boundary-layer flux, and
-perturbation distances that shrink together. Most functions consume solved
-densities; the stability experiment streams its own solves, one lockstep
-pass over the reference and every family member that takes the L^p and
-the renormalized distances together.
+vanishing boundary-layer flux, and perturbation distances that shrink
+together. Most functions consume solved densities; the stability
+experiment streams its own solves, one lockstep pass over the reference
+and every family member that takes the L^p and the renormalized distances
+together.
 """
 
 from __future__ import annotations
@@ -71,30 +71,6 @@ def lp_norm(values: np.ndarray, grid: Grid, p: float, region: Domain | None = No
             values = values[np.ix_(mask_x, mask_y)]
         return float(np.max(np.abs(values)))
     return float(integrate(np.abs(values) ** p, grid, region) ** (1.0 / p))
-
-
-def bochner_norm_u(
-    u: VelocityField,
-    grid: Grid,
-    times: TimePartition,
-    p_space: float = 2.0,
-    include_gradient: bool = False,
-) -> float:
-    """int_0^T ||u(t)|| dt with an L^p or W^{1,p} spatial norm.
-
-    The W^{1,p} norm is the sum of the L^p norms of |u| and of the
-    Frobenius norm of the Jacobian, both in closed form from the stream
-    functions. u = m(t) v with m >= 0, so the integral is exactly M(T) times
-    the spatial norm of v.
-    """
-    X, Y = grid.meshes()
-    v = u.profile
-    total = lp_norm(v.speed(X, Y), grid, p_space)
-    if include_gradient:
-        u1x, u1y, u2x, u2y = v.eval_gradient(X, Y)
-        jac = np.sqrt(u1x**2 + u1y**2 + u2x**2 + u2y**2)
-        total += lp_norm(jac, grid, p_space)
-    return float(u.modulation.integral(times.T)) * total
 
 
 # ---------------------------------------------------------------------------
@@ -178,71 +154,6 @@ def conservation_report(
         flagged = tuple(int(j) for j in np.nonzero(rep._deviations() > gate)[0])
         reports[float(p)] = replace(rep, flagged=flagged)
     return reports
-
-
-# ---------------------------------------------------------------------------
-# Uniform integrability
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TruncationProfile:
-    """Smallest nodal-value thresholds M with uniform tail mass below eps."""
-
-    eps: tuple[float, ...]
-    thresholds: tuple[float, ...]
-    tails: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if any(t >= e for t, e in zip(self.tails, self.eps)):
-            raise AnalysisError("tail integral must stay below its eps")
-
-
-class _TailCurve:
-    """Super-level tail integrals of one layer as a function of the cut.
-
-    Sorting the weighted nodal contributions by magnitude turns
-    tail(M) = quadrature of |rho| over {|rho| > M} into a suffix sum looked
-    up by binary search; ties are handled by cutting after the whole run.
-    """
-
-    def __init__(self, layer: np.ndarray, grid: Grid):
-        mags = np.abs(np.asarray(layer, dtype=float)).reshape(-1)
-        contrib = mags * grid.quadrature_weights.reshape(-1)
-        order = np.argsort(mags, kind="stable")
-        self.mags = mags[order]
-        self.csum = np.concatenate([np.cumsum(contrib[order][::-1])[::-1], [0.0]])
-
-    def tail(self, M: float) -> float:
-        return float(self.csum[np.searchsorted(self.mags, M, side="right")])
-
-    def smallest_threshold(self, eps: float) -> float:
-        # tails evaluated at each nodal value are nonincreasing, so the
-        # first one below eps marks the smallest admissible cut
-        per_node = self.csum[np.searchsorted(self.mags, self.mags, side="right")]
-        return float(self.mags[int(np.argmax(per_node < eps))])
-
-
-def truncation_thresholds(
-    layers: Sequence[np.ndarray], grid: Grid, eps_list: Sequence[float]
-) -> TruncationProfile:
-    """For each eps, the smallest nodal threshold M with every member's
-    super-level tail integral below eps."""
-    if not layers:
-        raise AnalysisError("need at least one layer")
-    for layer in layers:
-        if np.asarray(layer).shape != grid.shape:
-            raise AnalysisError("all layers must share the grid")
-    eps_vals = [float(e) for e in eps_list]
-    if any(e <= 0.0 for e in eps_vals):
-        raise AnalysisError("eps values must be positive")
-    curves = [_TailCurve(layer, grid) for layer in layers]
-    thresholds, tails = [], []
-    for e in eps_vals:
-        m_family = max(c.smallest_threshold(e) for c in curves)
-        thresholds.append(m_family)
-        tails.append(max(c.tail(m_family) for c in curves))
-    return TruncationProfile(tuple(eps_vals), tuple(thresholds), tuple(tails))
 
 
 # ---------------------------------------------------------------------------

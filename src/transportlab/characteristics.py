@@ -19,7 +19,7 @@ from typing import Iterator
 
 import numpy as np
 
-from transportlab.fields import ScalarField, VelocityField, time_weights
+from transportlab.fields import ScalarField, VelocityField
 from transportlab.geometry import TimePartition
 
 # the largest step, in grid cells, a node may move per RK4 step
@@ -223,41 +223,3 @@ def solve_classical(
     for j, _, layer in iter_solution_layers(rho0, u, times):
         values[j] = layer
     return ScalarField(rho0.grid, times.times.copy(), values)
-
-
-def slice_identity_residual(
-    rho: ScalarField,
-    rho0: ScalarField,
-    u: VelocityField,
-    phi,
-    t0: float,
-) -> float:
-    """Gap in the time-slice identity at t0 for a spatial test function.
-
-    For a weak solution, int rho(t0) phi dx equals
-    int rho0 phi dx - int_0^t0 int rho (u . grad phi) dx dt; the return
-    value is the absolute difference of the two sides under the module
-    quadrature (trapezoid in space and time). Frozen or otherwise corrupted
-    densities leave a gap on the order of the advective flux.
-    """
-    grid = rho.grid
-    times = rho.times
-    j0 = int(np.argmin(np.abs(times - t0)))
-    if abs(times[j0] - t0) > 1e-9 * max(1.0, abs(t0)):
-        raise CharacteristicsError(f"t0 = {t0} is not a time node of the solution")
-    X, Y = grid.meshes()
-    w = grid.quadrature_weights
-    phi_vals = phi.spatial(X, Y)
-    gx, gy = phi.spatial_gradient(X, Y)
-    lhs = float(np.sum(rho.layer(j0) * phi_vals * w))
-    init = float(np.sum(rho0.layer(0) * phi_vals * w))
-    if j0 == 0:
-        return abs(lhs - init)
-    # trapezoid in time over [0, t0] of the advective pairing; u = m(t) v,
-    # so v is evaluated once and m goes into the time weights
-    tw = time_weights(times[: j0 + 1], u.modulation)
-    ux, uy = u.profile.eval(X, Y)
-    adv = 0.0
-    for j in range(j0 + 1):
-        adv += tw[j] * float(np.sum(rho.layer(j) * (ux * gx + uy * gy) * w))
-    return abs(lhs - (init - adv))

@@ -29,11 +29,11 @@ class FieldError(ValueError):
 # Smooth bump building blocks.
 #
 # _bump(q) = exp(-1/(1-q)) for q < 1 (q is the squared relative radius), with
-# value 0 at q >= 1; _bump_dq is its q-derivative, and _bump_d2q the second.
-# All three vanish with all derivatives at q = 1, which is what makes every
-# construction here genuinely smooth across its support edge. Each takes its
-# closed form on the whole array and keeps it where q < 1: at q >= 1 the form
-# divides by zero or overflows, which errstate silences and np.where discards.
+# value 0 at q >= 1, and _bump_dq is its q-derivative. Both vanish with all
+# derivatives at q = 1, which is what makes every construction here genuinely
+# smooth across its support edge. Each takes its closed form on the whole
+# array and keeps it where q < 1: at q >= 1 the form divides by zero or
+# overflows, which errstate silences and np.where discards.
 # ---------------------------------------------------------------------------
 
 
@@ -49,13 +49,6 @@ def _bump_dq(q: np.ndarray) -> np.ndarray:
     with np.errstate(all="ignore"):
         t = 1.0 - q
         return np.where(q < 1.0, -np.exp(-1.0 / t) / (t * t), 0.0)
-
-
-def _bump_d2q(q: np.ndarray) -> np.ndarray:
-    q = np.asarray(q, dtype=float)
-    with np.errstate(all="ignore"):
-        t = 1.0 - q
-        return np.where(q < 1.0, np.exp(-1.0 / t) * (1.0 - 2.0 * t) / t**4, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -162,14 +155,6 @@ class StreamFunction:
         g = _bump_dq(q) * (2.0 * self.amplitude * scale / self.radius**2)
         return g * dx, g * dy
 
-    def second_partials(self, x, y, scale: float = 1.0):
-        """(psi_xx, psi_xy, psi_yy) of scale * psi in closed form."""
-        dx, dy, q = self._rel(x, y)
-        c = 2.0 * self.amplitude * scale / self.radius**2
-        g = _bump_dq(q) * c
-        gp = _bump_d2q(q) * (2.0 * c / self.radius**2)
-        return g + dx * dx * gp, dx * dy * gp, g + dy * dy * gp
-
 
 @dataclass(frozen=True)
 class VelocityField:
@@ -239,24 +224,6 @@ class VelocityField:
         if np.ndim(ux) == 0:
             return float(ux), float(uy)
         return ux, uy
-
-    def eval_gradient(self, x, y, t: float = 0.0):
-        """Entries (u1_x, u1_y, u2_x, u2_y) of the velocity Jacobian."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        m = self.modulation.value(t)
-        shape = np.broadcast(x, y).shape
-        u1x = np.zeros(shape)
-        u1y = np.zeros(shape)
-        u2x = np.zeros(shape)
-        u2y = np.zeros(shape)
-        for c in self.components:
-            pxx, pxy, pyy = c.second_partials(x, y, m)
-            u1x += pxy
-            u1y += pyy
-            u2x -= pxx
-            u2y -= pxy
-        return u1x, u1y, u2x, u2y
 
     def speed(self, x, y, t: float = 0.0, checked: bool = True):
         ux, uy = self.eval(x, y, t, checked=checked)
@@ -571,53 +538,6 @@ def make_test_function(
     if abs(tv) > 1e-12:
         raise FieldError(f"time profile must vanish at T, got {tv}")
     return TestFunction((cx, cy), float(radius), float(amplitude), time_profile, domain)
-
-
-# ---------------------------------------------------------------------------
-# Dirac-like temporal families.
-# ---------------------------------------------------------------------------
-
-
-# int_{-1}^{1} exp(-1/(1-s^2)) ds, in closed form e^{-1/2} (K1(1/2) - K0(1/2))
-# with K0, K1 the modified Bessel functions of the second kind.
-_TIME_BUMP_MASS = 0.44399381616807865
-
-# quadrature nodes of TimeBump.smear, and the members of dirac_time_family
-_SMEAR_SAMPLES = 4097
-_DIRAC_FAMILY_SIZE = 4
-
-
-@dataclass(frozen=True)
-class TimeBump:
-    """Unit-mass bump in time, supported on [t0 - w, t0 + w]."""
-
-    t0: float
-    w: float
-
-    def value(self, t) -> np.ndarray:
-        tau = (np.asarray(t, dtype=float) - self.t0) / self.w
-        return _bump(tau * tau) / (self.w * _TIME_BUMP_MASS)
-
-    def smear(self, fn: Callable[[np.ndarray], np.ndarray]):
-        """Trapezoid quadrature of profile * fn over the support window."""
-        ts = np.linspace(self.t0 - self.w, self.t0 + self.w, _SMEAR_SAMPLES)
-        vals = self.value(ts) * np.asarray(fn(ts), dtype=float)
-        return float(np.trapezoid(vals, ts))
-
-
-def dirac_time_family(t0: float, w: float, T: float) -> list[TimeBump]:
-    """Bumps concentrating at t0: widths w, w/2, w/4 and w/8.
-
-    Smeared averages against continuous integrands converge to the point
-    value at t0 as the width shrinks.
-    """
-    if not 0.0 < t0 < T:
-        raise FieldError(f"t0 must lie strictly inside (0, {T}), got {t0}")
-    if w <= 0.0 or t0 - w <= 0.0 or t0 + w >= T:
-        raise FieldError(
-            f"window [t0-w, t0+w] = [{t0 - w}, {t0 + w}] must stay inside (0, {T})"
-        )
-    return [TimeBump(t0, w / 2**i) for i in range(_DIRAC_FAMILY_SIZE)]
 
 
 # ---------------------------------------------------------------------------

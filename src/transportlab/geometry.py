@@ -130,23 +130,6 @@ def shrink(d: Domain, eps: float) -> Domain:
     return Domain(d.x_lo + eps, d.y_lo + eps, d.x_hi - eps, d.y_hi - eps)
 
 
-def boundary_layer_measure(d: Domain, h: float) -> float:
-    """Exact area of the frame between d and its 1/h shrinkage.
-
-    Once 1/h reaches half the smaller side the frame is all of d and the
-    full area is returned. 2h times this measure stays below twice the
-    perimeter for every h, which is the uniform bound the cutoff argument
-    in the uniqueness analysis needs.
-    """
-    if h <= 0.0:
-        raise GeometryError(f"boundary layer scale h must be positive, got {h}")
-    eps = 1.0 / h
-    if eps >= 0.5 * d.min_side:
-        return d.area
-    inner = shrink(d, eps)
-    return d.area - inner.area
-
-
 @dataclass(frozen=True)
 class Grid:
     """Uniform tensor grid of nx x ny cells on a rectangle.

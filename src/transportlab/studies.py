@@ -224,6 +224,10 @@ def _validate(cfg: StudyConfig) -> StudyConfig:
         fail("velocity.amplitude", "must be finite")
     if not np.isfinite(cfg.d_amplitude):
         fail("density.amplitude", "must be finite")
+    try:
+        shrink(unit_square(), cfg.inner_margin)
+    except GeometryError as exc:
+        raise StudiesError(f"mollify.inner_margin: {exc}") from None
     if cfg.velocity == "vortex":
         # the solver resolves boundary vanishing only with a cell to spare
         domain = unit_square()
@@ -469,10 +473,7 @@ def run_mollification_study(cfg: StudyConfig) -> StudyOutcome:
     """
     grid, times, u, rho0 = build_case(cfg)
     domain = grid.domain
-    try:
-        inner = shrink(domain, cfg.inner_margin)
-    except GeometryError as exc:
-        raise StudiesError(f"mollify.inner_margin: {exc}") from None
+    inner = shrink(domain, cfg.inner_margin)
 
     # the probe geometry and both consumers are pure config validation:
     # fail before any solve happens

@@ -1,4 +1,4 @@
-"""Norm, conservation, truncation, boundary-layer, and stability checks."""
+"""Norm, conservation, boundary-layer, and stability checks."""
 
 from dataclasses import dataclass
 
@@ -9,16 +9,13 @@ from transportlab.analysis import (
     AnalysisError,
     NormReport,
     StabilityReport,
-    TruncationProfile,
     amplitude_family,
-    bochner_norm_u,
     boundary_flux_decay,
     conservation_report,
     initial_data_family,
     lp_norm,
     renormalization_convergence_check,
     stability_experiment,
-    truncation_thresholds,
 )
 from transportlab.characteristics import solve_classical
 from transportlab.fields import (
@@ -137,55 +134,6 @@ def test_lp_norm_scaling(rng):
 
 
 # ---------------------------------------------------------------------------
-# Bochner norms of the velocity
-# ---------------------------------------------------------------------------
-
-
-def test_bochner_norm_of_zero_field():
-    grid = Grid(DOM, 64, 64)
-    times = TimePartition(1.0, 50)
-    assert bochner_norm_u(VelocityField((), DOM), grid, times) == 0.0
-    assert bochner_norm_u(vortex_field(DOM, amplitude=0.0), grid, times, 1.0) == 0.0
-
-
-def test_bochner_autonomous_is_time_times_spatial():
-    grid = Grid(DOM, 96, 96)
-    times = TimePartition(2.0, 40)
-    u = vortex_field(DOM)
-    X, Y = grid.meshes()
-    spatial = integrate(u.speed(X, Y, 0.0), grid)
-    assert bochner_norm_u(u, grid, times, 1.0) == pytest.approx(2.0 * spatial, rel=1e-13)
-
-
-def test_bochner_linear_modulation_separates():
-    # |m(t) v| integrates in time independently of space: m(t) = t gives
-    # exactly T^2/2 times the spatial factor, and the clipped 1/sqrt(t)
-    # gives 2 sqrt(T) - 1e-3
-    grid = Grid(DOM, 96, 96)
-    times = TimePartition(1.0, 50)
-    X, Y = grid.meshes()
-    spatial = integrate(vortex_field(DOM).speed(X, Y, 0.0), grid)
-    got = bochner_norm_u(vortex_field(DOM, modulation="linear"), grid, times, 1.0)
-    assert got == pytest.approx(0.5 * spatial, rel=1e-13)
-    got = bochner_norm_u(vortex_field(DOM, modulation="inverse_sqrt"), grid, times, 1.0)
-    assert got == pytest.approx((2.0 - 1e-3) * spatial, rel=1e-13)
-
-
-def test_bochner_gradient_part_matches_finite_differences():
-    grid = Grid(DOM, 256, 256)
-    times = TimePartition(1.0, 10)
-    u = vortex_field(DOM)
-    with_grad = bochner_norm_u(u, grid, times, 2.0, include_gradient=True)
-    without = bochner_norm_u(u, grid, times, 2.0)
-    X, Y = grid.meshes()
-    ux, uy = u.eval(X, Y, 0.0)
-    parts = [np.gradient(ux, grid.hx, axis=0), np.gradient(ux, grid.hy, axis=1),
-             np.gradient(uy, grid.hx, axis=0), np.gradient(uy, grid.hy, axis=1)]
-    fd = lp_norm(np.sqrt(sum(p**2 for p in parts)), grid, 2.0)
-    assert (with_grad - without) / times.T == pytest.approx(fd, rel=1e-2)
-
-
-# ---------------------------------------------------------------------------
 # Conservation reports
 # ---------------------------------------------------------------------------
 
@@ -243,67 +191,6 @@ def test_conservation_drift_is_scale_invariant(vortex_solution):
 
 
 # ---------------------------------------------------------------------------
-# Truncation thresholds
-# ---------------------------------------------------------------------------
-
-
-def brute_scan_threshold(layer, grid, eps):
-    mags = np.abs(layer).reshape(-1)
-    w = grid.quadrature_weights.reshape(-1)
-    for M in np.unique(mags):
-        if float(np.sum(mags[mags > M] * w[mags > M])) < eps:
-            return float(M)
-    return float(mags.max())
-
-
-def test_truncation_matches_brute_force_scan():
-    grid = Grid(DOM, 64, 64)
-    layer = static_field(grid, gaussian_blob()).layer(0)
-    prof = truncation_thresholds([layer], grid, [0.01, 0.001])
-    for eps, M, tail in zip(prof.eps, prof.thresholds, prof.tails):
-        assert M == brute_scan_threshold(layer, grid, eps)
-        assert tail < eps
-
-
-def test_truncation_bounded_family_saturates_at_the_max():
-    grid = Grid(DOM, 48, 48)
-    layer = static_field(grid, gaussian_blob()).layer(0)
-    prof = truncation_thresholds([layer], grid, [1e-15])
-    assert prof.thresholds[0] == np.max(np.abs(layer))
-    assert prof.tails[0] == 0.0
-
-
-def test_truncation_uniform_over_identical_copies():
-    grid = Grid(DOM, 48, 48)
-    layer = static_field(grid, gaussian_blob()).layer(0)
-    single = truncation_thresholds([layer], grid, [0.01])
-    family = truncation_thresholds([layer] * 5, grid, [0.01])
-    assert family.thresholds == single.thresholds
-    assert family.tails == single.tails
-
-
-def test_truncation_thresholds_monotone_in_eps():
-    grid = Grid(DOM, 48, 48)
-    layers = [static_field(grid, gaussian_blob(sigma=s)).layer(0) for s in (0.08, 0.12)]
-    prof = truncation_thresholds(layers, grid, [0.05, 0.01, 0.002])
-    assert all(b >= a for a, b in zip(prof.thresholds, prof.thresholds[1:]))
-    assert all(b <= a for a, b in zip(prof.tails, prof.tails[1:]))
-
-
-def test_truncation_validation():
-    grid = Grid(DOM, 16, 16)
-    layer = np.ones(grid.shape)
-    with pytest.raises(AnalysisError):
-        truncation_thresholds([], grid, [0.01])
-    with pytest.raises(AnalysisError):
-        truncation_thresholds([np.ones((4, 4))], grid, [0.01])
-    with pytest.raises(AnalysisError):
-        truncation_thresholds([layer], grid, [0.0])
-    with pytest.raises(AnalysisError):
-        TruncationProfile((0.01,), (1.0,), (0.02,))
-
-
-# ---------------------------------------------------------------------------
 # Boundary-layer flux
 # ---------------------------------------------------------------------------
 
@@ -352,6 +239,25 @@ def test_stability_amplitude_family(vortex_solution):
     assert slope == pytest.approx(-1.0, abs=1e-9)
     rows = rep.csv_rows()
     assert len(rows) == 4 and all(len(r) == len(StabilityReport.CSV_HEADER) for r in rows)
+
+
+@pytest.mark.parametrize(
+    "modulation, M_T",
+    [("linear", 0.5), ("inverse_sqrt", 2.0 - 1e-3)],
+    ids=["linear", "inverse_sqrt"],
+)
+def test_stability_velocity_distance_carries_the_time_integral(modulation, M_T):
+    # u = m(t) v, so int_0^T ||u_n - u||_1 dt = M(T) ||v_n - v||_1, and the
+    # amplitude family has v_n - v = v / n: m(t) = t gives M(1) = 1/2, and
+    # the clipped 1/sqrt(t) gives 2 - 1e-3
+    grid = Grid(DOM, 24, 24)
+    times = TimePartition(1.0, 8)
+    u = vortex_field(DOM, modulation=modulation)
+    rho0 = static_field(grid, gaussian_blob())
+    rep = stability_experiment(u, rho0, times, amplitude_family(u, rho0), [2, 4, 8])
+    spatial = integrate(vortex_field(DOM).speed(*grid.meshes()), grid)
+    for n, d in zip(rep.n, rep.d):
+        assert d == pytest.approx(M_T * spatial / n, rel=1e-13)
 
 
 @pytest.mark.parametrize(

@@ -9,21 +9,17 @@ from transportlab.characteristics import (
     FlowMapIntegrator,
     flow_map,
     iter_solution_layers,
-    slice_identity_residual,
     solve_classical,
 )
 from transportlab.fields import (
-    ScalarField,
     StreamFunction,
     VelocityField,
     from_stream_function,
     gaussian_blob,
-    make_test_function,
-    quadratic_decay_profile,
     static_field,
     vortex_field,
 )
-from transportlab.geometry import Domain, Grid, TimePartition, trapezoid_weights, unit_square
+from transportlab.geometry import Domain, Grid, TimePartition, unit_square
 
 
 @pytest.fixture(scope="module")
@@ -209,19 +205,13 @@ def test_solve_radial_data_is_invariant(vortex):
     assert drift < 1e-6
 
 
-def test_solve_matches_refined_reference(base_case):
-    # reference: 4x finer initial grid, 10x finer steps, compared on every
-    # fourth node with the matching trapezoid weights
+def test_solve_matches_refined_reference(base_case, vortex_rotation):
+    # reference: the initial blob in closed form at the exact characteristic
+    # feet, compared on every fourth node with the matching trapezoid weights
     grid = base_case.grid
-    fine = Grid(unit_square(), 1024, 1024)
-    rho0_fine = fine.sample(gaussian_blob((0.6, 0.5), 0.08))
-    xs = grid.xs[::4]
-    ys = grid.ys[::4]
-    Xp, Yp = np.meshgrid(xs, ys, indexing="ij")
-    dep_x, dep_y = flow_map(
-        base_case.u, 1.0, 0.0, Xp, Yp, dt=1e-4, escape_tol=min(fine.hx, fine.hy)
-    )
-    ref_vals = fine.interpolate(rho0_fine, dep_x, dep_y)
+    Xp, Yp = np.meshgrid(grid.xs[::4], grid.ys[::4], indexing="ij")
+    dep_x, dep_y = vortex_rotation(Xp, Yp, 1.0, 0.0)
+    ref_vals = gaussian_blob((0.6, 0.5), 0.08)(dep_x, dep_y)
     got_vals = base_case.rho.layer(-1)[::4, ::4]
     sub = Grid(unit_square(), 64, 64)
     err = np.sqrt(np.sum((got_vals - ref_vals) ** 2 * sub.quadrature_weights))
@@ -344,79 +334,3 @@ def test_solve_validations(vortex):
     other = static_field(Grid(Domain(0.0, 0.0, 2.0, 1.0), 32, 32), lambda x, y: 0 * x)
     with pytest.raises(CharacteristicsError):
         solve_classical(other, vortex, TimePartition(1.0, 4))
-
-
-# ---------------------------------------------------------------------------
-# Time-slice identity
-# ---------------------------------------------------------------------------
-
-
-def off_center_phi():
-    return make_test_function(
-        (0.62, 0.44), 0.22, quadratic_decay_profile(1.0), unit_square()
-    )
-
-
-def test_slice_identity_zero_field():
-    u = from_stream_function(StreamFunction((0.5, 0.5), 0.3, 0.0), unit_square())
-    grid = Grid(unit_square(), 64, 64)
-    rho0 = static_field(grid, gaussian_blob((0.6, 0.5), 0.1))
-    rho = solve_classical(rho0, u, TimePartition(1.0, 10))
-    res = slice_identity_residual(rho, rho0, u, off_center_phi(), 0.5)
-    assert res < 1e-15
-
-
-def test_slice_identity_classical_solution(base_case, half_case):
-    phi = off_center_phi()
-    res = slice_identity_residual(
-        base_case.rho, base_case.rho0, base_case.u, phi, 0.5
-    )
-    assert res < 1e-3
-    res_half = slice_identity_residual(
-        half_case.rho, half_case.rho0, half_case.u, phi, 0.5
-    )
-    assert res < res_half
-
-
-def test_slice_identity_detects_frozen_density(vortex):
-    grid = Grid(unit_square(), 128, 128)
-    times = TimePartition(1.0, 20)
-    rho0 = static_field(grid, gaussian_blob((0.6, 0.5), 0.08))
-    frozen = ScalarField(
-        grid, times.times, np.broadcast_to(rho0.values[0], (21,) + grid.shape).copy()
-    )
-    res = slice_identity_residual(frozen, rho0, vortex, off_center_phi(), 0.5)
-    assert res > 1e-2
-
-
-def test_slice_identity_weights_each_layer_by_trapezoid_times_m():
-    # the advective pairing weights layer j by its trapezoid weight times the
-    # scalar m(t_j), as written out here
-    grid = Grid(unit_square(), 32, 32)
-    times = TimePartition(1.0, 8)
-    u = vortex_field(unit_square(), modulation="linear")
-    rho0 = static_field(grid, gaussian_blob((0.6, 0.5), 0.08))
-    rho = solve_classical(rho0, u, times)
-    phi = off_center_phi()
-    X, Y = grid.meshes()
-    w = grid.quadrature_weights
-    phi_vals = phi.spatial(X, Y)
-    gx, gy = phi.spatial_gradient(X, Y)
-    ux, uy = u.profile.eval(X, Y)
-    j0 = 4
-    tw = trapezoid_weights(times.times[: j0 + 1])
-    adv = 0.0
-    for j in range(j0 + 1):
-        m = u.modulation.value(float(times.times[j]))
-        adv += tw[j] * m * float(np.sum(rho.layer(j) * (ux * gx + uy * gy) * w))
-    lhs = float(np.sum(rho.layer(j0) * phi_vals * w))
-    init = float(np.sum(rho0.layer(0) * phi_vals * w))
-    got = slice_identity_residual(rho, rho0, u, phi, float(times.times[j0]))
-    assert got == abs(lhs - (init - adv))
-
-
-def test_slice_identity_requires_time_node(base_case):
-    with pytest.raises(CharacteristicsError):
-        slice_identity_residual(
-            base_case.rho, base_case.rho0, base_case.u, off_center_phi(), 0.50037
-        )

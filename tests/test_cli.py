@@ -261,7 +261,7 @@ def test_env_var_sets_default_output_root(tiny_cfg, tmp_path, monkeypatch):
     [
         # velocity support margin below one cell, caught by config validation
         (["grid.nx=4", "grid.ny=4"], "support margin"),
-        # inner region does not exist: StudiesError raised inside the runner
+        # inner region does not exist, caught by config validation
         (["grid.nx=16", "grid.ny=16", "mollify.inner_margin=0.6"], "mollify.inner_margin"),
     ],
 )

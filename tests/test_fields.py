@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 from mpmath import mp, mpf
 from scipy.integrate import quad
-from scipy.special import exp1, k0, k1
+from scipy.special import exp1
 
 from transportlab.geometry import GeometryError, Grid, Domain, trapezoid_weights, unit_square
 from transportlab.fields import (
     _BUMP_PROFILE_CONSTANT,
-    _TIME_BUMP_MASS,
     FieldError,
     Kernel,
     ScalarField,
@@ -18,14 +17,12 @@ from transportlab.fields import (
     TimeProfile,
     VelocityField,
     _bump,
-    _bump_d2q,
     _bump_dq,
     _rounded_min,
     beta_bounded_power,
     beta_smooth_approx,
     beta_truncation,
     cosine_decay_profile,
-    dirac_time_family,
     from_stream_function,
     gaussian_blob,
     load_snapshot,
@@ -83,7 +80,6 @@ def masked_bump_formula(q, form):
 BUMP_FORMS = {
     "bump": (_bump, lambda t: np.exp(-1.0 / t)),
     "dq": (_bump_dq, lambda t: -np.exp(-1.0 / t) / (t * t)),
-    "d2q": (_bump_d2q, lambda t: np.exp(-1.0 / t) * (1.0 - 2.0 * t) / t**4),
 }
 # interior, the underflow band just inside q = 1 (where dq is -0.0), the
 # last doubles either side of the edge, and far outside
@@ -103,14 +99,10 @@ def test_bump_kernels_match_the_masked_formula(name):
 
 def test_normalization_constants_match_quadrature_and_closed_forms():
     radial, _ = quad(lambda r: r * np.exp(-1.0 / (1.0 - r * r)), 0.0, 1.0)
-    line, _ = quad(lambda s: np.exp(-1.0 / (1.0 - s * s)), -1.0, 1.0)
     # int_0^1 e^{-1/s} ds = e^{-1} - E1(1) after s = 1 - r^2
     closed_z = 1.0 / (np.pi * (np.exp(-1.0) - exp1(1.0)))
-    closed_mass = np.exp(-0.5) * (k1(0.5) - k0(0.5))
     for want in (1.0 / (2.0 * np.pi * radial), closed_z):
         assert _BUMP_PROFILE_CONSTANT == pytest.approx(want, rel=1e-14, abs=0)
-    for want in (line, closed_mass):
-        assert _TIME_BUMP_MASS == pytest.approx(want, rel=1e-14, abs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -184,19 +176,6 @@ def test_velocity_matches_high_precision_oracle():
         got = u.eval(*probe, 0.0)
         assert got[0] == pytest.approx(want[0], abs=1e-12)
         assert got[1] == pytest.approx(want[1], abs=1e-12)
-
-
-def test_velocity_gradient_matches_high_precision_oracle():
-    u = vortex_field(unit_square())
-    x0, y0 = 0.63, 0.58
-    pxx = float(mp.diff(lambda a, b: mp_psi(a, b), (mpf(x0), mpf(y0)), (2, 0)))
-    pxy = float(mp.diff(lambda a, b: mp_psi(a, b), (mpf(x0), mpf(y0)), (1, 1)))
-    pyy = float(mp.diff(lambda a, b: mp_psi(a, b), (mpf(x0), mpf(y0)), (0, 2)))
-    u1x, u1y, u2x, u2y = u.eval_gradient(x0, y0, 0.0)
-    assert u1x == pytest.approx(pxy, abs=1e-10)
-    assert u1y == pytest.approx(pyy, abs=1e-10)
-    assert u2x == pytest.approx(-pxx, abs=1e-10)
-    assert u2y == pytest.approx(-pxy, abs=1e-10)
 
 
 def probe_divergence(u, x0, y0, h):
@@ -648,38 +627,6 @@ def test_test_function_validation():
     bad = TimeProfile("const", 1.0, lambda t: np.ones_like(np.asarray(t, dtype=float)), lambda t: np.zeros_like(np.asarray(t, dtype=float)))
     with pytest.raises(FieldError):
         make_test_function((0.5, 0.5), 0.2, bad, unit_square())
-
-
-# ---------------------------------------------------------------------------
-# Dirac-like time families
-# ---------------------------------------------------------------------------
-
-
-def test_dirac_family_unit_mass():
-    fam = dirac_time_family(0.5, 0.02, 1.0)
-    assert len(fam) == 4
-    assert [b.w for b in fam] == pytest.approx([0.02, 0.01, 0.005, 0.0025])
-    for b in fam:
-        ts = np.linspace(b.t0 - b.w, b.t0 + b.w, 8193)
-        mass = np.trapezoid(b.value(ts), ts)
-        assert mass == pytest.approx(1.0, abs=1e-8)
-
-
-def test_dirac_family_smears_to_point_values():
-    fam = dirac_time_family(0.5, 0.01, 1.0)
-    assert fam[0].smear(lambda t: t) == pytest.approx(0.5, abs=1e-4)
-    assert fam[0].smear(lambda t: np.ones_like(t)) == pytest.approx(1.0, abs=1e-8)
-    errs = [abs(b.smear(np.sin) - np.sin(0.5)) for b in dirac_time_family(0.5, 0.1, 1.0)]
-    assert errs[-1] < errs[0]
-
-
-def test_dirac_family_window_validation():
-    with pytest.raises(FieldError):
-        dirac_time_family(0.0, 0.01, 1.0)
-    with pytest.raises(FieldError):
-        dirac_time_family(0.5, 0.6, 1.0)
-    with pytest.raises(FieldError):
-        dirac_time_family(0.995, 0.01, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ from transportlab.geometry import (
     GeometryError,
     Grid,
     TimePartition,
-    boundary_layer_measure,
     dist_to_boundary,
     integrate,
     shrink,
@@ -156,28 +155,6 @@ def test_integrate_region_outside_domain_rejected():
     g = Grid(unit_square(), 8, 8)
     with pytest.raises(GeometryError):
         integrate(np.ones(g.shape), g, Domain(-0.5, 0.0, 0.5, 1.0))
-
-
-def test_boundary_layer_measure_frame_areas():
-    d = unit_square()
-    assert boundary_layer_measure(d, 10.0) == pytest.approx(0.36, rel=1e-14)
-    assert boundary_layer_measure(d, 4.0) == pytest.approx(0.75, rel=1e-14)
-    assert boundary_layer_measure(d, 1e9) == pytest.approx(0.0, abs=1e-8)
-
-
-def test_boundary_layer_measure_saturates_to_area():
-    d = unit_square()
-    assert boundary_layer_measure(d, 2.0) == d.area
-    assert boundary_layer_measure(d, 0.5) == d.area
-    with pytest.raises(GeometryError):
-        boundary_layer_measure(d, 0.0)
-
-
-def test_boundary_layer_bound_uniform_in_h():
-    # 2h |frame(1/h)| stays below 2 * perimeter across a geometric sweep.
-    d = Domain(0.0, 0.0, 2.0, 1.0)
-    for h in [4.0 * 2**k for k in range(9)]:
-        assert 2.0 * h * boundary_layer_measure(d, h) <= 2.0 * d.perimeter
 
 
 def test_grid_nodes_inside_closure_and_spacing():

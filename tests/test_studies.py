@@ -109,6 +109,7 @@ def test_config_overrides_apply():
         ("velocity.radius=0.5", "velocity.radius"),
         ("velocity.radius=0.496", "velocity.radius"),
         ("velocity.center=1.2, 0.5", "velocity.center"),
+        ("mollify.inner_margin=0.6", "mollify.inner_margin"),
     ],
 )
 def test_config_errors_name_the_field(override, field):
@@ -254,9 +255,6 @@ def test_mollification_probe_geometry_validated(tmp_path):
         "sweeps.eps_list=0.3, 0.15", "mollify.inner_margin=0.35",
     )
     with pytest.raises(StudiesError, match=r"sweeps\.eps_list"):
-        run_mollification_study(cfg)
-    cfg = cfg_for("mollify", tmp_path / "run", "mollify.inner_margin=0.6")
-    with pytest.raises(StudiesError, match=r"mollify\.inner_margin"):
         run_mollification_study(cfg)
 
 
