@@ -35,7 +35,8 @@ for n, d, e in zip(report.n, report.d, report.e):
 
 slope = np.polyfit(np.log(report.n), np.log(report.d), 1)[0]
 print(f"log-log slope of d_n: {slope:+.4f}")
-print(f"e_16 / e_2 = {report.e[-1] / report.e[0]:.3f}  (monotone: {report.monotone})")
+worst_step = max(b / a for a, b in zip(report.e, report.e[1:]))
+print(f"e_16 / e_2 = {report.e[-1] / report.e[0]:.3f}  (worst step e_2n / e_n: {worst_step:.3f})")
 print()
 
 print("initial-data family: rho0_n = rho0 + (1/n) * shifted bump, same velocity")

@@ -6,12 +6,13 @@ vanishing boundary-layer flux, and perturbation distances that shrink
 together. Most functions consume solved densities; the stability
 experiment streams its own solves, one lockstep pass over the reference
 and every family member that takes the L^p and the renormalized distances
-together.
+together. Nothing here judges a number against a tolerance: the studies
+do that, each check by the one rule measured <= tolerance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -93,8 +94,6 @@ class NormReport:
     times: np.ndarray
     values: np.ndarray
     reference: float
-    tol: float
-    flagged: tuple[int, ...]
 
     @property
     def _scale(self) -> float:
@@ -110,12 +109,8 @@ class NormReport:
 
     @property
     def statistic(self) -> float:
-        """The gate value: growth for p = inf, two-sided drift otherwise."""
+        """The value a study gates: growth for p = inf, two-sided drift otherwise."""
         return self.growth if np.isinf(self.p) else self.drift
-
-    @property
-    def passed(self) -> bool:
-        return not self.flagged
 
     CSV_HEADER = ("t", "p", "norm", "drift")
 
@@ -137,23 +132,16 @@ def conservation_report(
     times: np.ndarray,
     layers: Iterable[np.ndarray],
     p_list: Sequence[float] = (1.0, 2.0, 3.0, np.inf),
-    tol: float = 1e-3,
-    tol_sup: float = 1e-6,
 ) -> dict[float, NormReport]:
-    """Norm history per exponent, with nodes breaching tolerance flagged.
+    """Norm history per exponent against its t = 0 value.
 
     layers is read once, in time order: stored values or a solver stream.
-    The flag statistic matches the gate: one-sided for p = inf (see
-    NormReport), two-sided otherwise, against tol_sup and tol respectively.
     """
     norms = np.array([[lp_norm(layer, grid, p) for p in p_list] for layer in layers])
-    reports: dict[float, NormReport] = {}
-    for k, p in enumerate(p_list):
-        gate = tol_sup if np.isinf(p) else tol
-        rep = NormReport(float(p), times, norms[:, k], float(norms[0, k]), gate, ())
-        flagged = tuple(int(j) for j in np.nonzero(rep._deviations() > gate)[0])
-        reports[float(p)] = replace(rep, flagged=flagged)
-    return reports
+    return {
+        float(p): NormReport(float(p), times, norms[:, k], float(norms[0, k]))
+        for k, p in enumerate(p_list)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +192,6 @@ class RenormalizationTrend:
 
     labels: tuple[str, ...]
     distances: tuple[tuple[float, ...], ...]
-    decreasing: tuple[bool, ...]
 
 
 class _RenormalizedDistances:
@@ -235,11 +222,9 @@ class _RenormalizedDistances:
                 sq[m] += self.tw[j] * integrate((beta(layer) - base) ** 2, self.grid)
 
     def trend(self) -> RenormalizationTrend:
-        rows = tuple(tuple(float(np.sqrt(v)) for v in sq) for sq in self.sq)
         return RenormalizationTrend(
             tuple(beta.label for beta in self.betas),
-            rows,
-            tuple(all(b <= a for a, b in zip(r, r[1:])) for r in rows),
+            tuple(tuple(float(np.sqrt(v)) for v in sq) for sq in self.sq),
         )
 
 
@@ -279,8 +264,7 @@ class StabilityReport:
     d: tuple[float, ...]
     e: tuple[float, ...]
     p: float
-    monotone: bool
-    renormalization: RenormalizationTrend = RenormalizationTrend((), (), ())
+    renormalization: RenormalizationTrend = RenormalizationTrend((), ())
 
     def __post_init__(self) -> None:
         if len(self.n) != len(self.d) or len(self.n) != len(self.e):
@@ -353,8 +337,8 @@ def stability_experiment(
     betas, the renormalized distances ||beta(rho_n) - beta(rho)|| in
     L2((0,T) x Omega) accumulate exactly as renormalization_convergence_check
     takes them on stored solutions. Their trend is the report's
-    renormalization field. monotone records whether e_n is nonincreasing
-    with 5 percent slack; judging the decay is the caller's business.
+    renormalization field. Judging how e_n and the trend decay is the
+    caller's business.
     """
     ns = [int(n) for n in n_list]
     if not ns or any(n <= 0 for n in ns) or any(b <= a for a, b in zip(ns, ns[1:])):
@@ -372,6 +356,4 @@ def stability_experiment(
             e[m] = max(e[m], lp_norm(layer - reference, grid, p))
         dist.add_layer(j, reference, layers)
     d = tuple(_velocity_distance(u_n, u, grid, times) for u_n, _ in members)
-    e = tuple(e)
-    monotone = all(b <= 1.05 * a for a, b in zip(e, e[1:]))
-    return StabilityReport(tuple(ns), d, e, float(p), monotone, dist.trend())
+    return StabilityReport(tuple(ns), d, tuple(e), float(p), dist.trend())

@@ -510,12 +510,6 @@ class TestFunction:
     def spatial_gradient(self, x, y):
         return self._radial.gradient(x, y)
 
-    def value(self, x, y, t) -> np.ndarray:
-        return self.time_profile.value(t) * self.spatial(x, y)
-
-    def dt(self, x, y, t) -> np.ndarray:
-        return self.time_profile.derivative(t) * self.spatial(x, y)
-
 
 def make_test_function(
     center: tuple[float, float],
@@ -576,10 +570,6 @@ class ScalarField:
 
     def layer(self, j: int) -> np.ndarray:
         return self.values[j]
-
-    def eval(self, x, y, t_index: int = 0):
-        """Bilinear evaluation of one layer; exterior points are an error."""
-        return self.grid.interpolate(self.values[t_index], x, y)
 
 
 def static_field(grid: Grid, f: Callable, t: float = 0.0) -> ScalarField:

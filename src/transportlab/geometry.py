@@ -284,11 +284,6 @@ class TimePartition:
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.T, self.nt + 1)
 
-    @cached_property
-    def weights(self) -> np.ndarray:
-        """Trapezoid weights in time, summing to T up to roundoff."""
-        return trapezoid_weights(self.times)
-
 
 def trapezoid_weights(times) -> np.ndarray:
     """Trapezoid quadrature weights on arbitrary increasing node times.

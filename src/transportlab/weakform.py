@@ -72,18 +72,6 @@ class ResidualReport:
     def residual(self) -> float:
         return abs(self.term_time + self.term_initial + self.term_advective)
 
-    def to_json(self) -> dict:
-        return {
-            "residual": self.residual,
-            "term_time": self.term_time,
-            "term_initial": self.term_initial,
-            "term_advective": self.term_advective,
-            "phi": self.phi,
-            "beta": self.beta,
-            "grid": [self.nx, self.ny],
-            "nt": self.nt,
-        }
-
     CSV_HEADER = (
         "phi",
         "beta",
@@ -552,15 +540,6 @@ class RemainderCurve:
             raise WeakformError("eps values must be strictly decreasing")
         if any(n < 0 for n in self.norms):
             raise WeakformError("remainder norms cannot be negative")
-
-    def to_json(self) -> dict:
-        return {
-            "eps": list(self.eps),
-            "norms": list(self.norms),
-            "gamma": self.gamma,
-            "inner": [self.inner.x_lo, self.inner.y_lo, self.inner.x_hi, self.inner.y_hi],
-            "margin": self.margin,
-        }
 
     CSV_HEADER = ("eps", "norm", "gamma", "region_margin")
 

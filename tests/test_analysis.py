@@ -145,14 +145,12 @@ def test_conservation_still_solve_has_zero_drift():
     for rep in conservation_report(grid, sol.times, sol.values, (1.0, 2.0, np.inf)).values():
         assert rep.drift == 0.0
         assert rep.growth == 0.0
-        assert rep.passed
+        assert rep.statistic == 0.0
 
 
 def test_conservation_vortex_drifts(vortex_solution):
     grid, _, _, _, sol = vortex_solution
-    reps = conservation_report(
-        grid, sol.times, sol.values, (1.0, 2.0, 3.0, np.inf), tol=1e-2, tol_sup=1e-9
-    )
+    reps = conservation_report(grid, sol.times, sol.values, (1.0, 2.0, 3.0, np.inf))
     assert reps[1.0].drift < 2e-3
     assert reps[2.0].drift < 5e-3
     assert reps[3.0].drift < 6e-3
@@ -162,15 +160,17 @@ def test_conservation_vortex_drifts(vortex_solution):
     assert reps[np.inf].statistic == 0.0
     assert reps[2.0].statistic == reps[2.0].drift
     for rep in reps.values():
-        assert rep.passed and rep.reference > 0.0
+        assert rep.reference > 0.0
         assert np.all(rep.values >= 0.0)
 
 
 def test_conservation_flags_nodes_beyond_tolerance(vortex_solution):
     grid, _, _, _, sol = vortex_solution
-    rep = conservation_report(grid, sol.times, sol.values, (2.0,), tol=1e-6)[2.0]
-    assert rep.flagged and not rep.passed
-    assert rep.drift == rep.statistic > 1e-6
+    rep = conservation_report(grid, sol.times, sol.values, (2.0,))[2.0]
+    drifts = [float(row[3]) for row in rep.csv_rows()]
+    # the per-node drift column peaks at the statistic a study gates
+    assert max(drifts) == rep.drift == rep.statistic > 1e-6
+    assert drifts[0] == 0.0 and sum(d > 1e-6 for d in drifts) > len(drifts) // 2
 
 
 def test_conservation_csv_layout(vortex_solution):
@@ -231,7 +231,6 @@ def test_boundary_flux_validation():
 def test_stability_amplitude_family(vortex_solution):
     grid, times, u, rho0, _ = vortex_solution
     rep = stability_experiment(u, rho0, times, amplitude_family(u, rho0), [2, 4, 8, 16])
-    assert rep.monotone
     assert all(b < a for a, b in zip(rep.e, rep.e[1:]))
     assert rep.e[-1] / rep.e[0] < 0.35
     # d_n = (1/n) T ||u||_1 exactly, so the log-log slope is -1
@@ -322,7 +321,7 @@ def test_stability_reports_non_decaying_family():
     assert rep.e[0] > 0.0
     assert rep.e[0] == pytest.approx(rep.e[-1])
     assert rep.e[-1] >= rep.e[0] / 2.0
-    assert rep.monotone
+    assert max(b / a for a, b in zip(rep.e, rep.e[1:])) == pytest.approx(1.0)
 
 
 def test_stability_validation():
@@ -336,9 +335,9 @@ def test_stability_validation():
     with pytest.raises(AnalysisError):
         stability_experiment(u, rho0, times, fam, [4, 2])
     with pytest.raises(AnalysisError):
-        StabilityReport((2, 4), (0.1,), (0.1, 0.2), 2.0, True)
+        StabilityReport((2, 4), (0.1,), (0.1, 0.2), 2.0)
     with pytest.raises(AnalysisError):
-        StabilityReport((2,), (-0.1,), (0.1,), 2.0, True)
+        StabilityReport((2,), (-0.1,), (0.1,), 2.0)
 
 
 def test_stability_coarse_grid_does_not_manufacture_instability(vortex_solution):
@@ -376,7 +375,6 @@ def test_renormalization_check_zero_cases():
         [rho, rho], rho, [beta_smooth_approx(1.0, 10), zero_beta]
     )
     assert trend.distances == ((0.0, 0.0), (0.0, 0.0))
-    assert trend.decreasing == (True, True)
 
 
 def test_renormalization_check_on_stability_outputs():
@@ -390,7 +388,6 @@ def test_renormalization_check_on_stability_outputs():
         u_n, rho0_n = amplitude_family(u, rho0)(n)
         sols.append(solve_classical(rho0_n, u_n, times))
     trend = renormalization_convergence_check(sols, ref, [beta_smooth_approx(1.0, 10)])
-    assert trend.decreasing == (True,)
     assert all(b < a for a, b in zip(trend.distances[0], trend.distances[0][1:]))
 
 

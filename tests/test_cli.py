@@ -159,6 +159,28 @@ def test_validate_config_reports_field_errors(tmp_path, capsys):
     assert "config error" in err and "tolerances.drift" in err
 
 
+@pytest.mark.parametrize("command", ["validate-config", "mollify"])
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        (["sweeps.eps_list=0.3, 0.1"], "sweeps.eps_list"),
+        (
+            ["grid.nx=6", "grid.ny=6", "mollify.inner_margin=0.45", "sweeps.eps_list=0.04, 0.02"],
+            "grid.nx",
+        ),
+        (["mollify.inner_margin=0.05"], "sweeps.eps_list"),
+    ],
+    ids=["identity-probe", "no-probe-node", "margin-below-eps"],
+)
+def test_validation_refuses_what_mollify_refuses(command, overrides, field, tmp_path, capsys):
+    argv = [command, "--out", str(tmp_path)]
+    for item in overrides:
+        argv += ["--set", item]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and field in err[0]
+
+
 def test_conservation_run_passes_and_writes(tiny_cfg, tmp_path, capsys):
     assert main(["conservation", str(tiny_cfg)]) == 0
     out = capsys.readouterr().out

@@ -7,7 +7,7 @@ from mpmath import mp, mpf
 from scipy.integrate import quad
 from scipy.special import exp1
 
-from transportlab.geometry import GeometryError, Grid, Domain, trapezoid_weights, unit_square
+from transportlab.geometry import Grid, Domain, trapezoid_weights, unit_square
 from transportlab.fields import (
     _BUMP_PROFILE_CONSTANT,
     FieldError,
@@ -30,7 +30,6 @@ from transportlab.fields import (
     make_test_function,
     quadratic_decay_profile,
     save_snapshot,
-    static_field,
     time_modulation,
     time_weights,
     vortex_field,
@@ -608,17 +607,6 @@ def test_test_function_gradient_second_order():
     assert err(1e-3) / err(5e-4) == pytest.approx(4.0, abs=0.6)
 
 
-def test_test_function_product_form():
-    phi = make_test_function((0.5, 0.5), 0.3, quadratic_decay_profile(1.0), unit_square())
-    x, y, t = 0.55, 0.48, 0.3
-    assert phi.value(x, y, t) == pytest.approx(
-        phi.time_profile.value(t) * phi.spatial(x, y), rel=1e-15
-    )
-    assert phi.dt(x, y, t) == pytest.approx(
-        phi.time_profile.derivative(t) * phi.spatial(x, y), rel=1e-15
-    )
-
-
 def test_test_function_validation():
     with pytest.raises(FieldError):
         make_test_function((0.9, 0.5), 0.2, quadratic_decay_profile(1.0), unit_square())
@@ -644,14 +632,6 @@ def test_scalar_field_validation():
     bad[0, 2, 2] = np.nan
     with pytest.raises(FieldError):
         ScalarField(g, np.array([0.0]), bad)
-
-
-def test_scalar_field_eval_bilinear_and_exterior():
-    g = Grid(unit_square(), 32, 32)
-    f = static_field(g, lambda x, y: x * y)
-    assert f.eval(0.333, 0.721) == pytest.approx(0.333 * 0.721, abs=1e-14)
-    with pytest.raises(GeometryError):
-        f.eval(1.5, 0.5)
 
 
 def test_gaussian_blob_peak():

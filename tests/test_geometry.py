@@ -228,7 +228,7 @@ def test_time_partition_nodes():
     assert tp.times[-1] == 2.0
     assert np.all(np.diff(tp.times) > 0)
     assert np.allclose(np.diff(tp.times), tp.dt)
-    assert np.sum(tp.weights) == pytest.approx(2.0, rel=1e-14)
+    assert np.sum(trapezoid_weights(tp.times)) == pytest.approx(2.0, rel=1e-14)
 
 
 def test_trapezoid_weights_on_uneven_nodes():
@@ -236,7 +236,6 @@ def test_trapezoid_weights_on_uneven_nodes():
     w = trapezoid_weights(t)
     assert w.tolist() == pytest.approx([0.05, 0.175, 0.15, 0.325, 0.3], rel=1e-14)
     assert np.sum(w) == pytest.approx(1.0, rel=1e-14)
-    assert np.array_equal(TimePartition(1.0, 7).weights, trapezoid_weights(np.linspace(0, 1, 8)))
     with pytest.raises(GeometryError):
         trapezoid_weights([0.5])
 

@@ -14,6 +14,8 @@ from transportlab.analysis import conservation_report
 from transportlab.fields import make_test_function, quadratic_decay_profile
 from transportlab.geometry import shrink
 from transportlab.studies import (
+    PROBE_CENTER,
+    PROBE_RADIUS,
     STUDY_NAMES,
     StudiesError,
     StudyOutcome,
@@ -27,11 +29,13 @@ from transportlab.studies import (
     run_renormalization_study,
     run_stability_study,
     run_study,
+    _ratio,
 )
 from transportlab.weakform import consistency_identity, remainder_decay_study
 
 
 CONFIGS = Path(__file__).parents[1] / "configs"
+BENCH_REFERENCE = Path(__file__).parents[1] / "perfbench" / "reference.json"
 
 
 def cfg_for(study, out, *overrides):
@@ -82,6 +86,19 @@ def test_every_study_ships_a_config():
     assert shipped == set(STUDY_NAMES)
 
 
+@pytest.mark.parametrize("study", ["mollify", "renorm", "stability"])
+def test_benchmark_workloads_keep_their_check_names(study, tmp_path):
+    # the benchmark fails every run whose check names differ from its
+    # reference, so a renamed check must fail here first
+    reference = json.loads(BENCH_REFERENCE.read_text())["workloads"][study]["checks"]
+    cfg = parse_study_config(
+        CONFIGS / f"{study}.cfg",
+        ["grid.nx=32", "grid.ny=32", "time.nt=6", f"output.dir={tmp_path}"],
+    )
+    out = run_study(cfg)
+    assert sorted(c.name for c in out.checks) == sorted(reference)
+
+
 def test_config_overrides_apply():
     cfg = parse_study_config(None, ["grid.nx=64", "sweeps.p_list=2, inf", "study.seed=7"])
     assert cfg.nx == 64 and cfg.ny == 128
@@ -110,11 +127,25 @@ def test_config_overrides_apply():
         ("velocity.radius=0.496", "velocity.radius"),
         ("velocity.center=1.2, 0.5", "velocity.center"),
         ("mollify.inner_margin=0.6", "mollify.inner_margin"),
+        # the mollify probes, refused for every study as the sweeps are
+        pytest.param("sweeps.eps_list=0.3, 0.1", "sweeps.eps_list", id="identity-probe"),
+        pytest.param(
+            ("grid.nx=6", "grid.ny=6", "mollify.inner_margin=0.45", "sweeps.eps_list=0.04, 0.02"),
+            "grid.nx",
+            id="no-probe-node",
+        ),
+        pytest.param(
+            ("grid.ny=6", "mollify.inner_margin=0.45", "sweeps.eps_list=0.04, 0.02"),
+            "grid.ny",
+            id="no-probe-node-in-y",
+        ),
+        pytest.param("mollify.inner_margin=0.05", "sweeps.eps_list", id="margin-below-eps"),
     ],
 )
 def test_config_errors_name_the_field(override, field):
+    overrides = [override] if isinstance(override, str) else list(override)
     with pytest.raises(StudiesError, match=field.replace(".", r"\.")):
-        parse_study_config(None, [override])
+        parse_study_config(None, overrides)
 
 
 def test_config_rejects_unknown_file_keys(tmp_path):
@@ -250,12 +281,12 @@ def test_mollification_gamma_mismatch_still_runs(tmp_path):
 
 
 def test_mollification_probe_geometry_validated(tmp_path):
-    cfg = cfg_for(
-        "mollify", tmp_path / "run",
-        "sweeps.eps_list=0.3, 0.15", "mollify.inner_margin=0.35",
-    )
-    with pytest.raises(StudiesError, match=r"sweeps\.eps_list"):
-        run_mollification_study(cfg)
+    # the inner region clears eps = 0.3, the identity probe does not
+    with pytest.raises(StudiesError, match=r"sweeps\.eps_list: .* identity probe"):
+        cfg_for(
+            "mollify", tmp_path / "run",
+            "sweeps.eps_list=0.3, 0.15", "mollify.inner_margin=0.35",
+        )
 
 
 def test_mollification_curve_independent_of_seed(tmp_path):
@@ -413,15 +444,16 @@ def test_mollification_fails_before_the_solve(tmp_path, monkeypatch):
         raise Sentinel
 
     replace_everywhere(monkeypatch, characteristics.iter_solution_layers, refuse)
-    # a one-entry sweep is refused by config validation, before any runner
-    with pytest.raises(StudiesError, match=r"sweeps\.eps_list"):
-        cfg_for("mollify", tmp_path / "run", "sweeps.eps_list=0.1")
-    # the eps margin of the identity probe is the runner's to check
-    cfg = cfg_for(
-        "mollify", tmp_path / "run", "sweeps.eps_list=0.3, 0.15", "mollify.inner_margin=0.35"
-    )
-    with pytest.raises(StudiesError, match=r"sweeps\.eps_list"):
-        run_mollification_study(cfg)
+    # every geometry the runner needs is refused by config validation,
+    # before any runner: a one-entry sweep, an identity probe the largest
+    # eps pushes out, and an inner region that does not clear that eps
+    for overrides in (
+        ["sweeps.eps_list=0.1"],
+        ["sweeps.eps_list=0.3, 0.15", "mollify.inner_margin=0.35"],
+        ["mollify.inner_margin=0.05"],
+    ):
+        with pytest.raises(StudiesError, match=r"sweeps\.eps_list"):
+            cfg_for("mollify", tmp_path / "run", *overrides)
 
 
 def test_mollification_computes_each_remainder_once(tmp_path, monkeypatch):
@@ -461,7 +493,7 @@ def test_mollification_stream_matches_the_stored_routes(overrides, tmp_path):
         assert list(csv.reader(fh))[1:] == curve.csv_rows()
 
     phi = make_test_function(
-        (0.62, 0.44), 0.22, quadratic_decay_profile(cfg.horizon), grid.domain
+        PROBE_CENTER, PROBE_RADIUS, quadratic_decay_profile(cfg.horizon), grid.domain
     )
     lhs, rhs = consistency_identity(sol, u, cfg.eps_list[0], phi)
     assert by_name["weakform.consistency_identity"].measured == abs(lhs - rhs)
@@ -471,15 +503,15 @@ def test_streamed_conservation_report_matches_the_stored_one():
     cfg = parse_study_config(None, ["grid.nx=40", "grid.ny=40", "time.nt=15"])
     grid, times, u, rho0 = build_case(cfg)
     sol = characteristics.solve_classical(rho0, u, times)
-    stored = conservation_report(grid, sol.times, sol.values, cfg.p_list, tol=1e-4)
+    stored = conservation_report(grid, sol.times, sol.values, cfg.p_list)
     layers = (layer for _, _, layer in characteristics.iter_solution_layers(rho0, u, times))
-    streamed = conservation_report(grid, times.times, layers, cfg.p_list, tol=1e-4)
+    streamed = conservation_report(grid, times.times, layers, cfg.p_list)
     assert stored.keys() == streamed.keys()
     for p, rep in stored.items():
         assert np.array_equal(streamed[p].values, rep.values)
         assert np.array_equal(streamed[p].times, rep.times)
         assert streamed[p].reference == rep.reference
-        assert streamed[p].flagged == rep.flagged
+        assert streamed[p].statistic == rep.statistic
 
 
 # ---------------------------------------------------------------------------
@@ -497,10 +529,60 @@ def test_run_study_dispatches_on_the_config(tmp_path):
 
 
 def test_outcome_pass_iff_all_checks_pass():
-    good = CheckResult("x.y", True, 0.0, 1.0, "trivial")
-    bad = CheckResult("x.z", False, 2.0, 1.0, "derived")
+    good = CheckResult("x.y", 0.0, 1.0, "trivial")
+    bad = CheckResult("x.z", 2.0, 1.0, "derived")
     assert StudyOutcome("s", (good, good)).passed
     assert not StudyOutcome("s", (good, bad)).passed
     lines = StudyOutcome("s", (good, bad)).lines()
     assert lines[-1].endswith("FAIL (1/2 checks)")
     assert any("x.z" in line and "FAIL" in line for line in lines)
+
+
+# ---------------------------------------------------------------------------
+# The verdict rule: a check passes when measured <= tolerance
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "study, overrides, passed",
+    [
+        pytest.param(
+            "conservation", ("grid.nx=16", "grid.ny=16", "time.nt=50"), False, id="conservation-16"
+        ),
+        pytest.param(
+            "conservation", ("grid.nx=48", "grid.ny=48", "time.nt=20", "tolerances.drift=1e-2"),
+            True, id="conservation",
+        ),
+        # 48^2 under-resolves the commutator: three of the four checks fail
+        pytest.param("mollify", ("grid.nx=48", "grid.ny=48", "time.nt=5"), False, id="mollify-48"),
+        pytest.param("renorm", ("grid.nx=32", "grid.ny=32", "time.nt=20"), True, id="renorm"),
+        pytest.param(
+            "renorm", ("grid.nx=32", "grid.ny=32", "time.nt=20", "renorm.corruption=freeze-time"),
+            False, id="renorm-freeze-time",
+        ),
+        pytest.param(
+            "stability", ("grid.nx=32", "grid.ny=32", "time.nt=12"), True, id="stability"
+        ),
+    ],
+)
+def test_summary_verdicts_follow_the_rule(study, overrides, passed, tmp_path):
+    run_study(cfg_for(study, tmp_path / "run", *overrides))
+    summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+    assert summary["passed"] is passed
+    for check in summary["checks"]:
+        assert check["passed"] is (check["measured"] <= check["tolerance"]), check["name"]
+    assert summary["passed"] is all(check["passed"] for check in summary["checks"])
+
+
+def test_check_at_its_tolerance_passes_and_nan_fails():
+    assert CheckResult("x.y", 1.0, 1.0, "derived").passed
+    nan = CheckResult("x.z", float("nan"), 1.0, "derived")
+    assert not nan.passed
+    assert nan.line().startswith("[FAIL] x.z: measured nan")
+    assert not StudyOutcome("s", (nan,)).passed
+
+
+def test_ratio_of_zero_first_value():
+    assert _ratio(0.1, 0.0) == float("inf")
+    assert _ratio(0.0, 0.0) == 0.0
+    assert _ratio(0.1, 0.4) == 0.25
