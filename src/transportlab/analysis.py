@@ -112,16 +112,10 @@ class NormReport:
         """The value a study gates: growth for p = inf, two-sided drift otherwise."""
         return self.growth if np.isinf(self.p) else self.drift
 
-    CSV_HEADER = ("t", "p", "norm", "drift")
-
-    def csv_rows(self) -> list[list[str]]:
-        devs = self._deviations()
-        return [
-            [repr(float(t)), repr(float(self.p)), repr(float(v)), repr(float(d))]
-            for t, v, d in zip(self.times, self.values, devs)
-        ]
-
-    def _deviations(self) -> np.ndarray:
+    @property
+    def deviations(self) -> np.ndarray:
+        """Per-time-node relative departure from the t=0 value, one-sided
+        for p = inf as statistic is."""
         if np.isinf(self.p):
             return np.maximum(self.values - self.reference, 0.0) / self._scale
         return np.abs(self.values - self.reference) / self._scale
@@ -271,13 +265,6 @@ class StabilityReport:
             raise AnalysisError("n, d, e must align")
         if any(v < 0 for v in self.d) or any(v < 0 for v in self.e):
             raise AnalysisError("distances cannot be negative")
-
-    CSV_HEADER = ("n", "d_n", "e_n")
-
-    def csv_rows(self) -> list[list[str]]:
-        return [
-            [str(n), repr(d), repr(e)] for n, d, e in zip(self.n, self.d, self.e)
-        ]
 
 
 def amplitude_family(u: VelocityField, rho0: ScalarField) -> Callable:

@@ -185,7 +185,13 @@ def iter_solution_layers(
     # k equal substeps per dt, the fewest that keep max|v| step <= _CFL h_min
     vmax = v.max_speed(grid)
     step = times.dt if vmax == 0.0 else min(times.dt, _CFL * h_min / vmax)
-    k = max(1, int(np.ceil(times.dt / step - 1e-12)))
+    substeps = times.dt / step
+    if not np.isfinite(substeps):
+        raise CharacteristicsError(
+            f"time step {times.dt:.3e} over the CFL step {step:.3e} gives no "
+            "finite substep count"
+        )
+    k = max(1, int(np.ceil(substeps - 1e-12)))
     integ = FlowMapIntegrator(v, times.dt / k)
     X0, Y0 = (m.ravel() for m in grid.meshes())
     inside = u.support_mask(X0, Y0)

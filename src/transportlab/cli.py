@@ -18,7 +18,7 @@ import scipy  # noqa: F401
 
 from .analysis import AnalysisError
 from .characteristics import CharacteristicsError, iter_solution_layers
-from .fields import FieldError, save_snapshot
+from .fields import FieldError
 from .geometry import GeometryError
 from .studies import (
     OUTPUT_ROOT_ENV,
@@ -28,8 +28,10 @@ from .studies import (
     StudyConfig,
     build_case,
     config_text,
+    make_out_dir,
     parse_study_config,
     resolve_out_dir,
+    save_snapshot,
 )
 from .weakform import WeakformError
 
@@ -108,10 +110,8 @@ def _run_solve(cfg: StudyConfig, quiet: bool) -> int:
     grid, times, u, rho0 = build_case(cfg)
     for _, t, final in iter_solution_layers(rho0, u, times):
         pass
-    out = resolve_out_dir(cfg, "solve")
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_out_dir(cfg, "solve")
     csv_path, json_path = save_snapshot(grid, final, t, out / "solution_final")
-    (out / "config.cfg").write_text(config_text(cfg))
     if not quiet:
         print(f"solved {cfg.nx}x{cfg.ny} over {cfg.nt} steps to t = {cfg.horizon:g}")
         print(f"wrote {csv_path} and {json_path}")

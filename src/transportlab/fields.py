@@ -10,10 +10,7 @@ every finite-difference check downstream compares against these forms.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -586,52 +583,3 @@ def gaussian_blob(
         )
 
     return f
-
-
-# ---------------------------------------------------------------------------
-# Snapshot serialization: CSV of nodes plus a JSON header.
-# ---------------------------------------------------------------------------
-
-
-def save_snapshot(
-    grid: Grid, layer: np.ndarray, t: float, basename: str | Path
-) -> tuple[Path, Path]:
-    """Write one layer at time t as basename.csv (x, y, value rows) + basename.json.
-
-    Floats go through repr, so a round trip preserves values to full
-    precision and repeated writes are byte identical.
-    """
-    base = Path(basename)
-    csv_path = base.with_suffix(".csv")
-    json_path = base.with_suffix(".json")
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "value"])
-        for i, x in enumerate(grid.xs):
-            for j, y in enumerate(grid.ys):
-                writer.writerow([repr(float(x)), repr(float(y)), repr(float(layer[i, j]))])
-    header = {
-        "domain": [grid.domain.x_lo, grid.domain.y_lo, grid.domain.x_hi, grid.domain.y_hi],
-        "nx": grid.nx,
-        "ny": grid.ny,
-        "time": float(t),
-    }
-    with open(json_path, "w") as fh:
-        json.dump(header, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return csv_path, json_path
-
-
-def load_snapshot(basename: str | Path) -> ScalarField:
-    base = Path(basename)
-    with open(base.with_suffix(".json")) as fh:
-        header = json.load(fh)
-    x_lo, y_lo, x_hi, y_hi = header["domain"]
-    grid = Grid(Domain(x_lo, y_lo, x_hi, y_hi), int(header["nx"]), int(header["ny"]))
-    values = np.empty(grid.shape)
-    with open(base.with_suffix(".csv"), newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)  # header row
-        flat = [float(row[2]) for row in reader]
-    values[:] = np.reshape(flat, grid.shape)
-    return ScalarField(grid, np.array([header["time"]]), values[None, :, :])

@@ -10,7 +10,9 @@ property that broke.
 
 Determinism contract: identical config (including the seed, which is spent
 exclusively on probe-point sampling) produces byte-identical CSV and JSON
-output. All floats are serialized through repr.
+output. This module writes every file a run leaves, and every CSV cell by
+one rule: repr(float(v)) for a real number, str(v) for an int or a label,
+and an empty cell for None.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import json
 import os
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -34,6 +36,7 @@ from .analysis import (
 from .characteristics import iter_solution_layers
 from .fields import (
     AdmissibleBeta,
+    ScalarField,
     TestFunction,
     VelocityField,
     beta_bounded_power,
@@ -57,10 +60,8 @@ from .geometry import (
 )
 from .weakform import (
     IdentityPairing,
-    RemainderCurve,
     RemainderSweep,
     ResidualAccumulator,
-    ResidualReport,
     WeakformError,
     commutator_at_points,
     gamma_exponent,
@@ -87,11 +88,14 @@ class StudiesError(ValueError):
 
 
 def _float(s: str) -> float:
-    return float(s)
+    v = float(s)
+    if not np.isfinite(v):
+        raise ValueError(f"must be finite, got {s}")
+    return v
 
 
 def _pos_float(s: str) -> float:
-    v = float(s)
+    v = _float(s)
     if not v > 0.0:
         raise ValueError(f"must be positive, got {s}")
     return v
@@ -115,7 +119,7 @@ def _pair(s: str) -> tuple[float, float]:
     parts = [p for p in s.replace(",", " ").split() if p]
     if len(parts) != 2:
         raise ValueError(f"expected two numbers, got {s!r}")
-    return float(parts[0]), float(parts[1])
+    return _float(parts[0]), _float(parts[1])
 
 
 def _float_list(s: str) -> tuple[float, ...]:
@@ -233,12 +237,10 @@ def _validate(cfg: StudyConfig) -> StudyConfig:
     n = cfg.n_list
     if len(n) < 2 or n[0] < 1 or any(b <= a for a, b in zip(n, n[1:])):
         fail("sweeps.n_list", f"need >= 2 strictly increasing positive integers, got {n}")
-    if any(p < 1.0 for p in cfg.p_list):
+    if any(not p >= 1.0 for p in cfg.p_list):
         fail("sweeps.p_list", f"norm exponents must be >= 1, got {cfg.p_list}")
-    if not np.isfinite(cfg.v_amplitude):
-        fail("velocity.amplitude", "must be finite")
-    if not np.isfinite(cfg.d_amplitude):
-        fail("density.amplitude", "must be finite")
+    if len(set(cfg.p_list)) < len(cfg.p_list):
+        fail("sweeps.p_list", f"norm exponents must be distinct, got {cfg.p_list}")
     try:
         inner = shrink(domain, cfg.inner_margin)
     except GeometryError as exc:
@@ -434,30 +436,83 @@ def resolve_out_dir(cfg: StudyConfig, command: str | None = None) -> Path:
     return Path(root) / (command or cfg.study)
 
 
+def make_out_dir(cfg: StudyConfig, command: str | None = None) -> Path:
+    """Create the run's output directory and echo the config into it."""
+    out = resolve_out_dir(cfg, command)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "config.cfg").write_text(config_text(cfg))
+    return out
+
+
+def _cell(value) -> str:
+    """The one cell rule: a real number by repr(float(v)), an int or a label
+    by str, None as an empty cell."""
+    if value is None:
+        return ""
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+def _write_table(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_cell(v) for v in row] for row in rows)
+
+
+def _write_json(path: Path, obj: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _write_outputs(
     cfg: StudyConfig,
     outcome: StudyOutcome,
-    tables: dict[str, tuple[Sequence[str], Sequence[Sequence[str]]]],
+    tables: dict[str, tuple[Sequence[str], Iterable[Sequence]]],
 ) -> StudyOutcome:
     """Single writer: emit every artifact at the end of the run."""
-    out = resolve_out_dir(cfg)
-    out.mkdir(parents=True, exist_ok=True)
-    names = []
+    out = make_out_dir(cfg)
     for name, (header, rows) in tables.items():
-        path = out / name
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
-        names.append(name)
-    (out / "config.cfg").write_text(config_text(cfg))
-    names.append("config.cfg")
-    names.append("summary.json")
-    outcome = replace(outcome, artifacts=tuple(names))
-    with open(out / "summary.json", "w") as fh:
-        json.dump(outcome.to_json(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        _write_table(out / name, header, rows)
+    outcome = replace(outcome, artifacts=(*tables, "config.cfg", "summary.json"))
+    _write_json(out / "summary.json", outcome.to_json())
     return outcome
+
+
+def save_snapshot(
+    grid: Grid, layer: np.ndarray, t: float, basename: str | Path
+) -> tuple[Path, Path]:
+    """Write one layer at time t as basename.csv (x, y, value rows) + basename.json."""
+    base = Path(basename)
+    csv_path = base.with_suffix(".csv")
+    json_path = base.with_suffix(".json")
+    rows = ((x, y, layer[i, j]) for i, x in enumerate(grid.xs) for j, y in enumerate(grid.ys))
+    _write_table(csv_path, ("x", "y", "value"), rows)
+    d = grid.domain
+    header = {
+        "domain": [d.x_lo, d.y_lo, d.x_hi, d.y_hi],
+        "nx": grid.nx,
+        "ny": grid.ny,
+        "time": float(t),
+    }
+    _write_json(json_path, header)
+    return csv_path, json_path
+
+
+def load_snapshot(basename: str | Path) -> ScalarField:
+    base = Path(basename)
+    with open(base.with_suffix(".json")) as fh:
+        header = json.load(fh)
+    x_lo, y_lo, x_hi, y_hi = header["domain"]
+    grid = Grid(Domain(x_lo, y_lo, x_hi, y_hi), int(header["nx"]), int(header["ny"]))
+    with open(base.with_suffix(".csv"), newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)  # header row
+        flat = [float(row[2]) for row in reader]
+    values = np.reshape(flat, (1, *grid.shape))
+    return ScalarField(grid, np.array([header["time"]]), values)
 
 
 def _ratio(last: float, first: float) -> float:
@@ -490,7 +545,7 @@ def run_conservation_study(cfg: StudyConfig) -> StudyOutcome:
     layers = (layer for _, _, layer in iter_solution_layers(rho0, u, times))
     reports = conservation_report(grid, times.times, layers, cfg.p_list)
     checks = []
-    rows: list[Sequence[str]] = []
+    rows = []
     for p in cfg.p_list:
         rep = reports[p]
         if np.isinf(p):
@@ -498,9 +553,9 @@ def run_conservation_study(cfg: StudyConfig) -> StudyOutcome:
         else:
             name, tol, provenance = f"analysis.norm_conservation[p={p:g}]", cfg.tol_drift, "derived"
         checks.append(CheckResult(name, rep.statistic, tol, provenance))
-        rows.extend(rep.csv_rows())
+        rows += [(t, rep.p, v, d) for t, v, d in zip(rep.times, rep.values, rep.deviations)]
     outcome = StudyOutcome(cfg.study, tuple(checks))
-    return _write_outputs(cfg, outcome, {"conservation.csv": (reports[cfg.p_list[0]].CSV_HEADER, rows)})
+    return _write_outputs(cfg, outcome, {"conservation.csv": (("t", "p", "norm", "drift"), rows)})
 
 
 def run_mollification_study(cfg: StudyConfig) -> StudyOutcome:
@@ -561,8 +616,9 @@ def run_mollification_study(cfg: StudyConfig) -> StudyOutcome:
     checks.append(CheckResult("weakform.stencil_consistency", gap, 1e-10, "trivial"))
 
     outcome = StudyOutcome(cfg.study, tuple(checks), hypothesis=hypothesis)
+    rows = [(e, n, curve.gamma, curve.margin) for e, n in zip(curve.eps, norms)]
     return _write_outputs(
-        cfg, outcome, {"remainder.csv": (RemainderCurve.CSV_HEADER, curve.csv_rows())}
+        cfg, outcome, {"remainder.csv": (("eps", "norm", "gamma", "region_margin"), rows)}
     )
 
 
@@ -609,7 +665,6 @@ def run_renormalization_study(cfg: StudyConfig) -> StudyOutcome:
         reports = acc.report(base)
 
     checks = []
-    rows: list[Sequence[str]] = []
     for b, beta in enumerate(betas):
         batch = reports[b * len(phis) : (b + 1) * len(phis)]
         worst = max(r.residual for r in batch)
@@ -619,12 +674,17 @@ def run_renormalization_study(cfg: StudyConfig) -> StudyOutcome:
             name = f"weakform.renormalized_residual[{beta.label}]"
             provenance = "trivial" if beta.label.startswith("const") else "derived"
         checks.append(CheckResult(name, worst, cfg.tol_residual, provenance))
-        rows.extend(r.csv_row() for r in batch)
 
     outcome = StudyOutcome(cfg.study, tuple(checks))
-    return _write_outputs(
-        cfg, outcome, {"residuals.csv": (ResidualReport.CSV_HEADER, rows)}
+    grid_size = (cfg.nx, cfg.ny, cfg.nt)
+    header = (
+        "phi", "beta", "residual", "term_time", "term_initial", "term_advective", "nx", "ny", "nt"
     )
+    rows = [
+        (r.phi, r.beta, r.residual, r.term_time, r.term_initial, r.term_advective, *grid_size)
+        for r in reports
+    ]
+    return _write_outputs(cfg, outcome, {"residuals.csv": (header, rows)})
 
 
 def run_stability_study(cfg: StudyConfig) -> StudyOutcome:
@@ -671,7 +731,7 @@ def run_stability_study(cfg: StudyConfig) -> StudyOutcome:
 
     outcome = StudyOutcome(cfg.study, tuple(checks))
     return _write_outputs(
-        cfg, outcome, {"stability.csv": (rep.CSV_HEADER, rep.csv_rows())}
+        cfg, outcome, {"stability.csv": (("n", "d_n", "e_n"), zip(rep.n, rep.d, rep.e))}
     )
 
 

@@ -38,6 +38,7 @@ from transportlab.fields import (
 )
 from transportlab.geometry import (
     Domain,
+    GeometryError,
     Grid,
     TimePartition,
     dist_to_boundary,
@@ -63,39 +64,11 @@ class ResidualReport:
     term_initial: float
     term_advective: float
     phi: str
-    nx: int
-    ny: int
-    nt: int
     beta: str | None = None
 
     @property
     def residual(self) -> float:
         return abs(self.term_time + self.term_initial + self.term_advective)
-
-    CSV_HEADER = (
-        "phi",
-        "beta",
-        "residual",
-        "term_time",
-        "term_initial",
-        "term_advective",
-        "nx",
-        "ny",
-        "nt",
-    )
-
-    def csv_row(self) -> list[str]:
-        return [
-            self.phi,
-            self.beta or "",
-            repr(self.residual),
-            repr(self.term_time),
-            repr(self.term_initial),
-            repr(self.term_advective),
-            str(self.nx),
-            str(self.ny),
-            str(self.nt),
-        ]
 
 
 @lru_cache(maxsize=8)
@@ -262,9 +235,6 @@ class ResidualAccumulator:
                     term_initial=float(term_initial[k]),
                     term_advective=float(self.term_advective[b, k]),
                     phi=phi.label,
-                    nx=self.grid.nx,
-                    ny=self.grid.ny,
-                    nt=self.times.size - 1,
                     beta=beta.label if beta is not None else None,
                 )
                 for k, phi in enumerate(self.phis)
@@ -383,7 +353,7 @@ def _window_inverse(spec: _WindowSpectra, product: np.ndarray) -> np.ndarray:
 def _inner_region(grid: Grid, eps: float) -> Domain:
     try:
         return shrink(grid.domain, eps)
-    except Exception as exc:
+    except GeometryError as exc:
         raise WeakformError(f"kernel scale {eps} leaves no interior region") from exc
 
 
@@ -540,14 +510,6 @@ class RemainderCurve:
             raise WeakformError("eps values must be strictly decreasing")
         if any(n < 0 for n in self.norms):
             raise WeakformError("remainder norms cannot be negative")
-
-    CSV_HEADER = ("eps", "norm", "gamma", "region_margin")
-
-    def csv_rows(self) -> list[list[str]]:
-        return [
-            [repr(e), repr(n), repr(self.gamma), repr(self.margin)]
-            for e, n in zip(self.eps, self.norms)
-        ]
 
 
 def _region_margin(inner: Domain, outer: Domain) -> float:

@@ -7,7 +7,6 @@ import pytest
 
 from transportlab.analysis import (
     AnalysisError,
-    NormReport,
     StabilityReport,
     amplitude_family,
     boundary_flux_decay,
@@ -167,7 +166,7 @@ def test_conservation_vortex_drifts(vortex_solution):
 def test_conservation_flags_nodes_beyond_tolerance(vortex_solution):
     grid, _, _, _, sol = vortex_solution
     rep = conservation_report(grid, sol.times, sol.values, (2.0,))[2.0]
-    drifts = [float(row[3]) for row in rep.csv_rows()]
+    drifts = list(rep.deviations)
     # the per-node drift column peaks at the statistic a study gates
     assert max(drifts) == rep.drift == rep.statistic > 1e-6
     assert drifts[0] == 0.0 and sum(d > 1e-6 for d in drifts) > len(drifts) // 2
@@ -176,10 +175,9 @@ def test_conservation_flags_nodes_beyond_tolerance(vortex_solution):
 def test_conservation_csv_layout(vortex_solution):
     grid, times, _, _, sol = vortex_solution
     rep = conservation_report(grid, sol.times, sol.values, (2.0,))[2.0]
-    rows = rep.csv_rows()
-    assert len(rows) == times.nt + 1
-    assert len(rows[0]) == len(NormReport.CSV_HEADER) == 4
-    assert float(rows[0][3]) == 0.0  # t = 0 row never deviates from itself
+    # one row per time node: t, p, norm and deviation
+    assert rep.times.shape == rep.values.shape == rep.deviations.shape == (times.nt + 1,)
+    assert rep.deviations[0] == 0.0  # t = 0 row never deviates from itself
 
 
 def test_conservation_drift_is_scale_invariant(vortex_solution):
@@ -236,8 +234,7 @@ def test_stability_amplitude_family(vortex_solution):
     # d_n = (1/n) T ||u||_1 exactly, so the log-log slope is -1
     slope = np.polyfit(np.log(rep.n), np.log(rep.d), 1)[0]
     assert slope == pytest.approx(-1.0, abs=1e-9)
-    rows = rep.csv_rows()
-    assert len(rows) == 4 and all(len(r) == len(StabilityReport.CSV_HEADER) for r in rows)
+    assert len(rep.n) == len(rep.d) == len(rep.e) == 4
 
 
 @pytest.mark.parametrize(

@@ -334,3 +334,7 @@ def test_solve_validations(vortex):
     other = static_field(Grid(Domain(0.0, 0.0, 2.0, 1.0), 32, 32), lambda x, y: 0 * x)
     with pytest.raises(CharacteristicsError):
         solve_classical(other, vortex, TimePartition(1.0, 4))
+    fine = static_field(Grid(unit_square(), 16, 16), lambda x, y: np.zeros_like(x))
+    with pytest.raises(CharacteristicsError, match="substep count"):
+        # dt / (CFL step) overflows to inf
+        next(iter_solution_layers(fine, vortex, TimePartition(1e308, 2)))

@@ -14,8 +14,7 @@ import pytest
 import transportlab
 from transportlab.characteristics import solve_classical
 from transportlab.cli import _steady_heap, main
-from transportlab.fields import load_snapshot
-from transportlab.studies import build_case, config_text, parse_study_config
+from transportlab.studies import build_case, config_text, load_snapshot, parse_study_config
 
 
 @pytest.fixture()
@@ -181,6 +180,28 @@ def test_validation_refuses_what_mollify_refuses(command, overrides, field, tmp_
     assert len(err) == 1 and field in err[0]
 
 
+@pytest.mark.parametrize("command", ["validate-config", "conservation"])
+@pytest.mark.parametrize(
+    "override, field",
+    [
+        ("time.horizon=inf", "time.horizon"),
+        ("velocity.center=nan, 0.5", "velocity.center"),
+        ("density.center=nan, 0.5", "density.center"),
+        ("sweeps.p_list=nan", "sweeps.p_list"),
+        ("sweeps.p_list=1, 1", "sweeps.p_list"),
+    ],
+)
+def test_non_finite_or_repeated_values_exit_2_naming_the_key(
+    command, override, field, tmp_path, capsys
+):
+    argv = [command, "--out", str(tmp_path)]
+    for item in ("grid.nx=16", "grid.ny=16", "time.nt=2", override):
+        argv += ["--set", item]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and field in err[0]
+
+
 def test_conservation_run_passes_and_writes(tiny_cfg, tmp_path, capsys):
     assert main(["conservation", str(tiny_cfg)]) == 0
     out = capsys.readouterr().out
@@ -285,6 +306,8 @@ def test_env_var_sets_default_output_root(tiny_cfg, tmp_path, monkeypatch):
         (["grid.nx=4", "grid.ny=4"], "support margin"),
         # inner region does not exist, caught by config validation
         (["grid.nx=16", "grid.ny=16", "mollify.inner_margin=0.6"], "mollify.inner_margin"),
+        # finite horizon whose CFL substep count overflows, caught by the solver
+        (["grid.nx=16", "grid.ny=16", "time.nt=2", "time.horizon=1e308"], "substep count"),
     ],
 )
 def test_unrunnable_config_exits_2_without_traceback(tmp_path, overrides, field):

@@ -1,4 +1,3 @@
-import json
 import warnings
 
 import numpy as np
@@ -25,11 +24,9 @@ from transportlab.fields import (
     cosine_decay_profile,
     from_stream_function,
     gaussian_blob,
-    load_snapshot,
     make_kernel,
     make_test_function,
     quadratic_decay_profile,
-    save_snapshot,
     time_modulation,
     time_weights,
     vortex_field,
@@ -618,7 +615,7 @@ def test_test_function_validation():
 
 
 # ---------------------------------------------------------------------------
-# Scalar fields and snapshots
+# Scalar fields
 # ---------------------------------------------------------------------------
 
 
@@ -638,31 +635,3 @@ def test_gaussian_blob_peak():
     f = gaussian_blob((0.6, 0.5), 0.08)
     assert f(0.6, 0.5) == 1.0
     assert f(0.6 + 0.08, 0.5) == pytest.approx(np.exp(-0.5))
-
-
-def test_snapshot_round_trip(tmp_path):
-    g = Grid(Domain(0.0, -1.0, 2.0, 1.0), 9, 7)
-    rng = np.random.default_rng(11)
-    field = ScalarField(g, np.array([0.25]), rng.normal(size=(1, 10, 8)))
-    base = tmp_path / "snap"
-    csv_path, json_path = save_snapshot(g, field.values[0], 0.25, base)
-    back = load_snapshot(base)
-    assert back.grid == g
-    assert back.times[0] == 0.25
-    assert np.allclose(back.values, field.values, rtol=1e-15, atol=0)
-    first = csv_path.read_bytes()
-    save_snapshot(g, field.values[0], 0.25, base)
-    assert csv_path.read_bytes() == first
-
-
-def test_snapshot_header_from_older_writers_still_loads(tmp_path):
-    # headers once carried an "interpolation" key; the reader ignores it
-    g = Grid(Domain(0.0, 0.0, 1.0, 1.0), 4, 3)
-    field = ScalarField(g, np.array([0.5]), np.arange(20.0).reshape(1, 5, 4))
-    base = tmp_path / "snap"
-    _, json_path = save_snapshot(g, field.values[0], 0.5, base)
-    header = json.loads(json_path.read_text())
-    assert "interpolation" not in header
-    json_path.write_text(json.dumps({**header, "interpolation": "bilinear"}))
-    back = load_snapshot(base)
-    assert np.array_equal(back.values, field.values)

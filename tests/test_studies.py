@@ -1,5 +1,6 @@
 """End-to-end study runs: configs, checks, artifacts, determinism."""
 
+import ast
 import csv
 import json
 import sys
@@ -11,8 +12,8 @@ import numpy as np
 
 from transportlab import characteristics, weakform
 from transportlab.analysis import conservation_report
-from transportlab.fields import make_test_function, quadratic_decay_profile
-from transportlab.geometry import shrink
+from transportlab.fields import ScalarField, make_test_function, quadratic_decay_profile
+from transportlab.geometry import Domain, Grid, shrink
 from transportlab.studies import (
     PROBE_CENTER,
     PROBE_RADIUS,
@@ -22,6 +23,7 @@ from transportlab.studies import (
     CheckResult,
     build_case,
     config_text,
+    load_snapshot,
     parse_study_config,
     resolve_out_dir,
     run_conservation_study,
@@ -29,6 +31,7 @@ from transportlab.studies import (
     run_renormalization_study,
     run_stability_study,
     run_study,
+    save_snapshot,
     _ratio,
 )
 from transportlab.weakform import consistency_identity, remainder_decay_study
@@ -140,6 +143,14 @@ def test_config_overrides_apply():
             id="no-probe-node-in-y",
         ),
         pytest.param("mollify.inner_margin=0.05", "sweeps.eps_list", id="margin-below-eps"),
+        # non-finite values are refused where they are parsed
+        ("time.horizon=inf", "time.horizon"),
+        ("velocity.center=nan, 0.5", "velocity.center"),
+        ("density.center=nan, 0.5", "density.center"),
+        ("velocity.amplitude=inf", "velocity.amplitude"),
+        ("density.amplitude=nan", "density.amplitude"),
+        ("sweeps.p_list=nan", "sweeps.p_list"),
+        ("sweeps.p_list=1, 1", "sweeps.p_list"),
     ],
 )
 def test_config_errors_name_the_field(override, field):
@@ -315,18 +326,29 @@ def test_renormalization_study_passes(tmp_path):
     assert const.provenance == "trivial"
     rows = (tmp_path / "run" / "residuals.csv").read_text().strip().split("\n")
     assert len(rows) == 1 + 5 * 6  # header + (raw + 4 betas) x 6 phis
+    assert rows[0].endswith(",nx,ny,nt")
+    assert all(row.endswith(",64,64,100") for row in rows[1:])
 
 
-def test_renormalization_csv_numbers_are_plain_floats(tmp_path):
-    cfg = cfg_for("renorm", tmp_path / "run", "grid.nx=32", "grid.ny=32", "time.nt=20")
-    run_renormalization_study(cfg)
-    with open(tmp_path / "run" / "residuals.csv", newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert len(rows) == 1 + 5 * 6
-    # every column after phi and beta is a number
-    assert rows[0][:2] == ["phi", "beta"]
+@pytest.mark.parametrize(
+    "study, table, labels",
+    [
+        ("conservation", "conservation.csv", []),
+        ("mollify", "remainder.csv", []),
+        ("renorm", "residuals.csv", ["phi", "beta"]),
+        ("stability", "stability.csv", []),
+    ],
+    ids=STUDY_NAMES,
+)
+def test_renormalization_csv_numbers_are_plain_floats(study, table, labels, tmp_path):
+    run_study(cfg_for(study, tmp_path / "run", "grid.nx=32", "grid.ny=32", "time.nt=20"))
+    text = (tmp_path / "run" / table).read_text()
+    assert "np.float64(" not in text
+    rows = list(csv.reader(text.splitlines()))
+    assert rows[0][: len(labels)] == labels and len(rows) > 1
+    # every column after the labels is a number
     for row in rows[1:]:
-        for cell in row[2:]:
+        for cell in row[len(labels) :]:
             float(cell)
 
 
@@ -490,7 +512,10 @@ def test_mollification_stream_matches_the_stored_routes(overrides, tmp_path):
     curve = remainder_decay_study(sol, u, cfg.eps_list, alpha, p, inner)
     assert by_name["weakform.remainder_decay"].measured == curve.norms[-1] / curve.norms[0]
     with open(tmp_path / "run" / "remainder.csv", newline="") as fh:
-        assert list(csv.reader(fh))[1:] == curve.csv_rows()
+        assert list(csv.reader(fh))[1:] == [
+            [repr(e), repr(n), repr(curve.gamma), repr(curve.margin)]
+            for e, n in zip(curve.eps, curve.norms)
+        ]
 
     phi = make_test_function(
         PROBE_CENTER, PROBE_RADIUS, quadratic_decay_profile(cfg.horizon), grid.domain
@@ -586,3 +611,55 @@ def test_ratio_of_zero_first_value():
     assert _ratio(0.1, 0.0) == float("inf")
     assert _ratio(0.0, 0.0) == 0.0
     assert _ratio(0.1, 0.4) == 0.25
+
+
+# ---------------------------------------------------------------------------
+# Snapshots and the one writer
+# ---------------------------------------------------------------------------
+
+
+def test_snapshot_round_trip(tmp_path):
+    g = Grid(Domain(0.0, -1.0, 2.0, 1.0), 9, 7)
+    rng = np.random.default_rng(11)
+    field = ScalarField(g, np.array([0.25]), rng.normal(size=(1, 10, 8)))
+    base = tmp_path / "snap"
+    csv_path, json_path = save_snapshot(g, field.values[0], 0.25, base)
+    back = load_snapshot(base)
+    assert back.grid == g
+    assert back.times[0] == 0.25
+    assert np.allclose(back.values, field.values, rtol=1e-15, atol=0)
+    first = csv_path.read_bytes()
+    # every line ends in \n, as every study table does
+    assert first.startswith(b"x,y,value\n") and b"\r" not in first
+    assert first.count(b"\n") == 1 + 10 * 8
+    save_snapshot(g, field.values[0], 0.25, base)
+    assert csv_path.read_bytes() == first
+
+
+def test_snapshot_header_from_older_writers_still_loads(tmp_path):
+    # headers once carried an "interpolation" key; the reader ignores it
+    g = Grid(Domain(0.0, 0.0, 1.0, 1.0), 4, 3)
+    field = ScalarField(g, np.array([0.5]), np.arange(20.0).reshape(1, 5, 4))
+    base = tmp_path / "snap"
+    _, json_path = save_snapshot(g, field.values[0], 0.5, base)
+    header = json.loads(json_path.read_text())
+    assert "interpolation" not in header
+    json_path.write_text(json.dumps({**header, "interpolation": "bilinear"}))
+    back = load_snapshot(base)
+    assert np.array_equal(back.values, field.values)
+
+
+def test_only_studies_and_cli_import_csv_or_json():
+    package = Path(__file__).parents[1] / "src" / "transportlab"
+    importers = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            if any(m.split(".")[0] in ("csv", "json") for m in modules):
+                importers.add(path.stem)
+    assert "studies" in importers and importers <= {"studies", "cli"}
