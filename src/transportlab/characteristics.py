@@ -24,6 +24,8 @@ from transportlab.geometry import TimePartition
 
 # the largest step, in grid cells, a node may move per RK4 step
 _CFL = 0.5
+# the most RK4 steps a solve may take for one time layer
+_MAX_STEPS_PER_LAYER = 10**6
 
 
 class CharacteristicsError(ValueError):
@@ -185,14 +187,16 @@ def iter_solution_layers(
     # k equal substeps per dt, the fewest that keep max|v| step <= _CFL h_min
     vmax = v.max_speed(grid)
     step = times.dt if vmax == 0.0 else min(times.dt, _CFL * h_min / vmax)
-    substeps = times.dt / step
-    if not np.isfinite(substeps):
+    k = max(1.0, float(np.ceil(times.dt / step - 1e-12)))  # inf if dt / step overflows
+    # the busiest layer spans max diff(tau) of clock at k steps per dt
+    layer_steps = k * float(np.max(np.diff(tau))) / times.dt
+    if not layer_steps <= _MAX_STEPS_PER_LAYER:
         raise CharacteristicsError(
-            f"time step {times.dt:.3e} over the CFL step {step:.3e} gives no "
-            "finite substep count"
+            f"time step {times.dt:.3e} over the CFL step {step:.3e} gives "
+            f"{layer_steps:.3e} RK4 steps in a layer; the substep count is "
+            f"capped at {_MAX_STEPS_PER_LAYER:.0e} per layer"
         )
-    k = max(1, int(np.ceil(substeps - 1e-12)))
-    integ = FlowMapIntegrator(v, times.dt / k)
+    integ = FlowMapIntegrator(v, times.dt / int(k))
     X0, Y0 = (m.ravel() for m in grid.meshes())
     inside = u.support_mask(X0, Y0)
     moving, still = np.flatnonzero(inside), np.flatnonzero(~inside)

@@ -169,6 +169,9 @@ def main(argv=None) -> int:
     except _RUN_ERRORS as exc:
         print(f"{ns.command}: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # e.g. an output directory that cannot be created
+        print(f"{ns.command}: cannot write the outputs: {exc}", file=sys.stderr)
+        return 2
     if not ns.quiet:
         for line in outcome.lines():
             print(line)

@@ -1,10 +1,12 @@
 """Shared solves reused across test modules.
 
-The full-scale vortex transport of a Gaussian blob (256^2 nodes, 1000 time
-layers, T = 1) is the reference configuration for residual and conservation
-checks; it is expensive enough (~10 s, ~0.5 GB) that a single session-wide
-instance is computed and shared. A half-resolution twin supports the
-refinement comparisons.
+The vortex transport of a Gaussian blob at the reference resolution (256^2
+nodes, 1000 time layers, T = 1) backs the conservation, max-principle,
+residual and accuracy checks; a half-resolution twin (128^2 x 500) backs
+the refinement ratios and the weak-form tests. Each is one session-wide
+streamed solve: a single iter_solution_layers pass hands every layer to
+each reader as it goes by, and the case keeps the readers' results and the
+last layer, never the solution.
 
 exact_vortex_flow is the closed-form flow map of the default vortex under
 any of the library's time modulations, an oracle for the RK4 integrator
@@ -17,21 +19,88 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from transportlab.characteristics import solve_classical
-from transportlab.fields import gaussian_blob, static_field, vortex_field
+from transportlab.analysis import conservation_report
+from transportlab.characteristics import iter_solution_layers
+from transportlab.cli import _steady_heap
+from transportlab.fields import (
+    TestFunction,
+    gaussian_blob,
+    make_test_function,
+    quadratic_decay_profile,
+    static_field,
+    vortex_field,
+)
 from transportlab.geometry import Grid, TimePartition, unit_square
+from transportlab.studies import _beta_bank, _phi_bank
+from transportlab.weakform import ResidualAccumulator
+
+DOM = unit_square()
 
 
-def make_transport_case(n: int, nt: int, T: float = 1.0) -> SimpleNamespace:
-    grid = Grid(unit_square(), n, n)
-    times = TimePartition(T, nt)
-    u = vortex_field(unit_square())
+def pytest_configure(config):
+    # the heap the command line pins: a streamed solve reuses its per-layer
+    # temporaries instead of unmapping them and faulting them back in
+    _steady_heap()
+
+
+def off_center_phi(T: float = 1.0) -> TestFunction:
+    """The weak-form tests' test function, off the blob's symmetry line."""
+    return make_test_function((0.62, 0.44), 0.22, quadratic_decay_profile(T), DOM)
+
+
+def bank_betas(*labels: str) -> list:
+    """None (the density itself) and the studies' betas with these labels."""
+    bank = {beta.label: beta for beta in _beta_bank()}
+    return [None] + [bank[label] for label in labels]
+
+
+def stream_transport_case(n: int, nt: int, phis, betas, control=None) -> SimpleNamespace:
+    """One streamed solve of the blob in the vortex, every reader fed per layer.
+
+    The readers: the norm histories for p = 1, 2, 3, inf; the extrema over
+    all layers; the hand-written L2 norm of each layer; one residual bank
+    pairing every beta with every phi, keyed by (phi label, beta label or
+    None); and, with a control test function, the negative control that
+    pairs 1.5 times every layer with the unscaled layer 0. solve_seconds
+    times the whole pass.
+    """
+    grid = Grid(DOM, n, n)
+    times = TimePartition(1.0, nt)
+    u = vortex_field(DOM)
     rho0 = static_field(grid, gaussian_blob((0.6, 0.5), 0.08))
+    w = grid.quadrature_weights
+    bank = ResidualAccumulator(grid, times.times, u, phis, betas)
+    scaled = None if control is None else ResidualAccumulator(grid, times.times, u, [control])
+    lo, hi, l2_norms, last = np.inf, -np.inf, [], None
+
+    def layers():
+        nonlocal lo, hi, last
+        for j, _, layer in iter_solution_layers(rho0, u, times):
+            bank.add_layer(j, layer)
+            if scaled is not None:
+                scaled.add_layer(j, 1.5 * layer)
+            lo = min(lo, float(layer.min()))
+            hi = max(hi, float(layer.max()))
+            l2_norms.append(np.sqrt(np.sum(layer**2 * w)))
+            last = layer
+            yield layer
+
     t0 = time.perf_counter()
-    rho = solve_classical(rho0, u, times)
+    norms = conservation_report(grid, times.times, layers(), (1.0, 2.0, 3.0, np.inf))
     solve_seconds = time.perf_counter() - t0
+    layer0 = rho0.layer(0)
     return SimpleNamespace(
-        grid=grid, times=times, u=u, rho0=rho0, rho=rho, solve_seconds=solve_seconds
+        grid=grid,
+        rho0=rho0,
+        norms=norms,
+        lo=lo,
+        hi=hi,
+        l2_norms=np.array(l2_norms),
+        last=last,
+        betas=tuple(None if beta is None else beta.label for beta in betas),
+        residuals={(r.phi, r.beta): r for r in bank.report(layer0)},
+        scaled_residual=None if scaled is None else scaled.report(layer0)[0],
+        solve_seconds=solve_seconds,
     )
 
 
@@ -80,14 +149,27 @@ def vortex_rotation():
 
 @pytest.fixture(scope="session")
 def base_case() -> SimpleNamespace:
-    """Reference-resolution transport: 256^2 nodes, 1000 layers."""
-    return make_transport_case(256, 1000)
+    """Reference resolution, 256^2 nodes and 1000 layers: criteria 1-4 and
+    the accuracy test read it."""
+    return stream_transport_case(
+        256,
+        1000,
+        _phi_bank(DOM, 1.0),
+        bank_betas("clip[1]~k10", "pow[2|4]~k10", "const[0.7]"),
+    )
 
 
 @pytest.fixture(scope="session")
 def half_case() -> SimpleNamespace:
-    """Half resolution in space and time, for refinement ratios."""
-    return make_transport_case(128, 500)
+    """Half resolution in space and time: criterion 3's coarse bank, the
+    max-principle and L2 sanity tests, and the off-center weak-form tests."""
+    return stream_transport_case(
+        128,
+        500,
+        _phi_bank(DOM, 1.0) + [off_center_phi()],
+        bank_betas("clip[10]", "clip[1]~k10", "const[0.7]"),
+        control=off_center_phi(),
+    )
 
 
 @pytest.fixture(scope="session")

@@ -5,22 +5,15 @@ trusted at. Tolerances are fixed; loosening them to make a failing gate pass
 defeats the point of having the gate.
 """
 
-import json
-
 import numpy as np
-import pytest
 
 from transportlab.analysis import (
     amplitude_family,
     boundary_flux_decay,
-    conservation_report,
     stability_experiment,
 )
 from transportlab.characteristics import flow_map, solve_classical
 from transportlab.fields import (
-    AdmissibleBeta,
-    beta_bounded_power,
-    beta_smooth_approx,
     gaussian_blob,
     make_kernel,
     make_test_function,
@@ -35,7 +28,6 @@ from transportlab.studies import (
     run_study,
 )
 from transportlab.weakform import (
-    ResidualAccumulator,
     commutator_remainder,
     consistency_identity,
     mollify_density,
@@ -88,42 +80,14 @@ def gate(criterion: str, ok: bool, detail: str) -> None:
     assert ok, f"{criterion}: {detail}"
 
 
-@pytest.fixture(scope="module")
-def bank_reports(base_case, half_case):
-    """Residuals of the stored classical solutions against the phi bank."""
-    betas = [
-        beta_smooth_approx(1.0, 10),
-        beta_bounded_power(2.0, 4.0, 10),
-        AdmissibleBeta(
-            "const[0.7]",
-            lambda s: np.full_like(np.asarray(s, dtype=float), 0.7),
-            lambda s: np.zeros_like(np.asarray(s, dtype=float)),
-            bound=0.7,
-            c1=True,
-        ),
-    ]
-
-    def accumulate(case):
-        phis = _phi_bank(DOM, 1.0)
-        acc = ResidualAccumulator(case.grid, case.rho.times, case.u, phis, [None] + betas)
-        for j in range(case.rho.n_layers):
-            acc.add_layer(j, case.rho.values[j])
-        reps = acc.report(case.rho.values[0])
-        raw = max(r.residual for r in reps[: len(phis)])
-        per_beta = {
-            b.label: max(r.residual for r in reps[(k + 1) * len(phis) : (k + 2) * len(phis)])
-            for k, b in enumerate(betas)
-        }
-        return raw, per_beta
-
-    raw_base, beta_base = accumulate(base_case)
-    raw_half, _ = accumulate(half_case)
-    return raw_base, raw_half, beta_base
+def bank_max(case, beta) -> float:
+    """Largest residual over the studies' phi bank for one beta (None: the
+    density itself) on a shared case."""
+    return max(case.residuals[phi.label, beta].residual for phi in _phi_bank(DOM, 1.0))
 
 
 def test_criterion_1_norm_conservation(base_case):
-    rho = base_case.rho
-    reports = conservation_report(rho.grid, rho.times, rho.values, (1.0, 2.0, 3.0, np.inf))
+    reports = base_case.norms
     finite = {p: reports[p].statistic for p in (1.0, 2.0, 3.0)}
     sup = reports[np.inf]
     ok = (
@@ -144,11 +108,9 @@ def test_criterion_1_norm_conservation(base_case):
 
 
 def test_criterion_2_max_principle(base_case):
-    lo0 = float(base_case.rho.values[0].min())
-    hi0 = float(base_case.rho.values[0].max())
-    excess = float(
-        max(base_case.rho.values.max() - hi0, lo0 - base_case.rho.values.min())
-    )
+    lo0 = float(base_case.rho0.values.min())
+    hi0 = float(base_case.rho0.values.max())
+    excess = max(base_case.hi - hi0, lo0 - base_case.lo)
     gate(
         "criterion 2 (max principle)",
         excess <= 1e-9,
@@ -156,8 +118,9 @@ def test_criterion_2_max_principle(base_case):
     )
 
 
-def test_criterion_3_weak_residual_consistency(bank_reports):
-    raw_base, raw_half, _ = bank_reports
+def test_criterion_3_weak_residual_consistency(base_case, half_case):
+    raw_base = bank_max(base_case, None)
+    raw_half = bank_max(half_case, None)
     ratio = raw_half / raw_base
     ok = raw_base < 1e-3 and ratio >= 3.0
     gate(
@@ -168,8 +131,8 @@ def test_criterion_3_weak_residual_consistency(bank_reports):
     )
 
 
-def test_criterion_4_renormalization_property(bank_reports):
-    _, _, beta_base = bank_reports
+def test_criterion_4_renormalization_property(base_case):
+    beta_base = {beta: bank_max(base_case, beta) for beta in base_case.betas if beta}
     ok = all(v < 1e-3 for v in beta_base.values())
     detail = ", ".join(f"{label} {v:.2e}" for label, v in beta_base.items())
     gate("criterion 4 (renormalized residuals)", ok, detail + " (tol 1e-3)")

@@ -308,6 +308,10 @@ def test_env_var_sets_default_output_root(tiny_cfg, tmp_path, monkeypatch):
         (["grid.nx=16", "grid.ny=16", "mollify.inner_margin=0.6"], "mollify.inner_margin"),
         # finite horizon whose CFL substep count overflows, caught by the solver
         (["grid.nx=16", "grid.ny=16", "time.nt=2", "time.horizon=1e308"], "substep count"),
+        # 2.1e13 RK4 steps per layer: a MemoryError when the step list is built
+        (["grid.nx=16", "grid.ny=16", "time.nt=2", "time.horizon=1e12"], "substep count"),
+        # 2.1e7 RK4 steps per layer: a solve that never ends
+        (["grid.nx=16", "grid.ny=16", "time.nt=2", "time.horizon=1e6"], "substep count"),
     ],
 )
 def test_unrunnable_config_exits_2_without_traceback(tmp_path, overrides, field):
@@ -319,6 +323,27 @@ def test_unrunnable_config_exits_2_without_traceback(tmp_path, overrides, field)
     assert "Traceback" not in proc.stderr
     assert field in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "command, out",
+    [
+        ("conservation", "taken"),  # the output directory is an existing file
+        ("solve", "taken/x"),  # its parent is a file
+    ],
+)
+def test_output_dir_that_cannot_be_created_exits_2(tmp_path, command, out):
+    (tmp_path / "taken").write_text("")
+    proc = subprocess.run(
+        [sys.executable, "-m", "transportlab", command, "--out", str(tmp_path / out),
+         "--set", "grid.nx=16", "--set", "grid.ny=16", "--set", "time.nt=2"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1
+    assert str(tmp_path / out) in lines[0]
 
 
 def test_inverse_sqrt_modulation_runs_without_traceback(tiny_cfg, tmp_path):

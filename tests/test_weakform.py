@@ -5,14 +5,12 @@ import pytest
 import scipy.fft
 from numpy.fft import irfft2, rfft2
 
+from conftest import bank_betas, off_center_phi
 from transportlab.characteristics import solve_classical
 from transportlab.fields import (
-    AdmissibleBeta,
     ScalarField,
     TestFunction as SpaceTimeBump,
     VelocityField,
-    beta_smooth_approx,
-    beta_truncation,
     gaussian_blob,
     make_kernel,
     make_test_function,
@@ -64,20 +62,6 @@ MOLL_ORACLE = np.array([0.655976986899, 0.524970173624, 0.240649831466])
 COMM_ORACLE = np.array([0.031028790616, 0.018246945954, -0.006040439906])
 
 
-def off_center_phi(T: float = 1.0) -> SpaceTimeBump:
-    return make_test_function((0.62, 0.44), 0.22, quadratic_decay_profile(T), DOM)
-
-
-def constant_beta(c: float = 0.7) -> AdmissibleBeta:
-    return AdmissibleBeta(
-        f"const[{c:g}]",
-        lambda s: np.full_like(np.asarray(s, dtype=float), c),
-        lambda s: np.zeros_like(np.asarray(s, dtype=float)),
-        c,
-        True,
-    )
-
-
 def small_solution(n=64, nt=50, field=None):
     grid = Grid(DOM, n, n)
     times = TimePartition(1.0, nt)
@@ -107,8 +91,7 @@ def test_classical_solution_residual_small_and_refines(half_case):
     grid, times, u, rho0, sol = small_solution(64, 250)
     phi = off_center_phi()
     coarse = weak_residual(sol, rho0, u, phi).residual
-    r0_half = ScalarField(half_case.grid, half_case.times.times[:1], half_case.rho.values[:1])
-    fine = weak_residual(half_case.rho, r0_half, half_case.u, phi).residual
+    fine = half_case.residuals[phi.label, None].residual
     assert coarse < 1e-3
     assert fine < 1e-4
     assert fine < coarse / 2.5
@@ -116,11 +99,10 @@ def test_classical_solution_residual_small_and_refines(half_case):
 
 def test_scaled_solution_residual_large(half_case):
     # Multiplying the solution while keeping rho0 breaks the identity by an
-    # O(1) margin: the initial term no longer cancels the time term.
-    rho = half_case.rho
-    scaled = ScalarField(rho.grid, rho.times, 1.5 * rho.values)
-    r0 = ScalarField(rho.grid, rho.times[:1], rho.values[:1])
-    rep = weak_residual(scaled, r0, half_case.u, off_center_phi())
+    # O(1) margin: the initial term no longer cancels the time term. The
+    # case pairs 1.5 times every layer with the unscaled layer 0.
+    rep = half_case.scaled_residual
+    assert rep.phi == off_center_phi().label
     assert rep.residual > 1e-2
 
 
@@ -184,7 +166,7 @@ def test_accumulator_requires_ordered_complete_layers():
 def test_streamed_matches_stored():
     grid, times, u, rho0, sol = small_solution(64, 50)
     phis = [off_center_phi(), make_test_function((0.4, 0.58), 0.18, quadratic_decay_profile(1.0), DOM)]
-    betas = [None, beta_smooth_approx(1.0, 10)]
+    betas = bank_betas("clip[1]~k10")
     streamed = streamed_weak_residuals(rho0, u, times, phis, betas)
     pairs = [(phi, beta) for beta in betas for phi in phis]
     assert len(streamed) == len(pairs)
@@ -239,7 +221,7 @@ def _full_grid_terms(sol, rho0, u, phi, beta):
 def test_boxed_bank_matches_full_grid_sums():
     grid, times, u, rho0, sol = small_solution(64, 20)
     phis = mixed_bank()
-    betas = [None, beta_smooth_approx(1.0, 10), constant_beta()]
+    betas = bank_betas("clip[1]~k10", "const[0.7]")
     acc = ResidualAccumulator(grid, sol.times, u, phis, betas)
     for j in range(sol.n_layers):
         acc.add_layer(j, sol.layer(j))
@@ -275,7 +257,7 @@ def test_support_between_nodes_pairs_to_zero():
 def test_unequal_boxes_pair_like_one_pair_accumulators():
     grid, times, u, rho0, sol = small_solution(64, 20)
     phis = mixed_bank()
-    betas = [None, beta_smooth_approx(1.0, 10)]
+    betas = bank_betas("clip[1]~k10")
     bank = streamed_weak_residuals(rho0, u, times, phis, betas)
     pairs = [(phi, beta) for beta in betas for phi in phis]
     for rep, (phi, beta) in zip(bank, pairs):
@@ -293,7 +275,7 @@ def test_accumulator_weights_advective_layers_by_trapezoid_times_m():
     u = vortex_field(DOM, modulation="linear")
     grid, times, u, rho0, sol = small_solution(32, 8, field=u)
     phis = mixed_bank()
-    betas = [None, beta_smooth_approx(1.0, 10)]
+    betas = bank_betas("clip[1]~k10")
     acc = ResidualAccumulator(grid, sol.times, u, phis, betas)
     tw = trapezoid_weights(sol.times)
     want = np.zeros((len(betas), len(phis)))
@@ -322,10 +304,9 @@ def test_accumulator_rejects_layers_off_the_grid():
 
 
 def test_identity_clip_renormalization_matches_plain(half_case):
-    r0 = ScalarField(half_case.grid, half_case.rho.times[:1], half_case.rho.values[:1])
-    phi = off_center_phi()
-    plain = weak_residual(half_case.rho, r0, half_case.u, phi)
-    clipped = weak_residual(half_case.rho, r0, half_case.u, phi, beta=beta_truncation(10.0))
+    label = off_center_phi().label
+    plain = half_case.residuals[label, None]
+    clipped = half_case.residuals[label, "clip[10]"]
     # clipping at a level above max|rho| is the identity on every layer
     assert clipped.term_time == plain.term_time
     assert clipped.term_initial == plain.term_initial
@@ -334,18 +315,14 @@ def test_identity_clip_renormalization_matches_plain(half_case):
 
 
 def test_smooth_clip_renormalization_small(half_case):
-    r0 = ScalarField(half_case.grid, half_case.rho.times[:1], half_case.rho.values[:1])
-    rep = weak_residual(
-        half_case.rho, r0, half_case.u, off_center_phi(), beta=beta_smooth_approx(1.0, 10)
-    )
+    rep = half_case.residuals[off_center_phi().label, "clip[1]~k10"]
     assert rep.residual < 1e-3
 
 
 def test_constant_beta_residual_vanishes(half_case):
     # beta(rho) constant in space and time: the time and initial terms
     # telescope and the advective term is the integral of a divergence.
-    r0 = ScalarField(half_case.grid, half_case.rho.times[:1], half_case.rho.values[:1])
-    rep = weak_residual(half_case.rho, r0, half_case.u, off_center_phi(), beta=constant_beta())
+    rep = half_case.residuals[off_center_phi().label, "const[0.7]"]
     assert rep.residual < 1e-6
 
 
