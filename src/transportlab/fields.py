@@ -349,13 +349,13 @@ def beta_truncation(M: float) -> AdmissibleBeta:
     return AdmissibleBeta(f"clip[{M:g}]", val, der, bound=M + 1.0, c1=False)
 
 
-def _rounded_min(sigma: np.ndarray, M: float, k: int):
+def _rounded_min(sigma: np.ndarray, M: float, k: int) -> np.ndarray:
     """min(sigma, M) for sigma >= 0 with the corner at M rounded on width 2/k.
 
     The replacement arc is the unique parabola matching value and slope of
     the clip at both window ends; it stays below min(sigma, M) (equality
     only at the left joint) and deviates by at most 1/(4k), attained at M.
-    Returns (value, derivative).
+    _rounded_min_slope is its derivative; each computes only its own side.
     """
     sigma = np.asarray(sigma, dtype=float)
     lo = M - 1.0 / k
@@ -365,11 +365,20 @@ def _rounded_min(sigma: np.ndarray, M: float, k: int):
     with np.errstate(all="ignore"):
         tau = sigma - hi
         arc = M - 0.25 * k * tau * tau
-        slope = -0.5 * k * tau
     # left of the window min(sigma, M) is sigma itself, bit for bit
-    val = np.where(win, arc, np.minimum(sigma, M))
-    der = np.where(win, slope, np.where(sigma <= lo, 1.0, 0.0))
-    return val, der
+    return np.where(win, arc, np.minimum(sigma, M))
+
+
+def _rounded_min_slope(sigma: np.ndarray, M: float, k: int) -> np.ndarray:
+    """The derivative of _rounded_min: 1 left of the window, 0 right of it,
+    and the arc's slope inside."""
+    sigma = np.asarray(sigma, dtype=float)
+    lo = M - 1.0 / k
+    hi = M + 1.0 / k
+    win = (sigma > lo) & (sigma < hi)
+    with np.errstate(all="ignore"):
+        slope = -0.5 * k * (sigma - hi)
+    return np.where(win, slope, np.where(sigma <= lo, 1.0, 0.0))
 
 
 def beta_smooth_approx(M: float, k: int) -> AdmissibleBeta:
@@ -389,13 +398,11 @@ def beta_smooth_approx(M: float, k: int) -> AdmissibleBeta:
 
     def val(s):
         s = np.asarray(s, dtype=float)
-        v, _ = _rounded_min(np.abs(s), M, k)
-        return np.sign(s) * v
+        return np.sign(s) * _rounded_min(np.abs(s), M, k)
 
     def der(s):
         s = np.asarray(s, dtype=float)
-        _, d = _rounded_min(np.abs(s), M, k)
-        return d  # derivative of an odd function is even
+        return _rounded_min_slope(np.abs(s), M, k)  # derivative of an odd function is even
 
     return AdmissibleBeta(f"clip[{M:g}]~k{k}", val, der, bound=M + 1.0, c1=True)
 
@@ -417,14 +424,12 @@ def beta_bounded_power(p: float, M: float, k: int) -> AdmissibleBeta:
 
     def val(t):
         t = np.asarray(t, dtype=float)
-        v, _ = _rounded_min(np.abs(t) ** p, M, k)
-        return v
+        return _rounded_min(np.abs(t) ** p, M, k)
 
     def der(t):
         t = np.asarray(t, dtype=float)
         a = np.abs(t)
-        _, d = _rounded_min(a**p, M, k)
-        return d * p * a ** (p - 1.0) * np.sign(t)
+        return _rounded_min_slope(a**p, M, k) * p * a ** (p - 1.0) * np.sign(t)
 
     # Derivative support ends where |t|^p reaches M + 1/k.
     dmax = p * (M + 1.0 / k) ** ((p - 1.0) / p)

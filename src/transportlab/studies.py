@@ -562,10 +562,11 @@ def run_mollification_study(cfg: StudyConfig) -> StudyOutcome:
     """Remainder decay along the eps sweep plus the consistency identity.
 
     One streamed solve feeds both: each layer's remainder at the largest
-    eps also pairs with the identity probe. If the config's (alpha, p)
-    pairing gives gamma < 1 the commutator estimate does not apply; the
-    study still runs, measures the curve in the always-defined L1 gauge,
-    and flags the hypothesis as not satisfied.
+    eps also pairs with the identity probe, and one set of forward
+    transforms per layer serves every eps and the pairing. If the config's
+    (alpha, p) pairing gives gamma < 1 the commutator estimate does not
+    apply; the study still runs, measures the curve in the always-defined
+    L1 gauge, and flags the hypothesis as not satisfied.
     """
     grid, times, u, rho0 = build_case(cfg)
     inner = shrink(grid.domain, cfg.inner_margin)
@@ -585,8 +586,9 @@ def run_mollification_study(cfg: StudyConfig) -> StudyOutcome:
 
     mid = (times.nt + 1) // 2
     for j, t, layer in iter_solution_layers(rho0, u, times):
-        rems = sweep.add_layer(j, t, layer)
-        pairing.add_layer(j, t, layer, rems[0])
+        transforms = sweep.transforms(t, layer)
+        rems = sweep.add_layer(j, t, layer, transforms)
+        pairing.add_layer(j, t, layer, rems[0], transforms)
         if j == mid:
             mid_t, mid_layer, mid_rem = t, layer, rems[-1]
 

@@ -19,7 +19,7 @@ curve.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -112,6 +112,15 @@ def _union_box(boxes: Sequence[tuple[int, int, int, int]]) -> tuple[Box, list[Bo
     return (slice(i0, i1), slice(j0, j1)), relative
 
 
+def _distinct(keys) -> tuple[list[int], np.ndarray]:
+    """The position of each distinct key's first occurrence, in order, and
+    for every key the index of its distinct key among them."""
+    first: dict = {}
+    index = [first.setdefault(key, len(first)) for key in keys]
+    positions = [index.index(i) for i in range(len(first))]
+    return positions, np.array(index)
+
+
 class ResidualAccumulator:
     """Streaming evaluation of the three weak-form terms for a whole bank.
 
@@ -125,9 +134,10 @@ class ResidualAccumulator:
     the nodes where either weight is nonzero. Outside it both weights are
     exact zeros, so dropping those nodes drops only exact zeros. Each layer is
     cut to the union of the boxes once, each beta is evaluated once on that
-    cut, and each phi reduces the values on its own box with np.sum. A
-    pairing's bits therefore depend only on its own box, and a bank of any
-    size gives, pair for pair, the bits of a one-pair accumulator.
+    cut, and each distinct spatial part reduces the values on its own box
+    with np.sum, once for every phi that shares it. A pairing's bits
+    therefore depend only on its own box, and a bank of any size gives, pair
+    for pair, the bits of a one-pair accumulator.
 
     report returns the pairings beta-major: entry b * len(phis) + k pairs
     betas[b] with phis[k].
@@ -168,8 +178,17 @@ class ResidualAccumulator:
         # u = m(t) v: v enters the advective weights once, m the modulated
         # time weights
         vx, vy = _profile_on_grid(u.profile, grid)
+        # phis that share a spatial part (a bank pairs each center with
+        # several time profiles) share one weight stack and one box sum, and
+        # phis that share a time profile share its evaluation
+        spatial, self._spatial_index = _distinct(
+            (phi.center, phi.radius, phi.amplitude) for phi in self.phis
+        )
+        profiles, self._profile_index = _distinct(phi.time_profile for phi in self.phis)
+        self._profiles = [self.phis[k].time_profile for k in profiles]
         boxes, self._weights = [], []
-        for phi in self.phis:
+        for k in spatial:
+            phi = self.phis[k]
             phi_w = phi.spatial(X, Y) * w
             gx, gy = phi.spatial_gradient(X, Y)
             adv_w = vx * (gx * w) + vy * (gy * w)
@@ -184,9 +203,9 @@ class ResidualAccumulator:
 
     def _time_profiles(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """psi(t) and psi'(t) of every test function."""
-        psi = [float(np.asarray(phi.time_profile.value(t))) for phi in self.phis]
-        dpsi = [float(np.asarray(phi.time_profile.derivative(t))) for phi in self.phis]
-        return np.array(psi), np.array(dpsi)
+        psi = np.array([float(np.asarray(prof.value(t))) for prof in self._profiles])
+        dpsi = np.array([float(np.asarray(prof.derivative(t))) for prof in self._profiles])
+        return psi[self._profile_index], dpsi[self._profile_index]
 
     def _cut(self, layer: np.ndarray) -> np.ndarray:
         """The union box of a full-grid layer."""
@@ -198,10 +217,11 @@ class ResidualAccumulator:
 
     def _box_sums(self, vals: np.ndarray) -> np.ndarray:
         """Shape (len(phis), 2): each phi's time and advective weights summed
-        against vals on that phi's box."""
-        return np.array(
+        against vals on that phi's box, once per distinct spatial part."""
+        sums = np.array(
             [np.sum(vals[box] * W, axis=(1, 2)) for box, W in zip(self._boxes, self._weights)]
         ).reshape(-1, 2)
+        return sums[self._spatial_index]
 
     def add_layer(self, j: int, layer: np.ndarray) -> None:
         if j != self._seen:
@@ -286,11 +306,14 @@ def streamed_weak_residuals(
 
 @dataclass(frozen=True)
 class _WindowSpectra:
-    """Real-FFT transforms of the flipped stencils of one (kernel, grid) pair.
+    """Real-FFT transforms of the flipped stencils of one kernel on one grid,
+    zero-padded to `shape`.
 
-    The stencils are zero-padded to `shape`, at least n + 2K nodes per axis,
-    so the circular correlation they realize is the linear one: no window
-    wraps around into the opposite edge of the grid.
+    A padded length L realizes the linear correlation, with no window
+    wrapping around into the opposite edge of the grid, on the crop
+    [K : K + n] whenever L >= n + K. The shape a sweep uses is the fast
+    length of n + 2 K_max for its largest eps, so it serves every kernel up
+    to that eps.
     """
 
     Kx: int
@@ -316,23 +339,29 @@ def _fast_len(n: int) -> int:
         m += 1
 
 
+def _window_radius(kernel: Kernel, grid: Grid) -> tuple[int, int]:
+    """(Kx, Ky): the half-width of the kernel's window in nodes per axis."""
+    return int(np.floor(kernel.eps / grid.hx)), int(np.floor(kernel.eps / grid.hy))
+
+
+def _padded_shape(kernel: Kernel, grid: Grid) -> tuple[int, int]:
+    """The kernel's own transform shape: the fast length of n + 2K per axis."""
+    Kx, Ky = _window_radius(kernel, grid)
+    n1, n2 = grid.shape
+    return _fast_len(n1 + 2 * Kx), _fast_len(n2 + 2 * Ky)
+
+
 @lru_cache(maxsize=8)
-def _window_spectra(kernel: Kernel, grid: Grid) -> _WindowSpectra:
-    Kx = int(np.floor(kernel.eps / grid.hx))
-    Ky = int(np.floor(kernel.eps / grid.hy))
+def _window_spectra(kernel: Kernel, grid: Grid, shape: tuple[int, int]) -> _WindowSpectra:
+    Kx, Ky = _window_radius(kernel, grid)
     ox = grid.hx * np.arange(-Kx, Kx + 1)
     oy = grid.hy * np.arange(-Ky, Ky + 1)
     OX, OY = np.meshgrid(ox, oy, indexing="ij")
-    n1, n2 = grid.shape
-    shape = (
-        _fast_len(n1 + 2 * Kx),
-        _fast_len(n2 + 2 * Ky),
-    )
     stencils = (kernel.value(OX, OY), *kernel.grad(OX, OY))
     spectra = [rfft2(S[::-1, ::-1], s=shape) for S in stencils]
     for S in spectra:
         S.flags.writeable = False  # shared by every caller through the cache
-    return _WindowSpectra(Kx, Ky, (n1, n2), shape, *spectra)
+    return _WindowSpectra(Kx, Ky, grid.shape, shape, *spectra)
 
 
 def _window_inverse(spec: _WindowSpectra, product: np.ndarray) -> np.ndarray:
@@ -350,6 +379,80 @@ def _window_inverse(spec: _WindowSpectra, product: np.ndarray) -> np.ndarray:
     return irfft(rows, spec.shape[1], axis=1)[:, spec.Ky : spec.Ky + n2].copy()
 
 
+class LayerTransforms:
+    """The forward real FFTs of one density layer at one padded shape.
+
+    Three fields of the layer are transformed: F = rho w, read by the
+    mollified layer and by both gradient correlations of the remainder, and
+    F ux and F uy, read by its rho u correlation. Each is taken on its first
+    read, so a caller pays only for what it reads. Every kernel whose window
+    fits the shape (n + K nodes per axis) multiplies its own stencil spectra
+    against the same transforms, so a holder at the shape of a sweep's
+    largest eps serves every eps of the sweep and the identity pairing: a
+    layer costs three forward transforms, however many kernels read it.
+    """
+
+    def __init__(
+        self,
+        grid: Grid,
+        layer: np.ndarray,
+        shape: tuple[int, int],
+        u: VelocityField | None = None,
+        t: float = 0.0,
+    ):
+        self.grid, self.layer, self.shape, self.u, self.t = grid, layer, tuple(shape), u, t
+        self.F = layer * grid.quadrature_weights
+
+    @cached_property
+    def velocity(self) -> tuple[np.ndarray, np.ndarray]:
+        """(ux, uy) at every node: the cached profile v scaled by m(t), so no
+        layer evaluates the field."""
+        m = self.u.modulation.value(self.t)
+        vx, vy = _profile_on_grid(self.u.profile, self.grid)
+        return vx * m, vy * m
+
+    @cached_property
+    def F_hat(self) -> np.ndarray:
+        return rfft2(self.F, s=self.shape)
+
+    @cached_property
+    def Fu_hat(self) -> tuple[np.ndarray, np.ndarray]:
+        ux, uy = self.velocity
+        return rfft2(self.F * ux, s=self.shape), rfft2(self.F * uy, s=self.shape)
+
+    def spectra(self, kernel: Kernel) -> _WindowSpectra:
+        """The kernel's stencil spectra at this holder's shape."""
+        Kx, Ky = _window_radius(kernel, self.grid)
+        n1, n2 = self.grid.shape
+        if self.shape[0] < n1 + Kx or self.shape[1] < n2 + Ky:
+            raise WeakformError(
+                f"transform shape {self.shape} is too short for a window of "
+                f"{Kx} x {Ky} nodes on a {n1} x {n2} grid"
+            )
+        return _window_spectra(kernel, self.grid, self.shape)
+
+
+def _layer_transforms(
+    grid: Grid,
+    layer: np.ndarray,
+    kernel: Kernel,
+    transforms: LayerTransforms | None,
+    u: VelocityField | None = None,
+    t: float = 0.0,
+) -> LayerTransforms:
+    """The caller's holder, which must hold this layer (and this u and t
+    when u is given), or a new one at the kernel's own shape."""
+    if transforms is None:
+        return LayerTransforms(grid, layer, _padded_shape(kernel, grid), u, t)
+    if (
+        transforms.grid is not grid
+        or transforms.layer is not layer
+        or (u is not None and (transforms.u is not u or transforms.t != t))
+    ):
+        raise WeakformError("the transforms were taken of another layer")
+    return transforms
+
+
 def _inner_region(grid: Grid, eps: float) -> Domain:
     try:
         return shrink(grid.domain, eps)
@@ -357,7 +460,9 @@ def _inner_region(grid: Grid, eps: float) -> Domain:
         raise WeakformError(f"kernel scale {eps} leaves no interior region") from exc
 
 
-def mollify_density(grid: Grid, layer: np.ndarray, kernel: Kernel) -> np.ndarray:
+def mollify_density(
+    grid: Grid, layer: np.ndarray, kernel: Kernel, transforms: LayerTransforms | None = None
+) -> np.ndarray:
     """Convolve one density layer with the kernel: the layer of rho_eps.
 
     Nodal quadrature of int rho(y) eta_eps(x - y) dy over the grid; exact
@@ -365,16 +470,23 @@ def mollify_density(grid: Grid, layer: np.ndarray, kernel: Kernel) -> np.ndarray
     Lp norm on the shrunk region. The result covers the whole grid so that
     region-weighted quadrature has all cell corners it needs; only nodes
     inside shrink(grid.domain, eps) carry that meaning (outside it the
-    window was truncated at the boundary).
+    window was truncated at the boundary). `transforms`, if given, holds
+    this layer's forward transforms; without it the call takes the one it
+    reads at the kernel's own shape.
     """
     _inner_region(grid, kernel.eps)
-    spec = _window_spectra(kernel, grid)
-    F = layer * grid.quadrature_weights
-    return _window_inverse(spec, rfft2(F, s=spec.shape) * spec.H)
+    transforms = _layer_transforms(grid, layer, kernel, transforms)
+    spec = transforms.spectra(kernel)
+    return _window_inverse(spec, transforms.F_hat * spec.H)
 
 
 def commutator_remainder(
-    grid: Grid, layer: np.ndarray, u: VelocityField, kernel: Kernel, t: float = 0.0
+    grid: Grid,
+    layer: np.ndarray,
+    u: VelocityField,
+    kernel: Kernel,
+    t: float = 0.0,
+    transforms: LayerTransforms | None = None,
 ) -> np.ndarray:
     """Nodal layer of r_eps = int rho(y) (u(x) - u(y)) . grad(eta_eps)(y - x) dy
     for the density layer at time t.
@@ -385,25 +497,22 @@ def commutator_remainder(
     is a product in frequency space with the cached real-FFT spectrum of a
     zero-padded stencil: the forward transform of rho is shared by both
     gradient components and the two rho u terms are summed before their one
-    inverse transform, so a layer costs three forward and three inverse
-    transforms. u is the cached nodal profile v scaled by m(t), so no call
-    evaluates the field. commutator_at_points evaluates the same quadrature
-    by a direct per-point gather; the stencil-consistency check compares the
-    two.
+    inverse transform, so a call costs three inverse transforms. The three
+    forward transforms come from `transforms`, this layer's holder at u and
+    t; a sweep hands every eps one holder, so a layer pays for them once.
+    Without it the call takes them at the kernel's own shape.
+    commutator_at_points evaluates the same quadrature by a direct
+    per-point gather; the stencil-consistency check compares the two.
     """
     _inner_region(grid, kernel.eps)
-    spec = _window_spectra(kernel, grid)
-    m = u.modulation.value(t)
-    vx, vy = _profile_on_grid(u.profile, grid)
-    ux, uy = vx * m, vy * m
-    F = layer * grid.quadrature_weights
-    F_hat = rfft2(F, s=spec.shape)
+    transforms = _layer_transforms(grid, layer, kernel, transforms, u, t)
+    spec = transforms.spectra(kernel)
+    ux, uy = transforms.velocity
+    F_hat = transforms.F_hat
+    Fux_hat, Fuy_hat = transforms.Fu_hat
     conv_b1 = _window_inverse(spec, F_hat * spec.G1)
     conv_b2 = _window_inverse(spec, F_hat * spec.G2)
-    conv_u = _window_inverse(
-        spec,
-        rfft2(F * ux, s=spec.shape) * spec.G1 + rfft2(F * uy, s=spec.shape) * spec.G2,
-    )
+    conv_u = _window_inverse(spec, Fux_hat * spec.G1 + Fuy_hat * spec.G2)
     return ux * conv_b1 + uy * conv_b2 - conv_u
 
 
@@ -418,8 +527,16 @@ class IdentityPairing:
         self.phi_sp = phi.spatial(*grid.meshes())
         self.rhs, self.moll0 = 0.0, None
 
-    def add_layer(self, j: int, t: float, layer: np.ndarray, remainder: np.ndarray) -> None:
-        moll = mollify_density(self.grid, layer, self.kernel)
+    def add_layer(
+        self,
+        j: int,
+        t: float,
+        layer: np.ndarray,
+        remainder: np.ndarray,
+        transforms: LayerTransforms | None = None,
+    ) -> None:
+        """`transforms`, if given, is the layer's holder, as for mollify_density."""
+        moll = mollify_density(self.grid, layer, self.kernel, transforms)
         if j == 0:
             self.moll0 = moll
         self.acc.add_layer(j, moll)
@@ -443,48 +560,58 @@ def consistency_identity(
     return pairing.result()
 
 
-def _window_indices(grid: Grid, x0: float, y0: float, eps: float):
+def _window_box(grid: Grid, x0: float, y0: float, eps: float) -> tuple[int, int, int, int]:
+    """(i0, i1, j0, j1): the half-open box of the nodes in the kernel window
+    around (x0, y0)."""
     i0 = max(0, int(np.ceil((x0 - eps - grid.domain.x_lo) / grid.hx - 1e-12)))
     i1 = min(grid.nx, int(np.floor((x0 + eps - grid.domain.x_lo) / grid.hx + 1e-12)))
     j0 = max(0, int(np.ceil((y0 - eps - grid.domain.y_lo) / grid.hy - 1e-12)))
     j1 = min(grid.ny, int(np.floor((y0 + eps - grid.domain.y_lo) / grid.hy + 1e-12)))
-    return i0, i1, j0, j1
+    return i0, i1 + 1, j0, j1 + 1
+
+
+def _probe_boxes(grid: Grid, kernel: Kernel, xs, ys):
+    """The probe points, the union box of their kernel windows, and each
+    window relative to that box."""
+    xs, ys = np.asarray(xs, dtype=float).reshape(-1), np.asarray(ys, dtype=float).reshape(-1)
+    points = list(zip(xs, ys))
+    union, windows = _union_box([_window_box(grid, x0, y0, kernel.eps) for x0, y0 in points])
+    return points, union, windows
 
 
 def mollify_at_points(grid: Grid, layer: np.ndarray, kernel: Kernel, xs, ys) -> np.ndarray:
-    """rho_eps at arbitrary interior points (same quadrature as the layer)."""
-    F = layer * grid.quadrature_weights
+    """rho_eps at arbitrary interior points (same quadrature as the layer).
+
+    The layer is read only on the union box of the points' windows."""
+    points, union, windows = _probe_boxes(grid, kernel, xs, ys)
+    F = layer[union] * grid.quadrature_weights[union]
+    X, Y = grid.xs[union[0], None], grid.ys[None, union[1]]
     out = np.empty(np.asarray(xs, dtype=float).shape)
     flat = out.reshape(-1)
-    for idx, (x0, y0) in enumerate(
-        zip(np.asarray(xs, dtype=float).reshape(-1), np.asarray(ys, dtype=float).reshape(-1))
-    ):
-        i0, i1, j0, j1 = _window_indices(grid, x0, y0, kernel.eps)
-        H = kernel.value(x0 - grid.xs[i0 : i1 + 1, None], y0 - grid.ys[None, j0 : j1 + 1])
-        flat[idx] = np.sum(H * F[i0 : i1 + 1, j0 : j1 + 1])
+    for idx, ((x0, y0), (wi, wj)) in enumerate(zip(points, windows)):
+        H = kernel.value(x0 - X[wi], y0 - Y[:, wj])
+        flat[idx] = np.sum(H * F[wi, wj])
     return out
 
 
 def commutator_at_points(
     grid: Grid, layer: np.ndarray, u: VelocityField, kernel: Kernel, xs, ys, t: float = 0.0
 ) -> np.ndarray:
-    """r_eps at arbitrary interior points (same quadrature as the layer)."""
-    F = layer * grid.quadrature_weights
-    X, Y = grid.meshes()
+    """r_eps at arbitrary interior points (same quadrature as the layer).
+
+    The layer is read, and u evaluated, only on the union box of the
+    points' windows."""
+    points, union, windows = _probe_boxes(grid, kernel, xs, ys)
+    F = layer[union] * grid.quadrature_weights[union]
+    X, Y = grid.xs[union[0], None], grid.ys[None, union[1]]
     u1, u2 = u.eval(X, Y, t)
     out = np.empty(np.asarray(xs, dtype=float).shape)
     flat = out.reshape(-1)
-    for idx, (x0, y0) in enumerate(
-        zip(np.asarray(xs, dtype=float).reshape(-1), np.asarray(ys, dtype=float).reshape(-1))
-    ):
-        i0, i1, j0, j1 = _window_indices(grid, x0, y0, kernel.eps)
-        sl = np.s_[i0 : i1 + 1, j0 : j1 + 1]
-        G1, G2 = kernel.grad(
-            grid.xs[i0 : i1 + 1, None] - x0, grid.ys[None, j0 : j1 + 1] - y0
-        )
+    for idx, ((x0, y0), (wi, wj)) in enumerate(zip(points, windows)):
+        G1, G2 = kernel.grad(X[wi] - x0, Y[:, wj] - y0)
         ux0, uy0 = u.eval(x0, y0, t)
         flat[idx] = np.sum(
-            F[sl] * ((ux0 - u1[sl]) * G1 + (uy0 - u2[sl]) * G2)
+            F[wi, wj] * ((ux0 - u1[wi, wj]) * G1 + (uy0 - u2[wi, wj]) * G2)
         )
     return out
 
@@ -543,7 +670,9 @@ class RemainderSweep:
 
     The inner region must clear the boundary by more than the largest eps,
     so every remainder layer is genuinely a mollification statement there.
-    add_layer returns the layer's remainders, largest eps first.
+    add_layer returns the layer's remainders, largest eps first. Every eps
+    reads one LayerTransforms per layer at `shape`, the largest eps's own
+    transform shape, which serves every smaller eps exactly.
     """
 
     def __init__(self, grid: Grid, times, u: VelocityField, eps_list, alpha, p, inner: Domain):
@@ -558,11 +687,23 @@ class RemainderSweep:
             )
         self.grid, self.u, self.inner = grid, u, inner
         self.kernels = [make_kernel(eps=e) for e in self.eps]
+        self.shape = _padded_shape(self.kernels[0], grid)
         self.tw = time_weights(times)
         self.norms = [0.0] * len(self.eps)
 
-    def add_layer(self, j: int, t: float, layer: np.ndarray) -> list[np.ndarray]:
-        rems = [commutator_remainder(self.grid, layer, self.u, k, t) for k in self.kernels]
+    def transforms(self, t: float, layer: np.ndarray) -> LayerTransforms:
+        """The holder of one layer that every eps of the sweep reads; the
+        caller may hand it on to other consumers of the layer."""
+        return LayerTransforms(self.grid, layer, self.shape, self.u, t)
+
+    def add_layer(
+        self, j: int, t: float, layer: np.ndarray, transforms: LayerTransforms | None = None
+    ) -> list[np.ndarray]:
+        if transforms is None:
+            transforms = self.transforms(t, layer)
+        rems = [
+            commutator_remainder(self.grid, layer, self.u, k, t, transforms) for k in self.kernels
+        ]
         for i, rem in enumerate(rems):
             norm = lp_norm(rem, self.grid, self.gamma, self.inner)
             self.norms[i] += float(self.tw[j]) * norm

@@ -492,6 +492,25 @@ def test_mollification_computes_each_remainder_once(tmp_path, monkeypatch):
     assert len(calls) == len(cfg.eps_list) * (cfg.nt + 1)
 
 
+def test_mollification_transforms_each_layer_once(tmp_path, monkeypatch):
+    # F = rho w, F ux and F uy: three forward transforms per layer serve
+    # every eps of the sweep and the identity pairing. The stencil spectra
+    # are cached and smaller than a layer, so they are not counted.
+    cfg = cfg_for("mollify", tmp_path / "run", "grid.nx=48", "grid.ny=48", "time.nt=6")
+    layer_shape = (cfg.nx + 1, cfg.ny + 1)
+    calls = []
+    original = weakform.rfft2
+
+    def counted(a, *args, **kwargs):
+        if np.shape(a) == layer_shape:
+            calls.append(1)
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(weakform, "rfft2", counted)
+    run_mollification_study(cfg)
+    assert len(calls) == 3 * (cfg.nt + 1)
+
+
 @pytest.mark.parametrize(
     "overrides", [(), ("mollify.alpha=1.5", "mollify.p=1.5")], ids=["satisfied", "not-satisfied"]
 )

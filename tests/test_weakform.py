@@ -26,12 +26,17 @@ from transportlab.geometry import (
     trapezoid_weights,
     unit_square,
 )
+from transportlab.studies import _phi_bank
 from transportlab.weakform import (
+    LayerTransforms,
     RemainderCurve,
+    RemainderSweep,
     ResidualAccumulator,
     WeakformError,
     _fast_len,
+    _padded_shape,
     _window_inverse,
+    _window_radius,
     _window_spectra,
     commutator_at_points,
     commutator_remainder,
@@ -269,6 +274,28 @@ def test_unequal_boxes_pair_like_one_pair_accumulators():
         )
 
 
+def test_shared_spatial_parts_pair_like_one_pair_accumulators():
+    # the studies' bank pairs each center with two time profiles; the pairs
+    # that share a spatial part share its weight stack, and every pair keeps
+    # the bits of its own one-pair accumulator
+    grid, times, u, rho0, sol = small_solution(64, 20)
+    phis = _phi_bank(DOM, 1.0) + mixed_bank()[:1]
+    betas = bank_betas("clip[1]~k10", "pow[2|4]~k10")
+    acc = ResidualAccumulator(grid, sol.times, u, phis, betas)
+    assert len(phis) == 7 and len(acc._weights) == 4
+    for j in range(sol.n_layers):
+        acc.add_layer(j, sol.layer(j))
+    pairs = [(phi, beta) for beta in betas for phi in phis]
+    for rep, (phi, beta) in zip(acc.report(rho0.layer(0)), pairs):
+        ref = weak_residual(sol, rho0, u, phi, beta=beta)
+        assert (rep.phi, rep.beta) == (ref.phi, ref.beta)
+        assert (rep.term_time, rep.term_initial, rep.term_advective) == (
+            ref.term_time,
+            ref.term_initial,
+            ref.term_advective,
+        )
+
+
 def test_accumulator_weights_advective_layers_by_trapezoid_times_m():
     # each layer's advective box sums enter with trapezoid weight times the
     # scalar m(t_j) times psi(t_j), as written out here
@@ -438,49 +465,87 @@ def test_commutator_at_points_matches_layer_nodes():
 
 
 def _direct_window_layers(rho, u, kern):
-    """Mollified and remainder layers by a direct nested sum over each node's
-    window, with the same nodal stencil and zero data outside the grid."""
+    """Mollified and remainder layers by a direct sum over each node's
+    window, one stencil offset at a time, with the same nodal stencil and
+    zero data outside the grid."""
     grid = rho.grid
     Kx = int(np.floor(kern.eps / grid.hx))
     Ky = int(np.floor(kern.eps / grid.hy))
     F = rho.layer(0) * grid.quadrature_weights
     X, Y = grid.meshes()
     ux, uy = u.eval(X, Y, 0.0)
+    n1, n2 = grid.shape
     moll = np.zeros(grid.shape)
     rem = np.zeros(grid.shape)
-    for m1 in range(grid.shape[0]):
-        for m2 in range(grid.shape[1]):
-            for a in range(max(-Kx, -m1), min(Kx, grid.nx - m1) + 1):
-                for b in range(max(-Ky, -m2), min(Ky, grid.ny - m2) + 1):
-                    ox, oy = a * grid.hx, b * grid.hy
-                    f = F[m1 + a, m2 + b]
-                    moll[m1, m2] += kern.value(ox, oy) * f
-                    g1, g2 = kern.grad(ox, oy)
-                    rem[m1, m2] += f * (
-                        (ux[m1, m2] - ux[m1 + a, m2 + b]) * g1
-                        + (uy[m1, m2] - uy[m1 + a, m2 + b]) * g2
-                    )
+    for a in range(-Kx, Kx + 1):
+        for b in range(-Ky, Ky + 1):
+            # the nodes m whose neighbour m + (a, b) lies on the grid
+            at = np.s_[max(0, -a) : min(n1, n1 - a), max(0, -b) : min(n2, n2 - b)]
+            nb = np.s_[max(0, a) : min(n1, n1 + a), max(0, b) : min(n2, n2 + b)]
+            ox, oy = a * grid.hx, b * grid.hy
+            moll[at] += kern.value(ox, oy) * F[nb]
+            g1, g2 = kern.grad(ox, oy)
+            rem[at] += F[nb] * ((ux[at] - ux[nb]) * g1 + (uy[at] - uy[nb]) * g2)
     return moll, rem
+
+
+class _UncheckedTransforms(LayerTransforms):
+    """A holder that serves any kernel, whether its windows fit or not."""
+
+    def spectra(self, kernel):
+        return _window_spectra(kernel, self.grid, self.shape)
 
 
 @pytest.mark.parametrize(
     "nx, ny, eps",
     [
-        (17, 11, 0.2),  # Kx = 3, Ky = 2
-        (21, 13, 0.45),  # Kx = 9, Ky = 5: windows span most of the grid
+        (17, 11, 0.2),  # Kx = 3, 2, 1 and Ky = 2, 1, 1
+        (21, 13, 0.45),  # Kx = 9, 6, 4, 3, 2 and Ky = 5, 3, 2, 1, 1: windows span most of the grid
     ],
 )
 def test_fft_layers_match_direct_window_sums(nx, ny, eps):
+    # every eps of a decreasing sweep up to eps, served by one holder at the
+    # largest eps's transform shape, is the linear window sum at every node,
+    # the nodes within eps of the edges included; so is each eps at its own
+    # shape and at the shortest exact one, n + K per axis
+    eps_list = [e for e in (0.45, 0.3, 0.2, 0.15, 0.1) if e <= eps]
     grid = Grid(DOM, nx, ny)
     rng = np.random.default_rng(7)
     rho = ScalarField(grid, np.array([0.0]), rng.uniform(0.0, 1.0, (1, *grid.shape)))
+    layer = rho.layer(0)
     u = vortex_field(DOM)
-    kern = make_kernel(eps=eps)
-    moll, rem = _direct_window_layers(rho, u, kern)
-    got_moll = mollify_density(grid, rho.layer(0), kern)
-    got_rem = commutator_remainder(grid, rho.layer(0), u, kern)
-    assert np.max(np.abs(got_moll - moll)) < 1e-12 * np.max(np.abs(moll))
-    assert np.max(np.abs(got_rem - rem)) < 1e-12 * np.max(np.abs(rem))
+    kernels = [make_kernel(eps=e) for e in eps_list]
+    sweep = RemainderSweep(grid, [0.0, 1.0], u, eps_list, 2.0, 2.0, shrink(DOM, eps + 0.01))
+    shared = sweep.transforms(0.0, layer)
+    assert shared.shape == _padded_shape(kernels[0], grid)
+    swept = sweep.add_layer(0, 0.0, layer, shared)
+    # a holder serves only the layer, field and time it was taken of
+    others = ((layer.copy(), u, 0.0), (layer, vortex_field(DOM), 0.0), (layer, u, 0.5))
+    for other, field, t in others:
+        with pytest.raises(WeakformError, match="another layer"):
+            commutator_remainder(grid, other, field, kernels[0], t, shared)
+    n1, n2 = grid.shape
+    for kern, rem in zip(kernels, swept):
+        moll, want = _direct_window_layers(rho, u, kern)
+        Kx, Ky = _window_radius(kern, grid)
+        tight = LayerTransforms(grid, layer, (n1 + Kx, n2 + Ky), u, 0.0)
+        assert np.array_equal(rem, commutator_remainder(grid, layer, u, kern, 0.0, shared))
+        for transforms in (shared, None, tight):
+            got_moll = mollify_density(grid, layer, kern, transforms)
+            got_rem = commutator_remainder(grid, layer, u, kern, 0.0, transforms)
+            assert np.max(np.abs(got_moll - moll)) < 1e-12 * np.max(np.abs(moll))
+            assert np.max(np.abs(got_rem - want)) < 1e-12 * np.max(np.abs(want))
+        # one node short of n + K on either axis, the last window no longer
+        # fits the padded buffer: served anyway, the layer loses that row or
+        # column, and the library refuses such a holder
+        for short in ((n1 + Kx - 1, n2 + Ky), (n1 + Kx, n2 + Ky - 1)):
+            unchecked = _UncheckedTransforms(grid, layer, short, u, 0.0)
+            assert mollify_density(grid, layer, kern, unchecked).shape != grid.shape
+            holder = LayerTransforms(grid, layer, short, u, 0.0)
+            with pytest.raises(WeakformError, match="too short"):
+                mollify_density(grid, layer, kern, holder)
+            with pytest.raises(WeakformError, match="too short"):
+                commutator_remainder(grid, layer, u, kern, 0.0, holder)
 
 
 def test_window_layers_own_their_memory():
@@ -501,7 +566,8 @@ def test_fast_len_is_scipys_real_fast_length():
 def test_window_inverse_is_the_cropped_irfft2(n, eps, rng):
     # transforming only the kept rows on the last axis changes no bit
     grid = Grid(DOM, n, n + 5)
-    spec = _window_spectra(make_kernel(eps=eps), grid)
+    kern = make_kernel(eps=eps)
+    spec = _window_spectra(kern, grid, _padded_shape(kern, grid))
     product = rfft2(rng.standard_normal(grid.shape), s=spec.shape) * spec.G1
     full = irfft2(product, s=spec.shape)
     n1, n2 = grid.shape
@@ -511,7 +577,7 @@ def test_window_inverse_is_the_cropped_irfft2(n, eps, rng):
 
 def _remainder_via_eval(grid, layer, u, kern, t):
     """commutator_remainder's transforms with u evaluated at every node."""
-    spec = _window_spectra(kern, grid)
+    spec = _window_spectra(kern, grid, _padded_shape(kern, grid))
     ux, uy = u.eval(*grid.meshes(), t)
     F = layer * grid.quadrature_weights
     F_hat = rfft2(F, s=spec.shape)
