@@ -4,10 +4,11 @@ Everything here reduces densities or velocity fields to the handful of
 numbers the transport theory says must behave: conserved L^p norms,
 vanishing boundary-layer flux, and perturbation distances that shrink
 together. Most functions consume solved densities; the stability
-experiment streams its own solves, one lockstep pass over the reference
-and every family member that takes the L^p and the renormalized distances
-together. Nothing here judges a number against a tolerance: the studies
-do that, each check by the one rule measured <= tolerance.
+experiment streams its own solves as one family: one stacked pass over the
+reference and every member, whose tuple layers feed the L^p and the
+renormalized distances together. Nothing here judges a number against a
+tolerance: the studies do that, each check by the one rule
+measured <= tolerance.
 """
 
 from __future__ import annotations
@@ -295,14 +296,19 @@ def initial_data_family(
     return member
 
 
-def _velocity_distance(
-    u_n: VelocityField, u: VelocityField, grid: Grid, times: TimePartition
-) -> float:
-    """M(T) ||v_n - v||_1: family members share u's modulation by construction."""
+def _velocity_distances(
+    fields: Sequence[VelocityField], u: VelocityField, grid: Grid, times: TimePartition
+) -> tuple[float, ...]:
+    """M(T) ||v_n - v||_1 per member: family members share u's modulation by
+    construction. v is evaluated on the grid once for every member."""
     X, Y = grid.meshes()
-    ax, ay = u_n.profile.eval(X, Y)
     bx, by = u.profile.eval(X, Y)
-    return float(u.modulation.integral(times.T)) * integrate(np.hypot(ax - bx, ay - by), grid)
+    clock = float(u.modulation.integral(times.T))
+    out = []
+    for u_n in fields:
+        ax, ay = u_n.profile.eval(X, Y)
+        out.append(clock * integrate(np.hypot(ax - bx, ay - by), grid))
+    return tuple(out)
 
 
 def stability_experiment(
@@ -318,29 +324,28 @@ def stability_experiment(
 
     d_n = ||u_n - u|| in L1 of time and space; e_n = max over time nodes of
     ||rho_n(t_j) - rho(t_j)||_p, the discrete stand-in for the uniform-in-
-    time L^p distance. The reference and every member stream their layers
-    side by side (one iter_solution_layers pass each, nothing stored); at
-    each time node the running e_n maxima are updated and, for each beta in
-    betas, the renormalized distances ||beta(rho_n) - beta(rho)|| in
-    L2((0,T) x Omega) accumulate exactly as renormalization_convergence_check
-    takes them on stored solutions. Their trend is the report's
-    renormalization field. Judging how e_n and the trend decay is the
-    caller's business.
+    time L^p distance. The reference and every member are one family of
+    iter_solution_layers, one stream whose layers are tuples (reference,
+    member 1, ...); it integrates them as one stacked pass and stores
+    nothing. At each time node the running e_n maxima are updated and, for
+    each beta in betas, the renormalized distances ||beta(rho_n) - beta(rho)||
+    in L2((0,T) x Omega) accumulate exactly as
+    renormalization_convergence_check takes them on stored solutions. Their
+    trend is the report's renormalization field. Judging how e_n and the
+    trend decay is the caller's business.
     """
     ns = [int(n) for n in n_list]
     if not ns or any(n <= 0 for n in ns) or any(b <= a for a, b in zip(ns, ns[1:])):
         raise AnalysisError("n_list must be positive and strictly increasing")
     grid = rho0.grid
     members = [family(n) for n in ns]
-    streams = [iter_solution_layers(rho0, u, times)] + [
-        iter_solution_layers(rho0_n, u_n, times) for u_n, rho0_n in members
-    ]
+    fields = [u_n for u_n, _ in members]
+    stream = iter_solution_layers([rho0] + [r for _, r in members], [u] + fields, times)
     e = [0.0] * len(ns)
     dist = _RenormalizedDistances(grid, times.times, betas, len(ns))
-    for (j, _, reference), *solved in zip(*streams):
-        layers = [layer for _, _, layer in solved]
+    for j, _, (reference, *layers) in stream:
         for m, layer in enumerate(layers):
             e[m] = max(e[m], lp_norm(layer - reference, grid, p))
         dist.add_layer(j, reference, layers)
-    d = tuple(_velocity_distance(u_n, u, grid, times) for u_n, _ in members)
+    d = _velocity_distances(fields, u, grid, times)
     return StabilityReport(tuple(ns), d, tuple(e), float(p), dist.trend())

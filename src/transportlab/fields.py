@@ -30,7 +30,11 @@ class FieldError(ValueError):
 # derivatives at q = 1, which is what makes every construction here genuinely
 # smooth across its support edge. Each takes its closed form on the whole
 # array and keeps it where q < 1: at q >= 1 the form divides by zero or
-# overflows, which errstate silences and np.where discards.
+# overflows, which errstate silences and the q < 1 mask discards.
+#
+# The derivative is written once, in place (_bump_dq_into), because it is
+# the slope kernel of every characteristic solve: a solve keeps one
+# GradientWorkspace and evaluates its velocity into it at every RK4 stage.
 # ---------------------------------------------------------------------------
 
 
@@ -41,11 +45,44 @@ def _bump(q: np.ndarray) -> np.ndarray:
         return np.where(q < 1.0, np.exp(-1.0 / t), 0.0)
 
 
+def _bump_dq_into(q: np.ndarray, out: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    """Write _bump_dq(q) into out, using q and inside as scratch.
+
+    The caller holds np.errstate(all="ignore"). Every step is one ufunc of
+    the closed form -exp(-1/t) / (t t), t = 1 - q, in its own order, so the
+    bits are those of the expression evaluated out of place.
+    """
+    np.less(q, 1.0, out=inside)
+    np.subtract(1.0, q, out=q)
+    np.divide(-1.0, q, out=out)
+    np.exp(out, out=out)
+    np.negative(out, out=out)
+    np.multiply(q, q, out=q)
+    np.divide(out, q, out=out)
+    np.logical_not(inside, out=inside)
+    np.copyto(out, 0.0, where=inside)
+    return out
+
+
 def _bump_dq(q: np.ndarray) -> np.ndarray:
-    q = np.asarray(q, dtype=float)
+    q = np.array(q, dtype=float)
     with np.errstate(all="ignore"):
-        t = 1.0 - q
-        return np.where(q < 1.0, -np.exp(-1.0 / t) / (t * t), 0.0)
+        return _bump_dq_into(q, np.empty_like(q), np.empty(q.shape, dtype=bool))
+
+
+class GradientWorkspace:
+    """Scratch arrays of one point shape for the in-place gradient kernel.
+
+    gradient_into leaves psi_x and psi_y in dx and dy, so they are valid
+    until the next kernel call on the same workspace.
+    """
+
+    def __init__(self, shape: tuple[int, ...]):
+        self.dx = np.empty(shape)
+        self.dy = np.empty(shape)
+        self.q = np.empty(shape)
+        self.g = np.empty(shape)
+        self.inside = np.empty(shape, dtype=bool)
 
 
 # ---------------------------------------------------------------------------
@@ -146,11 +183,57 @@ class StreamFunction:
         _, _, q = self._rel(x, y)
         return self.amplitude * _bump(q)
 
+    def coefficient(self, scale: float = 1.0) -> float:
+        """The scalar 2 A scale / R^2 that multiplies _bump_dq(q) in the gradient."""
+        return 2.0 * self.amplitude * scale / self.radius**2
+
+    def gradient_into(self, x, y, coef, ws: GradientWorkspace):
+        """(psi_x, psi_y) at points of ws's shape, written into ws.dx and ws.dy.
+
+        coef stands for self.coefficient(scale): a scalar, or an array that
+        broadcasts against the points and gives each point the coefficient
+        of its own field. The caller holds np.errstate(all="ignore").
+        """
+        dx, dy, q = ws.dx, ws.dy, ws.q
+        np.subtract(x, self.center[0], out=dx)
+        np.subtract(y, self.center[1], out=dy)
+        np.multiply(dx, dx, out=q)
+        np.multiply(dy, dy, out=ws.g)
+        np.add(q, ws.g, out=q)
+        np.divide(q, self.radius**2, out=q)
+        g = _bump_dq_into(q, ws.g, ws.inside)
+        np.multiply(g, coef, out=g)
+        np.multiply(g, dx, out=dx)
+        np.multiply(g, dy, out=dy)
+        return dx, dy
+
     def gradient(self, x, y, scale: float = 1.0):
         """(psi_x, psi_y) of scale * psi in closed form."""
-        dx, dy, q = self._rel(x, y)
-        g = _bump_dq(q) * (2.0 * self.amplitude * scale / self.radius**2)
-        return g * dx, g * dy
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        ws = GradientWorkspace(x.shape)
+        with np.errstate(all="ignore"):
+            px, py = self.gradient_into(x, y, self.coefficient(scale), ws)
+        if x.ndim == 0:
+            return px[()], py[()]
+        return px, py
+
+
+def velocity_into(components, coefs, x, y, ux, uy, ws: GradientWorkspace) -> None:
+    """Write sum over components of (psi_y, -psi_x) into ux and uy.
+
+    coefs[i] is component i's gradient coefficient (see
+    StreamFunction.gradient_into). The sum starts from the scalar 0.0, which
+    turns an exact -0.0 into +0.0 as a zero-filled accumulator would. The
+    caller holds np.errstate(all="ignore").
+    """
+    if not components:
+        ux.fill(0.0)
+        uy.fill(0.0)
+        return
+    for i, (c, coef) in enumerate(zip(components, coefs)):
+        px, py = c.gradient_into(x, y, coef, ws)
+        np.add(ux if i else 0.0, py, out=ux)
+        np.subtract(uy if i else 0.0, px, out=uy)
 
 
 @dataclass(frozen=True)
@@ -207,20 +290,18 @@ class VelocityField:
         y = np.asarray(y, dtype=float)
         if checked and not np.all(self.domain.contains_closure(x, y)):
             raise FieldError("velocity evaluation outside the closed domain")
-        if not self.components:
-            shape = np.broadcast(x, y).shape
-            return (np.zeros(shape), np.zeros(shape)) if shape else (0.0, 0.0)
-        m = self.modulation.value(t)
-        # summed from the scalar 0.0, which turns an exact -0.0 into +0.0
-        # as a zero-filled accumulator would
-        ux = uy = 0.0
-        for c in self.components:
-            px, py = c.gradient(x, y, m)
-            ux = ux + py
-            uy = uy - px
-        if np.ndim(ux) == 0:
+        x, y = np.broadcast_arrays(x, y)
+        ux, uy = np.empty(x.shape), np.empty(x.shape)
+        with np.errstate(all="ignore"):
+            coefs = self.coefficients(self.modulation.value(t))
+            velocity_into(self.components, coefs, x, y, ux, uy, GradientWorkspace(x.shape))
+        if x.ndim == 0:
             return float(ux), float(uy)
         return ux, uy
+
+    def coefficients(self, m: float) -> list[float]:
+        """Each component's gradient coefficient at modulation value m = m(t)."""
+        return [c.coefficient(m) for c in self.components]
 
     def speed(self, x, y, t: float = 0.0, checked: bool = True):
         ux, uy = self.eval(x, y, t, checked=checked)

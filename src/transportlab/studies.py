@@ -693,7 +693,8 @@ def run_stability_study(cfg: StudyConfig) -> StudyOutcome:
     """Perturbation family sweep: e_n decay plus renormalized convergence.
 
     Both come from one stability_experiment pass, which solves the
-    reference and each family member once.
+    reference and every family member together, one stacked integration
+    per layer, and stores no layer.
     """
     _, times, u, rho0 = build_case(cfg)
     if cfg.family == "amplitude":

@@ -16,7 +16,11 @@ from transportlab.analysis import (
     renormalization_convergence_check,
     stability_experiment,
 )
-from transportlab.characteristics import solve_classical
+from transportlab.characteristics import (
+    FlowMapIntegrator,
+    iter_solution_layers,
+    solve_classical,
+)
 from transportlab.fields import (
     AdmissibleBeta,
     ScalarField,
@@ -279,6 +283,32 @@ def test_stability_lockstep_matches_stored_route(family):
     assert rep.renormalization == renormalization_convergence_check(sols, ref, [beta])
     assert rep.renormalization.labels == (beta.label,)
     assert stability_experiment(u, rho0, times, fam, ns).renormalization.labels == ()
+
+
+def test_initial_data_family_integrates_its_one_field_once(monkeypatch):
+    # five densities in one field: every layer takes one advance over the
+    # moving nodes, and one interpolation per member gives each its layer
+    grid = Grid(DOM, 48, 48)
+    times = TimePartition(1.0, 30)
+    u = vortex_field(DOM)
+    rho0 = static_field(grid, gaussian_blob())
+    fam = initial_data_family(u, rho0)
+    densities = [rho0] + [fam(n)[1] for n in (2, 4, 8, 16)]
+    alone = [[layer for _, _, layer in iter_solution_layers(r, u, times)] for r in densities]
+    sizes = []
+    original = FlowMapIntegrator.advance
+
+    def counted(self, x, y, t_from, t_to, escape_tol):
+        sizes.append(np.size(x))
+        return original(self, x, y, t_from, t_to, escape_tol)
+
+    monkeypatch.setattr(FlowMapIntegrator, "advance", counted)
+    stream = iter_solution_layers(densities, [u] * len(densities), times)
+    for j, _, layers in stream:
+        for m, layer in enumerate(layers):
+            assert np.array_equal(layer, alone[m][j])
+    moving = int(np.count_nonzero(u.support_mask(*grid.meshes())))
+    assert sizes == [moving] * times.nt
 
 
 def test_stability_unperturbed_family_is_exactly_zero():

@@ -147,6 +147,35 @@ def test_advance_matches_textbook_rk4(t_from, t_to):
     assert not np.array_equal(gx, x0)
 
 
+@pytest.mark.parametrize("t_from, t_to", [(0.0, 0.1875), (0.7, 0.55)])
+def test_stacked_advance_matches_each_field_alone(t_from, t_to):
+    # row n of a stack moves in field n with its own coefficients, bit for
+    # bit as the field's own integrator moves it
+    u = from_stream_function(
+        [StreamFunction((0.4, 0.5), 0.25, 0.5), StreamFunction((0.65, 0.55), 0.2, -0.3)],
+        unit_square(),
+        "linear",
+    )
+    fields = (u, u.scaled(1.5), u.scaled(-0.75))
+    X, Y = Grid(unit_square(), 24, 24).meshes()
+    x0, y0 = X[3:-3, 3:-3].ravel(), Y[3:-3, 3:-3].ravel()
+    stack = FlowMapIntegrator(fields, 0.0625)
+    for _ in range(2):  # the second pass reuses the first one's workspace
+        gx, gy = stack.advance(np.tile(x0, (3, 1)), np.tile(y0, (3, 1)), t_from, t_to, 1e-9)
+        for row, f in enumerate(fields):
+            wx, wy = FlowMapIntegrator(f, 0.0625).advance(x0, y0, t_from, t_to, 1e-9)
+            assert np.array_equal(gx[row], wx) and np.array_equal(gy[row], wy)
+    assert not np.array_equal(gx[0], gx[1])
+
+
+def test_stack_needs_shared_supports():
+    u = vortex_field(unit_square())
+    for fields in ((), (u, vortex_field(unit_square(), center=(0.45, 0.5))),
+                   (u, vortex_field(unit_square(), modulation="linear"))):
+        with pytest.raises(CharacteristicsError, match="stack"):
+            FlowMapIntegrator(fields, 0.1)
+
+
 def test_clamp_raises_past_tolerance_and_clamps_onto_the_edge():
     integ = FlowMapIntegrator(vortex_field(unit_square()), 0.01)
     tol = 1e-6
@@ -352,6 +381,66 @@ def test_iter_solution_layers_without_moving_nodes(u):
     assert [j for j, _, _ in layers] == [0, 1, 2, 3, 4]
     for _, _, layer in layers:
         assert np.array_equal(layer, rho0.layer(0))
+    # the same field in a family, beside a field that moves nodes
+    twice = static_field(grid, lambda x, y: 2.0 * gaussian_blob((0.58, 0.5), 0.14)(x, y))
+    family = list(
+        iter_solution_layers([rho0, twice, rho0], [u, u, vortex_field(unit_square())],
+                             TimePartition(0.5, 4))
+    )
+    for (_, _, (a, b, c)), (_, _, alone) in zip(family, layers):
+        assert np.array_equal(a, alone) and np.array_equal(b, 2.0 * alone)
+    assert not np.array_equal(family[-1][2][2], rho0.layer(0))
+
+
+def record_advances(monkeypatch) -> list:
+    """(dt, t_from, x.shape) of every FlowMapIntegrator.advance call."""
+    calls = []
+    original = FlowMapIntegrator.advance
+
+    def recorded(self, x, y, t_from, t_to, escape_tol):
+        calls.append((self.dt, t_from, np.shape(x)))
+        return original(self, x, y, t_from, t_to, escape_tol)
+
+    monkeypatch.setattr(FlowMapIntegrator, "advance", recorded)
+    return calls
+
+
+def test_family_with_different_substep_counts_matches_one_member_solves(monkeypatch):
+    # at 48^2 x 60 the CFL rule gives u three substeps per layer and 1.5 u
+    # four, so the amplitude family runs as two stacks side by side
+    grid = Grid(unit_square(), 48, 48)
+    times = TimePartition(1.0, 60)
+    u = vortex_field(unit_square())
+    rho0 = static_field(grid, gaussian_blob())
+    fields = [u] + [u.scaled(1.0 + 1.0 / n) for n in (2, 4, 8)]
+    alone = [list(iter_solution_layers(rho0, f, times)) for f in fields]
+    calls = record_advances(monkeypatch)
+    family = list(iter_solution_layers([rho0] * 4, fields, times))
+    moving = int(np.count_nonzero(u.support_mask(*grid.meshes())))
+    assert sorted(calls[:2]) == [
+        (times.dt / 4, 1.0 / 60, (1, moving)), (times.dt / 3, 1.0 / 60, (3, moving))
+    ]
+    assert len(calls) == 2 * times.nt
+    for j, t, layers in family:
+        assert len(layers) == 4
+        for m, layer in enumerate(layers):
+            assert (j, t) == alone[m][j][:2]
+            assert np.array_equal(layer, alone[m][j][2])
+    # every yielded layer is a fresh array
+    arrays = [layer for _, _, layers in family for layer in layers]
+    assert not any(np.shares_memory(a, b) for a, b in zip(arrays, arrays[1:]))
+
+
+def test_family_members_share_grid():
+    u = vortex_field(unit_square())
+    rho0 = static_field(Grid(unit_square(), 32, 32), gaussian_blob())
+    other = static_field(Grid(unit_square(), 40, 40), gaussian_blob())
+    with pytest.raises(CharacteristicsError, match="one density grid"):
+        next(iter_solution_layers([rho0, other], [u, u], TimePartition(0.5, 4)))
+    with pytest.raises(ValueError):
+        next(iter_solution_layers([rho0, rho0], [u], TimePartition(0.5, 4)))
+    with pytest.raises(CharacteristicsError, match="one problem or more"):
+        next(iter_solution_layers([], [], TimePartition(0.5, 4)))
 
 
 def test_solve_validations(vortex):

@@ -83,6 +83,29 @@ print(rc)
     assert (tmp_path / "out" / "summary.json").is_file()
 
 
+def test_benchmark_tracer_finds_every_name_it_wraps(tmp_path):
+    # perfbench/tracer.py wraps library names from outside; a renamed one
+    # would fail every traced benchmark run, so it fails here first. A
+    # fresh interpreter keeps the wrappers out of the other tests.
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    script = f"""
+import json, sys
+import transportlab.cli
+sys.path.insert(0, {str(perfbench)!r})
+from tracer import Tracer
+tracer = Tracer()
+tracer.install(traced=True)
+print(json.dumps(tracer.missing))
+"""
+    src = str(Path(transportlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, cwd=tmp_path, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
 def _run_faults(tmp_path, nt: int) -> int:
     """Minor page faults of one 256^2 conservation run through main, in a
     fresh interpreter, counted from the start of main to its return."""

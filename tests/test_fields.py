@@ -10,6 +10,7 @@ from transportlab.geometry import Grid, Domain, trapezoid_weights, unit_square
 from transportlab.fields import (
     _BUMP_PROFILE_CONSTANT,
     FieldError,
+    GradientWorkspace,
     Kernel,
     ScalarField,
     StreamFunction,
@@ -30,6 +31,7 @@ from transportlab.fields import (
     quadratic_decay_profile,
     time_modulation,
     time_weights,
+    velocity_into,
     vortex_field,
 )
 
@@ -308,6 +310,69 @@ def test_velocity_eval_matches_zero_accumulated_sum(modulation):
     assert type(got[0]) is float and type(got[1]) is float
     want = zero_accumulated_velocity(u, 0.4, 0.5, 0.35)
     assert bits_equal(got[0], want[0]) and bits_equal(got[1], want[1])
+
+
+# two bumps with dyadic centres and radii, so q = 1 is hit exactly
+TWO_BUMPS = (StreamFunction((0.5, 0.5), 0.25, 0.5), StreamFunction((0.375, 0.75), 0.125, -0.3))
+KERNEL_POINTS = np.array(
+    [
+        (0.5, 0.5),  # first centre: psi_x, psi_y are -0.0 there
+        (0.375, 0.75),  # second centre
+        (0.75, 0.5),  # q = 1 exactly for the first bump
+        (0.375, 0.875),  # q = 1 exactly for the second
+        (0.55, 0.45),
+        (0.4, 0.7),  # inside both balls
+        (0.1, 0.9),  # outside both
+        (-1e-9, 0.5),  # RK4 stage points a little outside the closure
+        (1.0 + 1e-9, 0.25),
+        (0.5, -2e-9),
+    ]
+).T
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.35, 0.0])
+def test_gradient_kernel_matches_the_out_of_place_formula(scale):
+    x, y = KERNEL_POINTS
+    for c in TWO_BUMPS:
+        dx, dy = x - c.center[0], y - c.center[1]
+        q = (dx * dx + dy * dy) / c.radius**2
+        g = masked_bump_formula(q, BUMP_FORMS["dq"][1]) * (2.0 * c.amplitude * scale / c.radius**2)
+        px, py = c.gradient(x, y, scale)
+        assert bits_equal(px, g * dx) and bits_equal(py, g * dy)
+        ws = GradientWorkspace(x.shape)
+        with np.errstate(all="ignore"):
+            px2, py2 = c.gradient_into(x, y, c.coefficient(scale), ws)
+        assert bits_equal(px2, px) and bits_equal(py2, py)
+
+
+@pytest.mark.parametrize("t", [0.0, 0.35])
+def test_velocity_kernel_matches_eval_and_the_zero_accumulated_sum(t):
+    # m(0) = 0 makes every partial of psi a signed zero: the sum from the
+    # scalar 0.0 must still give +0.0, as zero-filled accumulators do
+    u = from_stream_function(TWO_BUMPS, unit_square(), "linear")
+    x, y = KERNEL_POINTS
+    got = u.eval(x, y, t, checked=False)
+    want = zero_accumulated_velocity(u, x, y, t)
+    assert bits_equal(got[0], want[0]) and bits_equal(got[1], want[1])
+    assert not np.signbit(got[0][0]) and not np.signbit(got[1][0])
+    # a stack of three fields, one row of points each, every component's
+    # coefficient a column of the rows' own scalars
+    fields = [u, u.scaled(1.5), u.scaled(-1.0)]
+    m = u.modulation.value(t)
+    cols = np.array([f.coefficients(m) for f in fields]).T[:, :, None]
+    X, Y = np.tile(x, (3, 1)), np.tile(y, (3, 1))
+    ux, uy = np.full(X.shape, np.nan), np.full(X.shape, np.nan)
+    with np.errstate(all="ignore"):
+        velocity_into(TWO_BUMPS, list(cols), X, Y, ux, uy, GradientWorkspace(X.shape))
+    for row, f in enumerate(fields):
+        want = zero_accumulated_velocity(f, x, y, t)
+        assert bits_equal(ux[row], want[0]) and bits_equal(uy[row], want[1])
+
+
+def test_velocity_kernel_without_components_writes_zeros():
+    ux, uy = np.full(3, np.nan), np.full(3, np.nan)
+    velocity_into((), [], np.zeros(3), np.zeros(3), ux, uy, GradientWorkspace((3,)))
+    assert bits_equal(ux, np.zeros(3)) and bits_equal(uy, np.zeros(3))
 
 
 def test_support_margin_and_max_speed():

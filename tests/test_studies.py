@@ -416,18 +416,25 @@ def replace_everywhere(monkeypatch, original, replacement):
 
 
 def test_stability_study_solves_each_problem_once(tmp_path, monkeypatch):
-    calls = []
-    original = characteristics.iter_solution_layers
+    # the reference and every member are stepped once per layer, in one
+    # stream, and no study route stores a solution
+    def refuse(*args, **kwargs):
+        raise AssertionError("the stability study stored a solution")
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    replace_everywhere(monkeypatch, characteristics.solve_classical, refuse)
+    stepped = {}
+    original = characteristics.FlowMapIntegrator.advance
 
-    # every module holding the solver, so a solve_classical route counts too
-    replace_everywhere(monkeypatch, original, counted)
+    def counted(self, x, y, t_from, t_to, escape_tol):
+        stepped[t_from] = stepped.get(t_from, 0) + np.size(x)
+        return original(self, x, y, t_from, t_to, escape_tol)
+
+    monkeypatch.setattr(characteristics.FlowMapIntegrator, "advance", counted)
     cfg = cfg_for("stability", tmp_path / "run", "grid.nx=32", "grid.ny=32", "time.nt=12")
+    grid, times, u, _ = build_case(cfg)
+    moving = int(np.count_nonzero(u.support_mask(*grid.meshes())))
     out = run_stability_study(cfg)
-    assert len(calls) == 1 + len(cfg.n_list)
+    assert stepped == {float(t): (1 + len(cfg.n_list)) * moving for t in times.times[1:]}
     assert out.checks[-1].name.startswith("analysis.renormalized_convergence[")
 
 
