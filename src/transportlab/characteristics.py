@@ -378,6 +378,11 @@ def solve_classical(
     Bilinear evaluation of rho0 is a convex combination of nodal values, so
     every layer stays inside [min rho0, max rho0] exactly; norm decay is
     the only discretization artifact.
+
+    No study or command stores a solution; they all stream
+    iter_solution_layers. This function remains as the stored reference
+    route the tests compare the streamed studies against, and for scripts
+    that read every layer at once, as the demos do.
     """
     values = np.empty((times.nt + 1,) + rho0.grid.shape)
     for j, _, layer in iter_solution_layers(rho0, u, times):

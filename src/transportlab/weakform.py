@@ -314,15 +314,25 @@ class _WindowSpectra:
     [K : K + n] whenever L >= n + K. The shape a sweep uses is the fast
     length of n + 2 K_max for its largest eps, so it serves every kernel up
     to that eps.
+
+    Every remainder reads both gradient spectra G1 and G2, so they are taken
+    at once. The value spectrum H is read only by mollify_density and is
+    taken on its first read, so a sweep builds it only for the eps that is
+    mollified.
     """
 
+    kernel: Kernel
     Kx: int
     Ky: int
     nodes: tuple[int, int]
     shape: tuple[int, int]
-    H: np.ndarray
+    offsets: tuple[np.ndarray, np.ndarray]
     G1: np.ndarray
     G2: np.ndarray
+
+    @cached_property
+    def H(self) -> np.ndarray:
+        return _stencil_spectrum(self.kernel.value(*self.offsets), self.shape)
 
 
 def _fast_len(n: int) -> int:
@@ -351,17 +361,21 @@ def _padded_shape(kernel: Kernel, grid: Grid) -> tuple[int, int]:
     return _fast_len(n1 + 2 * Kx), _fast_len(n2 + 2 * Ky)
 
 
+def _stencil_spectrum(stencil: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """The real FFT of the flipped stencil, zero-padded to shape."""
+    spectrum = rfft2(stencil[::-1, ::-1], s=shape)
+    spectrum.flags.writeable = False  # shared by every caller through the cache
+    return spectrum
+
+
 @lru_cache(maxsize=8)
 def _window_spectra(kernel: Kernel, grid: Grid, shape: tuple[int, int]) -> _WindowSpectra:
     Kx, Ky = _window_radius(kernel, grid)
     ox = grid.hx * np.arange(-Kx, Kx + 1)
     oy = grid.hy * np.arange(-Ky, Ky + 1)
     OX, OY = np.meshgrid(ox, oy, indexing="ij")
-    stencils = (kernel.value(OX, OY), *kernel.grad(OX, OY))
-    spectra = [rfft2(S[::-1, ::-1], s=shape) for S in stencils]
-    for S in spectra:
-        S.flags.writeable = False  # shared by every caller through the cache
-    return _WindowSpectra(Kx, Ky, grid.shape, shape, *spectra)
+    G1, G2 = (_stencil_spectrum(S, shape) for S in kernel.grad(OX, OY))
+    return _WindowSpectra(kernel, Kx, Ky, grid.shape, shape, (OX, OY), G1, G2)
 
 
 def _window_inverse(spec: _WindowSpectra, product: np.ndarray) -> np.ndarray:

@@ -1,6 +1,8 @@
 """Exit codes, flag handling, and artifact placement for the CLI."""
 
+import contextlib
 import ctypes
+import io
 import json
 import os
 import platform
@@ -10,11 +12,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 import transportlab
 from transportlab.characteristics import solve_classical
 from transportlab.cli import _steady_heap, main
-from transportlab.studies import build_case, config_text, load_snapshot, parse_study_config
+from transportlab.studies import (
+    STUDY_NAMES,
+    build_case,
+    config_text,
+    load_snapshot,
+    parse_study_config,
+)
 
 
 @pytest.fixture()
@@ -53,11 +63,12 @@ def test_module_invocation_reaches_the_parser():
 
 def test_runs_without_importing_scipy_integrate(tmp_path):
     # the package pays for no quadrature module at import or in a study run,
-    # and for no scipy FFT either: numpy.fft does every transform
+    # and for no scipy FFT either: numpy.fft does every transform. Nor for
+    # numpy.random: the mollify probes are drawn by the stdlib's generator
     script = f"""
 import sys
 import transportlab
-ABSENT = ("scipy.integrate", "scipy.fft", "scipy.special")
+ABSENT = ("scipy.integrate", "scipy.fft", "scipy.special", "numpy.random")
 assert "scipy.integrate" not in sys.modules, "after import"
 from transportlab.cli import main
 assert not [m for m in ABSENT if m in sys.modules], "after importing the CLI"
@@ -225,6 +236,25 @@ def test_non_finite_or_repeated_values_exit_2_naming_the_key(
     assert len(err) == 1 and field in err[0]
 
 
+@pytest.mark.parametrize("command", [*STUDY_NAMES, "solve", "validate-config"])
+@pytest.mark.parametrize(
+    "override, field",
+    [
+        # sigma^2 overflows a float in the initial density
+        ("density.sigma=1.35e154", "density.sigma"),
+        # R^2 underflows to 0 in the vortex's gradient coefficient
+        ("velocity.radius=1e-163", "velocity.radius"),
+    ],
+)
+def test_float_range_edges_exit_2_naming_the_key(command, override, field, tmp_path, capsys):
+    argv = [command, "--out", str(tmp_path)]
+    for item in ("grid.nx=16", "grid.ny=16", "time.nt=2", override):
+        argv += ["--set", item]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and field in err[0]
+
+
 def test_conservation_run_passes_and_writes(tiny_cfg, tmp_path, capsys):
     assert main(["conservation", str(tiny_cfg)]) == 0
     out = capsys.readouterr().out
@@ -381,3 +411,72 @@ def test_inverse_sqrt_modulation_runs_without_traceback(tiny_cfg, tmp_path):
     assert (proc.returncode == 1) == ("[FAIL]" in proc.stdout)
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["study"] == "conservation"
+
+
+# Each example perturbs a small valid base config (at most 32^2 x 8, short
+# sweeps) at up to three keys, each set to a value from the edges the
+# parsers and _validate guard: zero, negatives, huge finite horizons and
+# amplitudes, radii that touch the boundary or whose square leaves the float
+# range, eps above the inner margin. No nt above 8 is drawn: a huge nt
+# passes validation and then needs memory in proportion.
+_BASE = {"grid.nx": ["8", "17", "32"], "grid.ny": ["8", "17", "32"], "time.nt": ["1", "2", "8"]}
+_EDGES = {
+    "grid.nx": ["-1", "0", "1", "4"],
+    "grid.ny": ["-1", "0", "1", "4"],
+    "time.nt": ["-1", "0"],
+    "time.horizon": ["-1", "0", "1e-300", "0.25", "1e6", "1e12", "1e308", "inf"],
+    "study.seed": ["-1", "0", "1", str(2**64)],
+    "velocity.kind": ["zero"],
+    "velocity.modulation": ["linear", "inverse-sqrt"],
+    "velocity.center": ["0.3, 0.6", "0, 0.5", "1.2, 0.5", "nan, 0.5"],
+    "velocity.radius": ["-0.3", "0", "1e-300", "1e-163", "1e-160", "0.05", "0.45", "0.5"],
+    "velocity.amplitude": ["-0.5", "0", "1e-300", "1e300", "inf"],
+    "density.center": ["0, 0", "1, 1", "2, 2"],
+    "density.sigma": ["-1", "0", "1e-300", "1e154", "1.35e154", "1e308"],
+    "density.amplitude": ["-1", "0", "1e308"],
+    "sweeps.eps_list": ["0.14, 0.1", "0.2, 0.1", "0.3, 0.1", "0.1, 0.1", "0.05, 0.1", "0.1, 0"],
+    "sweeps.n_list": ["1, 2", "4, 2", "0, 1"],
+    "sweeps.p_list": ["1, inf", "2", "0.5", "1, 1", "nan"],
+    "mollify.inner_margin": ["0", "0.05", "0.45", "0.5"],
+    "mollify.alpha": ["1.5", "0.5"],
+    "mollify.p": ["1.5"],
+    "stability.family": ["initial-data", "identity"],
+    "stability.p": ["1", "inf"],
+    "renorm.corruption": ["freeze-time"],
+    "tolerances.drift": ["0", "1e-300", "1e300"],
+}
+
+
+@st.composite
+def _edge_configs(draw):
+    values = {key: draw(st.sampled_from(v)) for key, v in _BASE.items()}
+    values["sweeps.n_list"] = "2, 4"
+    for key in draw(st.lists(st.sampled_from(sorted(_EDGES)), max_size=3, unique=True)):
+        values[key] = draw(st.sampled_from(_EDGES[key]))
+    return values
+
+
+@settings(
+    max_examples=200,
+    derandomize=True,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(command=st.sampled_from([*STUDY_NAMES, "solve", "validate-config"]), values=_edge_configs())
+def test_exit_code_contract_holds_on_the_guarded_edges(command, values, tmp_path):
+    # 0 when every check passes, 1 exactly when one fails, 2 for a config
+    # the run cannot honour; never an uncaught exception (in a process,
+    # that is a traceback on stderr)
+    argv = [command, "--out", str(tmp_path / "out")]
+    for key, value in values.items():
+        argv += ["--set", f"{key}={value}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    event(f"exit {code}")
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert (code == 1) == ("[FAIL]" in out.getvalue())
+    if code == 2:
+        assert len(err.getvalue().strip().splitlines()) == 1

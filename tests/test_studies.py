@@ -3,6 +3,7 @@
 import ast
 import csv
 import json
+import random
 import sys
 from pathlib import Path
 
@@ -12,7 +13,12 @@ import numpy as np
 
 from transportlab import characteristics, weakform
 from transportlab.analysis import conservation_report
-from transportlab.fields import ScalarField, make_test_function, quadratic_decay_profile
+from transportlab.fields import (
+    ScalarField,
+    make_kernel,
+    make_test_function,
+    quadratic_decay_profile,
+)
 from transportlab.geometry import Domain, Grid, shrink
 from transportlab.studies import (
     PROBE_CENTER,
@@ -32,6 +38,8 @@ from transportlab.studies import (
     run_stability_study,
     run_study,
     save_snapshot,
+    _probe_box,
+    _probe_nodes,
     _ratio,
 )
 from transportlab.weakform import consistency_identity, remainder_decay_study
@@ -129,6 +137,8 @@ def test_config_overrides_apply():
         ("velocity.radius=0.5", "velocity.radius"),
         ("velocity.radius=0.496", "velocity.radius"),
         ("velocity.center=1.2, 0.5", "velocity.center"),
+        ("velocity.radius=1e-163", "velocity.radius"),
+        ("density.sigma=1.35e154", "density.sigma"),
         ("mollify.inner_margin=0.6", "mollify.inner_margin"),
         # the mollify probes, refused for every study as the sweeps are
         pytest.param("sweeps.eps_list=0.3, 0.1", "sweeps.eps_list", id="identity-probe"),
@@ -516,6 +526,45 @@ def test_mollification_transforms_each_layer_once(tmp_path, monkeypatch):
     monkeypatch.setattr(weakform, "rfft2", counted)
     run_mollification_study(cfg)
     assert len(calls) == 3 * (cfg.nt + 1)
+
+
+def test_mollification_builds_one_mollifier_spectrum(tmp_path, monkeypatch):
+    # every eps's remainder reads its two gradient spectra, but only the
+    # identity pairing's eps (the largest) is mollified, so a 3-eps sweep
+    # transforms one value stencil: 3 stencil transforms at the largest
+    # eps's window and 2 at each other
+    cfg = cfg_for("mollify", tmp_path / "run", "grid.nx=48", "grid.ny=48", "time.nt=6")
+    assert len(cfg.eps_list) == 3
+    grid = build_case(cfg)[0]
+    windows = [weakform._window_radius(make_kernel(eps=e), grid) for e in cfg.eps_list]
+    stencil_shapes = [(2 * Kx + 1, 2 * Ky + 1) for Kx, Ky in windows]
+    assert len(set(stencil_shapes)) == 3
+    calls = []
+    original = weakform.rfft2
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    weakform._window_spectra.cache_clear()
+    monkeypatch.setattr(weakform, "rfft2", counted)
+    run_mollification_study(cfg)
+    assert [calls.count(shape) for shape in stencil_shapes] == [3, 2, 2]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64])
+def test_probe_draw_is_the_seeds_and_stays_in_the_probe_box(seed, tmp_path):
+    cfg = cfg_for("mollify", tmp_path / "run", "grid.nx=48", "grid.ny=48", f"study.seed={seed}")
+    grid = build_case(cfg)[0]
+    inner = shrink(grid.domain, cfg.inner_margin)
+    ii, jj = _probe_nodes(grid, inner, cfg.seed)
+    lo_x, hi_x, lo_y, hi_y = _probe_box(grid, inner)
+    assert ii.shape == jj.shape == (5,)
+    assert np.all((lo_x <= ii) & (ii < hi_x)) and np.all((lo_y <= jj) & (jj < hi_y))
+    # the stdlib generator, x indices first: the same draw on every run
+    draw = random.Random(seed).randrange
+    assert ii.tolist() == [draw(lo_x, hi_x) for _ in range(5)]
+    assert jj.tolist() == [draw(lo_y, hi_y) for _ in range(5)]
 
 
 @pytest.mark.parametrize(
