@@ -441,13 +441,14 @@ def _rounded_min(sigma: np.ndarray, M: float, k: int) -> np.ndarray:
     sigma = np.asarray(sigma, dtype=float)
     lo = M - 1.0 / k
     hi = M + 1.0 / k
+    # left of the window min(sigma, M) is sigma itself, bit for bit; out=
+    # keeps a 0-d input an array that the window can be written into
+    out = np.minimum(sigma, M, out=np.empty(sigma.shape))
     win = (sigma > lo) & (sigma < hi)
-    # the arc on the whole array; where tau * tau overflows, np.where drops it
-    with np.errstate(all="ignore"):
-        tau = sigma - hi
-        arc = M - 0.25 * k * tau * tau
-    # left of the window min(sigma, M) is sigma itself, bit for bit
-    return np.where(win, arc, np.minimum(sigma, M))
+    # the arc only where it is kept: inside the window tau is finite
+    tau = sigma[win] - hi
+    out[win] = M - 0.25 * k * tau * tau
+    return out
 
 
 def _rounded_min_slope(sigma: np.ndarray, M: float, k: int) -> np.ndarray:

@@ -218,14 +218,23 @@ class Grid:
         sy = fy - j
         rx = 1 - sx
         ry = 1 - sy
-        # corner values gathered by flat index from the row-major nodes
+        # corner values gathered by flat index from the row-major nodes; the
+        # other three corners are the same indices into offset views, so no
+        # shifted index array is built. Each gathered corner is weighted in
+        # place, and the sum is v00 rx ry + v10 sx ry + v01 rx sy + v11 sx sy
+        # in that order.
         flat = values.ravel()
-        k = i * (self.ny + 1) + j
-        v00 = flat[k]
-        v10 = flat[k + (self.ny + 1)]
-        v01 = flat[k + 1]
-        v11 = flat[k + (self.ny + 2)]
-        return v00 * rx * ry + v10 * sx * ry + v01 * rx * sy + v11 * sx * sy
+        k = i * (self.ny + 1)
+        k += j
+        out = flat.take(k)
+        out *= rx
+        out *= ry
+        for offset, a, b in ((self.ny + 1, sx, ry), (1, rx, sy), (self.ny + 2, sx, sy)):
+            corner = flat[offset:].take(k)
+            corner *= a
+            corner *= b
+            out += corner
+        return out
 
 
 def integrate(g: np.ndarray, grid: Grid, region: Domain | None = None) -> float:

@@ -78,6 +78,12 @@ STUDY_NAMES = ("conservation", "mollify", "renorm", "stability")
 PROBE_CENTER = (0.62, 0.44)
 PROBE_RADIUS = 0.22
 
+# The most time steps a study accepts. Every study holds arrays of nt + 1
+# floats (the time nodes and their weights), 80 MB each at this bound, and
+# steps through every layer; far above it a run would be killed for memory
+# or take days, so _validate refuses it up front.
+MAX_NT = 10**7
+
 
 class StudiesError(ValueError):
     """Config or orchestration failure; message names the offending field."""
@@ -273,10 +279,17 @@ def _validate(cfg: StudyConfig) -> StudyConfig:
             "sweeps.eps_list",
             f"largest eps {e[0]:g} must be below mollify.inner_margin {cfg.inner_margin:g}",
         )
-    # the density divides by 2 sigma^2, which must not overflow, and the
-    # vortex by R^2, which must be a normal float
+    if cfg.nt > MAX_NT:
+        fail("time.nt", f"{cfg.nt} time steps exceed the most a study takes, {MAX_NT}")
+    # the density divides by 2 sigma^2 and the vortex by R^2; each square
+    # must be a finite normal float
     if not np.isfinite(cfg.d_sigma * cfg.d_sigma):
         fail("density.sigma", f"{cfg.d_sigma:g} is too large: its square overflows a float")
+    if cfg.d_sigma * cfg.d_sigma < np.finfo(float).tiny:
+        fail(
+            "density.sigma",
+            f"{cfg.d_sigma:g} is too small: its square underflows the normal floats",
+        )
     if cfg.velocity == "vortex":
         if cfg.v_radius * cfg.v_radius < np.finfo(float).tiny:
             fail(

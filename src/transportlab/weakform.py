@@ -86,16 +86,6 @@ def _profile_on_grid(v: VelocityField, grid: Grid) -> tuple[np.ndarray, np.ndarr
 Box = tuple[slice, slice]
 
 
-def _node_box(mask: np.ndarray) -> tuple[int, int, int, int]:
-    """(i0, i1, j0, j1): the smallest index box holding every True of a 2-D
-    mask, empty (all zeros) when the mask has none."""
-    rows = np.flatnonzero(mask.any(axis=1))
-    cols = np.flatnonzero(mask.any(axis=0))
-    if rows.size == 0:
-        return 0, 0, 0, 0
-    return int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
-
-
 def _union_box(boxes: Sequence[tuple[int, int, int, int]]) -> tuple[Box, list[Box]]:
     """The union box of `boxes` on the grid, and each box relative to it."""
     full = [b for b in boxes if b[0] < b[1]]
@@ -129,15 +119,18 @@ class ResidualAccumulator:
     they are produced keeps refined solves at constant memory; weak_residual
     on a stored field is a one-pair bank run over its layers.
 
-    Every test function vanishes outside its support ball, so each phi keeps
-    its time and advective weights only on its node box: the bounding box of
-    the nodes where either weight is nonzero. Outside it both weights are
-    exact zeros, so dropping those nodes drops only exact zeros. Each layer is
-    cut to the union of the boxes once, each beta is evaluated once on that
-    cut, and each distinct spatial part reduces the values on its own box
-    with np.sum, once for every phi that shares it. A pairing's bits
-    therefore depend only on its own box, and a bank of any size gives, pair
-    for pair, the bits of a one-pair accumulator.
+    Every test function vanishes outside its support ball, so each distinct
+    spatial part keeps its time and advective weights only at its nodes: the
+    flat indices of the grid nodes where either weight is nonzero, with the
+    two weights as the columns of one contiguous (n_k, 2) array. Elsewhere
+    both weights are exact zeros, so dropping those nodes drops only exact
+    zeros. The node lists of the parts are laid end to end; each layer is
+    taken at them once, each beta is evaluated once on that vector, and each
+    (beta, part) pair reduces its own slice of it with one matrix-vector
+    product, once for every phi that shares the part. A pairing's bits
+    therefore depend only on its own nodes, and a bank of any size gives,
+    pair for pair, the bits of a one-pair accumulator. Each distinct time
+    profile is evaluated at every time node once, when the bank is built.
 
     report returns the pairings beta-major: entry b * len(phis) + k pairs
     betas[b] with phis[k].
@@ -172,70 +165,68 @@ class ResidualAccumulator:
         if self.times.size < 2:
             raise WeakformError("need at least two time layers for a residual")
         self.tw = time_weights(self.times)
-        self.tw_m = time_weights(self.times, u.modulation)
         X, Y = grid.meshes()
         w = grid.quadrature_weights
         # u = m(t) v: v enters the advective weights once, m the modulated
         # time weights
         vx, vy = _profile_on_grid(u.profile, grid)
         # phis that share a spatial part (a bank pairs each center with
-        # several time profiles) share one weight stack and one box sum, and
+        # several time profiles) share one node list and one weight array, and
         # phis that share a time profile share its evaluation
         spatial, self._spatial_index = _distinct(
             (phi.center, phi.radius, phi.amplitude) for phi in self.phis
         )
         profiles, self._profile_index = _distinct(phi.time_profile for phi in self.phis)
-        self._profiles = [self.phis[k].time_profile for k in profiles]
-        boxes, self._weights = [], []
+        profiles = [self.phis[k].time_profile for k in profiles]
+        psi = np.array([prof.value(self.times) for prof in profiles])
+        dpsi = np.array([prof.derivative(self.times) for prof in profiles])
+        # each layer's factors of the time and the advective sums, one row per
+        # distinct profile: its time weight times psi' and, m(t) included,
+        # its modulated time weight times psi
+        self._time_factors = self.tw * dpsi
+        self._advective_factors = time_weights(self.times, u.modulation) * psi
+        self._psi0 = psi[self._profile_index, 0]
+        nodes, self._weights = [], []
         for k in spatial:
             phi = self.phis[k]
             phi_w = phi.spatial(X, Y) * w
             gx, gy = phi.spatial_gradient(X, Y)
             adv_w = vx * (gx * w) + vy * (gy * w)
-            i0, i1, j0, j1 = box = _node_box((phi_w != 0) | (adv_w != 0))
-            boxes.append(box)
-            self._weights.append(np.stack([phi_w[i0:i1, j0:j1], adv_w[i0:i1, j0:j1]]))
-        self._union, self._boxes = _union_box(boxes)
+            idx = np.flatnonzero((phi_w != 0) | (adv_w != 0))
+            nodes.append(idx)
+            self._weights.append(np.stack([phi_w.ravel()[idx], adv_w.ravel()[idx]], axis=1))
+        self._nodes = np.concatenate(nodes)
+        ends = np.cumsum([idx.size for idx in nodes]).tolist()
+        self._parts = [slice(end - idx.size, end) for idx, end in zip(nodes, ends)]
         shape = (len(self.betas), len(self.phis))
         self.term_time = np.zeros(shape)
         self.term_advective = np.zeros(shape)
         self._seen = 0
 
-    def _time_profiles(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """psi(t) and psi'(t) of every test function."""
-        psi = np.array([float(np.asarray(prof.value(t))) for prof in self._profiles])
-        dpsi = np.array([float(np.asarray(prof.derivative(t))) for prof in self._profiles])
-        return psi[self._profile_index], dpsi[self._profile_index]
-
-    def _cut(self, layer: np.ndarray) -> np.ndarray:
-        """The union box of a full-grid layer."""
+    def _take(self, layer: np.ndarray) -> np.ndarray:
+        """A full-grid layer at the parts' nodes, laid end to end."""
         if np.shape(layer) != self.grid.shape:
             raise WeakformError(
                 f"layer shape {np.shape(layer)} does not match grid {self.grid.shape}"
             )
-        return layer[self._union]
+        return np.take(layer, self._nodes)
 
-    def _box_sums(self, vals: np.ndarray) -> np.ndarray:
-        """Shape (len(phis), 2): each phi's time and advective weights summed
-        against vals on that phi's box, once per distinct spatial part."""
-        sums = np.array(
-            [np.sum(vals[box] * W, axis=(1, 2)) for box, W in zip(self._boxes, self._weights)]
-        ).reshape(-1, 2)
-        return sums[self._spatial_index]
+    def _pair_sums(self, taken: np.ndarray) -> np.ndarray:
+        """Shape (len(betas), len(phis), 2): each beta of the taken values
+        summed against each phi's time and advective weights at that phi's
+        nodes, once per distinct spatial part."""
+        sums = []
+        for beta in self.betas:
+            vals = taken if beta is None else beta(taken)
+            sums.append([vals[part] @ W for part, W in zip(self._parts, self._weights)])
+        return np.array(sums)[:, self._spatial_index]
 
     def add_layer(self, j: int, layer: np.ndarray) -> None:
         if j != self._seen:
             raise WeakformError(f"layers must arrive in order, expected {self._seen}")
-        t = float(self.times[j])
-        psi, dpsi = self._time_profiles(t)
-        tw_dpsi = self.tw[j] * dpsi
-        tw_psi = self.tw_m[j] * psi
-        cut = self._cut(layer)
-        for b, beta in enumerate(self.betas):
-            vals = cut if beta is None else beta(cut)
-            sums = self._box_sums(vals)
-            self.term_time[b] -= tw_dpsi * sums[:, 0]
-            self.term_advective[b] += tw_psi * sums[:, 1]
+        sums = self._pair_sums(self._take(layer))
+        self.term_time -= self._time_factors[self._profile_index, j] * sums[..., 0]
+        self.term_advective += self._advective_factors[self._profile_index, j] * sums[..., 1]
         self._seen += 1
 
     def report(self, rho0_layer: np.ndarray) -> list[ResidualReport]:
@@ -243,16 +234,13 @@ class ResidualAccumulator:
             raise WeakformError(
                 f"saw {self._seen} layers, expected {self.times.size}"
             )
-        psi0, _ = self._time_profiles(float(self.times[0]))
-        cut0 = self._cut(rho0_layer)
+        term_initial = -self._psi0 * self._pair_sums(self._take(rho0_layer))[..., 0]
         reports = []
         for b, beta in enumerate(self.betas):
-            vals0 = cut0 if beta is None else beta(cut0)
-            term_initial = -psi0 * self._box_sums(vals0)[:, 0]
             reports += [
                 ResidualReport(
                     term_time=float(self.term_time[b, k]),
-                    term_initial=float(term_initial[k]),
+                    term_initial=float(term_initial[b, k]),
                     term_advective=float(self.term_advective[b, k]),
                     phi=phi.label,
                     beta=beta.label if beta is not None else None,

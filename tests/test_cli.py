@@ -4,6 +4,7 @@ import contextlib
 import ctypes
 import io
 import json
+import math
 import os
 import platform
 import subprocess
@@ -19,6 +20,7 @@ import transportlab
 from transportlab.characteristics import solve_classical
 from transportlab.cli import _steady_heap, main
 from transportlab.studies import (
+    MAX_NT,
     STUDY_NAMES,
     build_case,
     config_text,
@@ -242,6 +244,8 @@ def test_non_finite_or_repeated_values_exit_2_naming_the_key(
     [
         # sigma^2 overflows a float in the initial density
         ("density.sigma=1.35e154", "density.sigma"),
+        # 2 sigma^2 underflows to 0 and the density divides by it
+        ("density.sigma=1e-170", "density.sigma"),
         # R^2 underflows to 0 in the vortex's gradient coefficient
         ("velocity.radius=1e-163", "velocity.radius"),
     ],
@@ -253,6 +257,31 @@ def test_float_range_edges_exit_2_naming_the_key(command, override, field, tmp_p
     assert main(argv) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and field in err[0]
+
+
+def test_sigma_at_the_normal_float_edge_validates(capsys):
+    # the smallest sigma whose square is a normal float is taken, the next
+    # float down is refused; validate-config runs nothing
+    tiny = sys.float_info.min
+    low = math.sqrt(tiny)
+    while low * low < tiny:
+        low = math.nextafter(low, math.inf)
+    below = math.nextafter(low, 0.0)
+    while below * below >= tiny:
+        low, below = below, math.nextafter(below, 0.0)
+    assert main(["validate-config", "--set", f"density.sigma={low!r}"]) == 0
+    assert main(["validate-config", "--set", f"density.sigma={below!r}"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "density.sigma" in err[0]
+
+
+def test_time_steps_are_bounded(capsys):
+    # validate-config allocates nothing, so the bound itself can be checked
+    assert main(["validate-config", "--set", f"time.nt={MAX_NT}"]) == 0
+    assert f"nt = {MAX_NT}" in capsys.readouterr().out
+    assert main(["validate-config", "--set", f"time.nt={MAX_NT + 1}"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "time.nt" in err[0]
 
 
 def test_conservation_run_passes_and_writes(tiny_cfg, tmp_path, capsys):
@@ -417,13 +446,14 @@ def test_inverse_sqrt_modulation_runs_without_traceback(tiny_cfg, tmp_path):
 # sweeps) at up to three keys, each set to a value from the edges the
 # parsers and _validate guard: zero, negatives, huge finite horizons and
 # amplitudes, radii that touch the boundary or whose square leaves the float
-# range, eps above the inner margin. No nt above 8 is drawn: a huge nt
-# passes validation and then needs memory in proportion.
+# range, eps above the inner margin. Every valid nt drawn is at most 8: a
+# run's memory and time grow with nt, so only the refused side of the
+# MAX_NT bound is drawn.
 _BASE = {"grid.nx": ["8", "17", "32"], "grid.ny": ["8", "17", "32"], "time.nt": ["1", "2", "8"]}
 _EDGES = {
     "grid.nx": ["-1", "0", "1", "4"],
     "grid.ny": ["-1", "0", "1", "4"],
-    "time.nt": ["-1", "0"],
+    "time.nt": ["-1", "0", str(MAX_NT + 1), "1000000000"],
     "time.horizon": ["-1", "0", "1e-300", "0.25", "1e6", "1e12", "1e308", "inf"],
     "study.seed": ["-1", "0", "1", str(2**64)],
     "velocity.kind": ["zero"],

@@ -512,6 +512,42 @@ def test_rounded_min_matches_gather_scatter_bits(M, k):
             assert np.shape(a) == () and np.asarray(a).view(np.int64) == np.asarray(b).view(np.int64)
 
 
+def whole_array_rounded_min(sigma, M, k):
+    """min(sigma, M) with the rounded corner, the arc taken on every entry."""
+    sigma = np.asarray(sigma, dtype=float)
+    lo, hi = M - 1.0 / k, M + 1.0 / k
+    win = (sigma > lo) & (sigma < hi)
+    with np.errstate(all="ignore"):
+        tau = sigma - hi
+        arc = M - 0.25 * k * tau * tau
+    return np.where(win, arc, np.minimum(sigma, M))
+
+
+@pytest.mark.parametrize("M,k", [(1.0, 10), (4.0, 10), (10.0, 3)])
+def test_rounded_min_in_its_window_matches_the_whole_array_arc(M, k):
+    # the arc is taken only on the entries inside the window; every bit,
+    # the sign of zero included, is that of the arc taken everywhere
+    lo, hi = M - 1.0 / k, M + 1.0 / k
+    edges = [lo, hi, *(np.nextafter(a, b) for a in (lo, hi) for b in (-np.inf, np.inf))]
+    special = [0.0, -0.0, np.nan, np.inf, -np.inf, 1e300, -1e300, M]
+    rng = np.random.default_rng(5)
+    sigma = np.concatenate([edges, special, rng.uniform(lo - 0.3, hi + 0.3, 400)])
+    got = _rounded_min(sigma, M, k)
+    want = whole_array_rounded_min(sigma, M, k)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.count_nonzero((sigma > lo) & (sigma < hi)) > 50
+    # none of the entries in the window: the arc is never taken
+    outside = np.array([0.5 * lo, 2.0 * hi, lo, hi])
+    assert np.array_equal(_rounded_min(outside, M, k), np.minimum(outside, M))
+    for s in sigma:
+        a, b = _rounded_min(s, M, k), whole_array_rounded_min(s, M, k)
+        assert np.shape(a) == () and np.asarray(a).view(np.int64) == b.view(np.int64)
+    grid = sigma[:16].reshape(4, 4)
+    assert np.array_equal(
+        _rounded_min(grid, M, k).view(np.int64), whole_array_rounded_min(grid, M, k).view(np.int64)
+    )
+
+
 def test_beta_smooth_approx_zero_and_windows():
     for M, k in [(1.0, 10), (2.5, 4), (0.7, 30)]:
         beta = beta_smooth_approx(M, k)

@@ -221,6 +221,50 @@ def test_interpolate_range_check_guards():
     assert empty.shape == (0,)
 
 
+def clip_and_shift_interpolate(g, values, x, y):
+    """Bilinear interpolation clamped by np.clip, with each corner gathered
+    by its own shifted flat index."""
+    d = g.domain
+    fx = np.clip((x - d.x_lo) / g.hx, 0.0, g.nx)
+    fy = np.clip((y - d.y_lo) / g.hy, 0.0, g.ny)
+    i = np.minimum(fx.astype(int), g.nx - 1)
+    j = np.minimum(fy.astype(int), g.ny - 1)
+    sx, sy = fx - i, fy - j
+    rx, ry = 1 - sx, 1 - sy
+    flat = values.ravel()
+    k = i * (g.ny + 1) + j
+    v00, v10 = flat[k], flat[k + (g.ny + 1)]
+    v01, v11 = flat[k + 1], flat[k + (g.ny + 2)]
+    return v00 * rx * ry + v10 * sx * ry + v01 * rx * sy + v11 * sx * sy
+
+
+def test_interpolate_matches_clip_and_shift_bits():
+    # the corners are taken from offset views of the flat values; the bits
+    # are those of the shifted-index gather
+    g = Grid(Domain(-0.5, 0.25, 1.5, 1.0), 23, 11)
+    rng = np.random.default_rng(11)
+    vals = rng.standard_normal(g.shape)
+    d = g.domain
+    # one ulp and half the range check's slack outside, which the clamp
+    # moves onto the edge
+    up, down = np.nextafter(d.x_hi, np.inf), np.nextafter(d.y_lo, -np.inf)
+    slack = 1e-12
+    edges_x = [d.x_lo, d.x_hi, d.x_hi, d.x_lo, 0.3, d.x_hi, up, d.x_lo]
+    edges_y = [d.y_lo, d.y_hi, d.y_lo, d.y_hi, d.y_hi, 0.6, down, 0.5]
+    edges_x += [d.x_hi + slack, d.x_lo - slack]
+    edges_y += [d.y_lo - slack, d.y_hi + slack]
+    # random points, the edges and corners, and a diagonal of nodes
+    qx = np.concatenate([rng.uniform(d.x_lo, d.x_hi, 500), edges_x, g.xs[: g.ys.size]])
+    qy = np.concatenate([rng.uniform(d.y_lo, d.y_hi, 500), edges_y, g.ys[::-1]])
+    got = g.interpolate(vals, qx, qy)
+    want = clip_and_shift_interpolate(g, vals, qx, qy)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    for x0, y0 in zip(edges_x, edges_y):
+        one = g.interpolate(vals, x0, y0)
+        assert np.shape(one) == ()
+        assert one == clip_and_shift_interpolate(g, vals, np.asarray(x0), np.asarray(y0))
+
+
 def test_time_partition_nodes():
     tp = TimePartition(2.0, 8)
     assert tp.dt == pytest.approx(0.25)

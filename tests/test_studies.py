@@ -139,6 +139,8 @@ def test_config_overrides_apply():
         ("velocity.center=1.2, 0.5", "velocity.center"),
         ("velocity.radius=1e-163", "velocity.radius"),
         ("density.sigma=1.35e154", "density.sigma"),
+        ("density.sigma=1e-170", "density.sigma"),
+        ("time.nt=1000000000", "time.nt"),
         ("mollify.inner_margin=0.6", "mollify.inner_margin"),
         # the mollify probes, refused for every study as the sweeps are
         pytest.param("sweeps.eps_list=0.3, 0.1", "sweeps.eps_list", id="identity-probe"),

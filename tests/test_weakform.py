@@ -296,8 +296,35 @@ def test_shared_spatial_parts_pair_like_one_pair_accumulators():
         )
 
 
+def test_study_bank_pairs_like_one_pair_accumulators():
+    # every beta of the studies' bank, on a density that reaches the
+    # rounding window of the smooth clip and the saturation window of the
+    # power: each pair keeps the bits of its own one-pair accumulator
+    grid, times, u, rho0, sol = small_solution(64, 20)
+    rho0 = ScalarField(grid, rho0.times, 2.5 * rho0.values)
+    sol = ScalarField(grid, sol.times, 2.5 * sol.values)
+    assert np.any((sol.values > 0.9) & (sol.values < 1.1))
+    assert np.any((sol.values**2 > 3.9) & (sol.values**2 < 4.1))
+    phis = _phi_bank(DOM, 1.0) + mixed_bank()
+    betas = bank_betas("clip[10]", "clip[1]~k10", "pow[2|4]~k10", "const[0.7]")
+    acc = ResidualAccumulator(grid, sol.times, u, phis, betas)
+    for j in range(sol.n_layers):
+        acc.add_layer(j, sol.layer(j))
+    pairs = [(phi, beta) for beta in betas for phi in phis]
+    reports = acc.report(rho0.layer(0))
+    assert len(reports) == 5 * 9
+    for rep, (phi, beta) in zip(reports, pairs):
+        ref = weak_residual(sol, rho0, u, phi, beta=beta)
+        assert (rep.phi, rep.beta) == (ref.phi, ref.beta)
+        assert (rep.term_time, rep.term_initial, rep.term_advective) == (
+            ref.term_time,
+            ref.term_initial,
+            ref.term_advective,
+        )
+
+
 def test_accumulator_weights_advective_layers_by_trapezoid_times_m():
-    # each layer's advective box sums enter with trapezoid weight times the
+    # each layer's advective part sums enter with trapezoid weight times the
     # scalar m(t_j) times psi(t_j), as written out here
     u = vortex_field(DOM, modulation="linear")
     grid, times, u, rho0, sol = small_solution(32, 8, field=u)
@@ -310,10 +337,8 @@ def test_accumulator_weights_advective_layers_by_trapezoid_times_m():
         acc.add_layer(j, sol.layer(j))
         t = float(sol.times[j])
         psi = np.array([float(phi.time_profile.value(t)) for phi in phis])
-        cut = sol.layer(j)[acc._union]
-        for b, beta in enumerate(betas):
-            vals = cut if beta is None else beta(cut)
-            want[b] += tw[j] * u.modulation.value(t) * psi * acc._box_sums(vals)[:, 1]
+        sums = acc._pair_sums(np.take(sol.layer(j), acc._nodes))
+        want += tw[j] * u.modulation.value(t) * psi * sums[..., 1]
     assert np.array_equal(acc.term_advective, want)
     assert np.count_nonzero(want) == 4  # the small ball lies outside the vortex
 
