@@ -4,11 +4,11 @@ Everything here reduces densities or velocity fields to the handful of
 numbers the transport theory says must behave: conserved L^p norms,
 vanishing boundary-layer flux, and perturbation distances that shrink
 together. Most functions consume solved densities; the stability
-experiment streams its own solves as one family: one stacked pass over the
-reference and every member, whose tuple layers feed the L^p and the
-renormalized distances together. Nothing here judges a number against a
-tolerance: the studies do that, each check by the one rule
-measured <= tolerance.
+experiment streams its own solves as one family: one iter_solution_layers
+pass over the reference and every member, whose values on the moving nodes
+feed the L^p and the renormalized distances together. Nothing here judges
+a number against a tolerance: the studies do that, each check by the one
+rule measured <= tolerance.
 """
 
 from __future__ import annotations
@@ -189,38 +189,12 @@ class RenormalizationTrend:
     distances: tuple[tuple[float, ...], ...]
 
 
-class _RenormalizedDistances:
-    """Running ||beta(rho_n) - beta(rho)||^2 in L2((0,T) x Omega), per beta and n.
-
-    Fed one time node at a time, with the reference layer and the same
-    layer of every family member: each beta adds the node's time weight
-    (fields.time_weights) times the spatial integral of
-    (beta(rho_n) - beta(rho))^2.
-    """
-
-    def __init__(
-        self,
-        grid: Grid,
-        times: np.ndarray,
-        betas: Sequence[AdmissibleBeta],
-        members: int,
-    ):
-        self.grid = grid
-        self.betas = list(betas)
-        self.tw = time_weights(times)
-        self.sq = [[0.0] * members for _ in self.betas]
-
-    def add_layer(self, j: int, reference: np.ndarray, layers: Sequence[np.ndarray]) -> None:
-        for beta, sq in zip(self.betas, self.sq):
-            base = beta(reference)
-            for m, layer in enumerate(layers):
-                sq[m] += self.tw[j] * integrate((beta(layer) - base) ** 2, self.grid)
-
-    def trend(self) -> RenormalizationTrend:
-        return RenormalizationTrend(
-            tuple(beta.label for beta in self.betas),
-            tuple(tuple(float(np.sqrt(v)) for v in sq) for sq in self.sq),
-        )
+def _trend(betas: Sequence[AdmissibleBeta], sq: list[list[float]]) -> RenormalizationTrend:
+    """The trend from sq[b][m], member m's running squared distance for beta b."""
+    return RenormalizationTrend(
+        tuple(beta.label for beta in betas),
+        tuple(tuple(float(np.sqrt(v)) for v in row) for row in sq),
+    )
 
 
 def renormalization_convergence_check(
@@ -231,15 +205,104 @@ def renormalization_convergence_check(
     """Per beta, the trend of ||beta(rho_n) - beta(rho)||_{L2((0,T) x Omega)}.
 
     The stored-solution route; stability_experiment takes the same
-    distances while it streams the solves.
+    distances while it streams the solves. Each time node adds its time
+    weight (fields.time_weights) times the spatial integral of
+    (beta(rho_n) - beta(rho))^2.
     """
     for r in rho_list:
         if r.grid != rho.grid or r.n_layers != rho.n_layers:
             raise AnalysisError("all densities must share grid and time layout")
-    dist = _RenormalizedDistances(rho.grid, rho.times, betas, len(rho_list))
+    tw = time_weights(rho.times)
+    sq = [[0.0] * len(rho_list) for _ in betas]
     for j in range(rho.n_layers):
-        dist.add_layer(j, rho.layer(j), [r.layer(j) for r in rho_list])
-    return dist.trend()
+        for beta, row in zip(betas, sq):
+            base = beta(rho.layer(j))
+            for m, r in enumerate(rho_list):
+                row[m] += tw[j] * integrate((beta(r.layer(j)) - base) ** 2, rho.grid)
+    return _trend(betas, sq)
+
+
+class _FamilyDistances:
+    """Running distances of members 1, 2, ... of a family to member 0, fed
+    one MovingLayers at a time: its values, and its still layers when they
+    change.
+
+    Per member: e, the max over the time nodes so far of ||rho_n - rho||_p
+    as lp_norm takes it; and per beta, the running squared distance
+    renormalization_convergence_check takes.
+
+    Every distance is reduced over the whole grid, in the order lp_norm and
+    integrate reduce it, so each value keeps their bits. A full-grid buffer
+    per distance and initial density (members that share one share the
+    buffer) holds the integrand. set_still writes its part off the nodes,
+    and each layer rewrites only the entries at the nodes. Each beta is
+    evaluated once per layer, on every member's values at once.
+    """
+
+    def __init__(
+        self,
+        grid: Grid,
+        times: np.ndarray,
+        p: float,
+        betas: Sequence[AdmissibleBeta],
+        nodes: np.ndarray,
+        density: Sequence[int],
+    ):
+        self.p = p
+        self.betas = list(betas)
+        self.tw = time_weights(times)
+        self.nodes = nodes
+        self.w = grid.quadrature_weights
+        self.w_nodes = self.w.ravel()[nodes]
+        self.density = tuple(density[1:])
+        used = sorted(set(self.density))
+        # buffers[k][d]: distance k (each beta, then L^p) for density d
+        self.buffers = [
+            {d: np.empty(grid.shape) for d in used} for _ in range(len(self.betas) + 1)
+        ]
+        self.e = [0.0] * len(self.density)
+        self.sq = [[0.0] * len(self.density) for _ in self.betas]
+
+    def _lp_integrand(self, diff: np.ndarray, w) -> np.ndarray:
+        a = np.abs(diff)
+        return a if np.isinf(self.p) else a**self.p * w
+
+    def set_still(self, stills: Sequence[np.ndarray]) -> None:
+        """Write the part off the nodes: stills[d] is the layer of density d,
+        stills[0] the reference's."""
+        for beta, bufs in zip(self.betas, self.buffers):
+            b = {d: beta(stills[d]) for d in {0, *bufs}}
+            for d, buf in bufs.items():
+                buf[...] = (b[d] - b[0]) ** 2 * self.w
+        for d, buf in self.buffers[-1].items():
+            buf[...] = self._lp_integrand(stills[d] - stills[0], self.w)
+
+    def _reduce(self, bufs: dict, integrands: np.ndarray, reduce) -> list[float]:
+        """Per member, its integrand written into its density's buffer at the
+        nodes, and the whole buffer reduced."""
+        out = []
+        for d, row in zip(self.density, integrands):
+            buf = bufs[d]
+            buf.ravel()[self.nodes] = row
+            out.append(float(reduce(buf)))
+        return out
+
+    def add_layer(self, j: int, values: np.ndarray) -> None:
+        """values[m]: member m's layer j at the nodes, member 0 the reference."""
+        for beta, bufs, sq in zip(self.betas, self.buffers, self.sq):
+            b = beta(values)
+            sums = self._reduce(bufs, (b[1:] - b[0]) ** 2 * self.w_nodes, np.sum)
+            for m, v in enumerate(sums):
+                sq[m] += self.tw[j] * v
+        integrands = self._lp_integrand(values[1:] - values[0], self.w_nodes)
+        if np.isinf(self.p):
+            norms = self._reduce(self.buffers[-1], integrands, np.max)
+        else:
+            norms = [
+                float(v ** (1.0 / self.p))
+                for v in self._reduce(self.buffers[-1], integrands, np.sum)
+            ]
+        self.e = [max(e, v) for e, v in zip(self.e, norms)]
 
 
 # ---------------------------------------------------------------------------
@@ -325,27 +388,32 @@ def stability_experiment(
     d_n = ||u_n - u|| in L1 of time and space; e_n = max over time nodes of
     ||rho_n(t_j) - rho(t_j)||_p, the discrete stand-in for the uniform-in-
     time L^p distance. The reference and every member are one family of
-    iter_solution_layers, one stream whose layers are tuples (reference,
-    member 1, ...); it integrates them as one stacked pass and stores
-    nothing. At each time node the running e_n maxima are updated and, for
-    each beta in betas, the renormalized distances ||beta(rho_n) - beta(rho)||
-    in L2((0,T) x Omega) accumulate exactly as
-    renormalization_convergence_check takes them on stored solutions. Their
+    iter_solution_layers, integrated as one stacked pass that stores
+    nothing, and its layers are read as MovingLayers, on the moving nodes
+    alone. At each time node the
+    running e_n maxima are updated and, for each beta in betas, the
+    renormalized distances ||beta(rho_n) - beta(rho)|| in L2((0,T) x Omega)
+    accumulate, each with the bits lp_norm and
+    renormalization_convergence_check give on the stored solutions. Their
     trend is the report's renormalization field. Judging how e_n and the
     trend decay is the caller's business.
     """
     ns = [int(n) for n in n_list]
     if not ns or any(n <= 0 for n in ns) or any(b <= a for a, b in zip(ns, ns[1:])):
         raise AnalysisError("n_list must be positive and strictly increasing")
+    if p < 1.0:
+        raise AnalysisError(f"p must be >= 1, got {p}")
     grid = rho0.grid
     members = [family(n) for n in ns]
     fields = [u_n for u_n, _ in members]
-    stream = iter_solution_layers([rho0] + [r for _, r in members], [u] + fields, times)
-    e = [0.0] * len(ns)
-    dist = _RenormalizedDistances(grid, times.times, betas, len(ns))
-    for j, _, (reference, *layers) in stream:
-        for m, layer in enumerate(layers):
-            e[m] = max(e[m], lp_norm(layer - reference, grid, p))
-        dist.add_layer(j, reference, layers)
     d = _velocity_distances(fields, u, grid, times)
-    return StabilityReport(tuple(ns), d, tuple(e), float(p), dist.trend())
+    stream = iter_solution_layers(
+        [rho0] + [r for _, r in members], [u] + fields, times, moving=True
+    )
+    for j, _, layer in stream:
+        if j == 0:
+            dist = _FamilyDistances(grid, times.times, p, betas, layer.nodes, layer.density)
+        if j < 2:  # the still layers change only here
+            dist.set_still(layer.still)
+        dist.add_layer(j, layer.values)
+    return StabilityReport(tuple(ns), d, tuple(dist.e), float(p), _trend(betas, dist.sq))

@@ -15,12 +15,12 @@ clamped if the excursion is tiny and treated as a blowup otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from transportlab.fields import GradientWorkspace, ScalarField, VelocityField, velocity_into
-from transportlab.geometry import Domain, Grid, TimePartition
+from transportlab.geometry import Domain, Grid, InterpolationWorkspace, TimePartition
 
 # the largest step, in grid cells, a node may move per RK4 step
 _CFL = 0.5
@@ -47,15 +47,15 @@ def _stack_key(v: VelocityField) -> tuple:
 
 class _StepWorkspace:
     """The buffers of one RK4 pass at a fixed point shape: stage points,
-    stage slope, the running RK4 sum and, for a stack, the slope kernel's
-    scratch."""
+    stage slope and the running RK4 sum, each with x and y as its two
+    planes, and, for a stack, the slope kernel's scratch and the rows of
+    component coefficients."""
 
     def __init__(self, shape: tuple[int, ...], stacked: bool):
         self.shape = shape
-        self.xs, self.ys = np.empty(shape), np.empty(shape)
-        self.ux, self.uy = np.empty(shape), np.empty(shape)
-        self.sx, self.sy = np.empty(shape), np.empty(shape)
+        self.points, self.slope, self.sum = (np.empty((2,) + shape) for _ in range(3))
         self.kernel = GradientWorkspace(shape) if stacked else None
+        self.coefs: tuple[float, list] | None = None  # (m, one array per component)
 
 
 @dataclass(frozen=True)
@@ -71,11 +71,12 @@ class FlowMapIntegrator:
     velocity is one VelocityField, whose points may have any shape, or a
     tuple of fields with one domain, one modulation and the same component
     centres and radii. A stack's points carry one row per field (axis 0),
-    and row n moves in field n: each component's coefficient is a column of
-    the members' own scalars, so every row gets the bits of its own solve.
-    The integrator keeps one workspace for the last point shape it stepped,
-    so a solve that advances the same points layer after layer allocates its
-    stage buffers once.
+    and row n moves in field n: each component's coefficient is an array of
+    the points' shape holding the members' own scalars row by row, so every
+    row gets the bits of its own solve. The integrator keeps one workspace
+    for the last point shape it stepped, so a solve that advances the same
+    points layer after layer allocates its stage buffers and coefficient
+    rows once.
     """
 
     velocity: VelocityField | tuple[VelocityField, ...]
@@ -112,28 +113,27 @@ class FlowMapIntegrator:
             out.append(sgn * partial)
         return out
 
-    def _slope(self, ndim: int, kernel: GradientWorkspace):
-        """slope(x, y, t, out_x, out_y) writing u(x, y, t) into the outs."""
+    def _slope(self, ws: _StepWorkspace):
+        """slope(p, t, out) writing u(p, t) into out; p and out hold x and y
+        as their two planes."""
         v = self.velocity
         if not isinstance(v, tuple):
 
-            def slope(x, y, t, out_x, out_y):
-                ux, uy = v.eval(x, y, t, checked=False)
-                np.copyto(out_x, ux)
-                np.copyto(out_y, uy)
+            def slope(p, t, out):
+                out[0], out[1] = v.eval(p[0], p[1], t, checked=False)
 
             return slope
-        # each component's coefficient is a column with one scalar per row,
-        # taken at the stack's one modulation value m(t)
-        coefs: dict[float, list] = {}
-        col = (len(v),) + (1,) * (ndim - 1)
+        # each component's coefficient at the stack's one modulation value
+        # m(t), spread over the points row by row; rebuilt only when m moves
+        col = (len(v),) + (1,) * (len(ws.shape) - 1)
 
-        def slope(x, y, t, out_x, out_y):
+        def slope(p, t, out):
             m = v[0].modulation.value(t)
-            if m not in coefs:
+            if ws.coefs is None or ws.coefs[0] != m:
                 rows = np.array([f.coefficients(m) for f in v]).reshape(len(v), -1)
-                coefs[m] = [c.reshape(col) for c in rows.T]
-            velocity_into(v[0].components, coefs[m], x, y, out_x, out_y, kernel)
+                full = [np.broadcast_to(c.reshape(col), ws.shape).copy() for c in rows.T]
+                ws.coefs = (m, full)
+            velocity_into(v[0].components, ws.coefs[1], p[0], p[1], out[0], out[1], ws.kernel)
 
         return slope
 
@@ -150,47 +150,42 @@ class FlowMapIntegrator:
         The negation is folded into the arithmetic: in IEEE arithmetic
         x - a u is x + a (-u) and -2 u is 2 (-u), bit for bit, so the result
         is the textbook form's. The sum ((-2 u2 - u1) - 2 u3 - u4) h / 6 is
-        built stage by stage in place, in that order. Stages may poke
-        slightly outside the closure, where the closed forms are still
-        defined.
+        built stage by stage in place, in that order. x and y are stepped
+        together, as the two planes of one array. Stages may poke slightly
+        outside the closure, where the closed forms are still defined.
         """
-        x = np.array(x, dtype=float, copy=True)
-        y = np.array(y, dtype=float, copy=True)
+        x = np.asarray(x, dtype=float)
+        p = np.empty((2,) + x.shape)
+        p[0], p[1] = x, y
         ws = self._workspace(x.shape)
-        xs, ys, ux, uy, sx, sy = ws.xs, ws.ys, ws.ux, ws.uy, ws.sx, ws.sy
-        slope = self._slope(x.ndim, ws.kernel)
+        q, u, s = ws.points, ws.slope, ws.sum
+        slope = self._slope(ws)
 
-        def stage(p, a, u, out):  # out = p - a u
-            np.multiply(u, a, out=out)
-            np.subtract(p, out, out=out)
+        def stage(a, k):  # q = p - a k
+            np.multiply(k, a, out=q)
+            np.subtract(p, q, out=q)
 
         t = t_from
         with np.errstate(all="ignore"):
             for h in self.steps(t_from, t_to):
                 a = 0.5 * h
-                slope(x, y, t, sx, sy)  # u1, kept in the sum's buffers
-                stage(x, a, sx, xs)
-                stage(y, a, sy, ys)
-                slope(xs, ys, t + a, ux, uy)  # u2
-                stage(x, a, ux, xs)
-                stage(y, a, uy, ys)
-                for u, s in ((ux, sx), (uy, sy)):  # s = -2 u2 - u1
-                    np.multiply(u, -2.0, out=u)
-                    np.subtract(u, s, out=s)
-                slope(xs, ys, t + a, ux, uy)  # u3
-                stage(x, h, ux, xs)
-                stage(y, h, uy, ys)
-                for u, s in ((ux, sx), (uy, sy)):  # s += -2 u3
-                    np.multiply(u, -2.0, out=u)
-                    np.add(s, u, out=s)
-                slope(xs, ys, t + h, ux, uy)  # u4
-                for p, u, s in ((x, ux, sx), (y, uy, sy)):  # p += (s - u4) h / 6
-                    np.subtract(s, u, out=s)
-                    np.multiply(s, h / 6.0, out=s)
-                    np.add(p, s, out=p)
+                slope(p, t, s)  # u1, kept in the sum's buffer
+                stage(a, s)
+                slope(q, t + a, u)  # u2
+                stage(a, u)
+                np.multiply(u, -2.0, out=u)  # s = -2 u2 - u1
+                np.subtract(u, s, out=s)
+                slope(q, t + a, u)  # u3
+                stage(h, u)
+                np.multiply(u, -2.0, out=u)  # s += -2 u3
+                np.add(s, u, out=s)
+                slope(q, t + h, u)  # u4
+                np.subtract(s, u, out=s)  # p += (s - u4) h / 6
+                np.multiply(s, h / 6.0, out=s)
+                np.add(p, s, out=p)
                 t += h
-                self._clamp(x, y, escape_tol)
-        return x, y
+                self._clamp(p[0, ...], p[1, ...], escape_tol)
+        return p[0, ...], p[1, ...]
 
     def _clamp(self, x, y, escape_tol: float) -> None:
         d = self.domain
@@ -241,7 +236,8 @@ def iter_solution_layers(
     rho0: ScalarField | Sequence[ScalarField],
     u: VelocityField | Sequence[VelocityField],
     times: TimePartition,
-) -> Iterator[tuple[int, float, np.ndarray | tuple[np.ndarray, ...]]]:
+    moving: bool = False,
+) -> Iterator[tuple[int, float, np.ndarray | tuple[np.ndarray, ...] | MovingLayers]]:
     """Yield (j, t_j, layer) of the classical solution without storing it.
 
     rho0 and u are one problem, or equal-length sequences of problems on one
@@ -251,33 +247,44 @@ def iter_solution_layers(
     layer is a fresh array the caller may keep.
 
     Layer j is rho0 evaluated at the backward characteristic foot of every
-    node, i.e. at flow_map(u, t_j, 0, node). For u = m(t) v(x) that foot is
-    the flow of the time-independent v run backward over the clock interval
-    [0, tau_j], tau_j = M(t_j), so the stored departure points advance
-    incrementally from tau_j to tau_{j-1} in fixed RK4 steps of v. The step
-    is times.dt / k with k the fewest substeps per layer interval that keep
-    max|v| step within the CFL cap, so it is CFL-safe in tau whatever the
-    modulation; for an unmodulated field tau is times.times itself and each
-    layer takes exactly the steps a per-layer integration would.
-
-    Only nodes strictly inside some support ball are integrated. Elsewhere
-    v vanishes, so every RK4 stage slope is exactly zero and the node is a
-    fixed point of the integrator and of its clamp: its foot is the node
-    itself in every layer, and its value is interpolated once per solve.
-
-    Members whose fields share k, domain, modulation and component centres
-    and radii move the same nodes on the same clock, so they are integrated
-    as one stack: one FlowMapIntegrator.advance per layer steps every
-    distinct field's moving nodes, and members with equal fields share one
-    set of feet. Groups that differ run side by side, one stack each. Every
-    operation is elementwise and each row keeps its own coefficients, so
-    neither the node split nor the stacking changes a bit of any layer.
+    node, i.e. at flow_map(u, t_j, 0, node). The layers are assembled from a
+    FamilyStream, which integrates and interpolates only the nodes that move
+    (see there): each layer is the member's still layer with its values on
+    the moving nodes written in, so it has the bits of a whole-grid solve.
+    With moving=True nothing is assembled: the stream's MovingLayers are
+    yielded as they are, for consumers that read only what moves.
     """
-    if isinstance(u, VelocityField):
-        for j, t, (layer,) in _family_layers([(rho0, u)], times):
+    single = isinstance(u, VelocityField)
+    stream = FamilyStream([rho0], [u], times) if single else FamilyStream(rho0, u, times)
+    for j, t, layer in stream:
+        if moving:
             yield j, t, layer
-        return
-    yield from _family_layers(list(zip(rho0, u, strict=True)), times)
+        else:
+            layers = layer.assemble()
+            yield j, t, layers[0] if single else layers
+
+
+class MovingLayers(NamedTuple):
+    """A family's layer j on its moving nodes.
+
+    values[m] is member m's layer at nodes (flat indices, increasing), one
+    row per member; off the nodes it is still[density[m]]. values is the
+    stream's own array, rewritten by the next layer.
+    """
+
+    values: np.ndarray
+    nodes: np.ndarray
+    density: tuple[int, ...]
+    still: list[np.ndarray]
+
+    def assemble(self) -> tuple[np.ndarray, ...]:
+        """Every member's whole layer, each a fresh array."""
+        layers = []
+        for d, v in zip(self.density, self.values):
+            layer = self.still[d].copy()
+            layer.ravel()[self.nodes] = v
+            layers.append(layer)
+        return tuple(layers)
 
 
 def _substeps(u: VelocityField, grid: Grid, times: TimePartition) -> int:
@@ -299,15 +306,25 @@ def _substeps(u: VelocityField, grid: Grid, times: TimePartition) -> int:
 
 
 class _Stack:
-    """The distinct fields of one group, integrated as rows of one stack."""
+    """The distinct fields of one group, integrated as rows of one stack.
 
-    def __init__(self, fields: list[VelocityField], k: int, times: TimePartition, X0, Y0):
+    Its feet are read through interpolation jobs, one per initial density
+    its members use: the rows of those members, interpolated in one call
+    whose temporaries are the stack's own RK4 buffers, free between layers.
+    """
+
+    def __init__(self, fields: list[VelocityField], k: int, times: TimePartition, grid: Grid):
         self.tau = fields[0].modulation.integral(times.times)
         self.integ = FlowMapIntegrator(tuple(f.profile for f in fields), times.dt / k)
-        inside = fields[0].support_mask(X0, Y0)
-        self.moving, self.still = np.flatnonzero(inside), np.flatnonzero(~inside)
-        self.fx = np.tile(X0[self.moving], (len(fields), 1))
-        self.fy = np.tile(Y0[self.moving], (len(fields), 1))
+        X0, Y0 = (m.ravel() for m in grid.meshes())
+        self.moving = np.flatnonzero(fields[0].support_mask(X0, Y0))
+        self.grid, self.rows = grid, len(fields)
+
+    def start(self) -> None:
+        """Put every row's feet back on the moving nodes."""
+        i, j = np.divmod(self.moving, self.grid.ny + 1)
+        self.fx = np.tile(self.grid.xs[i], (self.rows, 1))
+        self.fy = np.tile(self.grid.ys[j], (self.rows, 1))
 
     def advance(self, j: int, escape_tol: float) -> None:
         if self.moving.size:
@@ -315,57 +332,145 @@ class _Stack:
                 self.fx, self.fy, self.tau[j], self.tau[j - 1], escape_tol
             )
 
+    def job(self, rows: list[int]):
+        """(index, work): the stack's rows as an index (a slice when they are
+        consecutive) and an InterpolationWorkspace for them whose buffers
+        are the planes of the RK4 workspace, the flat index the slope
+        kernel's q seen as integers."""
+        n = len(rows)
+        index = slice(rows[0], rows[0] + n) if rows == list(range(rows[0], rows[0] + n)) else rows
+        ws = self.integ._workspace((self.rows, self.moving.size))
+        planes = [a[i, :n] for a in (ws.points, ws.slope, ws.sum) for i in (0, 1)]
+        k = ws.kernel.q[:n].view(np.int64)
+        return index, InterpolationWorkspace((n, self.moving.size), planes, k)
 
-def _family_layers(problems: list, times: TimePartition):
-    if not problems:
-        raise CharacteristicsError("a family needs one problem or more")
-    grid = problems[0][0].grid
-    h_min = min(grid.hx, grid.hy)
-    keys = []
-    for rho0, u in problems:
-        if rho0.grid != grid:
-            raise CharacteristicsError("family members must share one density grid")
-        if grid.domain != u.domain:
-            raise CharacteristicsError("density grid and velocity domain differ")
-        if u.support_margin < h_min:
-            raise CharacteristicsError(
-                f"velocity support margin {u.support_margin:.3e} is below one "
-                f"grid cell {h_min:.3e}; boundary-vanishing is not resolved"
-            )
-        keys.append((_substeps(u, grid, times),) + _stack_key(u))
-    # group by key; within a group one row per distinct field
-    groups: dict[tuple, list[VelocityField]] = {}
-    rows = []
-    for key, (_, u) in zip(keys, problems):
-        fields = groups.setdefault(key, [])
-        if u not in fields:
-            fields.append(u)
-        rows.append(fields.index(u))
-    X0, Y0 = (m.ravel() for m in grid.meshes())
-    stacks = {key: _Stack(fields, key[0], times, X0, Y0) for key, fields in groups.items()}
-    members = []
-    for key, row, (rho0, _) in zip(keys, rows, problems):
-        stack = stacks[key]
-        base = rho0.layer(0)
-        # interpolation at a node need not return the nodal value, so the
-        # still nodes keep what interpolate gives, as the moving ones do
-        still_layer = np.zeros(grid.shape)
-        still_layer.ravel()[stack.still] = grid.interpolate(
-            base, X0[stack.still], Y0[stack.still]
-        )
-        members.append((stack, row, base, still_layer))
-    del X0, Y0  # the stream keeps only what its layers read
 
-    def layer(stack: _Stack, row: int, base, still_layer) -> np.ndarray:
-        out = still_layer.copy()
-        out.ravel()[stack.moving] = grid.interpolate(base, stack.fx[row], stack.fy[row])
-        return out
+class FamilyStream:
+    """A family's layers on its moving nodes: the producer behind
+    iter_solution_layers.
 
-    yield 0, 0.0, tuple(np.array(base, copy=True) for _, _, base, _ in members)
-    for j in range(1, times.nt + 1):
+    rho0 and u are equal-length sequences of problems on one grid. nodes
+    holds the flat indices, increasing, of every node some member's field
+    moves: the union of the stacks' support nodes. Iterating yields
+    (j, t_j, MovingLayers) over one values array, rewritten layer by layer;
+    each pass over the stream solves afresh from layer 0.
+
+    density maps each member to its initial density among the family's
+    distinct ones (rho0 objects compared by identity, member 0's first).
+    The still layers, one per distinct density, are its layer 0 at j = 0,
+    and at every later j its interpolation at the nodes themselves, which
+    need not return the nodal value; they change only at j = 0 and j = 1.
+
+    Only nodes strictly inside some support ball are integrated. Elsewhere
+    v vanishes, so every RK4 stage slope is exactly zero and the node is a
+    fixed point of the integrator and of its clamp: its foot is the node
+    itself in every layer. For u = m(t) v(x) the foot of a moving node is
+    the flow of the time-independent v run backward over the clock
+    interval [0, tau_j], tau_j = M(t_j), so the stored departure points
+    advance incrementally from tau_j to tau_{j-1} in fixed RK4 steps of v.
+    The step is times.dt / k with k the fewest substeps per layer interval
+    that keep max|v| step within the CFL cap, so it is CFL-safe in tau
+    whatever the modulation; for an unmodulated field tau is times.times
+    itself and each layer takes exactly the steps a per-layer integration
+    would.
+
+    Members whose fields share k, domain, modulation and component centres
+    and radii move the same nodes on the same clock, so they are integrated
+    as one stack: one FlowMapIntegrator.advance per layer steps every
+    distinct field's moving nodes, and members with equal fields share one
+    set of feet. Groups that differ run side by side, one stack each. Each
+    stack interpolates once per layer for each initial density its members
+    use, over all their rows. Every operation is elementwise and each row
+    keeps its own coefficients, so neither the node split, the stacking nor
+    the shared interpolation changes a bit of any layer.
+    """
+
+    def __init__(
+        self, rho0: Sequence[ScalarField], u: Sequence[VelocityField], times: TimePartition
+    ):
+        problems = list(zip(rho0, u, strict=True))
+        if not problems:
+            raise CharacteristicsError("a family needs one problem or more")
+        grid = problems[0][0].grid
+        h_min = min(grid.hx, grid.hy)
+        keys = []
+        for r, v in problems:
+            if r.grid != grid:
+                raise CharacteristicsError("family members must share one density grid")
+            if grid.domain != v.domain:
+                raise CharacteristicsError("density grid and velocity domain differ")
+            if v.support_margin < h_min:
+                raise CharacteristicsError(
+                    f"velocity support margin {v.support_margin:.3e} is below one "
+                    f"grid cell {h_min:.3e}; boundary-vanishing is not resolved"
+                )
+            keys.append((_substeps(v, grid, times),) + _stack_key(v))
+        # group by key; within a group one row per distinct field
+        groups: dict[tuple, list[VelocityField]] = {}
+        row_of = []
+        for key, (_, v) in zip(keys, problems):
+            fields = groups.setdefault(key, [])
+            if v not in fields:
+                fields.append(v)
+            row_of.append(fields.index(v))
+        distinct = {id(r): r for r, _ in problems}  # in order of first appearance
+        self.density = tuple(list(distinct).index(id(r)) for r, _ in problems)
+        stacks = {key: _Stack(fields, key[0], times, grid) for key, fields in groups.items()}
+        # the union as a mask: np.unique would import numpy.ma, about 0.6 MB
+        moves = np.zeros(grid.shape[0] * grid.shape[1], dtype=bool)
         for stack in stacks.values():
-            stack.advance(j, h_min)
-        yield j, float(times.times[j]), tuple(layer(*m) for m in members)
+            moves[stack.moving] = True
+        self.nodes = np.flatnonzero(moves)
+        self._initial = [r.layer(0) for r in distinct.values()]
+        X0, Y0 = grid.meshes()
+        self._still = [grid.interpolate(base, X0, Y0) for base in self._initial]
+        del X0, Y0  # the stream keeps only what its layers read
+        # one interpolation job per stack and initial density: the rows it
+        # reads and, per member it serves, that member's row of the result
+        # and where among the nodes its values go
+        served: dict[tuple, list[int]] = {}
+        for m, key in enumerate(keys):
+            served.setdefault((key, self.density[m]), []).append(m)
+        self._jobs = []
+        for (key, d), members in served.items():
+            stack = stacks[key]
+            if not stack.moving.size:
+                continue
+            at = (
+                slice(None) if stack.moving.size == self.nodes.size
+                else np.searchsorted(self.nodes, stack.moving)
+            )
+            rows = sorted({row_of[m] for m in members})
+            targets = [(m, rows.index(row_of[m])) for m in members]
+            self._jobs.append((stack, self._initial[d], rows, at, targets))
+        self._stacks = list(stacks.values())
+        self._values = np.empty((len(problems), self.nodes.size))
+        self._grid, self._times, self._h_min = grid, times, h_min
+
+    def _fill(self, layers: list[np.ndarray]) -> None:
+        for v, d in zip(self._values, self.density):
+            layers[d].ravel().take(self.nodes, out=v)
+
+    def __iter__(self) -> Iterator[tuple[int, float, MovingLayers]]:
+        grid, times, values = self._grid, self._times, self._values
+        for stack in self._stacks:
+            stack.start()
+        self._fill(self._initial)
+        yield 0, 0.0, MovingLayers(values, self.nodes, self.density, self._initial)
+        for j in range(1, times.nt + 1):
+            for stack in self._stacks:
+                stack.advance(j, self._h_min)
+            if j == 1:
+                self._fill(self._still)
+                # the first advance has made the RK4 workspaces the jobs borrow
+                jobs = [(s, base, *s.job(rows), at, t) for s, base, rows, at, t in self._jobs]
+            for stack, base, index, work, at, targets in jobs:
+                out = grid.interpolate(base, stack.fx[index], stack.fy[index], work)
+                for m, row in targets:
+                    values[m, at] = out[row]
+            yield j, float(times.times[j]), MovingLayers(
+                values, self.nodes, self.density, self._still
+            )
 
 
 def solve_classical(

@@ -32,9 +32,11 @@ class FieldError(ValueError):
 # array and keeps it where q < 1: at q >= 1 the form divides by zero or
 # overflows, which errstate silences and the q < 1 mask discards.
 #
-# The derivative is written once, in place (_bump_dq_into), because it is
+# The derivative is written once, in place (_bump_slope_into), because it is
 # the slope kernel of every characteristic solve: a solve keeps one
 # GradientWorkspace and evaluates its velocity into it at every RK4 stage.
+# When every q is below 1 there is nothing to discard, and the mask is
+# skipped.
 # ---------------------------------------------------------------------------
 
 
@@ -45,29 +47,33 @@ def _bump(q: np.ndarray) -> np.ndarray:
         return np.where(q < 1.0, np.exp(-1.0 / t), 0.0)
 
 
-def _bump_dq_into(q: np.ndarray, out: np.ndarray, inside: np.ndarray) -> np.ndarray:
-    """Write _bump_dq(q) into out, using q and inside as scratch.
+def _bump_slope_into(q: np.ndarray, out: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    """Write -_bump_dq(q) into out, using q and inside as scratch.
 
     The caller holds np.errstate(all="ignore"). Every step is one ufunc of
-    the closed form -exp(-1/t) / (t t), t = 1 - q, in its own order, so the
-    bits are those of the expression evaluated out of place.
+    the closed form exp(-1/t) / (t t), t = 1 - q, in its own order, and the
+    points at q >= 1 get -0.0, so negating out gives _bump_dq bit for bit:
+    in IEEE arithmetic -(e / s) is (-e) / s.
     """
-    np.less(q, 1.0, out=inside)
+    masked = q.size > 0 and not q.max() < 1.0  # a NaN q takes the mask too
+    if masked:
+        np.less(q, 1.0, out=inside)
     np.subtract(1.0, q, out=q)
     np.divide(-1.0, q, out=out)
     np.exp(out, out=out)
-    np.negative(out, out=out)
-    np.multiply(q, q, out=q)
+    np.square(q, out=q)
     np.divide(out, q, out=out)
-    np.logical_not(inside, out=inside)
-    np.copyto(out, 0.0, where=inside)
+    if masked:
+        np.logical_not(inside, out=inside)
+        np.copyto(out, -0.0, where=inside)
     return out
 
 
 def _bump_dq(q: np.ndarray) -> np.ndarray:
     q = np.array(q, dtype=float)
     with np.errstate(all="ignore"):
-        return _bump_dq_into(q, np.empty_like(q), np.empty(q.shape, dtype=bool))
+        out = _bump_slope_into(q, np.empty_like(q), np.empty(q.shape, dtype=bool))
+        return np.negative(out, out=out)
 
 
 class GradientWorkspace:
@@ -187,25 +193,36 @@ class StreamFunction:
         """The scalar 2 A scale / R^2 that multiplies _bump_dq(q) in the gradient."""
         return 2.0 * self.amplitude * scale / self.radius**2
 
+    def _negated_gradient_into(self, x, y, coef, ws: GradientWorkspace):
+        """(-psi_x, -psi_y) at points of ws's shape, written into ws.dx and
+        ws.dy: G dx and G dy with G = -_bump_dq(q) coef.
+
+        coef is as in gradient_into. The caller holds
+        np.errstate(all="ignore").
+        """
+        dx, dy, q = ws.dx, ws.dy, ws.q
+        np.subtract(x, self.center[0], out=dx)
+        np.subtract(y, self.center[1], out=dy)
+        np.square(dx, out=q)  # dx * dx, bit for bit
+        np.square(dy, out=ws.g)
+        np.add(q, ws.g, out=q)
+        np.divide(q, self.radius**2, out=q)
+        g = _bump_slope_into(q, ws.g, ws.inside)
+        np.multiply(g, coef, out=g)
+        np.multiply(g, dx, out=dx)
+        np.multiply(g, dy, out=dy)
+        return dx, dy
+
     def gradient_into(self, x, y, coef, ws: GradientWorkspace):
         """(psi_x, psi_y) at points of ws's shape, written into ws.dx and ws.dy.
 
         coef stands for self.coefficient(scale): a scalar, or an array that
         broadcasts against the points and gives each point the coefficient
-        of its own field. The caller holds np.errstate(all="ignore").
+        of its own field. The caller holds np.errstate(all="ignore"). These
+        are the negated gradient's terms for -coef: in IEEE arithmetic
+        (-a) b is a (-b), bit for bit.
         """
-        dx, dy, q = ws.dx, ws.dy, ws.q
-        np.subtract(x, self.center[0], out=dx)
-        np.subtract(y, self.center[1], out=dy)
-        np.multiply(dx, dx, out=q)
-        np.multiply(dy, dy, out=ws.g)
-        np.add(q, ws.g, out=q)
-        np.divide(q, self.radius**2, out=q)
-        g = _bump_dq_into(q, ws.g, ws.inside)
-        np.multiply(g, coef, out=g)
-        np.multiply(g, dx, out=dx)
-        np.multiply(g, dy, out=dy)
-        return dx, dy
+        return self._negated_gradient_into(x, y, np.negative(coef), ws)
 
     def gradient(self, x, y, scale: float = 1.0):
         """(psi_x, psi_y) of scale * psi in closed form."""
@@ -223,17 +240,19 @@ def velocity_into(components, coefs, x, y, ux, uy, ws: GradientWorkspace) -> Non
 
     coefs[i] is component i's gradient coefficient (see
     StreamFunction.gradient_into). The sum starts from the scalar 0.0, which
-    turns an exact -0.0 into +0.0 as a zero-filled accumulator would. The
-    caller holds np.errstate(all="ignore").
+    turns an exact -0.0 into +0.0 as a zero-filled accumulator would. Each
+    term is taken from the negated gradient, so no negation pass is made:
+    adding psi_y is subtracting -psi_y, and subtracting psi_x is adding
+    -psi_x, bit for bit. The caller holds np.errstate(all="ignore").
     """
     if not components:
         ux.fill(0.0)
         uy.fill(0.0)
         return
     for i, (c, coef) in enumerate(zip(components, coefs)):
-        px, py = c.gradient_into(x, y, coef, ws)
-        np.add(ux if i else 0.0, py, out=ux)
-        np.subtract(uy if i else 0.0, px, out=uy)
+        gx, gy = c._negated_gradient_into(x, y, coef, ws)
+        np.subtract(ux if i else 0.0, gy, out=ux)
+        np.add(uy if i else 0.0, gx, out=uy)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -183,12 +184,18 @@ class Grid:
         wy[0] = wy[-1] = 0.5 * self.hy
         return np.outer(wx, wy)
 
-    def interpolate(self, values: np.ndarray, x, y) -> np.ndarray:
+    def interpolate(
+        self, values: np.ndarray, x, y, work: InterpolationWorkspace | None = None
+    ) -> np.ndarray:
         """Bilinear interpolation of nodal values at query points.
 
         Queries must lie in the closed rectangle (a relative slack of a few
         ulps absorbs roundoff); anything further outside raises, because a
         silent extrapolation would corrupt every norm built on top.
+
+        work, an InterpolationWorkspace of the queries' broadcast shape,
+        holds every temporary; the result is then its out buffer, valid until
+        the next call on it. Without one the result is a fresh array.
         """
         values = np.asarray(values)
         if values.shape != self.shape:
@@ -210,31 +217,63 @@ class Grid:
             raise GeometryError(
                 f"{bad} interpolation point(s) outside the closed domain"
             )
-        fx = np.clip((x - d.x_lo) / self.hx, 0.0, self.nx)
-        fy = np.clip((y - d.y_lo) / self.hy, 0.0, self.ny)
-        i = np.minimum(fx.astype(int), self.nx - 1)
-        j = np.minimum(fy.astype(int), self.ny - 1)
-        sx = fx - i
-        sy = fy - j
-        rx = 1 - sx
-        ry = 1 - sy
-        # corner values gathered by flat index from the row-major nodes; the
-        # other three corners are the same indices into offset views, so no
-        # shifted index array is built. Each gathered corner is weighted in
-        # place, and the sum is v00 rx ry + v10 sx ry + v01 rx sy + v11 sx sy
-        # in that order.
+        w = InterpolationWorkspace(np.broadcast(x, y).shape) if work is None else work
+        sx, sy, rx, ry, corner, out = w.sx, w.sy, w.rx, w.ry, w.corner, w.out
+        # per axis: the clipped cell coordinate f, its cell index
+        # i = min(trunc(f), n - 1), exact as a float, and the fraction f - i
+        for p, lo, h, n, s, i in ((x, d.x_lo, self.hx, self.nx, sx, rx),
+                                  (y, d.y_lo, self.hy, self.ny, sy, ry)):
+            np.subtract(p, lo, out=s)
+            np.divide(s, h, out=s)
+            np.clip(s, 0.0, n, out=s)
+            np.trunc(s, out=i)
+            np.minimum(i, n - 1, out=i)
+            np.subtract(s, i, out=s)
+        # the flat index of the lower-left corner in the row-major nodes
+        np.multiply(rx, self.ny + 1, out=rx)
+        np.add(rx, ry, out=rx)
+        k = w.k
+        np.copyto(k, rx, casting="unsafe")
+        np.subtract(1.0, sx, out=rx)
+        np.subtract(1.0, sy, out=ry)
+        # corner values gathered by flat index; the other three corners are
+        # the same indices into offset views, so no shifted index array is
+        # built, and every index is in range. Each gathered corner is
+        # weighted in place, and the sum is v00 rx ry + v10 sx ry
+        # + v01 rx sy + v11 sx sy in that order.
         flat = values.ravel()
-        k = i * (self.ny + 1)
-        k += j
-        out = flat.take(k)
+        flat.take(k, out=out, mode="clip")
         out *= rx
         out *= ry
         for offset, a, b in ((self.ny + 1, sx, ry), (1, rx, sy), (self.ny + 2, sx, sy)):
-            corner = flat[offset:].take(k)
+            flat[offset:].take(k, out=corner, mode="clip")
             corner *= a
             corner *= b
             out += corner
-        return out
+        return out if out.ndim else out[()]
+
+
+class InterpolationWorkspace:
+    """The temporaries of Grid.interpolate at one query shape: the cell
+    fractions sx, sy and their complements rx, ry, one gathered corner, the
+    result and the flat corner index k.
+
+    floats (six float arrays of the shape, for sx, sy, rx, ry, corner and
+    out) and k (an integer array of the shape) may be scratch the caller
+    already owns; what is not given is allocated. None of them may share
+    memory with the queries or with each other.
+    """
+
+    def __init__(
+        self,
+        shape: tuple[int, ...],
+        floats: Sequence[np.ndarray] | None = None,
+        k: np.ndarray | None = None,
+    ):
+        if floats is None:
+            floats = [np.empty(shape) for _ in range(6)]
+        self.sx, self.sy, self.rx, self.ry, self.corner, self.out = floats
+        self.k = np.empty(shape, dtype=np.intp) if k is None else k
 
 
 def integrate(g: np.ndarray, grid: Grid, region: Domain | None = None) -> float:

@@ -83,6 +83,8 @@ PROBE_RADIUS = 0.22
 # steps through every layer; far above it a run would be killed for memory
 # or take days, so _validate refuses it up front.
 MAX_NT = 10**7
+# how far, in domain widths, density.center may lie outside the domain
+CENTER_REACH = 3.0
 
 
 class StudiesError(ValueError):
@@ -289,6 +291,14 @@ def _validate(cfg: StudyConfig) -> StudyConfig:
         fail(
             "density.sigma",
             f"{cfg.d_sigma:g} is too small: its square underflows the normal floats",
+        )
+    # the density squares each node's offset from its centre; a centre a
+    # few domain widths away keeps that square finite
+    if not domain.contains_closure(*cfg.d_center, tol=CENTER_REACH * domain.width):
+        fail(
+            "density.center",
+            f"{cfg.d_center} lies more than {CENTER_REACH:g} domain widths outside "
+            "the unit square",
         )
     if cfg.velocity == "vortex":
         if cfg.v_radius * cfg.v_radius < np.finfo(float).tiny:

@@ -260,29 +260,86 @@ def test_stability_velocity_distance_carries_the_time_integral(modulation, M_T):
         assert d == pytest.approx(M_T * spatial / n, rel=1e-13)
 
 
-@pytest.mark.parametrize(
-    "family", [amplitude_family, initial_data_family], ids=["amplitude", "initial-data"]
-)
-def test_stability_lockstep_matches_stored_route(family):
+def identity_family(u: VelocityField, rho0: ScalarField):
+    """Perturbation n -> (u, rho0): every member is the reference problem."""
+
+    def member(n: int):
+        return u, rho0
+
+    return member
+
+
+FAMILIES = {
+    "amplitude": amplitude_family,
+    "initial-data": initial_data_family,
+    "identity": identity_family,
+}
+# the p = 2 cases keep the bare family name
+LOCKSTEP_CASES = [
+    pytest.param(name, p, id=name if p == 2.0 else f"{name}-p{p:g}")
+    for p in (2.0, 1.0, np.inf)
+    for name in FAMILIES
+]
+
+
+@pytest.mark.parametrize("family, p", LOCKSTEP_CASES)
+def test_stability_lockstep_matches_stored_route(family, p):
     grid = Grid(DOM, 48, 48)
     times = TimePartition(1.0, 60)
     u = vortex_field(DOM)
     rho0 = static_field(grid, gaussian_blob())
-    fam = family(u, rho0)
+    fam = FAMILIES[family](u, rho0)
     ns = [2, 4, 8]
     beta = beta_smooth_approx(1.0, 10)
-    rep = stability_experiment(u, rho0, times, fam, ns, betas=[beta])
+    rep = stability_experiment(u, rho0, times, fam, ns, p=p, betas=[beta])
     # the stored route: every problem solved and kept, then reduced
     ref = solve_classical(rho0, u, times)
     sols = [solve_classical(r0, u_n, times) for u_n, r0 in map(fam, ns)]
     e = tuple(
-        max(lp_norm(s.layer(j) - ref.layer(j), grid, 2.0) for j in range(s.n_layers))
+        max(lp_norm(s.layer(j) - ref.layer(j), grid, p) for j in range(s.n_layers))
         for s in sols
     )
     assert rep.e == e
     assert rep.renormalization == renormalization_convergence_check(sols, ref, [beta])
     assert rep.renormalization.labels == (beta.label,)
     assert stability_experiment(u, rho0, times, fam, ns).renormalization.labels == ()
+
+
+@pytest.mark.parametrize(
+    "family, densities, rows, per_layer",
+    [("amplitude", 1, 5, 1), ("identity", 1, 1, 1), ("initial-data", 5, 1, 5)],
+)
+def test_stability_interpolates_once_per_stack_and_density(
+    family, densities, rows, per_layer, monkeypatch
+):
+    # at 24^2 x 60 every amplitude member takes two substeps per layer, so
+    # each family is one stack: the amplitude family's five fields are its
+    # rows, the identity family's five members share one row, and the
+    # initial-data family's five densities share one row. Set-up
+    # interpolates each distinct density once, at the nodes themselves.
+    grid = Grid(DOM, 24, 24)
+    times = TimePartition(1.0, 60)
+    u = vortex_field(DOM)
+    rho0 = static_field(grid, gaussian_blob())
+    fam = FAMILIES[family](u, rho0)
+    calls, advances = [], []
+    interpolate, advance = Grid.interpolate, FlowMapIntegrator.advance
+
+    def counted_interpolate(self, values, x, y, work=None):
+        calls.append(np.shape(x))
+        return interpolate(self, values, x, y, work)
+
+    def counted_advance(self, x, y, t_from, t_to, escape_tol):
+        advances.append(np.shape(x))
+        return advance(self, x, y, t_from, t_to, escape_tol)
+
+    monkeypatch.setattr(Grid, "interpolate", counted_interpolate)
+    monkeypatch.setattr(FlowMapIntegrator, "advance", counted_advance)
+    stability_experiment(u, rho0, times, fam, [2, 4, 8, 16])
+    assert len(advances) == times.nt  # one stack
+    moving = int(np.count_nonzero(u.support_mask(*grid.meshes())))
+    assert calls[:densities] == [grid.shape] * densities
+    assert calls[densities:] == [(rows, moving)] * (per_layer * times.nt)
 
 
 def test_initial_data_family_integrates_its_one_field_once(monkeypatch):

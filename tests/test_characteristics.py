@@ -5,6 +5,7 @@ import pytest
 
 from transportlab.characteristics import (
     CharacteristicsError,
+    FamilyStream,
     FlowEscapeError,
     FlowMapIntegrator,
     flow_map,
@@ -429,6 +430,39 @@ def test_family_with_different_substep_counts_matches_one_member_solves(monkeypa
     # every yielded layer is a fresh array
     arrays = [layer for _, _, layers in family for layer in layers]
     assert not any(np.shares_memory(a, b) for a, b in zip(arrays, arrays[1:]))
+
+
+def test_family_stream_assembles_each_members_own_solve_over_two_support_radii():
+    # radii 0.3 and 0.2 move different node sets, so the stream's nodes are
+    # their union, and the 0.2 members read their still layer on the ring
+    # of nodes only the 0.3 field moves
+    grid = Grid(unit_square(), 40, 40)
+    times = TimePartition(1.0, 12)
+    rho0 = static_field(grid, gaussian_blob())
+    other = static_field(grid, gaussian_blob((0.45, 0.55), 0.1))
+    small = vortex_field(unit_square(), radius=0.2)
+    fields = [vortex_field(unit_square()), small, small.scaled(1.5), small]
+    densities = [rho0, other, rho0, rho0]
+    stream = FamilyStream(densities, fields, times)
+    X, Y = grid.meshes()
+    wide, narrow = (np.flatnonzero(f.support_mask(X, Y)) for f in fields[:2])
+    assert narrow.size < wide.size and np.isin(narrow, wide).all()
+    assert np.array_equal(stream.nodes, wide)
+    assert stream.density == (0, 1, 0, 0)
+    alone = [list(iter_solution_layers(r, f, times)) for r, f in zip(densities, fields)]
+    steps = 0
+    for j, t, moving in stream:
+        assert moving.values.shape == (4, wide.size)
+        assert moving.nodes is stream.nodes and moving.density == stream.density
+        for m, v in enumerate(moving.values):
+            layer = moving.still[stream.density[m]].copy()
+            layer.ravel()[stream.nodes] = v
+            want = alone[m][j]
+            assert (j, t) == want[:2]
+            assert np.array_equal(layer, want[2])
+            assert np.array_equal(np.signbit(layer), np.signbit(want[2]))
+        steps += 1
+    assert steps == times.nt + 1
 
 
 def test_family_members_share_grid():

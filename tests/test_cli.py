@@ -216,6 +216,23 @@ def test_validation_refuses_what_mollify_refuses(command, overrides, field, tmp_
     assert len(err) == 1 and field in err[0]
 
 
+@pytest.mark.parametrize("command", ["solve", "renorm"])
+def test_density_center_out_of_reach_exits_2_naming_the_key(command, tmp_path, capsys):
+    # the blob squares each node's offset from its centre: at 1e160 that
+    # square overflows, and far enough out the density is all zero
+    base = ["grid.nx=8", "grid.ny=8", "time.nt=2"]
+    for center, code in (("1e160, 0.5", 2), ("-2.5, 3.5", None)):
+        argv = [command, "--out", str(tmp_path / "out"), "--quiet"]
+        for item in base + [f"density.center={center}"]:
+            argv += ["--set", item]
+        got = main(argv)
+        err = capsys.readouterr().err.strip().splitlines()
+        if code == 2:
+            assert got == 2 and len(err) == 1 and "density.center" in err[0]
+        else:  # three widths out is still in reach
+            assert got in (0, 1) and not err
+
+
 @pytest.mark.parametrize("command", ["validate-config", "conservation"])
 @pytest.mark.parametrize(
     "override, field",
@@ -461,7 +478,7 @@ _EDGES = {
     "velocity.center": ["0.3, 0.6", "0, 0.5", "1.2, 0.5", "nan, 0.5"],
     "velocity.radius": ["-0.3", "0", "1e-300", "1e-163", "1e-160", "0.05", "0.45", "0.5"],
     "velocity.amplitude": ["-0.5", "0", "1e-300", "1e300", "inf"],
-    "density.center": ["0, 0", "1, 1", "2, 2"],
+    "density.center": ["0, 0", "1, 1", "2, 2", "1e160, 0.5"],
     "density.sigma": ["-1", "0", "1e-300", "1e154", "1.35e154", "1e308"],
     "density.amplitude": ["-1", "0", "1e308"],
     "sweeps.eps_list": ["0.14, 0.1", "0.2, 0.1", "0.3, 0.1", "0.1, 0.1", "0.05, 0.1", "0.1, 0"],

@@ -369,6 +369,44 @@ def test_velocity_kernel_matches_eval_and_the_zero_accumulated_sum(t):
         assert bits_equal(ux[row], want[0]) and bits_equal(uy[row], want[1])
 
 
+# two concentric bumps: every point within 0.125 of the centre is inside
+# both balls, the centre itself included (its psi partials are signed zeros)
+CONCENTRIC = (StreamFunction((0.5, 0.5), 0.25, 0.5), StreamFunction((0.5, 0.5), 0.125, -0.3))
+MASK_BRANCH_POINTS = {
+    # every q < 1, so the kernel skips the outside-support mask
+    "inside": np.array(
+        [(0.5, 0.5), (0.55, 0.45), (0.4, 0.52), (0.5, 0.6), (0.58, 0.58), (0.45, 0.5)]
+    ).T,
+    # q = 1 exactly for either bump, and points beyond both
+    "edge": np.array(
+        [(0.5, 0.5), (0.75, 0.5), (0.5, 0.625), (0.375, 0.5), (0.1, 0.9), (0.55, 0.45)]
+    ).T,
+}
+
+
+@pytest.mark.parametrize("branch", sorted(MASK_BRANCH_POINTS))
+@pytest.mark.parametrize("t", [0.0, 0.35])
+def test_stacked_velocity_kernel_on_either_mask_branch(branch, t):
+    # m(0) = 0 of the linear modulation makes every partial a signed zero
+    u = from_stream_function(CONCENTRIC, unit_square(), "linear")
+    x, y = MASK_BRANCH_POINTS[branch]
+    q = [((x - c.center[0]) ** 2 + (y - c.center[1]) ** 2) / c.radius**2 for c in CONCENTRIC]
+    assert (np.max(q) < 1.0) == (branch == "inside")
+    fields = [u, u.scaled(1.5), u.scaled(-1.0)]
+    m = u.modulation.value(t)
+    X, Y = np.tile(x, (3, 1)), np.tile(y, (3, 1))
+    # the coefficients as an integrating stack holds them: arrays of the
+    # points' shape, each row its own field's scalar
+    rows = np.array([f.coefficients(m) for f in fields])
+    coefs = [np.repeat(c[:, None], X.shape[1], axis=1) for c in rows.T]
+    ux, uy = np.full(X.shape, np.nan), np.full(X.shape, np.nan)
+    with np.errstate(all="ignore"):
+        velocity_into(CONCENTRIC, coefs, X, Y, ux, uy, GradientWorkspace(X.shape))
+    for row, f in enumerate(fields):
+        want = zero_accumulated_velocity(f, x, y, t)
+        assert bits_equal(ux[row], want[0]) and bits_equal(uy[row], want[1])
+
+
 def test_velocity_kernel_without_components_writes_zeros():
     ux, uy = np.full(3, np.nan), np.full(3, np.nan)
     velocity_into((), [], np.zeros(3), np.zeros(3), ux, uy, GradientWorkspace((3,)))
