@@ -9,16 +9,18 @@ kill the advective term by symmetry and test nothing.
 
 from transportlab import (
     Grid,
+    ResidualAccumulator,
     TimePartition,
     beta_bounded_power,
     beta_smooth_approx,
     beta_truncation,
     cosine_decay_profile,
+    drive,
     gaussian_blob,
+    iter_solution_layers,
     make_test_function,
     quadratic_decay_profile,
     static_field,
-    streamed_weak_residuals,
     unit_square,
     vortex_field,
 )
@@ -41,9 +43,11 @@ betas = [
     beta_bounded_power(2.0, 4.0, 10),
 ]
 
-# one backward solve feeds one accumulator that pairs every beta with every
-# test function; each layer evaluates each beta once
-reports = streamed_weak_residuals(rho0, u, times, phis, betas)
+# one backward solve drives one accumulator that pairs every beta with
+# every test function; each layer evaluates each beta once
+bank = ResidualAccumulator(grid, times.times, u, phis, betas)
+drive(iter_solution_layers(rho0, u, times), [bank])
+reports = bank.report(rho0.layer(0))
 
 print(f"{'test function':<36} {'beta':<14} {'residual':>10}")
 for rep in reports:

@@ -3,22 +3,22 @@
 Everything here reduces densities or velocity fields to the handful of
 numbers the transport theory says must behave: conserved L^p norms,
 vanishing boundary-layer flux, and perturbation distances that shrink
-together. Most functions consume solved densities; the stability
-experiment streams its own solves as one family: one iter_solution_layers
-pass over the reference and every member, whose values on the moving nodes
-feed the L^p and the renormalized distances together. Nothing here judges
-a number against a tolerance: the studies do that, each check by the one
-rule measured <= tolerance.
+together. NormHistory is a layer consumer; the stability experiment drives
+its own solves as one family: one iter_solution_layers pass over the
+reference and every member, whose values on the moving nodes feed the L^p
+and the renormalized distances together. Nothing here judges a number
+against a tolerance: the studies do that, each check by the one rule
+measured <= tolerance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from transportlab.characteristics import iter_solution_layers
+from transportlab.characteristics import MovingLayers, drive, iter_solution_layers
 from transportlab.fields import (
     AdmissibleBeta,
     ScalarField,
@@ -55,7 +55,7 @@ def lp_norm(values: np.ndarray, grid: Grid, p: float, region: Domain | None = No
     over the same region, which weights cell overlaps and so has a value on
     any region.
     """
-    if p < 1.0:
+    if not p >= 1.0:
         raise AnalysisError(f"p must be >= 1, got {p}")
     values = np.asarray(values, dtype=float)
     if values.shape != grid.shape:
@@ -122,21 +122,27 @@ class NormReport:
         return np.abs(self.values - self.reference) / self._scale
 
 
-def conservation_report(
-    grid: Grid,
-    times: np.ndarray,
-    layers: Iterable[np.ndarray],
-    p_list: Sequence[float] = (1.0, 2.0, 3.0, np.inf),
-) -> dict[float, NormReport]:
-    """Norm history per exponent against its t = 0 value.
+class NormHistory:
+    """The L^p norm history of a layer stream, fed one layer at a time in
+    time order; reports gives each exponent's against its first layer."""
 
-    layers is read once, in time order: stored values or a solver stream.
-    """
-    norms = np.array([[lp_norm(layer, grid, p) for p in p_list] for layer in layers])
-    return {
-        float(p): NormReport(float(p), times, norms[:, k], float(norms[0, k]))
-        for k, p in enumerate(p_list)
-    }
+    def __init__(self, grid: Grid, p_list: Sequence[float] = (1.0, 2.0, 3.0, np.inf)):
+        self.grid, self.p_list = grid, tuple(p_list)
+        self.times: list[float] = []
+        self.norms: list[list[float]] = []
+
+    def add_layer(self, j: int, t: float, layer: np.ndarray) -> None:
+        self.times.append(t)
+        self.norms.append([lp_norm(layer, self.grid, p) for p in self.p_list])
+
+    def reports(self) -> dict[float, NormReport]:
+        if not self.norms:
+            raise AnalysisError("the norm history has seen no layer")
+        times, norms = np.array(self.times), np.array(self.norms)
+        return {
+            float(p): NormReport(float(p), times, norms[:, k], float(norms[0, k]))
+            for k, p in enumerate(self.p_list)
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +230,7 @@ def renormalization_convergence_check(
 
 class _FamilyDistances:
     """Running distances of members 1, 2, ... of a family to member 0, fed
-    one MovingLayers at a time: its values, and its still layers when they
-    change.
+    the family's MovingLayers one layer at a time.
 
     Per member: e, the max over the time nodes so far of ||rho_n - rho||_p
     as lp_norm takes it; and per beta, the running squared distance
@@ -234,42 +239,28 @@ class _FamilyDistances:
     Every distance is reduced over the whole grid, in the order lp_norm and
     integrate reduce it, so each value keeps their bits. A full-grid buffer
     per distance and initial density (members that share one share the
-    buffer) holds the integrand. set_still writes its part off the nodes,
-    and each layer rewrites only the entries at the nodes. Each beta is
-    evaluated once per layer, on every member's values at once.
+    buffer) holds the integrand. The first layer fixes the nodes and the
+    densities the buffers serve; the part off the nodes is written whenever
+    a layer brings still layers other than the last ones, and each layer
+    rewrites only the entries at the nodes. Each beta is evaluated once per
+    layer, on every member's values at once.
     """
 
-    def __init__(
-        self,
-        grid: Grid,
-        times: np.ndarray,
-        p: float,
-        betas: Sequence[AdmissibleBeta],
-        nodes: np.ndarray,
-        density: Sequence[int],
-    ):
-        self.p = p
+    def __init__(self, grid: Grid, times: np.ndarray, p: float, betas: Sequence[AdmissibleBeta]):
+        self.grid, self.p = grid, p
         self.betas = list(betas)
         self.tw = time_weights(times)
-        self.nodes = nodes
         self.w = grid.quadrature_weights
-        self.w_nodes = self.w.ravel()[nodes]
-        self.density = tuple(density[1:])
-        used = sorted(set(self.density))
-        # buffers[k][d]: distance k (each beta, then L^p) for density d
-        self.buffers = [
-            {d: np.empty(grid.shape) for d in used} for _ in range(len(self.betas) + 1)
-        ]
-        self.e = [0.0] * len(self.density)
-        self.sq = [[0.0] * len(self.density) for _ in self.betas]
+        self.still: Sequence[np.ndarray] | None = None  # the last still layers written
 
     def _lp_integrand(self, diff: np.ndarray, w) -> np.ndarray:
         a = np.abs(diff)
         return a if np.isinf(self.p) else a**self.p * w
 
-    def set_still(self, stills: Sequence[np.ndarray]) -> None:
+    def _set_still(self, stills: Sequence[np.ndarray]) -> None:
         """Write the part off the nodes: stills[d] is the layer of density d,
         stills[0] the reference's."""
+        self.still = stills
         for beta, bufs in zip(self.betas, self.buffers):
             b = {d: beta(stills[d]) for d in {0, *bufs}}
             for d, buf in bufs.items():
@@ -287,8 +278,23 @@ class _FamilyDistances:
             out.append(float(reduce(buf)))
         return out
 
-    def add_layer(self, j: int, values: np.ndarray) -> None:
-        """values[m]: member m's layer j at the nodes, member 0 the reference."""
+    def add_layer(self, j: int, t: float, layer: MovingLayers) -> None:
+        """layer.values[m]: member m's layer j at the nodes, member 0 the
+        reference."""
+        if j == 0:
+            self.nodes = layer.nodes
+            self.w_nodes = self.w.ravel()[layer.nodes]
+            self.density = tuple(layer.density[1:])
+            # buffers[k][d]: distance k (each beta, then L^p) for density d
+            self.buffers = [
+                {d: np.empty(self.grid.shape) for d in sorted(set(self.density))}
+                for _ in range(len(self.betas) + 1)
+            ]
+            self.e = [0.0] * len(self.density)
+            self.sq = [[0.0] * len(self.density) for _ in self.betas]
+        if layer.still is not self.still:
+            self._set_still(layer.still)
+        values = layer.values
         for beta, bufs, sq in zip(self.betas, self.buffers, self.sq):
             b = beta(values)
             sums = self._reduce(bufs, (b[1:] - b[0]) ** 2 * self.w_nodes, np.sum)
@@ -389,8 +395,8 @@ def stability_experiment(
     ||rho_n(t_j) - rho(t_j)||_p, the discrete stand-in for the uniform-in-
     time L^p distance. The reference and every member are one family of
     iter_solution_layers, integrated as one stacked pass that stores
-    nothing, and its layers are read as MovingLayers, on the moving nodes
-    alone. At each time node the
+    nothing, and its layers are driven into one consumer as MovingLayers, on
+    the moving nodes alone. At each time node the
     running e_n maxima are updated and, for each beta in betas, the
     renormalized distances ||beta(rho_n) - beta(rho)|| in L2((0,T) x Omega)
     accumulate, each with the bits lp_norm and
@@ -401,19 +407,13 @@ def stability_experiment(
     ns = [int(n) for n in n_list]
     if not ns or any(n <= 0 for n in ns) or any(b <= a for a, b in zip(ns, ns[1:])):
         raise AnalysisError("n_list must be positive and strictly increasing")
-    if p < 1.0:
+    if not p >= 1.0:
         raise AnalysisError(f"p must be >= 1, got {p}")
     grid = rho0.grid
     members = [family(n) for n in ns]
     fields = [u_n for u_n, _ in members]
     d = _velocity_distances(fields, u, grid, times)
-    stream = iter_solution_layers(
-        [rho0] + [r for _, r in members], [u] + fields, times, moving=True
-    )
-    for j, _, layer in stream:
-        if j == 0:
-            dist = _FamilyDistances(grid, times.times, p, betas, layer.nodes, layer.density)
-        if j < 2:  # the still layers change only here
-            dist.set_still(layer.still)
-        dist.add_layer(j, layer.values)
+    dist = _FamilyDistances(grid, times.times, p, betas)
+    rho0s = [rho0] + [r for _, r in members]
+    drive(iter_solution_layers(rho0s, [u] + fields, times, moving=True), [dist])
     return StabilityReport(tuple(ns), d, tuple(dist.e), float(p), _trend(betas, dist.sq))

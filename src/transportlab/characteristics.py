@@ -15,7 +15,7 @@ clamped if the excursion is tiny and treated as a blowup otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -473,6 +473,24 @@ class FamilyStream:
             )
 
 
+def drive(stream: Iterable[tuple[int, float, object]], consumers: Sequence) -> None:
+    """The one loop over a solve's layers: every (j, t_j, layer) of the
+    stream goes to each consumer's add_layer(j, t, layer), in list order."""
+    for j, t, layer in stream:
+        for consumer in consumers:
+            consumer.add_layer(j, t, layer)
+
+
+class _Stored:
+    """Writes layer j into values[j]."""
+
+    def __init__(self, values: np.ndarray):
+        self.values = values
+
+    def add_layer(self, j: int, t: float, layer: np.ndarray) -> None:
+        self.values[j] = layer
+
+
 def solve_classical(
     rho0: ScalarField,
     u: VelocityField,
@@ -484,12 +502,10 @@ def solve_classical(
     every layer stays inside [min rho0, max rho0] exactly; norm decay is
     the only discretization artifact.
 
-    No study or command stores a solution; they all stream
-    iter_solution_layers. This function remains as the stored reference
-    route the tests compare the streamed studies against, and for scripts
-    that read every layer at once, as the demos do.
+    No study or command stores a solution. This is the stored reference
+    route the tests compare the driven studies against, and serves scripts
+    that read every layer at once.
     """
     values = np.empty((times.nt + 1,) + rho0.grid.shape)
-    for j, _, layer in iter_solution_layers(rho0, u, times):
-        values[j] = layer
+    drive(iter_solution_layers(rho0, u, times), [_Stored(values)])
     return ScalarField(rho0.grid, times.times.copy(), values)

@@ -29,12 +29,12 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .analysis import (
+    NormHistory,
     amplitude_family,
-    conservation_report,
     initial_data_family,
     stability_experiment,
 )
-from .characteristics import iter_solution_layers
+from .characteristics import drive, iter_solution_layers
 from .fields import (
     AdmissibleBeta,
     ScalarField,
@@ -66,7 +66,6 @@ from .weakform import (
     WeakformError,
     commutator_at_points,
     gamma_exponent,
-    streamed_weak_residuals,
 )
 
 OUTPUT_ROOT_ENV = "TRANSPORTLAB_OUT"
@@ -587,12 +586,11 @@ def run_conservation_study(cfg: StudyConfig) -> StudyOutcome:
     the bilinear evaluation satisfies by convexity.
     """
     grid, times, u, rho0 = build_case(cfg)
-    layers = (layer for _, _, layer in iter_solution_layers(rho0, u, times))
-    reports = conservation_report(grid, times.times, layers, cfg.p_list)
+    history = NormHistory(grid, cfg.p_list)
+    drive(iter_solution_layers(rho0, u, times), [history])
     checks = []
     rows = []
-    for p in cfg.p_list:
-        rep = reports[p]
+    for p, rep in history.reports().items():
         if np.isinf(p):
             name, tol, provenance = "characteristics.max_principle", cfg.tol_drift_sup, "trivial"
         else:
@@ -603,11 +601,26 @@ def run_conservation_study(cfg: StudyConfig) -> StudyOutcome:
     return _write_outputs(cfg, outcome, {"conservation.csv": (("t", "p", "norm", "drift"), rows)})
 
 
+class _StencilProbe:
+    """Fed after the sweep: at layer mid, the gap between the sweep's smallest
+    eps remainder and the per-point gather at the probe nodes."""
+
+    def __init__(self, sweep: RemainderSweep, mid: int, ii: np.ndarray, jj: np.ndarray):
+        self.sweep, self.mid, self.ii, self.jj = sweep, mid, ii, jj
+
+    def add_layer(self, j: int, t: float, layer: np.ndarray) -> None:
+        if j == self.mid:
+            sweep, ii, jj = self.sweep, self.ii, self.jj
+            xs, ys = sweep.grid.xs[ii], sweep.grid.ys[jj]
+            probed = commutator_at_points(sweep.grid, layer, sweep.u, sweep.kernels[-1], xs, ys, t)
+            self.gap = float(np.max(np.abs(probed - sweep.remainders[-1][ii, jj])))
+
+
 def run_mollification_study(cfg: StudyConfig) -> StudyOutcome:
     """Remainder decay along the eps sweep plus the consistency identity.
 
-    One streamed solve feeds both: each layer's remainder at the largest
-    eps also pairs with the identity probe, and one set of forward
+    One streamed solve drives the sweep, then the identity pairing of its
+    remainder at the largest eps, then the stencil probe: one set of forward
     transforms per layer serves every eps and the pairing. If the config's
     (alpha, p) pairing gives gamma < 1 the commutator estimate does not
     apply; the study still runs, measures the curve in the always-defined
@@ -627,15 +640,11 @@ def run_mollification_study(cfg: StudyConfig) -> StudyOutcome:
         hypothesis = "not satisfied"
         alpha_eff, p_eff = float("inf"), 1.0
     sweep = RemainderSweep(grid, times.times, u, cfg.eps_list, alpha_eff, p_eff, inner)
-    pairing = IdentityPairing(grid, times.times, u, cfg.eps_list[0], phi)
-
-    mid = (times.nt + 1) // 2
-    for j, t, layer in iter_solution_layers(rho0, u, times):
-        transforms = sweep.transforms(t, layer)
-        rems = sweep.add_layer(j, t, layer, transforms)
-        pairing.add_layer(j, t, layer, rems[0], transforms)
-        if j == mid:
-            mid_t, mid_layer, mid_rem = t, layer, rems[-1]
+    pairing = IdentityPairing(sweep, phi)
+    # probe-point sampling is the seed's only job: the FFT-windowed full
+    # layer and the per-point gather must agree to roundoff
+    probe = _StencilProbe(sweep, (times.nt + 1) // 2, *_probe_nodes(grid, inner, cfg.seed))
+    drive(iter_solution_layers(rho0, u, times), [sweep, pairing, probe])
 
     curve = sweep.curve()
     norms = curve.norms
@@ -648,16 +657,8 @@ def run_mollification_study(cfg: StudyConfig) -> StudyOutcome:
         CheckResult(
             "weakform.consistency_identity", abs(lhs - rhs), cfg.tol_identity, "derived"
         ),
+        CheckResult("weakform.stencil_consistency", probe.gap, 1e-10, "trivial"),
     ]
-
-    # Probe-point sampling (the seed's only job): the FFT-windowed full
-    # layer and the per-point gather must agree to roundoff.
-    ii, jj = _probe_nodes(grid, inner, cfg.seed)
-    probed = commutator_at_points(
-        grid, mid_layer, u, sweep.kernels[-1], grid.xs[ii], grid.ys[jj], mid_t
-    )
-    gap = float(np.max(np.abs(probed - mid_rem[ii, jj])))
-    checks.append(CheckResult("weakform.stencil_consistency", gap, 1e-10, "trivial"))
 
     outcome = StudyOutcome(cfg.study, tuple(checks), hypothesis=hypothesis)
     rows = [(e, n, curve.gamma, curve.margin) for e, n in zip(curve.eps, norms)]
@@ -691,7 +692,7 @@ def _beta_bank() -> list[AdmissibleBeta]:
 def run_renormalization_study(cfg: StudyConfig) -> StudyOutcome:
     """Weak and renormalized residuals over the full phi and beta banks.
 
-    The freeze-time corruption knob is a negative control: it feeds the
+    The freeze-time corruption knob is a negative control: it drives the
     initial layer in place of every solved one, which leaves the advective
     term unbalanced and must trip the residual gate.
     """
@@ -699,14 +700,11 @@ def run_renormalization_study(cfg: StudyConfig) -> StudyOutcome:
     phis = _phi_bank(grid.domain, cfg.horizon)
     betas: list[AdmissibleBeta | None] = [None] + list(_beta_bank())
 
-    if cfg.corruption == "none":
-        reports = streamed_weak_residuals(rho0, u, times, phis, betas)
-    else:
-        base = rho0.layer(0)
-        acc = ResidualAccumulator(grid, times.times, u, phis, betas)
-        for j in range(times.nt + 1):
-            acc.add_layer(j, base)
-        reports = acc.report(base)
+    base = rho0.layer(0)
+    frozen = ((j, t, base) for j, t in enumerate(times.times))
+    acc = ResidualAccumulator(grid, times.times, u, phis, betas)
+    drive(iter_solution_layers(rho0, u, times) if cfg.corruption == "none" else frozen, [acc])
+    reports = acc.report(base)
 
     checks = []
     for b, beta in enumerate(betas):

@@ -26,7 +26,7 @@ import numpy as np
 from numpy.fft import ifft, irfft, rfft2
 
 from transportlab.analysis import lp_norm
-from transportlab.characteristics import iter_solution_layers
+from transportlab.characteristics import drive
 from transportlab.fields import (
     AdmissibleBeta,
     Kernel,
@@ -40,7 +40,6 @@ from transportlab.geometry import (
     Domain,
     GeometryError,
     Grid,
-    TimePartition,
     dist_to_boundary,
     integrate,
     shrink,
@@ -115,9 +114,9 @@ class ResidualAccumulator:
     """Streaming evaluation of the three weak-form terms for a whole bank.
 
     One accumulator pairs every renormalization in `betas` (None pairs the
-    density itself) with every test function in `phis`. Feeding layers as
-    they are produced keeps refined solves at constant memory; weak_residual
-    on a stored field is a one-pair bank run over its layers.
+    density itself) with every test function in `phis`. Driven by a solve
+    as it goes, it keeps refined solves at constant memory; weak_residual on
+    a stored field is a one-pair bank run over its layers.
 
     Every test function vanishes outside its support ball, so each distinct
     spatial part keeps its time and advective weights only at its nodes: the
@@ -221,7 +220,7 @@ class ResidualAccumulator:
             sums.append([vals[part] @ W for part, W in zip(self._parts, self._weights)])
         return np.array(sums)[:, self._spatial_index]
 
-    def add_layer(self, j: int, layer: np.ndarray) -> None:
+    def add_layer(self, j: int, t: float, layer: np.ndarray) -> None:
         if j != self._seen:
             raise WeakformError(f"layers must arrive in order, expected {self._seen}")
         sums = self._pair_sums(self._take(layer))
@@ -263,28 +262,8 @@ def weak_residual(
     initial data: the renormalized residual.
     """
     acc = ResidualAccumulator(rho.grid, rho.times, u, [phi], [beta])
-    for j in range(rho.n_layers):
-        acc.add_layer(j, rho.layer(j))
+    drive(zip(range(rho.n_layers), rho.times, rho.values), [acc])
     return acc.report(rho0.layer(0))[0]
-
-
-def streamed_weak_residuals(
-    rho0: ScalarField,
-    u: VelocityField,
-    times: TimePartition,
-    phis: Sequence[TestFunction],
-    betas: Sequence[AdmissibleBeta | None] = (None,),
-) -> list[ResidualReport]:
-    """Solve once and pair every beta with every test function of the bank.
-
-    One transport sweep feeds one accumulator, so memory stays at a few
-    layers no matter how fine the solve is. Reports are beta-major, as
-    ResidualAccumulator.report orders them.
-    """
-    acc = ResidualAccumulator(rho0.grid, times.times, u, phis, betas)
-    for j, _, layer in iter_solution_layers(rho0, u, times):
-        acc.add_layer(j, layer)
-    return acc.report(rho0.layer(0))
 
 
 # ---------------------------------------------------------------------------
@@ -518,48 +497,24 @@ def commutator_remainder(
     return ux * conv_b1 + uy * conv_b2 - conv_u
 
 
-class IdentityPairing:
-    """The consistency identity fed one layer at a time: add_layer takes each
-    density layer with its commutator remainder at this eps, and result
-    returns (lhs, rhs) as consistency_identity does."""
-
-    def __init__(self, grid: Grid, times, u: VelocityField, eps: float, phi: TestFunction):
-        self.grid, self.phi, self.kernel = grid, phi, make_kernel(eps=eps)
-        self.acc = ResidualAccumulator(grid, times, u, [phi])
-        self.phi_sp = phi.spatial(*grid.meshes())
-        self.rhs, self.moll0 = 0.0, None
-
-    def add_layer(
-        self,
-        j: int,
-        t: float,
-        layer: np.ndarray,
-        remainder: np.ndarray,
-        transforms: LayerTransforms | None = None,
-    ) -> None:
-        """`transforms`, if given, is the layer's holder, as for mollify_density."""
-        moll = mollify_density(self.grid, layer, self.kernel, transforms)
-        if j == 0:
-            self.moll0 = moll
-        self.acc.add_layer(j, moll)
-        psi = float(self.phi.time_profile.value(t))
-        self.rhs += self.acc.tw[j] * psi * integrate(remainder * self.phi_sp, self.grid)
-
-    def result(self) -> tuple[float, float]:
-        rep = self.acc.report(self.moll0)[0]
-        return rep.term_time + rep.term_initial + rep.term_advective, self.rhs
-
-
 def consistency_identity(
     rho: ScalarField, u: VelocityField, eps: float, phi: TestFunction
 ) -> tuple[float, float]:
     """Two routes to one number: (lhs, rhs) with lhs the weak residual of the
     mollified solution and rhs the space-time pairing of the commutator
-    remainder with phi, each side taken by its own quadrature path."""
-    pairing = IdentityPairing(rho.grid, rho.times, u, eps, phi)
+    remainder with phi, each side taken by its own quadrature path.
+
+    The stored route, written out layer by layer; IdentityPairing takes the
+    same two sums while a RemainderSweep is driven."""
+    grid, kernel = rho.grid, make_kernel(eps=eps)
+    moll = ScalarField(grid, rho.times, [mollify_density(grid, r, kernel) for r in rho.values])
+    rep = weak_residual(moll, moll, u, phi)
+    tw, phi_sp = time_weights(rho.times), phi.spatial(*grid.meshes())
+    rhs = 0.0
     for j, (t, layer) in enumerate(zip(rho.times, rho.values)):
-        pairing.add_layer(j, t, layer, commutator_remainder(rho.grid, layer, u, pairing.kernel, t))
-    return pairing.result()
+        rem = commutator_remainder(grid, layer, u, kernel, t)
+        rhs += tw[j] * float(phi.time_profile.value(t)) * integrate(rem * phi_sp, grid)
+    return rep.term_time + rep.term_initial + rep.term_advective, rhs
 
 
 def _window_box(grid: Grid, x0: float, y0: float, eps: float) -> tuple[int, int, int, int]:
@@ -652,7 +607,7 @@ def _region_margin(inner: Domain, outer: Domain) -> float:
 
 def gamma_exponent(alpha: float, p: float) -> float:
     """1/gamma = 1/alpha + 1/p (harmonic pairing of field and density)."""
-    if alpha < 1.0 or p < 1.0:
+    if not (alpha >= 1.0 and p >= 1.0):
         raise WeakformError(f"exponents must be >= 1, got alpha={alpha}, p={p}")
     inv = (0.0 if np.isinf(alpha) else 1.0 / alpha) + (0.0 if np.isinf(p) else 1.0 / p)
     if inv == 0.0:
@@ -672,9 +627,10 @@ class RemainderSweep:
 
     The inner region must clear the boundary by more than the largest eps,
     so every remainder layer is genuinely a mollification statement there.
-    add_layer returns the layer's remainders, largest eps first. Every eps
-    reads one LayerTransforms per layer at `shape`, the largest eps's own
-    transform shape, which serves every smaller eps exactly.
+    Every eps reads one LayerTransforms per layer at `shape`, the largest
+    eps's own transform shape, which serves every smaller eps exactly. The
+    sweep keeps the last layer's holder as `transforms` and its remainders,
+    largest eps first, as `remainders`, for consumers fed after it.
     """
 
     def __init__(self, grid: Grid, times, u: VelocityField, eps_list, alpha, p, inner: Domain):
@@ -690,31 +646,53 @@ class RemainderSweep:
         self.grid, self.u, self.inner = grid, u, inner
         self.kernels = [make_kernel(eps=e) for e in self.eps]
         self.shape = _padded_shape(self.kernels[0], grid)
-        self.tw = time_weights(times)
+        self.times, self.tw = times, time_weights(times)
         self.norms = [0.0] * len(self.eps)
+        self.transforms: LayerTransforms | None = None
+        self.remainders: list[np.ndarray] = []
 
-    def transforms(self, t: float, layer: np.ndarray) -> LayerTransforms:
-        """The holder of one layer that every eps of the sweep reads; the
-        caller may hand it on to other consumers of the layer."""
-        return LayerTransforms(self.grid, layer, self.shape, self.u, t)
-
-    def add_layer(
-        self, j: int, t: float, layer: np.ndarray, transforms: LayerTransforms | None = None
-    ) -> list[np.ndarray]:
-        if transforms is None:
-            transforms = self.transforms(t, layer)
-        rems = [
-            commutator_remainder(self.grid, layer, self.u, k, t, transforms) for k in self.kernels
+    def add_layer(self, j: int, t: float, layer: np.ndarray) -> None:
+        self.transforms = LayerTransforms(self.grid, layer, self.shape, self.u, t)
+        self.remainders = [
+            commutator_remainder(self.grid, layer, self.u, k, t, self.transforms)
+            for k in self.kernels
         ]
-        for i, rem in enumerate(rems):
+        for i, rem in enumerate(self.remainders):
             norm = lp_norm(rem, self.grid, self.gamma, self.inner)
             self.norms[i] += float(self.tw[j]) * norm
-        return rems
 
     def curve(self) -> RemainderCurve:
         """The norms summed so far. Whether they decay, as the commutator
         estimate promises, is for the caller to judge."""
         return RemainderCurve(self.eps, tuple(self.norms), self.gamma, self.inner, self.margin)
+
+
+class IdentityPairing:
+    """The consistency identity at the sweep's largest eps, fed after the
+    sweep: each layer is mollified through the sweep's holder and paired
+    with its remainder, and result returns (lhs, rhs) as consistency_identity
+    does. A layer the sweep has not taken last is refused."""
+
+    def __init__(self, sweep: RemainderSweep, phi: TestFunction):
+        self.sweep, self.phi, self.kernel = sweep, phi, sweep.kernels[0]
+        self.acc = ResidualAccumulator(sweep.grid, sweep.times, sweep.u, [phi])
+        self.phi_sp = phi.spatial(*sweep.grid.meshes())
+        self.rhs, self.moll0 = 0.0, None
+
+    def add_layer(self, j: int, t: float, layer: np.ndarray) -> None:
+        sweep, grid = self.sweep, self.sweep.grid
+        if sweep.transforms is None:
+            raise WeakformError("the sweep has taken no layer; feed it before the pairing")
+        moll = mollify_density(grid, layer, self.kernel, sweep.transforms)
+        if j == 0:
+            self.moll0 = moll
+        self.acc.add_layer(j, t, moll)
+        psi = float(self.phi.time_profile.value(t))
+        self.rhs += self.acc.tw[j] * psi * integrate(sweep.remainders[0] * self.phi_sp, grid)
+
+    def result(self) -> tuple[float, float]:
+        rep = self.acc.report(self.moll0)[0]
+        return rep.term_time + rep.term_initial + rep.term_advective, self.rhs
 
 
 def remainder_decay_study(
@@ -727,6 +705,5 @@ def remainder_decay_study(
 ) -> RemainderCurve:
     """RemainderSweep over the stored layers of rho."""
     sweep = RemainderSweep(rho.grid, rho.times, u, eps_list, alpha, p, inner)
-    for j, (t, layer) in enumerate(zip(rho.times, rho.values)):
-        sweep.add_layer(j, t, layer)
+    drive(zip(range(rho.n_layers), rho.times, rho.values), [sweep])
     return sweep.curve()

@@ -4,9 +4,9 @@ The vortex transport of a Gaussian blob at the reference resolution (256^2
 nodes, 1000 time layers, T = 1) backs the conservation, max-principle,
 residual and accuracy checks; a half-resolution twin (128^2 x 500) backs
 the refinement ratios and the weak-form tests. Each is one session-wide
-streamed solve: a single iter_solution_layers pass hands every layer to
-each reader as it goes by, and the case keeps the readers' results and the
-last layer, never the solution.
+streamed solve: drive hands every layer of one iter_solution_layers pass to
+each reader as it goes by, as the studies do, and the case keeps the
+readers' results and the last layer, never the solution.
 
 exact_vortex_flow is the closed-form flow map of the default vortex under
 any of the library's time modulations, an oracle for the RK4 integrator
@@ -19,8 +19,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from transportlab.analysis import conservation_report
-from transportlab.characteristics import iter_solution_layers
+from transportlab.analysis import NormHistory
+from transportlab.characteristics import drive, iter_solution_layers
 from transportlab.cli import _steady_heap
 from transportlab.fields import (
     TestFunction,
@@ -54,49 +54,53 @@ def bank_betas(*labels: str) -> list:
     return [None] + [bank[label] for label in labels]
 
 
+class _Readings:
+    """The test-local readers of a layer stream: the extrema over all
+    layers, the hand-written L2 norm of each layer, the last layer and, with
+    a control bank, 1.5 times every layer fed to it."""
+
+    def __init__(self, w: np.ndarray, scaled: ResidualAccumulator | None):
+        self.w, self.scaled = w, scaled
+        self.lo, self.hi, self.l2_norms, self.last = np.inf, -np.inf, [], None
+
+    def add_layer(self, j: int, t: float, layer: np.ndarray) -> None:
+        if self.scaled is not None:
+            self.scaled.add_layer(j, t, 1.5 * layer)
+        self.lo = min(self.lo, float(layer.min()))
+        self.hi = max(self.hi, float(layer.max()))
+        self.l2_norms.append(np.sqrt(np.sum(layer**2 * self.w)))
+        self.last = layer
+
+
 def stream_transport_case(n: int, nt: int, phis, betas, control=None) -> SimpleNamespace:
     """One streamed solve of the blob in the vortex, every reader fed per layer.
 
-    The readers: the norm histories for p = 1, 2, 3, inf; the extrema over
-    all layers; the hand-written L2 norm of each layer; one residual bank
+    The readers: the norm histories for p = 1, 2, 3, inf; one residual bank
     pairing every beta with every phi, keyed by (phi label, beta label or
-    None); and, with a control test function, the negative control that
-    pairs 1.5 times every layer with the unscaled layer 0. solve_seconds
-    times the whole pass.
+    None); and the _Readings, with, given a control test function, the
+    negative control that pairs 1.5 times every layer with the unscaled
+    layer 0. solve_seconds times the whole pass.
     """
     grid = Grid(DOM, n, n)
     times = TimePartition(1.0, nt)
     u = vortex_field(DOM)
     rho0 = static_field(grid, gaussian_blob((0.6, 0.5), 0.08))
-    w = grid.quadrature_weights
+    history = NormHistory(grid, (1.0, 2.0, 3.0, np.inf))
     bank = ResidualAccumulator(grid, times.times, u, phis, betas)
     scaled = None if control is None else ResidualAccumulator(grid, times.times, u, [control])
-    lo, hi, l2_norms, last = np.inf, -np.inf, [], None
-
-    def layers():
-        nonlocal lo, hi, last
-        for j, _, layer in iter_solution_layers(rho0, u, times):
-            bank.add_layer(j, layer)
-            if scaled is not None:
-                scaled.add_layer(j, 1.5 * layer)
-            lo = min(lo, float(layer.min()))
-            hi = max(hi, float(layer.max()))
-            l2_norms.append(np.sqrt(np.sum(layer**2 * w)))
-            last = layer
-            yield layer
-
+    readings = _Readings(grid.quadrature_weights, scaled)
     t0 = time.perf_counter()
-    norms = conservation_report(grid, times.times, layers(), (1.0, 2.0, 3.0, np.inf))
+    drive(iter_solution_layers(rho0, u, times), [history, bank, readings])
     solve_seconds = time.perf_counter() - t0
     layer0 = rho0.layer(0)
     return SimpleNamespace(
         grid=grid,
         rho0=rho0,
-        norms=norms,
-        lo=lo,
-        hi=hi,
-        l2_norms=np.array(l2_norms),
-        last=last,
+        norms=history.reports(),
+        lo=readings.lo,
+        hi=readings.hi,
+        l2_norms=np.array(readings.l2_norms),
+        last=readings.last,
         betas=tuple(None if beta is None else beta.label for beta in betas),
         residuals={(r.phi, r.beta): r for r in bank.report(layer0)},
         scaled_residual=None if scaled is None else scaled.report(layer0)[0],

@@ -7,10 +7,10 @@ import pytest
 
 from transportlab.analysis import (
     AnalysisError,
+    NormHistory,
     StabilityReport,
     amplitude_family,
     boundary_flux_decay,
-    conservation_report,
     initial_data_family,
     lp_norm,
     renormalization_convergence_check,
@@ -18,6 +18,7 @@ from transportlab.analysis import (
 )
 from transportlab.characteristics import (
     FlowMapIntegrator,
+    drive,
     iter_solution_layers,
     solve_classical,
 )
@@ -103,8 +104,9 @@ def test_lp_norm_over_a_region_is_the_region_rule(p, rng):
 def test_lp_norm_validation():
     grid = Grid(DOM, 16, 16)
     layer = np.zeros(grid.shape)
-    with pytest.raises(AnalysisError):
-        lp_norm(layer, grid, 0.5)
+    for p in (0.5, np.nan):
+        with pytest.raises(AnalysisError, match="p must be >= 1"):
+            lp_norm(layer, grid, p)
     with pytest.raises(AnalysisError):
         lp_norm(np.zeros((4, 4)), grid, 2.0)
 
@@ -141,11 +143,25 @@ def test_lp_norm_scaling(rng):
 # ---------------------------------------------------------------------------
 
 
+def norm_reports(grid, times, values, p_list):
+    """The norm history of stored layers, driven one layer at a time."""
+    history = NormHistory(grid, p_list)
+    drive(zip(range(len(times)), times, values), [history])
+    return history.reports()
+
+
+def test_norm_history_of_no_layer_is_refused():
+    history = NormHistory(Grid(DOM, 8, 8), (2.0,))
+    drive([], [history])
+    with pytest.raises(AnalysisError, match="seen no layer"):
+        history.reports()
+
+
 def test_conservation_still_solve_has_zero_drift():
     grid = Grid(DOM, 64, 64)
     times = TimePartition(1.0, 20)
     sol = solve_classical(static_field(grid, gaussian_blob()), VelocityField((), DOM), times)
-    for rep in conservation_report(grid, sol.times, sol.values, (1.0, 2.0, np.inf)).values():
+    for rep in norm_reports(grid, sol.times, sol.values, (1.0, 2.0, np.inf)).values():
         assert rep.drift == 0.0
         assert rep.growth == 0.0
         assert rep.statistic == 0.0
@@ -153,7 +169,7 @@ def test_conservation_still_solve_has_zero_drift():
 
 def test_conservation_vortex_drifts(vortex_solution):
     grid, _, _, _, sol = vortex_solution
-    reps = conservation_report(grid, sol.times, sol.values, (1.0, 2.0, 3.0, np.inf))
+    reps = norm_reports(grid, sol.times, sol.values, (1.0, 2.0, 3.0, np.inf))
     assert reps[1.0].drift < 2e-3
     assert reps[2.0].drift < 5e-3
     assert reps[3.0].drift < 6e-3
@@ -169,7 +185,7 @@ def test_conservation_vortex_drifts(vortex_solution):
 
 def test_conservation_flags_nodes_beyond_tolerance(vortex_solution):
     grid, _, _, _, sol = vortex_solution
-    rep = conservation_report(grid, sol.times, sol.values, (2.0,))[2.0]
+    rep = norm_reports(grid, sol.times, sol.values, (2.0,))[2.0]
     drifts = list(rep.deviations)
     # the per-node drift column peaks at the statistic a study gates
     assert max(drifts) == rep.drift == rep.statistic > 1e-6
@@ -178,7 +194,7 @@ def test_conservation_flags_nodes_beyond_tolerance(vortex_solution):
 
 def test_conservation_csv_layout(vortex_solution):
     grid, times, _, _, sol = vortex_solution
-    rep = conservation_report(grid, sol.times, sol.values, (2.0,))[2.0]
+    rep = norm_reports(grid, sol.times, sol.values, (2.0,))[2.0]
     # one row per time node: t, p, norm and deviation
     assert rep.times.shape == rep.values.shape == rep.deviations.shape == (times.nt + 1,)
     assert rep.deviations[0] == 0.0  # t = 0 row never deviates from itself
@@ -186,8 +202,8 @@ def test_conservation_csv_layout(vortex_solution):
 
 def test_conservation_drift_is_scale_invariant(vortex_solution):
     grid, _, _, _, sol = vortex_solution
-    base = conservation_report(grid, sol.times, sol.values, (2.0, np.inf))
-    big = conservation_report(grid, sol.times, 3.7 * sol.values, (2.0, np.inf))
+    base = norm_reports(grid, sol.times, sol.values, (2.0, np.inf))
+    big = norm_reports(grid, sol.times, 3.7 * sol.values, (2.0, np.inf))
     assert big[2.0].drift == pytest.approx(base[2.0].drift, rel=1e-10, abs=1e-14)
     assert big[np.inf].drift == pytest.approx(base[np.inf].drift, rel=1e-10, abs=1e-14)
 
@@ -418,6 +434,9 @@ def test_stability_validation():
         stability_experiment(u, rho0, times, fam, [])
     with pytest.raises(AnalysisError):
         stability_experiment(u, rho0, times, fam, [4, 2])
+    for p in (0.5, np.nan):
+        with pytest.raises(AnalysisError, match="p must be >= 1"):
+            stability_experiment(u, rho0, times, fam, [2, 4], p=p)
     with pytest.raises(AnalysisError):
         StabilityReport((2, 4), (0.1,), (0.1, 0.2), 2.0)
     with pytest.raises(AnalysisError):

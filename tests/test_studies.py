@@ -11,8 +11,8 @@ import pytest
 
 import numpy as np
 
-from transportlab import characteristics, weakform
-from transportlab.analysis import conservation_report
+from transportlab import characteristics, cli, weakform
+from transportlab.analysis import NormHistory
 from transportlab.fields import (
     ScalarField,
     make_kernel,
@@ -456,25 +456,38 @@ def test_stability_study_solves_each_problem_once(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "study, modulation",
+    "study, overrides",
     [
         # unmodulated cases keep the bare study name as their id
-        pytest.param(s, m, id=s if m == "none" else f"{s}-{m}")
+        pytest.param(s, (f"velocity.modulation={m}",), id=s if m == "none" else f"{s}-{m}")
         for m in ("none", "linear", "inverse-sqrt")
         for s in STUDY_NAMES
+    ]
+    + [
+        pytest.param("solve", (), id="solve"),
+        pytest.param("renorm", ("renorm.corruption=freeze-time",), id="renorm-freeze-time"),
     ],
 )
-def test_every_study_runs_without_a_stored_solve(study, modulation, tmp_path, monkeypatch):
+def test_every_study_runs_without_a_stored_solve(study, overrides, tmp_path, monkeypatch):
+    # every run is one drive pass, the one loop over a solve's layers
     def refuse(*args, **kwargs):
         raise AssertionError("a study stored its solution")
 
+    def counted(stream, consumers):
+        passes.append(len(consumers))
+        return drive(stream, consumers)
+
+    passes, drive = [], characteristics.drive
     replace_everywhere(monkeypatch, characteristics.solve_classical, refuse)
-    cfg = cfg_for(
-        study, tmp_path / "run", "grid.nx=32", "grid.ny=32", "time.nt=8",
-        f"velocity.modulation={modulation}",
-    )
-    out = run_study(cfg)
-    assert out.study == study and out.checks
+    replace_everywhere(monkeypatch, drive, counted)
+    size = ("grid.nx=32", "grid.ny=32", "time.nt=8")
+    if study == "solve":
+        sets = [arg for item in size for arg in ("--set", item)]
+        assert cli.main(["solve", "--quiet", "--out", str(tmp_path / "run"), *sets]) == 0
+    else:
+        out = run_study(cfg_for(study, tmp_path / "run", *size, *overrides))
+        assert out.study == study and out.checks
+    assert len(passes) == 1
 
 
 def test_mollification_fails_before_the_solve(tmp_path, monkeypatch):
@@ -601,13 +614,14 @@ def test_mollification_stream_matches_the_stored_routes(overrides, tmp_path):
     assert by_name["weakform.consistency_identity"].measured == abs(lhs - rhs)
 
 
-def test_streamed_conservation_report_matches_the_stored_one():
+def test_streamed_norm_history_matches_the_stored_one():
     cfg = parse_study_config(None, ["grid.nx=40", "grid.ny=40", "time.nt=15"])
     grid, times, u, rho0 = build_case(cfg)
     sol = characteristics.solve_classical(rho0, u, times)
-    stored = conservation_report(grid, sol.times, sol.values, cfg.p_list)
-    layers = (layer for _, _, layer in characteristics.iter_solution_layers(rho0, u, times))
-    streamed = conservation_report(grid, times.times, layers, cfg.p_list)
+    stored, streamed = NormHistory(grid, cfg.p_list), NormHistory(grid, cfg.p_list)
+    characteristics.drive(zip(range(sol.n_layers), sol.times, sol.values), [stored])
+    characteristics.drive(characteristics.iter_solution_layers(rho0, u, times), [streamed])
+    stored, streamed = stored.reports(), streamed.reports()
     assert stored.keys() == streamed.keys()
     for p, rep in stored.items():
         assert np.array_equal(streamed[p].values, rep.values)

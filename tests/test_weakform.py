@@ -6,7 +6,7 @@ import scipy.fft
 from numpy.fft import irfft2, rfft2
 
 from conftest import bank_betas, off_center_phi
-from transportlab.characteristics import solve_classical
+from transportlab.characteristics import drive, iter_solution_layers, solve_classical
 from transportlab.fields import (
     ScalarField,
     TestFunction as SpaceTimeBump,
@@ -28,6 +28,7 @@ from transportlab.geometry import (
 )
 from transportlab.studies import _phi_bank
 from transportlab.weakform import (
+    IdentityPairing,
     LayerTransforms,
     RemainderCurve,
     RemainderSweep,
@@ -45,7 +46,6 @@ from transportlab.weakform import (
     mollify_at_points,
     mollify_density,
     remainder_decay_study,
-    streamed_weak_residuals,
     weak_residual,
 )
 
@@ -162,17 +162,24 @@ def test_accumulator_requires_ordered_complete_layers():
     grid, times, u, rho0, sol = small_solution(32, 5)
     acc = ResidualAccumulator(grid, sol.times, u, [off_center_phi()])
     with pytest.raises(WeakformError):
-        acc.add_layer(1, sol.layer(1))
-    acc.add_layer(0, sol.layer(0))
+        acc.add_layer(1, sol.times[1], sol.layer(1))
+    acc.add_layer(0, 0.0, sol.layer(0))
     with pytest.raises(WeakformError):
         acc.report(rho0.layer(0))
+
+
+def driven_bank(rho0, u, times, phis, betas=(None,)):
+    """One solve driven into one accumulator, as the renorm study runs it."""
+    acc = ResidualAccumulator(rho0.grid, times.times, u, phis, betas)
+    drive(iter_solution_layers(rho0, u, times), [acc])
+    return acc.report(rho0.layer(0))
 
 
 def test_streamed_matches_stored():
     grid, times, u, rho0, sol = small_solution(64, 50)
     phis = [off_center_phi(), make_test_function((0.4, 0.58), 0.18, quadratic_decay_profile(1.0), DOM)]
     betas = bank_betas("clip[1]~k10")
-    streamed = streamed_weak_residuals(rho0, u, times, phis, betas)
+    streamed = driven_bank(rho0, u, times, phis, betas)
     pairs = [(phi, beta) for beta in betas for phi in phis]
     assert len(streamed) == len(pairs)
     for rep, (phi, beta) in zip(streamed, pairs):
@@ -229,7 +236,7 @@ def test_boxed_bank_matches_full_grid_sums():
     betas = bank_betas("clip[1]~k10", "const[0.7]")
     acc = ResidualAccumulator(grid, sol.times, u, phis, betas)
     for j in range(sol.n_layers):
-        acc.add_layer(j, sol.layer(j))
+        acc.add_layer(j, sol.times[j], sol.layer(j))
     reports = acc.report(rho0.layer(0))
     pairs = [(phi, beta) for beta in betas for phi in phis]
     for rep, (phi, beta) in zip(reports, pairs):
@@ -248,14 +255,14 @@ def test_support_between_nodes_pairs_to_zero():
     # on an 8 x 8 grid the nearest node is 0.088 away from this center
     grid, times, u, rho0, sol = small_solution(8, 5)
     empty = make_test_function((0.5625, 0.5625), 0.03, quadratic_decay_profile(1.0), DOM)
-    reports = streamed_weak_residuals(rho0, u, times, [empty, off_center_phi()])
+    reports = driven_bank(rho0, u, times, [empty, off_center_phi()])
     assert (reports[0].term_time, reports[0].term_initial, reports[0].term_advective) == (
         0.0,
         0.0,
         0.0,
     )
     assert reports[1].term_time != 0.0
-    alone = streamed_weak_residuals(rho0, u, times, [empty])[0]
+    alone = driven_bank(rho0, u, times, [empty])[0]
     assert alone.residual == 0.0
 
 
@@ -263,7 +270,7 @@ def test_unequal_boxes_pair_like_one_pair_accumulators():
     grid, times, u, rho0, sol = small_solution(64, 20)
     phis = mixed_bank()
     betas = bank_betas("clip[1]~k10")
-    bank = streamed_weak_residuals(rho0, u, times, phis, betas)
+    bank = driven_bank(rho0, u, times, phis, betas)
     pairs = [(phi, beta) for beta in betas for phi in phis]
     for rep, (phi, beta) in zip(bank, pairs):
         ref = weak_residual(sol, rho0, u, phi, beta=beta)
@@ -284,7 +291,7 @@ def test_shared_spatial_parts_pair_like_one_pair_accumulators():
     acc = ResidualAccumulator(grid, sol.times, u, phis, betas)
     assert len(phis) == 7 and len(acc._weights) == 4
     for j in range(sol.n_layers):
-        acc.add_layer(j, sol.layer(j))
+        acc.add_layer(j, sol.times[j], sol.layer(j))
     pairs = [(phi, beta) for beta in betas for phi in phis]
     for rep, (phi, beta) in zip(acc.report(rho0.layer(0)), pairs):
         ref = weak_residual(sol, rho0, u, phi, beta=beta)
@@ -309,7 +316,7 @@ def test_study_bank_pairs_like_one_pair_accumulators():
     betas = bank_betas("clip[10]", "clip[1]~k10", "pow[2|4]~k10", "const[0.7]")
     acc = ResidualAccumulator(grid, sol.times, u, phis, betas)
     for j in range(sol.n_layers):
-        acc.add_layer(j, sol.layer(j))
+        acc.add_layer(j, sol.times[j], sol.layer(j))
     pairs = [(phi, beta) for beta in betas for phi in phis]
     reports = acc.report(rho0.layer(0))
     assert len(reports) == 5 * 9
@@ -334,7 +341,7 @@ def test_accumulator_weights_advective_layers_by_trapezoid_times_m():
     tw = trapezoid_weights(sol.times)
     want = np.zeros((len(betas), len(phis)))
     for j in range(sol.n_layers):
-        acc.add_layer(j, sol.layer(j))
+        acc.add_layer(j, sol.times[j], sol.layer(j))
         t = float(sol.times[j])
         psi = np.array([float(phi.time_profile.value(t)) for phi in phis])
         sums = acc._pair_sums(np.take(sol.layer(j), acc._nodes))
@@ -347,7 +354,7 @@ def test_accumulator_rejects_layers_off_the_grid():
     grid, times, u, rho0, sol = small_solution(32, 5)
     acc = ResidualAccumulator(grid, sol.times, u, [off_center_phi()])
     with pytest.raises(WeakformError, match="layer shape"):
-        acc.add_layer(0, sol.layer(0)[:-1])
+        acc.add_layer(0, 0.0, sol.layer(0)[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -541,9 +548,9 @@ def test_fft_layers_match_direct_window_sums(nx, ny, eps):
     u = vortex_field(DOM)
     kernels = [make_kernel(eps=e) for e in eps_list]
     sweep = RemainderSweep(grid, [0.0, 1.0], u, eps_list, 2.0, 2.0, shrink(DOM, eps + 0.01))
-    shared = sweep.transforms(0.0, layer)
+    sweep.add_layer(0, 0.0, layer)
+    shared, swept = sweep.transforms, sweep.remainders
     assert shared.shape == _padded_shape(kernels[0], grid)
-    swept = sweep.add_layer(0, 0.0, layer, shared)
     # a holder serves only the layer, field and time it was taken of
     others = ((layer.copy(), u, 0.0), (layer, vortex_field(DOM), 0.0), (layer, u, 0.5))
     for other, field, t in others:
@@ -665,6 +672,27 @@ def test_weak_residual_of_mollified_equals_remainder_pairing():
     assert consistency_identity(sol, u, eps, phi) == (lhs, rhs)
 
 
+def test_identity_pairing_refuses_a_layer_its_sweep_has_not_taken():
+    # the pairing reads the holder and the remainder of the layer its sweep
+    # took last; fed before the sweep, or without it, it would pair a stale
+    # remainder, and it refuses instead
+    grid, times, u, rho0, sol = small_solution(48, 4)
+    layers = [(j, t, sol.layer(j)) for j, t in enumerate(sol.times)]
+    sweep = RemainderSweep(grid, sol.times, u, [0.1, 0.05], np.inf, 1.0, shrink(DOM, 0.15))
+    pairing = IdentityPairing(sweep, off_center_phi())
+    with pytest.raises(WeakformError, match="taken no layer"):
+        drive(layers[:1], [pairing])
+    drive(layers[:2], [sweep, pairing])
+    for consumers in ([pairing, sweep], [pairing]):
+        with pytest.raises(WeakformError, match="another layer"):
+            drive(layers[2:3], consumers)
+    # in order, the pairing is the stored route's identity
+    sweep = RemainderSweep(grid, sol.times, u, [0.1, 0.05], np.inf, 1.0, shrink(DOM, 0.15))
+    pairing = IdentityPairing(sweep, off_center_phi())
+    drive(layers, [sweep, pairing])
+    assert pairing.result() == consistency_identity(sol, u, 0.1, off_center_phi())
+
+
 # ---------------------------------------------------------------------------
 # Remainder decay
 # ---------------------------------------------------------------------------
@@ -729,6 +757,9 @@ def test_gamma_exponent_pairing():
         gamma_exponent(1.0, 2.0)
     with pytest.raises(WeakformError):
         gamma_exponent(0.5, 2.0)
+    for alpha, p in ((np.nan, 2.0), (2.0, np.nan)):
+        with pytest.raises(WeakformError, match="must be >= 1"):
+            gamma_exponent(alpha, p)
 
 
 def test_remainder_curve_validation():
