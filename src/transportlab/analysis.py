@@ -404,6 +404,8 @@ def stability_experiment(
     trend is the report's renormalization field. Judging how e_n and the
     trend decay is the caller's business.
     """
+    if not all(isinstance(n, (int, np.integer)) or float(n).is_integer() for n in n_list):
+        raise AnalysisError(f"n_list entries must be integers, got {tuple(n_list)}")
     ns = [int(n) for n in n_list]
     if not ns or any(n <= 0 for n in ns) or any(b <= a for a, b in zip(ns, ns[1:])):
         raise AnalysisError("n_list must be positive and strictly increasing")
@@ -415,5 +417,5 @@ def stability_experiment(
     d = _velocity_distances(fields, u, grid, times)
     dist = _FamilyDistances(grid, times.times, p, betas)
     rho0s = [rho0] + [r for _, r in members]
-    drive(iter_solution_layers(rho0s, [u] + fields, times, moving=True), [dist])
+    drive(iter_solution_layers(rho0s, [u] + fields, times), [dist])
     return StabilityReport(tuple(ns), d, tuple(dist.e), float(p), _trend(betas, dist.sq))

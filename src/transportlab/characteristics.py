@@ -236,32 +236,27 @@ def iter_solution_layers(
     rho0: ScalarField | Sequence[ScalarField],
     u: VelocityField | Sequence[VelocityField],
     times: TimePartition,
-    moving: bool = False,
-) -> Iterator[tuple[int, float, np.ndarray | tuple[np.ndarray, ...] | MovingLayers]]:
+) -> Iterator[tuple[int, float, np.ndarray | MovingLayers]]:
     """Yield (j, t_j, layer) of the classical solution without storing it.
 
     rho0 and u are one problem, or equal-length sequences of problems on one
-    grid (a family); a family yields the tuple of its members' layers, in
-    member order, where one problem yields the bare layer. One problem is
-    the one-member family: every solve takes the same path. Each yielded
-    layer is a fresh array the caller may keep.
+    grid (a family). Both are solved by one FamilyStream, which integrates
+    and interpolates only the nodes that move (see there): one problem is
+    the one-member family, so every solve takes the same path.
 
     Layer j is rho0 evaluated at the backward characteristic foot of every
-    node, i.e. at flow_map(u, t_j, 0, node). The layers are assembled from a
-    FamilyStream, which integrates and interpolates only the nodes that move
-    (see there): each layer is the member's still layer with its values on
-    the moving nodes written in, so it has the bits of a whole-grid solve.
-    With moving=True nothing is assembled: the stream's MovingLayers are
-    yielded as they are, for consumers that read only what moves.
+    node, i.e. at flow_map(u, t_j, 0, node). One problem yields the bare
+    layer, a fresh array the caller may keep: its still layer with its
+    values on the moving nodes written in, so it has the bits of a
+    whole-grid solve. A family yields the stream's MovingLayers as they are,
+    for consumers that read only what moves; MovingLayers.assemble gives
+    every member's whole layer.
     """
-    single = isinstance(u, VelocityField)
-    stream = FamilyStream([rho0], [u], times) if single else FamilyStream(rho0, u, times)
-    for j, t, layer in stream:
-        if moving:
-            yield j, t, layer
-        else:
-            layers = layer.assemble()
-            yield j, t, layers[0] if single else layers
+    if not isinstance(u, VelocityField):
+        yield from FamilyStream(rho0, u, times)
+        return
+    for j, t, layer in FamilyStream([rho0], [u], times):
+        yield j, t, layer.assemble()[0]
 
 
 class MovingLayers(NamedTuple):
@@ -503,8 +498,9 @@ def solve_classical(
     the only discretization artifact.
 
     No study or command stores a solution. This is the stored reference
-    route the tests compare the driven studies against, and serves scripts
-    that read every layer at once.
+    route the tests compare the driven studies against. It stays in the
+    package while the benchmark harness (perfbench/tracer.py) wraps it by
+    name; once the harness no longer names it, it can move into the tests.
     """
     values = np.empty((times.nt + 1,) + rho0.grid.shape)
     drive(iter_solution_layers(rho0, u, times), [_Stored(values)])

@@ -26,11 +26,9 @@ import numpy as np
 from numpy.fft import ifft, irfft, rfft2
 
 from transportlab.analysis import lp_norm
-from transportlab.characteristics import drive
 from transportlab.fields import (
     AdmissibleBeta,
     Kernel,
-    ScalarField,
     TestFunction,
     VelocityField,
     make_kernel,
@@ -115,8 +113,7 @@ class ResidualAccumulator:
 
     One accumulator pairs every renormalization in `betas` (None pairs the
     density itself) with every test function in `phis`. Driven by a solve
-    as it goes, it keeps refined solves at constant memory; weak_residual on
-    a stored field is a one-pair bank run over its layers.
+    as it goes, it keeps refined solves at constant memory.
 
     Every test function vanishes outside its support ball, so each distinct
     spatial part keeps its time and advective weights only at its nodes: the
@@ -249,23 +246,6 @@ class ResidualAccumulator:
         return reports
 
 
-def weak_residual(
-    rho: ScalarField,
-    rho0: ScalarField,
-    u: VelocityField,
-    phi: TestFunction,
-    beta: AdmissibleBeta | None = None,
-) -> ResidualReport:
-    """Three-term weak-form pairing of a stored solution with phi.
-
-    With beta given, the pairing is that of beta(rho) with beta(rho0)
-    initial data: the renormalized residual.
-    """
-    acc = ResidualAccumulator(rho.grid, rho.times, u, [phi], [beta])
-    drive(zip(range(rho.n_layers), rho.times, rho.values), [acc])
-    return acc.report(rho0.layer(0))[0]
-
-
 # ---------------------------------------------------------------------------
 # Windowed convolution
 # ---------------------------------------------------------------------------
@@ -316,16 +296,10 @@ def _fast_len(n: int) -> int:
         m += 1
 
 
-def _window_radius(kernel: Kernel, grid: Grid) -> tuple[int, int]:
-    """(Kx, Ky): the half-width of the kernel's window in nodes per axis."""
-    return int(np.floor(kernel.eps / grid.hx)), int(np.floor(kernel.eps / grid.hy))
-
-
-def _padded_shape(kernel: Kernel, grid: Grid) -> tuple[int, int]:
-    """The kernel's own transform shape: the fast length of n + 2K per axis."""
-    Kx, Ky = _window_radius(kernel, grid)
-    n1, n2 = grid.shape
-    return _fast_len(n1 + 2 * Kx), _fast_len(n2 + 2 * Ky)
+def _window_radius(eps: float, grid: Grid) -> tuple[int, int]:
+    """(Kx, Ky): the half-width of a kernel window of scale eps in nodes per
+    axis."""
+    return int(np.floor(eps / grid.hx)), int(np.floor(eps / grid.hy))
 
 
 def _stencil_spectrum(stencil: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
@@ -337,7 +311,7 @@ def _stencil_spectrum(stencil: np.ndarray, shape: tuple[int, int]) -> np.ndarray
 
 @lru_cache(maxsize=8)
 def _window_spectra(kernel: Kernel, grid: Grid, shape: tuple[int, int]) -> _WindowSpectra:
-    Kx, Ky = _window_radius(kernel, grid)
+    Kx, Ky = _window_radius(kernel.eps, grid)
     ox = grid.hx * np.arange(-Kx, Kx + 1)
     oy = grid.hy * np.arange(-Ky, Ky + 1)
     OX, OY = np.meshgrid(ox, oy, indexing="ij")
@@ -361,27 +335,26 @@ def _window_inverse(spec: _WindowSpectra, product: np.ndarray) -> np.ndarray:
 
 
 class LayerTransforms:
-    """The forward real FFTs of one density layer at one padded shape.
+    """The forward real FFTs of one density layer of the field u at time t,
+    for every kernel up to scale eps.
 
     Three fields of the layer are transformed: F = rho w, read by the
     mollified layer and by both gradient correlations of the remainder, and
     F ux and F uy, read by its rho u correlation. Each is taken on its first
-    read, so a caller pays only for what it reads. Every kernel whose window
-    fits the shape (n + K nodes per axis) multiplies its own stencil spectra
-    against the same transforms, so a holder at the shape of a sweep's
-    largest eps serves every eps of the sweep and the identity pairing: a
-    layer costs three forward transforms, however many kernels read it.
+    read, so a caller pays only for what it reads. The transforms are
+    zero-padded to the fast length of n + 2K per axis, K the half-width of
+    the window at eps. Every kernel whose window fits that shape (n + K
+    nodes per axis) multiplies its own stencil spectra against the same
+    transforms, so a holder at a sweep's largest eps serves every eps of the
+    sweep and the identity pairing: a layer costs three forward transforms,
+    however many kernels read it.
     """
 
-    def __init__(
-        self,
-        grid: Grid,
-        layer: np.ndarray,
-        shape: tuple[int, int],
-        u: VelocityField | None = None,
-        t: float = 0.0,
-    ):
-        self.grid, self.layer, self.shape, self.u, self.t = grid, layer, tuple(shape), u, t
+    def __init__(self, grid: Grid, layer: np.ndarray, u: VelocityField, t: float, eps: float):
+        self.grid, self.layer, self.u, self.t = grid, layer, u, t
+        Kx, Ky = _window_radius(eps, grid)
+        n1, n2 = grid.shape
+        self.shape = _fast_len(n1 + 2 * Kx), _fast_len(n2 + 2 * Ky)
         self.F = layer * grid.quadrature_weights
 
     @cached_property
@@ -403,7 +376,7 @@ class LayerTransforms:
 
     def spectra(self, kernel: Kernel) -> _WindowSpectra:
         """The kernel's stencil spectra at this holder's shape."""
-        Kx, Ky = _window_radius(kernel, self.grid)
+        Kx, Ky = _window_radius(kernel.eps, self.grid)
         n1, n2 = self.grid.shape
         if self.shape[0] < n1 + Kx or self.shape[1] < n2 + Ky:
             raise WeakformError(
@@ -413,27 +386,6 @@ class LayerTransforms:
         return _window_spectra(kernel, self.grid, self.shape)
 
 
-def _layer_transforms(
-    grid: Grid,
-    layer: np.ndarray,
-    kernel: Kernel,
-    transforms: LayerTransforms | None,
-    u: VelocityField | None = None,
-    t: float = 0.0,
-) -> LayerTransforms:
-    """The caller's holder, which must hold this layer (and this u and t
-    when u is given), or a new one at the kernel's own shape."""
-    if transforms is None:
-        return LayerTransforms(grid, layer, _padded_shape(kernel, grid), u, t)
-    if (
-        transforms.grid is not grid
-        or transforms.layer is not layer
-        or (u is not None and (transforms.u is not u or transforms.t != t))
-    ):
-        raise WeakformError("the transforms were taken of another layer")
-    return transforms
-
-
 def _inner_region(grid: Grid, eps: float) -> Domain:
     try:
         return shrink(grid.domain, eps)
@@ -441,36 +393,25 @@ def _inner_region(grid: Grid, eps: float) -> Domain:
         raise WeakformError(f"kernel scale {eps} leaves no interior region") from exc
 
 
-def mollify_density(
-    grid: Grid, layer: np.ndarray, kernel: Kernel, transforms: LayerTransforms | None = None
-) -> np.ndarray:
-    """Convolve one density layer with the kernel: the layer of rho_eps.
+def mollify_density(transforms: LayerTransforms, kernel: Kernel) -> np.ndarray:
+    """Convolve the holder's density layer with the kernel: the layer of
+    rho_eps.
 
     Nodal quadrature of int rho(y) eta_eps(x - y) dy over the grid; exact
     unit kernel mass makes this a local average, so values contract every
     Lp norm on the shrunk region. The result covers the whole grid so that
     region-weighted quadrature has all cell corners it needs; only nodes
     inside shrink(grid.domain, eps) carry that meaning (outside it the
-    window was truncated at the boundary). `transforms`, if given, holds
-    this layer's forward transforms; without it the call takes the one it
-    reads at the kernel's own shape.
+    window was truncated at the boundary).
     """
-    _inner_region(grid, kernel.eps)
-    transforms = _layer_transforms(grid, layer, kernel, transforms)
+    _inner_region(transforms.grid, kernel.eps)
     spec = transforms.spectra(kernel)
     return _window_inverse(spec, transforms.F_hat * spec.H)
 
 
-def commutator_remainder(
-    grid: Grid,
-    layer: np.ndarray,
-    u: VelocityField,
-    kernel: Kernel,
-    t: float = 0.0,
-    transforms: LayerTransforms | None = None,
-) -> np.ndarray:
+def commutator_remainder(transforms: LayerTransforms, kernel: Kernel) -> np.ndarray:
     """Nodal layer of r_eps = int rho(y) (u(x) - u(y)) . grad(eta_eps)(y - x) dy
-    for the density layer at time t.
+    for the holder's density layer, field u and time t.
 
     Splitting the parenthesis turns the integral into four windowed
     correlations (two gradient components over rho and over rho u), plus a
@@ -479,14 +420,12 @@ def commutator_remainder(
     zero-padded stencil: the forward transform of rho is shared by both
     gradient components and the two rho u terms are summed before their one
     inverse transform, so a call costs three inverse transforms. The three
-    forward transforms come from `transforms`, this layer's holder at u and
-    t; a sweep hands every eps one holder, so a layer pays for them once.
-    Without it the call takes them at the kernel's own shape.
-    commutator_at_points evaluates the same quadrature by a direct
-    per-point gather; the stencil-consistency check compares the two.
+    forward transforms come from the holder; a sweep hands every eps one
+    holder, so a layer pays for them once. commutator_at_points evaluates
+    the same quadrature by a direct per-point gather; the
+    stencil-consistency check compares the two.
     """
-    _inner_region(grid, kernel.eps)
-    transforms = _layer_transforms(grid, layer, kernel, transforms, u, t)
+    _inner_region(transforms.grid, kernel.eps)
     spec = transforms.spectra(kernel)
     ux, uy = transforms.velocity
     F_hat = transforms.F_hat
@@ -495,26 +434,6 @@ def commutator_remainder(
     conv_b2 = _window_inverse(spec, F_hat * spec.G2)
     conv_u = _window_inverse(spec, Fux_hat * spec.G1 + Fuy_hat * spec.G2)
     return ux * conv_b1 + uy * conv_b2 - conv_u
-
-
-def consistency_identity(
-    rho: ScalarField, u: VelocityField, eps: float, phi: TestFunction
-) -> tuple[float, float]:
-    """Two routes to one number: (lhs, rhs) with lhs the weak residual of the
-    mollified solution and rhs the space-time pairing of the commutator
-    remainder with phi, each side taken by its own quadrature path.
-
-    The stored route, written out layer by layer; IdentityPairing takes the
-    same two sums while a RemainderSweep is driven."""
-    grid, kernel = rho.grid, make_kernel(eps=eps)
-    moll = ScalarField(grid, rho.times, [mollify_density(grid, r, kernel) for r in rho.values])
-    rep = weak_residual(moll, moll, u, phi)
-    tw, phi_sp = time_weights(rho.times), phi.spatial(*grid.meshes())
-    rhs = 0.0
-    for j, (t, layer) in enumerate(zip(rho.times, rho.values)):
-        rem = commutator_remainder(grid, layer, u, kernel, t)
-        rhs += tw[j] * float(phi.time_profile.value(t)) * integrate(rem * phi_sp, grid)
-    return rep.term_time + rep.term_initial + rep.term_advective, rhs
 
 
 def _window_box(grid: Grid, x0: float, y0: float, eps: float) -> tuple[int, int, int, int]:
@@ -627,10 +546,11 @@ class RemainderSweep:
 
     The inner region must clear the boundary by more than the largest eps,
     so every remainder layer is genuinely a mollification statement there.
-    Every eps reads one LayerTransforms per layer at `shape`, the largest
-    eps's own transform shape, which serves every smaller eps exactly. The
-    sweep keeps the last layer's holder as `transforms` and its remainders,
-    largest eps first, as `remainders`, for consumers fed after it.
+    Every eps reads one LayerTransforms per layer, taken for the largest eps,
+    which serves every smaller eps exactly. The sweep keeps the index of the
+    layer it took last as `j`, that layer's holder as `transforms` and its
+    remainders, largest eps first, as `remainders`, for consumers fed after
+    it.
     """
 
     def __init__(self, grid: Grid, times, u: VelocityField, eps_list, alpha, p, inner: Domain):
@@ -645,18 +565,16 @@ class RemainderSweep:
             )
         self.grid, self.u, self.inner = grid, u, inner
         self.kernels = [make_kernel(eps=e) for e in self.eps]
-        self.shape = _padded_shape(self.kernels[0], grid)
         self.times, self.tw = times, time_weights(times)
         self.norms = [0.0] * len(self.eps)
+        self.j: int | None = None
         self.transforms: LayerTransforms | None = None
         self.remainders: list[np.ndarray] = []
 
     def add_layer(self, j: int, t: float, layer: np.ndarray) -> None:
-        self.transforms = LayerTransforms(self.grid, layer, self.shape, self.u, t)
-        self.remainders = [
-            commutator_remainder(self.grid, layer, self.u, k, t, self.transforms)
-            for k in self.kernels
-        ]
+        self.j = j
+        self.transforms = LayerTransforms(self.grid, layer, self.u, t, self.eps[0])
+        self.remainders = [commutator_remainder(self.transforms, k) for k in self.kernels]
         for i, rem in enumerate(self.remainders):
             norm = lp_norm(rem, self.grid, self.gamma, self.inner)
             self.norms[i] += float(self.tw[j]) * norm
@@ -670,8 +588,10 @@ class RemainderSweep:
 class IdentityPairing:
     """The consistency identity at the sweep's largest eps, fed after the
     sweep: each layer is mollified through the sweep's holder and paired
-    with its remainder, and result returns (lhs, rhs) as consistency_identity
-    does. A layer the sweep has not taken last is refused."""
+    with its remainder. result returns (lhs, rhs), lhs the weak residual of
+    the mollified solution and rhs the space-time pairing of the remainder
+    with phi, each side taken by its own quadrature path. A layer index the
+    sweep has not taken last is refused."""
 
     def __init__(self, sweep: RemainderSweep, phi: TestFunction):
         self.sweep, self.phi, self.kernel = sweep, phi, sweep.kernels[0]
@@ -681,9 +601,13 @@ class IdentityPairing:
 
     def add_layer(self, j: int, t: float, layer: np.ndarray) -> None:
         sweep, grid = self.sweep, self.sweep.grid
-        if sweep.transforms is None:
+        if sweep.j is None:
             raise WeakformError("the sweep has taken no layer; feed it before the pairing")
-        moll = mollify_density(grid, layer, self.kernel, sweep.transforms)
+        if sweep.j != j:
+            raise WeakformError(
+                f"the sweep took layer {sweep.j} last, not layer {j}; feed it before the pairing"
+            )
+        moll = mollify_density(sweep.transforms, self.kernel)
         if j == 0:
             self.moll0 = moll
         self.acc.add_layer(j, t, moll)
@@ -693,17 +617,3 @@ class IdentityPairing:
     def result(self) -> tuple[float, float]:
         rep = self.acc.report(self.moll0)[0]
         return rep.term_time + rep.term_initial + rep.term_advective, self.rhs
-
-
-def remainder_decay_study(
-    rho: ScalarField,
-    u: VelocityField,
-    eps_list: Sequence[float],
-    alpha: float,
-    p: float,
-    inner: Domain,
-) -> RemainderCurve:
-    """RemainderSweep over the stored layers of rho."""
-    sweep = RemainderSweep(rho.grid, rho.times, u, eps_list, alpha, p, inner)
-    drive(zip(range(rho.n_layers), rho.times, rho.values), [sweep])
-    return sweep.curve()

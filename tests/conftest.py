@@ -8,6 +8,11 @@ streamed solve: drive hands every layer of one iter_solution_layers pass to
 each reader as it goes by, as the studies do, and the case keeps the
 readers' results and the last layer, never the solution.
 
+stored_layers, stored_residual and consistency_identity are the stored
+routes the streamed consumers are compared with: a stored solution fed as
+the stream a solve would yield, a one-pair residual over it, and the
+consistency identity written out layer by layer.
+
 exact_vortex_flow is the closed-form flow map of the default vortex under
 any of the library's time modulations, an oracle for the RK4 integrator
 that shares no code with it.
@@ -23,16 +28,24 @@ from transportlab.analysis import NormHistory
 from transportlab.characteristics import drive, iter_solution_layers
 from transportlab.cli import _steady_heap
 from transportlab.fields import (
+    ScalarField,
     TestFunction,
     gaussian_blob,
+    make_kernel,
     make_test_function,
     quadratic_decay_profile,
     static_field,
     vortex_field,
 )
-from transportlab.geometry import Grid, TimePartition, unit_square
+from transportlab.geometry import Grid, TimePartition, integrate, trapezoid_weights, unit_square
 from transportlab.studies import _beta_bank, _phi_bank
-from transportlab.weakform import ResidualAccumulator
+from transportlab.weakform import (
+    LayerTransforms,
+    ResidualAccumulator,
+    ResidualReport,
+    commutator_remainder,
+    mollify_density,
+)
 
 DOM = unit_square()
 
@@ -52,6 +65,39 @@ def bank_betas(*labels: str) -> list:
     """None (the density itself) and the studies' betas with these labels."""
     bank = {beta.label: beta for beta in _beta_bank()}
     return [None] + [bank[label] for label in labels]
+
+
+def stored_layers(rho: ScalarField):
+    """(j, t_j, layer) for every layer of a stored field: the stream a solve
+    of it would yield."""
+    return zip(range(rho.n_layers), rho.times, rho.values)
+
+
+def stored_residual(rho: ScalarField, rho0: ScalarField, u, phi, beta=None) -> ResidualReport:
+    """The weak-form pairing of a stored field with phi: a one-pair
+    accumulator driven over its layers, paired with rho0's layer 0 (with
+    beta, beta(rho) with beta(rho0))."""
+    acc = ResidualAccumulator(rho.grid, rho.times, u, [phi], [beta])
+    drive(stored_layers(rho), [acc])
+    return acc.report(rho0.layer(0))[0]
+
+
+def consistency_identity(rho: ScalarField, u, eps: float, phi) -> tuple[float, float]:
+    """(lhs, rhs) of the consistency identity for a stored field, written out
+    layer by layer: lhs the weak residual of the mollified solution, rhs the
+    trapezoid pairing of the commutator remainder with phi. IdentityPairing
+    takes the same two sums while a RemainderSweep is driven."""
+    grid, kernel = rho.grid, make_kernel(eps=eps)
+    tw, phi_sp = trapezoid_weights(rho.times), phi.spatial(*grid.meshes())
+    mollified, rhs = [], 0.0
+    for j, (t, layer) in enumerate(zip(rho.times, rho.values)):
+        transforms = LayerTransforms(grid, layer, u, t, eps)
+        mollified.append(mollify_density(transforms, kernel))
+        psi = float(phi.time_profile.value(t))
+        rhs += tw[j] * psi * integrate(commutator_remainder(transforms, kernel) * phi_sp, grid)
+    moll = ScalarField(grid, rho.times, np.stack(mollified))
+    rep = stored_residual(moll, moll, u, phi)
+    return rep.term_time + rep.term_initial + rep.term_advective, rhs
 
 
 class _Readings:

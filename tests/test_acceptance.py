@@ -7,12 +7,13 @@ defeats the point of having the gate.
 
 import numpy as np
 
+from conftest import consistency_identity
 from transportlab.analysis import (
     amplitude_family,
     boundary_flux_decay,
     stability_experiment,
 )
-from transportlab.characteristics import flow_map, solve_classical
+from transportlab.characteristics import drive, flow_map, iter_solution_layers, solve_classical
 from transportlab.fields import (
     gaussian_blob,
     make_kernel,
@@ -28,10 +29,10 @@ from transportlab.studies import (
     run_study,
 )
 from transportlab.weakform import (
+    LayerTransforms,
+    RemainderSweep,
     commutator_remainder,
-    consistency_identity,
     mollify_density,
-    remainder_decay_study,
 )
 
 DOM = unit_square()
@@ -142,10 +143,10 @@ def test_criterion_5_commutator_decay():
     grid = Grid(DOM, 256, 256)
     u = vortex_field(DOM)
     rho0 = static_field(grid, gaussian_blob((0.6, 0.5), 0.08))
-    sol = solve_classical(rho0, u, TimePartition(1.0, 40))
-    curve = remainder_decay_study(
-        sol, u, (0.1, 0.05, 0.025), np.inf, 1.0, shrink(DOM, 0.15)
-    )
+    times = TimePartition(1.0, 40)
+    sweep = RemainderSweep(grid, times.times, u, (0.1, 0.05, 0.025), np.inf, 1.0, shrink(DOM, 0.15))
+    drive(iter_solution_layers(rho0, u, times), [sweep])
+    curve = sweep.curve()
     decreasing = all(b < a for a, b in zip(curve.norms, curve.norms[1:]))
     ratio = curve.norms[-1] / curve.norms[0]
 
@@ -194,16 +195,14 @@ def test_criterion_7_oracle_equivalence(vortex_rotation):
     flow_gap = float(np.max(np.hypot(X1 - X2, Y1 - Y2)))
 
     grid_m = Grid(DOM, 256, 256)
-    moll = mollify_density(
-        grid_m, static_field(grid_m, gaussian_blob()).layer(0), make_kernel(eps=0.1)
-    )
+    layer_m = static_field(grid_m, gaussian_blob()).layer(0)
+    moll = mollify_density(LayerTransforms(grid_m, layer_m, u, 0.0, 0.1), make_kernel(eps=0.1))
     got_m = np.array([moll[i, j] for i, j in MOLL_NODES])
     rel_m = float(np.max(np.abs(got_m - MOLL_ORACLE) / np.abs(MOLL_ORACLE)))
 
     grid_c = Grid(DOM, 640, 640)
-    comm = commutator_remainder(
-        grid_c, static_field(grid_c, gaussian_blob()).layer(0), u, make_kernel(eps=0.1)
-    )
+    layer_c = static_field(grid_c, gaussian_blob()).layer(0)
+    comm = commutator_remainder(LayerTransforms(grid_c, layer_c, u, 0.0, 0.1), make_kernel(eps=0.1))
     got_c = np.array([comm[i, j] for i, j in COMM_NODES])
     rel_c = float(np.max(np.abs(got_c - COMM_ORACLE) / np.abs(COMM_ORACLE)))
 

@@ -377,8 +377,8 @@ def test_initial_data_family_integrates_its_one_field_once(monkeypatch):
 
     monkeypatch.setattr(FlowMapIntegrator, "advance", counted)
     stream = iter_solution_layers(densities, [u] * len(densities), times)
-    for j, _, layers in stream:
-        for m, layer in enumerate(layers):
+    for j, _, moving in stream:
+        for m, layer in enumerate(moving.assemble()):
             assert np.array_equal(layer, alone[m][j])
     moving = int(np.count_nonzero(u.support_mask(*grid.meshes())))
     assert sizes == [moving] * times.nt
@@ -430,10 +430,9 @@ def test_stability_validation():
     u = vortex_field(DOM)
     rho0 = static_field(grid, gaussian_blob())
     fam = amplitude_family(u, rho0)
-    with pytest.raises(AnalysisError):
-        stability_experiment(u, rho0, times, fam, [])
-    with pytest.raises(AnalysisError):
-        stability_experiment(u, rho0, times, fam, [4, 2])
+    for n_list in ([], [4, 2], [1.5, 2.9]):
+        with pytest.raises(AnalysisError):
+            stability_experiment(u, rho0, times, fam, n_list)
     for p in (0.5, np.nan):
         with pytest.raises(AnalysisError, match="p must be >= 1"):
             stability_experiment(u, rho0, times, fam, [2, 4], p=p)

@@ -265,6 +265,8 @@ def test_non_finite_or_repeated_values_exit_2_naming_the_key(
         ("density.sigma=1e-170", "density.sigma"),
         # R^2 underflows to 0 in the vortex's gradient coefficient
         ("velocity.radius=1e-163", "velocity.radius"),
+        # |rho|^3 of the default sweeps.p_list overflows to inf in lp_norm
+        ("density.amplitude=6e102", "density.amplitude"),
     ],
 )
 def test_float_range_edges_exit_2_naming_the_key(command, override, field, tmp_path, capsys):
@@ -274,6 +276,25 @@ def test_float_range_edges_exit_2_naming_the_key(command, override, field, tmp_p
     assert main(argv) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and field in err[0]
+
+
+@pytest.mark.parametrize("study", STUDY_NAMES)
+def test_largest_accepted_amplitude_runs_without_overflow(study, tmp_path, capsys):
+    # the default sweeps.p_list tops out at p = 3 and stability.p = 2 raises
+    # differences of up to 2 |A| to the power 2, so 2^(1023 / 3) = 2^341 is
+    # the largest amplitude taken: with either sign every study runs with
+    # finite measurements and no overflow warning (tier-1 turns a
+    # RuntimeWarning into an error), and the next float up exits 2
+    base = [study, "--out", str(tmp_path), "--set", "grid.nx=16", "--set", "grid.ny=16"]
+    limit = 2.0**341
+    for amplitude in (limit, -limit):
+        assert main([*base, "--set", f"density.amplitude={amplitude!r}"]) in (0, 1)
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert all(math.isfinite(c["measured"]) for c in summary["checks"])
+    above = math.nextafter(limit, math.inf)
+    assert main([*base, "--set", f"density.amplitude={above!r}"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "density.amplitude" in err[0]
 
 
 def test_sigma_at_the_normal_float_edge_validates(capsys):
@@ -480,7 +501,7 @@ _EDGES = {
     "velocity.amplitude": ["-0.5", "0", "1e-300", "1e300", "inf"],
     "density.center": ["0, 0", "1, 1", "2, 2", "1e160, 0.5"],
     "density.sigma": ["-1", "0", "1e-300", "1e154", "1.35e154", "1e308"],
-    "density.amplitude": ["-1", "0", "1e308"],
+    "density.amplitude": ["-1", "0", "4.4e102", "6e102", "1e308"],
     "sweeps.eps_list": ["0.14, 0.1", "0.2, 0.1", "0.3, 0.1", "0.1, 0.1", "0.05, 0.1", "0.1, 0"],
     "sweeps.n_list": ["1, 2", "4, 2", "0, 1"],
     "sweeps.p_list": ["1, inf", "2", "0.5", "1, 1", "nan"],

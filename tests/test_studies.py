@@ -11,11 +11,11 @@ import pytest
 
 import numpy as np
 
+from conftest import consistency_identity, stored_layers
 from transportlab import characteristics, cli, weakform
 from transportlab.analysis import NormHistory
 from transportlab.fields import (
     ScalarField,
-    make_kernel,
     make_test_function,
     quadratic_decay_profile,
 )
@@ -42,7 +42,7 @@ from transportlab.studies import (
     _probe_nodes,
     _ratio,
 )
-from transportlab.weakform import consistency_identity, remainder_decay_study
+from transportlab.weakform import RemainderSweep
 
 
 CONFIGS = Path(__file__).parents[1] / "configs"
@@ -551,7 +551,7 @@ def test_mollification_builds_one_mollifier_spectrum(tmp_path, monkeypatch):
     cfg = cfg_for("mollify", tmp_path / "run", "grid.nx=48", "grid.ny=48", "time.nt=6")
     assert len(cfg.eps_list) == 3
     grid = build_case(cfg)[0]
-    windows = [weakform._window_radius(make_kernel(eps=e), grid) for e in cfg.eps_list]
+    windows = [weakform._window_radius(e, grid) for e in cfg.eps_list]
     stencil_shapes = [(2 * Kx + 1, 2 * Ky + 1) for Kx, Ky in windows]
     assert len(set(stencil_shapes)) == 3
     calls = []
@@ -599,7 +599,9 @@ def test_mollification_stream_matches_the_stored_routes(overrides, tmp_path):
         alpha, p = cfg.alpha, cfg.p_moll
     else:
         alpha, p = float("inf"), 1.0
-    curve = remainder_decay_study(sol, u, cfg.eps_list, alpha, p, inner)
+    sweep = RemainderSweep(grid, sol.times, u, cfg.eps_list, alpha, p, inner)
+    characteristics.drive(stored_layers(sol), [sweep])
+    curve = sweep.curve()
     assert by_name["weakform.remainder_decay"].measured == curve.norms[-1] / curve.norms[0]
     with open(tmp_path / "run" / "remainder.csv", newline="") as fh:
         assert list(csv.reader(fh))[1:] == [
@@ -619,7 +621,7 @@ def test_streamed_norm_history_matches_the_stored_one():
     grid, times, u, rho0 = build_case(cfg)
     sol = characteristics.solve_classical(rho0, u, times)
     stored, streamed = NormHistory(grid, cfg.p_list), NormHistory(grid, cfg.p_list)
-    characteristics.drive(zip(range(sol.n_layers), sol.times, sol.values), [stored])
+    characteristics.drive(stored_layers(sol), [stored])
     characteristics.drive(characteristics.iter_solution_layers(rho0, u, times), [streamed])
     stored, streamed = stored.reports(), streamed.reports()
     assert stored.keys() == streamed.keys()

@@ -5,7 +5,13 @@ import pytest
 import scipy.fft
 from numpy.fft import irfft2, rfft2
 
-from conftest import bank_betas, off_center_phi
+from conftest import (
+    bank_betas,
+    consistency_identity,
+    off_center_phi,
+    stored_layers,
+    stored_residual,
+)
 from transportlab.characteristics import drive, iter_solution_layers, solve_classical
 from transportlab.fields import (
     ScalarField,
@@ -35,18 +41,14 @@ from transportlab.weakform import (
     ResidualAccumulator,
     WeakformError,
     _fast_len,
-    _padded_shape,
     _window_inverse,
     _window_radius,
     _window_spectra,
     commutator_at_points,
     commutator_remainder,
-    consistency_identity,
     gamma_exponent,
     mollify_at_points,
     mollify_density,
-    remainder_decay_study,
-    weak_residual,
 )
 
 DOM = unit_square()
@@ -67,6 +69,9 @@ MOLL_ORACLE = np.array([0.655976986899, 0.524970173624, 0.240649831466])
 COMM_ORACLE = np.array([0.031028790616, 0.018246945954, -0.006040439906])
 
 
+STILL = VelocityField((), DOM)
+
+
 def small_solution(n=64, nt=50, field=None):
     grid = Grid(DOM, n, n)
     times = TimePartition(1.0, nt)
@@ -85,7 +90,7 @@ def test_still_field_residual_telescopes():
     # trapezoid integrates the linear psi' exactly, so the time and initial
     # terms cancel to machine precision.
     _, _, u, rho0, sol = small_solution(64, 20, field=VelocityField((), DOM))
-    rep = weak_residual(sol, rho0, u, off_center_phi())
+    rep = stored_residual(sol, rho0, u, off_center_phi())
     assert rep.residual < 1e-14
     assert abs(rep.term_time) > 1e-3
     assert abs(rep.term_initial) > 1e-3
@@ -95,7 +100,7 @@ def test_still_field_residual_telescopes():
 def test_classical_solution_residual_small_and_refines(half_case):
     grid, times, u, rho0, sol = small_solution(64, 250)
     phi = off_center_phi()
-    coarse = weak_residual(sol, rho0, u, phi).residual
+    coarse = stored_residual(sol, rho0, u, phi).residual
     fine = half_case.residuals[phi.label, None].residual
     assert coarse < 1e-3
     assert fine < 1e-4
@@ -113,7 +118,7 @@ def test_scaled_solution_residual_large(half_case):
 
 def test_report_metadata_and_invariant():
     _, _, u, rho0, sol = small_solution(48, 20)
-    rep = weak_residual(sol, rho0, u, off_center_phi())
+    rep = stored_residual(sol, rho0, u, off_center_phi())
     assert rep.residual == abs(rep.term_time + rep.term_initial + rep.term_advective)
     assert rep.phi.startswith("bump[0.62,0.44")
     assert rep.beta is None
@@ -130,9 +135,9 @@ def test_residual_terms_are_linear():
     fab = ScalarField(grid, times, layers_a + layers_b)
     u = vortex_field(DOM)
     phi = off_center_phi()
-    ra = weak_residual(fa, ScalarField(grid, times[:1], layers_a[:1]), u, phi)
-    rb = weak_residual(fb, ScalarField(grid, times[:1], layers_b[:1]), u, phi)
-    rab = weak_residual(fab, ScalarField(grid, times[:1], (layers_a + layers_b)[:1]), u, phi)
+    ra = stored_residual(fa, ScalarField(grid, times[:1], layers_a[:1]), u, phi)
+    rb = stored_residual(fb, ScalarField(grid, times[:1], layers_b[:1]), u, phi)
+    rab = stored_residual(fab, ScalarField(grid, times[:1], (layers_a + layers_b)[:1]), u, phi)
     assert rab.term_time == pytest.approx(ra.term_time + rb.term_time, abs=1e-13)
     assert rab.term_initial == pytest.approx(ra.term_initial + rb.term_initial, abs=1e-13)
     assert rab.term_advective == pytest.approx(
@@ -146,16 +151,16 @@ def test_residual_validation():
         (0.5, 0.5), 0.2, quadratic_decay_profile(1.0), shrink(DOM, 0.01)
     )
     with pytest.raises(WeakformError):
-        weak_residual(sol, rho0, u, other)
+        stored_residual(sol, rho0, u, other)
     touching = SpaceTimeBump((0.9, 0.5), 0.3, 1.0, quadratic_decay_profile(1.0), DOM)
     with pytest.raises(WeakformError):
-        weak_residual(sol, rho0, u, touching)
+        stored_residual(sol, rho0, u, touching)
     late = make_test_function((0.5, 0.5), 0.2, quadratic_decay_profile(2.0), DOM)
     with pytest.raises(WeakformError):
-        weak_residual(sol, rho0, u, late)
+        stored_residual(sol, rho0, u, late)
     single = ScalarField(grid, sol.times[:1], sol.values[:1])
     with pytest.raises(WeakformError):
-        weak_residual(single, rho0, u, off_center_phi())
+        stored_residual(single, rho0, u, off_center_phi())
 
 
 def test_accumulator_requires_ordered_complete_layers():
@@ -183,7 +188,7 @@ def test_streamed_matches_stored():
     pairs = [(phi, beta) for beta in betas for phi in phis]
     assert len(streamed) == len(pairs)
     for rep, (phi, beta) in zip(streamed, pairs):
-        ref = weak_residual(sol, rho0, u, phi, beta=beta)
+        ref = stored_residual(sol, rho0, u, phi, beta=beta)
         assert (rep.phi, rep.beta) == (ref.phi, ref.beta)
         assert rep.term_time == ref.term_time
         assert rep.term_initial == ref.term_initial
@@ -273,7 +278,7 @@ def test_unequal_boxes_pair_like_one_pair_accumulators():
     bank = driven_bank(rho0, u, times, phis, betas)
     pairs = [(phi, beta) for beta in betas for phi in phis]
     for rep, (phi, beta) in zip(bank, pairs):
-        ref = weak_residual(sol, rho0, u, phi, beta=beta)
+        ref = stored_residual(sol, rho0, u, phi, beta=beta)
         assert (rep.term_time, rep.term_initial, rep.term_advective) == (
             ref.term_time,
             ref.term_initial,
@@ -294,7 +299,7 @@ def test_shared_spatial_parts_pair_like_one_pair_accumulators():
         acc.add_layer(j, sol.times[j], sol.layer(j))
     pairs = [(phi, beta) for beta in betas for phi in phis]
     for rep, (phi, beta) in zip(acc.report(rho0.layer(0)), pairs):
-        ref = weak_residual(sol, rho0, u, phi, beta=beta)
+        ref = stored_residual(sol, rho0, u, phi, beta=beta)
         assert (rep.phi, rep.beta) == (ref.phi, ref.beta)
         assert (rep.term_time, rep.term_initial, rep.term_advective) == (
             ref.term_time,
@@ -321,7 +326,7 @@ def test_study_bank_pairs_like_one_pair_accumulators():
     reports = acc.report(rho0.layer(0))
     assert len(reports) == 5 * 9
     for rep, (phi, beta) in zip(reports, pairs):
-        ref = weak_residual(sol, rho0, u, phi, beta=beta)
+        ref = stored_residual(sol, rho0, u, phi, beta=beta)
         assert (rep.phi, rep.beta) == (ref.phi, ref.beta)
         assert (rep.term_time, rep.term_initial, rep.term_advective) == (
             ref.term_time,
@@ -390,17 +395,27 @@ def test_constant_beta_residual_vanishes(half_case):
 # ---------------------------------------------------------------------------
 
 
+def mollified(grid, layer, kern):
+    """The layer of rho_eps, through a holder of its own."""
+    return mollify_density(LayerTransforms(grid, layer, STILL, 0.0, kern.eps), kern)
+
+
+def remainder(grid, layer, u, kern, t=0.0):
+    """The layer of r_eps, through a holder of its own."""
+    return commutator_remainder(LayerTransforms(grid, layer, u, t, kern.eps), kern)
+
+
 def test_mollify_reproduces_constants_and_linears():
     grid = Grid(DOM, 256, 256)
     kern = make_kernel(eps=0.1)
     X, Y = grid.meshes()
-    const = mollify_density(grid, 3.0 + 0.0 * X, kern)
+    const = mollified(grid, 3.0 + 0.0 * X, kern)
     region = shrink(DOM, 0.1)
     in_x = (grid.xs >= region.x_lo) & (grid.xs <= region.x_hi)
     in_y = (grid.ys >= region.y_lo) & (grid.ys <= region.y_hi)
     box = np.ix_(in_x, in_y)
     assert np.max(np.abs(const[box] - 3.0)) < 1e-6
-    linear = mollify_density(grid, X + 0.0 * Y, kern)
+    linear = mollified(grid, X + 0.0 * Y, kern)
     assert np.max(np.abs(linear - X)[box]) < 1e-6
 
 
@@ -415,7 +430,7 @@ def test_mollify_at_points_matches_layer_nodes():
     grid = Grid(DOM, 64, 64)
     rho = static_field(grid, gaussian_blob())
     kern = make_kernel(eps=0.1)
-    layer = mollify_density(grid, rho.layer(0), kern)
+    layer = mollified(grid, rho.layer(0), kern)
     i = [19, 32, 40]
     j = [26, 32, 49]
     pts = mollify_at_points(grid, rho.layer(0), kern, grid.xs[i], grid.ys[j])
@@ -426,14 +441,14 @@ def test_mollify_scale_must_leave_interior():
     grid = Grid(DOM, 32, 32)
     rho = static_field(grid, gaussian_blob())
     with pytest.raises(WeakformError):
-        mollify_density(grid, rho.layer(0), make_kernel(eps=0.5))
+        mollified(grid, rho.layer(0), make_kernel(eps=0.5))
 
 
 def test_mollification_contracts_lp_norms():
     grid = Grid(DOM, 128, 128)
     rho = static_field(grid, gaussian_blob())
     base = rho.layer(0)
-    layer = mollify_density(grid, base, make_kernel(eps=0.1))
+    layer = mollified(grid, base, make_kernel(eps=0.1))
     region = shrink(DOM, 0.1)
     for p in (1.0, 2.0):
         inner = integrate(np.abs(layer) ** p, grid, region) ** (1 / p)
@@ -452,7 +467,7 @@ def test_mollified_density_converges_as_eps_shrinks():
     for p in (1.0, 2.0):
         diffs = []
         for eps in (0.16, 0.08, 0.04, 0.02):
-            layer = mollify_density(grid, base, make_kernel(eps=eps))
+            layer = mollified(grid, base, make_kernel(eps=eps))
             diffs.append(
                 integrate(np.abs(layer - base) ** p, grid, omega0) ** (1 / p)
             )
@@ -468,10 +483,10 @@ def test_mollified_density_converges_as_eps_shrinks():
 def test_commutator_vanishes_for_degenerate_inputs():
     grid = Grid(DOM, 64, 64)
     kern = make_kernel(eps=0.1)
-    rem = commutator_remainder(grid, np.zeros(grid.shape), vortex_field(DOM), kern)
+    rem = remainder(grid, np.zeros(grid.shape), vortex_field(DOM), kern)
     assert np.max(np.abs(rem)) == 0.0
     rho = static_field(grid, gaussian_blob())
-    rem = commutator_remainder(grid, rho.layer(0), VelocityField((), DOM), kern)
+    rem = remainder(grid, rho.layer(0), VelocityField((), DOM), kern)
     assert np.max(np.abs(rem)) == 0.0
 
 
@@ -489,7 +504,7 @@ def test_commutator_at_points_matches_layer_nodes():
     rho = static_field(grid, gaussian_blob())
     u = vortex_field(DOM)
     kern = make_kernel(eps=0.1)
-    layer = commutator_remainder(grid, rho.layer(0), u, kern)
+    layer = remainder(grid, rho.layer(0), u, kern)
     i = [19, 32, 40]
     j = [26, 32, 49]
     pts = commutator_at_points(grid, rho.layer(0), u, kern, grid.xs[i], grid.ys[j])
@@ -528,6 +543,12 @@ class _UncheckedTransforms(LayerTransforms):
         return _window_spectra(kernel, self.grid, self.shape)
 
 
+def _at_shape(holder, shape):
+    """The holder with its transforms taken at `shape`, not at its eps's."""
+    holder.shape = shape
+    return holder
+
+
 @pytest.mark.parametrize(
     "nx, ny, eps",
     [
@@ -536,10 +557,11 @@ class _UncheckedTransforms(LayerTransforms):
     ],
 )
 def test_fft_layers_match_direct_window_sums(nx, ny, eps):
-    # every eps of a decreasing sweep up to eps, served by one holder at the
-    # largest eps's transform shape, is the linear window sum at every node,
-    # the nodes within eps of the edges included; so is each eps at its own
-    # shape and at the shortest exact one, n + K per axis
+    # every eps of a decreasing sweep up to eps, served by the sweep's one
+    # holder, taken for the largest eps, is the linear window sum at every
+    # node, the nodes within eps of the edges included; so is each eps
+    # through a holder of its own and at the shortest exact shape, n + K
+    # per axis
     eps_list = [e for e in (0.45, 0.3, 0.2, 0.15, 0.1) if e <= eps]
     grid = Grid(DOM, nx, ny)
     rng = np.random.default_rng(7)
@@ -550,42 +572,41 @@ def test_fft_layers_match_direct_window_sums(nx, ny, eps):
     sweep = RemainderSweep(grid, [0.0, 1.0], u, eps_list, 2.0, 2.0, shrink(DOM, eps + 0.01))
     sweep.add_layer(0, 0.0, layer)
     shared, swept = sweep.transforms, sweep.remainders
-    assert shared.shape == _padded_shape(kernels[0], grid)
-    # a holder serves only the layer, field and time it was taken of
-    others = ((layer.copy(), u, 0.0), (layer, vortex_field(DOM), 0.0), (layer, u, 0.5))
-    for other, field, t in others:
-        with pytest.raises(WeakformError, match="another layer"):
-            commutator_remainder(grid, other, field, kernels[0], t, shared)
+    assert shared.shape == _own_shape(grid, kernels[0])
+    # a holder taken for the smallest eps is too short for the largest
+    with pytest.raises(WeakformError, match="too short"):
+        mollify_density(LayerTransforms(grid, layer, u, 0.0, eps_list[-1]), kernels[0])
     n1, n2 = grid.shape
     for kern, rem in zip(kernels, swept):
         moll, want = _direct_window_layers(rho, u, kern)
-        Kx, Ky = _window_radius(kern, grid)
-        tight = LayerTransforms(grid, layer, (n1 + Kx, n2 + Ky), u, 0.0)
-        assert np.array_equal(rem, commutator_remainder(grid, layer, u, kern, 0.0, shared))
-        for transforms in (shared, None, tight):
-            got_moll = mollify_density(grid, layer, kern, transforms)
-            got_rem = commutator_remainder(grid, layer, u, kern, 0.0, transforms)
+        Kx, Ky = _window_radius(kern.eps, grid)
+        own = LayerTransforms(grid, layer, u, 0.0, kern.eps)
+        tight = _at_shape(LayerTransforms(grid, layer, u, 0.0, kern.eps), (n1 + Kx, n2 + Ky))
+        assert np.array_equal(rem, commutator_remainder(shared, kern))
+        for transforms in (shared, own, tight):
+            got_moll = mollify_density(transforms, kern)
+            got_rem = commutator_remainder(transforms, kern)
             assert np.max(np.abs(got_moll - moll)) < 1e-12 * np.max(np.abs(moll))
             assert np.max(np.abs(got_rem - want)) < 1e-12 * np.max(np.abs(want))
         # one node short of n + K on either axis, the last window no longer
         # fits the padded buffer: served anyway, the layer loses that row or
         # column, and the library refuses such a holder
         for short in ((n1 + Kx - 1, n2 + Ky), (n1 + Kx, n2 + Ky - 1)):
-            unchecked = _UncheckedTransforms(grid, layer, short, u, 0.0)
-            assert mollify_density(grid, layer, kern, unchecked).shape != grid.shape
-            holder = LayerTransforms(grid, layer, short, u, 0.0)
+            unchecked = _at_shape(_UncheckedTransforms(grid, layer, u, 0.0, kern.eps), short)
+            assert mollify_density(unchecked, kern).shape != grid.shape
+            holder = _at_shape(LayerTransforms(grid, layer, u, 0.0, kern.eps), short)
             with pytest.raises(WeakformError, match="too short"):
-                mollify_density(grid, layer, kern, holder)
+                mollify_density(holder, kern)
             with pytest.raises(WeakformError, match="too short"):
-                commutator_remainder(grid, layer, u, kern, 0.0, holder)
+                commutator_remainder(holder, kern)
 
 
 def test_window_layers_own_their_memory():
     grid = Grid(DOM, 40, 30)
     rho = static_field(grid, gaussian_blob())
     kern = make_kernel(eps=0.1)
-    assert mollify_density(grid, rho.layer(0), kern).base is None
-    assert commutator_remainder(grid, rho.layer(0), vortex_field(DOM), kern).base is None
+    assert mollified(grid, rho.layer(0), kern).base is None
+    assert remainder(grid, rho.layer(0), vortex_field(DOM), kern).base is None
 
 
 def test_fast_len_is_scipys_real_fast_length():
@@ -594,12 +615,17 @@ def test_fast_len_is_scipys_real_fast_length():
         assert _fast_len(n) == scipy.fft.next_fast_len(n, real=True), n
 
 
+def _own_shape(grid, kern):
+    """The transform shape of a holder taken for the kernel's own eps."""
+    return LayerTransforms(grid, np.zeros(grid.shape), STILL, 0.0, kern.eps).shape
+
+
 @pytest.mark.parametrize("n, eps", [(32, 0.1), (48, 0.05), (128, 0.025)])
 def test_window_inverse_is_the_cropped_irfft2(n, eps, rng):
     # transforming only the kept rows on the last axis changes no bit
     grid = Grid(DOM, n, n + 5)
     kern = make_kernel(eps=eps)
-    spec = _window_spectra(kern, grid, _padded_shape(kern, grid))
+    spec = _window_spectra(kern, grid, _own_shape(grid, kern))
     product = rfft2(rng.standard_normal(grid.shape), s=spec.shape) * spec.G1
     full = irfft2(product, s=spec.shape)
     n1, n2 = grid.shape
@@ -609,7 +635,7 @@ def test_window_inverse_is_the_cropped_irfft2(n, eps, rng):
 
 def _remainder_via_eval(grid, layer, u, kern, t):
     """commutator_remainder's transforms with u evaluated at every node."""
-    spec = _window_spectra(kern, grid, _padded_shape(kern, grid))
+    spec = _window_spectra(kern, grid, _own_shape(grid, kern))
     ux, uy = u.eval(*grid.meshes(), t)
     F = layer * grid.quadrature_weights
     F_hat = rfft2(F, s=spec.shape)
@@ -627,7 +653,7 @@ def test_remainder_scales_the_cached_profile(modulation):
     grid, times, u, rho0, sol = small_solution(32, 8, vortex_field(DOM, modulation=modulation))
     kern = make_kernel(eps=0.1)
     for t, layer in zip(sol.times, sol.values):
-        got = commutator_remainder(grid, layer, u, kern, t)
+        got = remainder(grid, layer, u, kern, t)
         ref = _remainder_via_eval(grid, layer, u, kern, t)
         if modulation == "none":
             assert np.array_equal(got, ref)
@@ -643,48 +669,28 @@ def test_weak_residual_of_mollified_equals_remainder_pairing():
     # r_eps with phi are two independently computed routes to one number.
     n, nt, eps = 128, 80, 0.1
     grid, times, u, rho0, sol = small_solution(n, nt)
-    kern = make_kernel(eps=eps)
-    phi = off_center_phi()
-    moll = np.stack([mollify_density(grid, layer, kern) for layer in sol.values])
-    moll_field = ScalarField(grid, sol.times, moll)
-    moll0 = ScalarField(grid, sol.times[:1], moll[:1])
-    rep = weak_residual(moll_field, moll0, u, phi)
-    lhs = rep.term_time + rep.term_initial + rep.term_advective
-
-    X, Y = grid.meshes()
-    phi_sp = phi.spatial(X, Y)
-    tw = np.empty(sol.n_layers)
-    tw[1:-1] = 0.5 * (sol.times[2:] - sol.times[:-2])
-    tw[0] = 0.5 * (sol.times[1] - sol.times[0])
-    tw[-1] = 0.5 * (sol.times[-1] - sol.times[-2])
-    rhs = 0.0
-    for j in range(sol.n_layers):
-        rem = commutator_remainder(grid, sol.layer(j), u, kern, sol.times[j])
-        psi = float(phi.time_profile.value(sol.times[j]))
-        rhs += tw[j] * psi * integrate(rem * phi_sp, grid)
+    lhs, rhs = consistency_identity(sol, u, eps, off_center_phi())
 
     # magnitudes large enough for the comparison to carry information; a
     # sign error in either route would show up as a gap of ~2|rhs|
     assert abs(lhs) > 1e-4 and abs(rhs) > 1e-4
     assert lhs < 0.0 and rhs < 0.0
     assert abs(lhs - rhs) < 5e-5
-    # the library's single home for the identity takes the same two routes
-    assert consistency_identity(sol, u, eps, phi) == (lhs, rhs)
 
 
 def test_identity_pairing_refuses_a_layer_its_sweep_has_not_taken():
     # the pairing reads the holder and the remainder of the layer its sweep
     # took last; fed before the sweep, or without it, it would pair a stale
-    # remainder, and it refuses instead
+    # remainder, and it refuses any index the sweep has not taken last
     grid, times, u, rho0, sol = small_solution(48, 4)
-    layers = [(j, t, sol.layer(j)) for j, t in enumerate(sol.times)]
+    layers = list(stored_layers(sol))
     sweep = RemainderSweep(grid, sol.times, u, [0.1, 0.05], np.inf, 1.0, shrink(DOM, 0.15))
     pairing = IdentityPairing(sweep, off_center_phi())
     with pytest.raises(WeakformError, match="taken no layer"):
         drive(layers[:1], [pairing])
     drive(layers[:2], [sweep, pairing])
     for consumers in ([pairing, sweep], [pairing]):
-        with pytest.raises(WeakformError, match="another layer"):
+        with pytest.raises(WeakformError, match="took layer 1 last, not layer 2"):
             drive(layers[2:3], consumers)
     # in order, the pairing is the stored route's identity
     sweep = RemainderSweep(grid, sol.times, u, [0.1, 0.05], np.inf, 1.0, shrink(DOM, 0.15))
@@ -698,10 +704,17 @@ def test_identity_pairing_refuses_a_layer_its_sweep_has_not_taken():
 # ---------------------------------------------------------------------------
 
 
+def swept_curve(rho, u, eps_list, alpha, p, inner):
+    """A RemainderSweep driven over the stored layers of rho."""
+    sweep = RemainderSweep(rho.grid, rho.times, u, eps_list, alpha, p, inner)
+    drive(stored_layers(rho), [sweep])
+    return sweep.curve()
+
+
 def test_remainder_decay_for_classical_solution():
     grid, times, u, rho0, sol = small_solution(128, 10)
     inner = shrink(DOM, 0.12)
-    curve = remainder_decay_study(sol, u, [0.1, 0.05, 0.025], 2.0, 2.0, inner)
+    curve = swept_curve(sol, u, [0.1, 0.05, 0.025], 2.0, 2.0, inner)
     assert curve.gamma == 1.0
     assert curve.inner == inner
     assert curve.margin == pytest.approx(0.12)
@@ -715,7 +728,7 @@ def test_remainder_decay_for_classical_solution():
 def test_remainder_decay_still_field_is_identically_zero():
     grid = Grid(DOM, 64, 64)
     rho = static_field(grid, gaussian_blob())
-    curve = remainder_decay_study(
+    curve = swept_curve(
         rho, VelocityField((), DOM), [0.1, 0.05], 2.0, 2.0, shrink(DOM, 0.15)
     )
     assert curve.norms == (0.0, 0.0)
@@ -728,7 +741,7 @@ def test_remainder_decay_reports_rough_density():
     grid = Grid(DOM, 64, 64)
     rng = np.random.default_rng(7)
     rho = ScalarField(grid, np.array([0.0]), rng.standard_normal(grid.shape)[None])
-    curve = remainder_decay_study(
+    curve = swept_curve(
         rho, vortex_field(DOM), [0.2, 0.1, 0.05], 2.0, 2.0, shrink(DOM, 0.25)
     )
     assert curve.norms[0] > 0.0
@@ -741,11 +754,11 @@ def test_remainder_decay_validation():
     u = vortex_field(DOM)
     inner = shrink(DOM, 0.2)
     with pytest.raises(WeakformError):
-        remainder_decay_study(rho, u, [0.05, 0.1], 2.0, 2.0, inner)
+        swept_curve(rho, u, [0.05, 0.1], 2.0, 2.0, inner)
     with pytest.raises(WeakformError):
-        remainder_decay_study(rho, u, [0.3, 0.1], 2.0, 2.0, inner)
+        swept_curve(rho, u, [0.3, 0.1], 2.0, 2.0, inner)
     with pytest.raises(WeakformError):
-        remainder_decay_study(rho, u, [0.1, 0.05], 1.0, 2.0, inner)
+        swept_curve(rho, u, [0.1, 0.05], 1.0, 2.0, inner)
 
 
 def test_gamma_exponent_pairing():
