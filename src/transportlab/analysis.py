@@ -53,7 +53,8 @@ def lp_norm(values: np.ndarray, grid: Grid, p: float, region: Domain | None = No
     p = inf is the sup over the nodes in the region, and a region that holds
     no node is refused; finite p integrates |values|^p by geometry.integrate
     over the same region, which weights cell overlaps and so has a value on
-    any region.
+    any region. A finite-p norm that reads 0 or not finite on data the
+    region sees as not all zero has under- or overflowed, and is refused.
     """
     if not p >= 1.0:
         raise AnalysisError(f"p must be >= 1, got {p}")
@@ -72,7 +73,18 @@ def lp_norm(values: np.ndarray, grid: Grid, p: float, region: Domain | None = No
                 )
             values = values[np.ix_(mask_x, mask_y)]
         return float(np.max(np.abs(values)))
-    return float(integrate(np.abs(values) ** p, grid, region) ** (1.0 / p))
+    with np.errstate(all="ignore"):
+        norm = float(integrate(np.abs(values) ** p, grid, region) ** (1.0 / p))
+    if not 0.0 < norm < np.inf and integrate(values != 0.0, grid, region) > 0.0:
+        raise _unrepresentable(p, norm)
+    return norm
+
+
+def _unrepresentable(p: float, norm: float) -> AnalysisError:
+    return AnalysisError(
+        f"the L^p norm with p = {p:g} of data that is not all zero reads {norm!r}: "
+        "|values|^p under- or overflows a float"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +255,9 @@ class _FamilyDistances:
     densities the buffers serve; the part off the nodes is written whenever
     a layer brings still layers other than the last ones, and each layer
     rewrites only the entries at the nodes. Each beta is evaluated once per
-    layer, on every member's values at once.
+    layer, on every member's values at once. A finite-p distance that reads
+    0 or not finite while rho_n - rho is not all zero is refused, as
+    lp_norm refuses it.
     """
 
     def __init__(self, grid: Grid, times: np.ndarray, p: float, betas: Sequence[AdmissibleBeta]):
@@ -255,7 +269,8 @@ class _FamilyDistances:
 
     def _lp_integrand(self, diff: np.ndarray, w) -> np.ndarray:
         a = np.abs(diff)
-        return a if np.isinf(self.p) else a**self.p * w
+        with np.errstate(all="ignore"):
+            return a if np.isinf(self.p) else a**self.p * w
 
     def _set_still(self, stills: Sequence[np.ndarray]) -> None:
         """Write the part off the nodes: stills[d] is the layer of density d,
@@ -308,6 +323,12 @@ class _FamilyDistances:
                 float(v ** (1.0 / self.p))
                 for v in self._reduce(self.buffers[-1], integrands, np.sum)
             ]
+            for m, norm in enumerate(norms):
+                if not 0.0 < norm < np.inf:  # lost to the float range unless rho_n = rho
+                    diff = layer.still[self.density[m]] - layer.still[0]
+                    diff.ravel()[self.nodes] = layer.values[m + 1] - layer.values[0]
+                    if np.any(diff):
+                        raise _unrepresentable(self.p, norm)
         self.e = [max(e, v) for e, v in zip(self.e, norms)]
 
 

@@ -48,38 +48,37 @@ def _stack_key(v: VelocityField) -> tuple:
 class _StepWorkspace:
     """The buffers of one RK4 pass at a fixed point shape: stage points,
     stage slope and the running RK4 sum, each with x and y as its two
-    planes, and, for a stack, the slope kernel's scratch and the rows of
-    component coefficients."""
+    planes, the slope kernel's scratch and the rows of component
+    coefficients."""
 
-    def __init__(self, shape: tuple[int, ...], stacked: bool):
+    def __init__(self, shape: tuple[int, ...]):
         self.shape = shape
         self.points, self.slope, self.sum = (np.empty((2,) + shape) for _ in range(3))
-        self.kernel = GradientWorkspace(shape) if stacked else None
+        self.kernel = GradientWorkspace(shape)
         self.coefs: tuple[float, list] | None = None  # (m, one array per component)
 
 
 @dataclass(frozen=True)
 class FlowMapIntegrator:
-    """Fixed-step RK4 integrator for the characteristic system of one field,
-    or of a stack of fields integrated together.
+    """Fixed-step RK4 integrator for the characteristic system of a stack of
+    fields integrated together.
 
     Steps of size dt are taken until the remaining interval is shorter than
     dt; a single partial step finishes it. Fixed stepping keeps results
     deterministic and lets a solve advance stored departure points layer by
     layer without drift between code paths.
 
-    velocity is one VelocityField, whose points may have any shape, or a
-    tuple of fields with one domain, one modulation and the same component
-    centres and radii. A stack's points carry one row per field (axis 0),
-    and row n moves in field n: each component's coefficient is an array of
-    the points' shape holding the members' own scalars row by row, so every
-    row gets the bits of its own solve. The integrator keeps one workspace
-    for the last point shape it stepped, so a solve that advances the same
-    points layer after layer allocates its stage buffers and coefficient
-    rows once.
+    velocity is a tuple of fields with one domain, one modulation and the
+    same component centres and radii; one field is the one-member stack.
+    The points carry one row per field (axis 0), and row n moves in field
+    n: each component's coefficient is an array of the points' shape
+    holding the members' own scalars row by row, so every row gets the bits
+    of its own solve. The integrator keeps one workspace for the last point
+    shape it stepped, so a solve that advances the same points layer after
+    layer allocates its stage buffers and coefficient rows once.
     """
 
-    velocity: VelocityField | tuple[VelocityField, ...]
+    velocity: tuple[VelocityField, ...]
     dt: float
     _work: list = field(default_factory=list, init=False, repr=False, compare=False)
 
@@ -87,8 +86,6 @@ class FlowMapIntegrator:
         if self.dt <= 0.0:
             raise CharacteristicsError(f"step size must be positive, got {self.dt}")
         v = self.velocity
-        if not isinstance(v, tuple):
-            return
         if not v or any(_stack_key(f) != _stack_key(v[0]) for f in v):
             raise CharacteristicsError(
                 "a stack needs one field or more, all with one domain, one "
@@ -97,8 +94,7 @@ class FlowMapIntegrator:
 
     @property
     def domain(self) -> Domain:
-        v = self.velocity
-        return v[0].domain if isinstance(v, tuple) else v.domain
+        return self.velocity[0].domain
 
     def steps(self, t_from: float, t_to: float) -> list[float]:
         """Signed step sequence covering [t_from, t_to]."""
@@ -113,33 +109,9 @@ class FlowMapIntegrator:
             out.append(sgn * partial)
         return out
 
-    def _slope(self, ws: _StepWorkspace):
-        """slope(p, t, out) writing u(p, t) into out; p and out hold x and y
-        as their two planes."""
-        v = self.velocity
-        if not isinstance(v, tuple):
-
-            def slope(p, t, out):
-                out[0], out[1] = v.eval(p[0], p[1], t, checked=False)
-
-            return slope
-        # each component's coefficient at the stack's one modulation value
-        # m(t), spread over the points row by row; rebuilt only when m moves
-        col = (len(v),) + (1,) * (len(ws.shape) - 1)
-
-        def slope(p, t, out):
-            m = v[0].modulation.value(t)
-            if ws.coefs is None or ws.coefs[0] != m:
-                rows = np.array([f.coefficients(m) for f in v]).reshape(len(v), -1)
-                full = [np.broadcast_to(c.reshape(col), ws.shape).copy() for c in rows.T]
-                ws.coefs = (m, full)
-            velocity_into(v[0].components, ws.coefs[1], p[0], p[1], out[0], out[1], ws.kernel)
-
-        return slope
-
     def _workspace(self, shape: tuple[int, ...]) -> _StepWorkspace:
         if not self._work or self._work[0].shape != shape:
-            self._work[:] = [_StepWorkspace(shape, isinstance(self.velocity, tuple))]
+            self._work[:] = [_StepWorkspace(shape)]
         return self._work[0]
 
     def advance(self, x, y, t_from: float, t_to: float, escape_tol: float):
@@ -159,7 +131,18 @@ class FlowMapIntegrator:
         p[0], p[1] = x, y
         ws = self._workspace(x.shape)
         q, u, s = ws.points, ws.slope, ws.sum
-        slope = self._slope(ws)
+        v = self.velocity
+        # each component's coefficient at the stack's one modulation value
+        # m(t), spread over the points row by row; rebuilt only when m moves
+        col = (len(v),) + (1,) * (x.ndim - 1)
+
+        def slope(p, t, out):  # out = u(p, t), x and y as its two planes
+            m = v[0].modulation.value(t)
+            if ws.coefs is None or ws.coefs[0] != m:
+                rows = np.array([f.coefficients(m) for f in v]).reshape(len(v), -1)
+                full = [np.broadcast_to(c.reshape(col), ws.shape).copy() for c in rows.T]
+                ws.coefs = (m, full)
+            velocity_into(v[0].components, ws.coefs[1], p[0], p[1], out[0], out[1], ws.kernel)
 
         def stage(a, k):  # q = p - a k
             np.multiply(k, a, out=q)
@@ -215,7 +198,7 @@ def flow_map(
 
     Points must start in the closed domain. By default only a roundoff-size
     excursion is tolerated before clamping; callers tied to a grid pass one
-    cell instead.
+    cell instead. The points are the one row of u's one-member stack.
     """
     scalar = y is None
     if scalar:
@@ -226,7 +209,8 @@ def flow_map(
         raise CharacteristicsError("flow map start point outside the closed domain")
     if escape_tol is None:
         escape_tol = 1e-9 * max(u.domain.width, u.domain.height)
-    xi, yi = FlowMapIntegrator(u, dt).advance(x, y, t_from, t_to, escape_tol)
+    xi, yi = FlowMapIntegrator((u,), dt).advance(x[None], y[None], t_from, t_to, escape_tol)
+    xi, yi = xi[0, ...], yi[0, ...]
     if scalar and xi.ndim == 0:
         return float(xi), float(yi)
     return xi, yi

@@ -298,16 +298,12 @@ class VelocityField:
             mask |= c._rel(x, y)[2] < 1.0
         return mask
 
-    def eval(self, x, y, t: float = 0.0, checked: bool = True):
-        """Velocity components at points; arrays in, arrays out.
-
-        checked=True requires every point in the closed domain; the
-        characteristics integrator turns it off on its clamped internal
-        points to avoid re-verifying what it just clamped.
-        """
+    def eval(self, x, y, t: float = 0.0):
+        """Velocity components at points; arrays in, arrays out. Every point
+        must lie in the closed domain."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        if checked and not np.all(self.domain.contains_closure(x, y)):
+        if not np.all(self.domain.contains_closure(x, y)):
             raise FieldError("velocity evaluation outside the closed domain")
         x, y = np.broadcast_arrays(x, y)
         ux, uy = np.empty(x.shape), np.empty(x.shape)
@@ -322,8 +318,8 @@ class VelocityField:
         """Each component's gradient coefficient at modulation value m = m(t)."""
         return [c.coefficient(m) for c in self.components]
 
-    def speed(self, x, y, t: float = 0.0, checked: bool = True):
-        ux, uy = self.eval(x, y, t, checked=checked)
+    def speed(self, x, y, t: float = 0.0):
+        ux, uy = self.eval(x, y, t)
         return np.hypot(ux, uy)
 
     def max_speed(self, grid: Grid) -> float:

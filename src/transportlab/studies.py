@@ -130,18 +130,14 @@ def _pair(s: str) -> tuple[float, float]:
     return _float(parts[0]), _float(parts[1])
 
 
-def _float_list(s: str) -> tuple[float, ...]:
-    parts = [p for p in s.replace(",", " ").split() if p]
-    if not parts:
-        raise ValueError("sweep must be nonempty")
-    return tuple(float(p) for p in parts)
+def _list(cast: Callable) -> Callable[[str], tuple]:
+    def parse(s: str) -> tuple:
+        parts = [p for p in s.replace(",", " ").split() if p]
+        if not parts:
+            raise ValueError("sweep must be nonempty")
+        return tuple(cast(p) for p in parts)
 
-
-def _int_list(s: str) -> tuple[int, ...]:
-    parts = [p for p in s.replace(",", " ").split() if p]
-    if not parts:
-        raise ValueError("sweep must be nonempty")
-    return tuple(int(p) for p in parts)
+    return parse
 
 
 def _choice(*allowed: str) -> Callable[[str], str]:
@@ -186,10 +182,10 @@ class StudyConfig:
     d_center: tuple[float, float] = _key("density", "center", _pair, (0.6, 0.5))
     d_sigma: float = _key("density", "sigma", _pos_float, 0.08)
     d_amplitude: float = _key("density", "amplitude", _float, 1.0)
-    eps_list: tuple[float, ...] = _key("sweeps", "eps_list", _float_list, (0.1, 0.05, 0.025))
-    n_list: tuple[int, ...] = _key("sweeps", "n_list", _int_list, (2, 4, 8, 16))
+    eps_list: tuple[float, ...] = _key("sweeps", "eps_list", _list(float), (0.1, 0.05, 0.025))
+    n_list: tuple[int, ...] = _key("sweeps", "n_list", _list(int), (2, 4, 8, 16))
     p_list: tuple[float, ...] = _key(
-        "sweeps", "p_list", _float_list, (1.0, 2.0, 3.0, float("inf"))
+        "sweeps", "p_list", _list(float), (1.0, 2.0, 3.0, float("inf"))
     )
     alpha: float = _key("mollify", "alpha", _exponent, float("inf"))
     p_moll: float = _key("mollify", "p", _exponent, 1.0)

@@ -122,6 +122,23 @@ def test_lp_norm_of_a_region_without_nodes():
         lp_norm(layer, grid, np.inf, region)
 
 
+def test_lp_norm_refuses_an_under_or_overflowed_power_of_nonzero_data():
+    # all-zero data, or data nonzero only away from the region, reads 0;
+    # nonzero data whose |values|^p underflows to 0 or overflows to inf is
+    # refused, over the whole grid and over a region alike
+    grid = Grid(DOM, 16, 16)
+    region = shrink(DOM, 0.25)
+    assert lp_norm(np.zeros(grid.shape), grid, 2.0) == 0.0
+    edge = np.zeros(grid.shape)
+    edge[0] = 1.0
+    assert lp_norm(edge, grid, 2.0, region) == 0.0
+    for value, p in ((1e-300, 2.0), (0.5, 1500.0), (1e200, 2.0), (2.0, 1500.0)):
+        for where in (None, region):
+            with pytest.raises(AnalysisError, match=f"p = {p:g} "):
+                lp_norm(np.full(grid.shape, value), grid, p, where)
+    assert lp_norm(np.full(grid.shape, 1e-150), grid, 2.0) == pytest.approx(1e-150)
+
+
 def test_lp_norm_monotone_in_the_field(rng):
     grid = Grid(DOM, 32, 32)
     small = rng.standard_normal(grid.shape)

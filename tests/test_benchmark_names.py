@@ -3,11 +3,13 @@
 The harness's own tests (python -m pytest perfbench) are not part of this
 suite, so a package change that removes a traced name would fail only
 there. This test loads perfbench/tracer.py as it is, without importing the
-rest of the harness, and looks up each name it wraps.
+rest of the harness, looks up each name it wraps, and checks that the
+arguments its counters bind by name are still parameters there.
 """
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 from transportlab.studies import STUDY_NAMES
@@ -33,3 +35,22 @@ def test_every_traced_name_resolves_on_the_package():
         assert callable(owner), f"{module}.{path} no longer resolves"
     runners = importlib.import_module(f"{tracer.PACKAGE}.studies").RUNNERS
     assert sorted(runners) == sorted(STUDY_NAMES)
+
+
+def test_every_counter_finds_the_arguments_it_binds_by_name():
+    # the counters read call arguments by name, so a renamed parameter
+    # would break a traced run even though every name still resolves
+    tracer = _load_tracer()
+    binds = {
+        tracer._count_advance: {"x", "t_from", "t_to"},
+        tracer._count_points: {"x"},
+        tracer._count_solve: set(),  # reads only the result
+    }
+    for module, path, _, count in tracer.SETUP_SPANS + tracer.LAYER_SPANS:
+        if count is None:
+            continue
+        owner = importlib.import_module(f"{tracer.PACKAGE}.{module}")
+        for part in path.split("."):
+            owner = getattr(owner, part)
+        params = set(inspect.signature(owner).parameters)
+        assert binds[count] <= params, f"{module}.{path} lost {binds[count] - params}"

@@ -278,6 +278,28 @@ def test_float_range_edges_exit_2_naming_the_key(command, override, field, tmp_p
     assert len(err) == 1 and field in err[0]
 
 
+@pytest.mark.parametrize(
+    "command, override, p",
+    [
+        # |r_eps|^1000 of every remainder underflows to 0
+        ("mollify", "mollify.p=1000", "1000"),
+        # |rho_n - rho|^1000 of every member underflows to 0
+        ("stability", "stability.p=1000", "1000"),
+        # |rho|^2 = 1e-600 underflows to 0
+        ("conservation", "density.amplitude=1e-300", "2"),
+    ],
+)
+def test_an_lp_norm_that_underflows_exits_2_naming_p(command, override, p, tmp_path, capsys):
+    # a norm reading 0 on data that is not all zero would pass a decay or
+    # conservation check on nothing
+    argv = [command, "--out", str(tmp_path)]
+    for item in ("grid.nx=32", "grid.ny=32", "time.nt=8", override):
+        argv += ["--set", item]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and f"p = {p} " in err[0]
+
+
 @pytest.mark.parametrize("study", STUDY_NAMES)
 def test_largest_accepted_amplitude_runs_without_overflow(study, tmp_path, capsys):
     # the default sweeps.p_list tops out at p = 3 and stability.p = 2 raises
@@ -507,9 +529,9 @@ _EDGES = {
     "sweeps.p_list": ["1, inf", "2", "0.5", "1, 1", "nan"],
     "mollify.inner_margin": ["0", "0.05", "0.45", "0.5"],
     "mollify.alpha": ["1.5", "0.5"],
-    "mollify.p": ["1.5"],
+    "mollify.p": ["1.5", "1000"],
     "stability.family": ["initial-data", "identity"],
-    "stability.p": ["1", "inf"],
+    "stability.p": ["1", "inf", "1000"],
     "renorm.corruption": ["freeze-time"],
     "tolerances.drift": ["0", "1e-300", "1e300"],
 }
