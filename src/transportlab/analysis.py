@@ -24,6 +24,7 @@ from transportlab.fields import (
     ScalarField,
     StreamFunction,
     VelocityField,
+    profile_on_grid,
     time_weights,
 )
 from transportlab.geometry import (
@@ -390,13 +391,13 @@ def _velocity_distances(
     fields: Sequence[VelocityField], u: VelocityField, grid: Grid, times: TimePartition
 ) -> tuple[float, ...]:
     """M(T) ||v_n - v||_1 per member: family members share u's modulation by
-    construction. v is evaluated on the grid once for every member."""
-    X, Y = grid.meshes()
-    bx, by = u.profile.eval(X, Y)
+    construction. Each profile is the cached grid evaluation the solver's
+    CFL substeps read too."""
+    bx, by = profile_on_grid(u.profile, grid)
     clock = float(u.modulation.integral(times.T))
     out = []
     for u_n in fields:
-        ax, ay = u_n.profile.eval(X, Y)
+        ax, ay = profile_on_grid(u_n.profile, grid)
         out.append(clock * integrate(np.hypot(ax - bx, ay - by), grid))
     return tuple(out)
 

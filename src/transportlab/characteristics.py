@@ -14,7 +14,7 @@ clamped if the excursion is tiny and treated as a blowup otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -284,44 +284,159 @@ def _substeps(u: VelocityField, grid: Grid, times: TimePartition) -> int:
     return int(k)
 
 
+def _recentred(v: VelocityField, o: tuple[float, float]) -> VelocityField:
+    """v in offsets from o: every component centre and the domain moved by -o."""
+    ox, oy = o
+    d = v.domain
+    comps = tuple(replace(c, center=(c.center[0] - ox, c.center[1] - oy)) for c in v.components)
+    shifted = Domain(d.x_lo - ox, d.y_lo - oy, d.x_hi - ox, d.y_hi - oy)
+    return VelocityField(comps, shifted, v.modulation)
+
+
+def _quarter_turns(a: np.ndarray, b: np.ndarray, span: int):
+    """The quarter-turn orbits (a, b) -> (-b, a) of integer node offsets.
+
+    a and b hold the offsets, in cells, of the moving nodes, in increasing
+    flat order, the centre node (0, 0) among them; span bounds every |a|
+    and |b|. Returns None unless the nodes fall into complete orbits.
+    Otherwise returns (reps, gx, gy): reps indexes the orbit
+    representatives among the nodes (a > 0, b >= 0, and the centre node),
+    and node n's foot is (P[gx[n]], P[gy[n]]) with P the representatives'
+    feet laid out as [x, y, -x, -y]: a node s quarter turns from its
+    representative has foot R^s (x, y), R(x, y) = (-y, x).
+    """
+    s = np.zeros(a.shape, dtype=np.intp)
+    s[(a <= 0) & (b > 0)] = 1
+    s[(a < 0) & (b <= 0)] = 2
+    s[(a >= 0) & (b < 0)] = 3
+    # the representative, s quarter turns back: R^-1 (a, b) = (b, -a)
+    ra = np.choose(s, [a, b, -a, -b])
+    rb = np.choose(s, [b, -a, -b, a])
+    # a * width + b orders the nodes as their flat indices do
+    width = 2 * span + 1
+    keys = a * width + b
+    reps = np.flatnonzero(s == 0)
+    rep_keys = keys[reps]
+    pos = np.minimum(np.searchsorted(rep_keys, ra * width + rb), reps.size - 1)
+    # each representative has at most one node per s, so every orbit is
+    # complete exactly when every node's representative moves and the
+    # count is full: four nodes per orbit, and the centre alone in its own
+    if not (np.array_equal(rep_keys[pos], ra * width + rb) and a.size == 4 * reps.size - 3):
+        return None
+    return reps, (4 - s) % 4 * reps.size + pos, (5 - s) % 4 * reps.size + pos
+
+
 class _Stack:
     """The distinct fields of one group, integrated as rows of one stack.
 
+    The stack integrates offsets from o, its first component's centre: its
+    integrator steps the fields re-centred at c - o on the domain moved by
+    -o, node (i, j) starts at the lattice offset ((i - ic) hx, (j - jc) hy)
+    plus the node (ic, jc) nearest o less o (0 when o is a node), the moving
+    nodes are those the q < 1 test passes on these offsets, and the feet
+    reach Grid.interpolate as o + offset. On grids whose linspace nodes are
+    not exact multiples of the cell (96^2, 100^2), o + offset and the node
+    differ by at most one ulp of o at the start.
+
+    When every component is centred at o, o is a node and hx == hy, the
+    moving offsets fall into complete quarter-turn orbits (a, b) -> (-b, a),
+    and the stack advances one representative per orbit: after each layer,
+    one gather per plane from [x, y, -x, -y] writes every node's foot. This
+    is bit for bit the solve of every node: the slope kernel squares the
+    offsets and adds the squares, and every other step of it and of RK4 is
+    a product, sum or difference of the coordinates, each of which commutes
+    with an exact negation, so the solve commutes with the quarter turn up
+    to the sign of a zero, which o + offset drops. Any other stack advances
+    every moving node and makes no gather.
+
     Its feet are read through interpolation jobs, one per initial density
     its members use: the rows of those members, interpolated in one call
-    whose temporaries are the stack's own RK4 buffers, free between layers.
+    (see job for its scratch).
     """
 
     def __init__(self, fields: list[VelocityField], k: int, times: TimePartition, grid: Grid):
         self.tau = fields[0].modulation.integral(times.times)
-        self.integ = FlowMapIntegrator(tuple(f.profile for f in fields), times.dt / k)
-        X0, Y0 = (m.ravel() for m in grid.meshes())
-        self.moving = np.flatnonzero(fields[0].support_mask(X0, Y0))
-        self.grid, self.rows = grid, len(fields)
+        d, comps = grid.domain, fields[0].components
+        self.o = o = comps[0].center if comps else (d.x_lo, d.y_lo)
+        recentred = tuple(_recentred(f.profile, o) for f in fields)
+        self.integ = FlowMapIntegrator(recentred, times.dt / k)
+        # each axis' node offsets: its lattice offsets from the node nearest
+        # o, plus that node less o
+        ic, jc = (
+            int(np.clip(np.rint((c - lo) / h), 0, n))
+            for c, lo, h, n in ((o[0], d.x_lo, grid.hx, grid.nx), (o[1], d.y_lo, grid.hy, grid.ny))
+        )
+        shift = (d.x_lo + ic * grid.hx - o[0], d.y_lo + jc * grid.hy - o[1])
+        ax = (np.arange(grid.nx + 1) - ic) * grid.hx + shift[0]
+        ay = (np.arange(grid.ny + 1) - jc) * grid.hy + shift[1]
+        self.moving = np.flatnonzero(self.integ.velocity[0].support_mask(ax[:, None], ay[None, :]))
+        i, j = np.divmod(self.moving, grid.ny + 1)
+        orbits = None
+        if (
+            self.moving.size
+            and all(c.center == o for c in comps)
+            and shift == (0.0, 0.0)
+            and grid.hx == grid.hy
+        ):
+            orbits = _quarter_turns(i - ic, j - jc, grid.nx + grid.ny)
+        self.rows = len(fields)
+        if orbits is None:
+            reps, self.gather = slice(None), None
+        else:
+            reps, *self.gather = orbits
+        self.x0, self.y0 = ax[i[reps]], ay[j[reps]]
+        self.feet = None
 
     def start(self) -> None:
-        """Put every row's feet back on the moving nodes."""
-        i, j = np.divmod(self.moving, self.grid.ny + 1)
-        self.fx = np.tile(self.grid.xs[i], (self.rows, 1))
-        self.fy = np.tile(self.grid.ys[j], (self.rows, 1))
+        """Put every row's feet back on the representatives' start offsets.
+
+        The first pass allocates every node's feet and, for a stack that
+        steps orbit representatives, the representatives' turned feet
+        [x, y, -x, -y] and the interpolation jobs' scratch, once the
+        stream's set-up temporaries are freed."""
+        if self.feet is None:
+            shape = (self.rows, self.moving.size)
+            self.feet = np.empty((2,) + shape)
+            if self.gather is not None:
+                self._turns = np.empty((self.rows, 4, self.x0.size))
+                self._floats, self._k = np.empty((6,) + shape), np.empty(shape, dtype=np.intp)
+        self.fx = np.tile(self.x0, (self.rows, 1))
+        self.fy = np.tile(self.y0, (self.rows, 1))
 
     def advance(self, j: int, escape_tol: float) -> None:
-        if self.moving.size:
-            self.fx, self.fy = self.integ.advance(
-                self.fx, self.fy, self.tau[j], self.tau[j - 1], escape_tol
-            )
+        """Step the representatives to layer j and write every node's foot."""
+        if not self.moving.size:
+            return
+        fx, fy = self.fx, self.fy = self.integ.advance(
+            self.fx, self.fy, self.tau[j], self.tau[j - 1], escape_tol
+        )
+        if self.gather is None:
+            for plane, f, c in zip(self.feet, (fx, fy), self.o):
+                np.add(f, c, out=plane)
+            return
+        turns = self._turns
+        turns[:, 0], turns[:, 1] = fx, fy
+        np.negative(fx, out=turns[:, 2])
+        np.negative(fy, out=turns[:, 3])
+        flat = turns.reshape(self.rows, -1)
+        for plane, index, c in zip(self.feet, self.gather, self.o):
+            flat.take(index, axis=1, out=plane, mode="clip")
+            plane += c
 
     def job(self, rows: list[int]):
         """(index, work): the stack's rows as an index (a slice when they are
-        consecutive) and an InterpolationWorkspace for them whose buffers
-        are the planes of the RK4 workspace, the flat index the slope
-        kernel's q seen as integers."""
-        n = len(rows)
+        consecutive) and an InterpolationWorkspace for them on scratch its
+        jobs share, as they run one at a time. A stack that steps every
+        moving node lends the planes of its RK4 workspace, free between
+        layers, and the slope kernel's q seen as integers; one that steps
+        orbit representatives has too small a workspace and keeps its own."""
+        n, size = len(rows), self.moving.size
         index = slice(rows[0], rows[0] + n) if rows == list(range(rows[0], rows[0] + n)) else rows
-        ws = self.integ._workspace((self.rows, self.moving.size))
-        planes = [a[i, :n] for a in (ws.points, ws.slope, ws.sum) for i in (0, 1)]
-        k = ws.kernel.q[:n].view(np.int64)
-        return index, InterpolationWorkspace((n, self.moving.size), planes, k)
+        if self.gather is None:
+            ws = self.integ._workspace((self.rows, size))
+            floats = [a[i, :n] for a in (ws.points, ws.slope, ws.sum) for i in (0, 1)]
+            return index, InterpolationWorkspace((n, size), floats, ws.kernel.q[:n].view(np.intp))
+        return index, InterpolationWorkspace((n, size), list(self._floats[:, :n]), self._k[:n])
 
 
 class FamilyStream:
@@ -362,6 +477,15 @@ class FamilyStream:
     use, over all their rows. Every operation is elementwise and each row
     keeps its own coefficients, so neither the node split, the stacking nor
     the shared interpolation changes a bit of any layer.
+
+    A stack integrates offsets from its fields' first component centre o
+    and hands o + offset to the interpolation (see _Stack). When every
+    component is centred at o, o is a node and the cells are square, the
+    moving nodes fall into quarter-turn orbits about o, and the stack steps
+    one node per orbit and rotates the other three feet exactly, with the
+    bits of stepping every node. On grids whose linspace nodes are not
+    exact multiples of the cell (96^2, 100^2) a moving node starts at most
+    one ulp of o from its node.
     """
 
     def __init__(
@@ -434,6 +558,7 @@ class FamilyStream:
         grid, times, values = self._grid, self._times, self._values
         for stack in self._stacks:
             stack.start()
+        jobs = [(s, base, *s.job(rows), at, t) for s, base, rows, at, t in self._jobs]
         self._fill(self._initial)
         yield 0, 0.0, MovingLayers(values, self.nodes, self.density, self._initial)
         for j in range(1, times.nt + 1):
@@ -441,10 +566,8 @@ class FamilyStream:
                 stack.advance(j, self._h_min)
             if j == 1:
                 self._fill(self._still)
-                # the first advance has made the RK4 workspaces the jobs borrow
-                jobs = [(s, base, *s.job(rows), at, t) for s, base, rows, at, t in self._jobs]
             for stack, base, index, work, at, targets in jobs:
-                out = grid.interpolate(base, stack.fx[index], stack.fy[index], work)
+                out = grid.interpolate(base, stack.feet[0][index], stack.feet[1][index], work)
                 for m, row in targets:
                     values[m, at] = out[row]
             yield j, float(times.times[j]), MovingLayers(

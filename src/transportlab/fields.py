@@ -11,6 +11,7 @@ every finite-difference check downstream compares against these forms.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -324,12 +325,26 @@ class VelocityField:
 
     def max_speed(self, grid: Grid) -> float:
         """Nodal sup of |v|, the unmodulated profile."""
-        X, Y = grid.meshes()
-        return float(np.max(self.profile.speed(X, Y)))
+        return float(np.max(np.hypot(*profile_on_grid(self.profile, grid))))
 
     def scaled(self, factor: float) -> VelocityField:
         comps = tuple(replace(c, amplitude=factor * c.amplitude) for c in self.components)
         return replace(self, components=comps)
+
+
+@lru_cache(maxsize=8)
+def profile_on_grid(v: VelocityField, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """The unmodulated field v at every node of the grid, read-only.
+
+    This is the one grid evaluation of a profile: the CFL substeps, the
+    stability study's velocity distances and the weak form all read it
+    through this cache. u = m(t) v, so every layer of u is this pair times
+    the scalar m(t).
+    """
+    vx, vy = v.eval(*grid.meshes())
+    for a in (vx, vy):
+        a.flags.writeable = False  # shared by every caller through the cache
+    return vx, vy
 
 
 def from_stream_function(

@@ -241,16 +241,22 @@ def _probe_nodes(grid: Grid, inner: Domain, seed: int) -> tuple[np.ndarray, np.n
     return np.array(ii), np.array(jj)
 
 
-def _amplitude_limit(cfg: StudyConfig) -> float:
-    """The largest |density.amplitude| a run takes.
+def _amplitude_limits(cfg: StudyConfig) -> tuple[float, float]:
+    """The smallest nonzero and the largest |density.amplitude| a run takes.
 
     The studies raise a density, at most |A| in absolute value, to each
     finite power of sweeps.p_list and to 2, and a difference of two
     densities, at most 2 |A|, to stability.p. Each power must stay below
-    2^1023, half the float range, so that its sums stay finite.
+    2^1023, half the float range, so that its sums stay finite, and at or
+    above 2^-1021, twice the smallest normal float, so that a rounded power
+    does not underflow the normal floats.
     """
     powers = [(1.0, p) for p in (*cfg.p_list, 2.0)] + [(2.0, cfg.p_stab)]
-    return min(2.0 ** (1023.0 / p) / factor for factor, p in powers if np.isfinite(p))
+    finite = [(factor, p) for factor, p in powers if np.isfinite(p)]
+    return (
+        max(2.0 ** (-1021.0 / p) / factor for factor, p in finite),
+        min(2.0 ** (1023.0 / p) / factor for factor, p in finite),
+    )
 
 
 def _validate(cfg: StudyConfig) -> StudyConfig:
@@ -299,12 +305,19 @@ def _validate(cfg: StudyConfig) -> StudyConfig:
             "density.sigma",
             f"{cfg.d_sigma:g} is too small: its square underflows the normal floats",
         )
-    limit = _amplitude_limit(cfg)
+    low, limit = _amplitude_limits(cfg)
     if abs(cfg.d_amplitude) > limit:
         fail(
             "density.amplitude",
             f"{cfg.d_amplitude!r} is too large: the powers of sweeps.p_list, "
             f"stability.p and 2 would overflow a float; at most {limit!r} is accepted",
+        )
+    if 0.0 < abs(cfg.d_amplitude) < low:
+        fail(
+            "density.amplitude",
+            f"{cfg.d_amplitude!r} is too small: the powers of sweeps.p_list, "
+            f"stability.p and 2 would underflow the normal floats; 0 or at least "
+            f"{low!r} is accepted",
         )
     # the density squares each node's offset from its centre; a centre a
     # few domain widths away keeps that square finite

@@ -32,6 +32,7 @@ from transportlab.fields import (
     TestFunction,
     VelocityField,
     make_kernel,
+    profile_on_grid,
     time_weights,
 )
 from transportlab.geometry import (
@@ -66,18 +67,6 @@ class ResidualReport:
     @property
     def residual(self) -> float:
         return abs(self.term_time + self.term_initial + self.term_advective)
-
-
-@lru_cache(maxsize=8)
-def _profile_on_grid(v: VelocityField, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """The unmodulated field v at every node of the grid.
-
-    u = m(t) v, so every layer of u is this pair times the scalar m(t).
-    """
-    vx, vy = v.eval(*grid.meshes())
-    for a in (vx, vy):
-        a.flags.writeable = False  # shared by every caller through the cache
-    return vx, vy
 
 
 Box = tuple[slice, slice]
@@ -165,7 +154,7 @@ class ResidualAccumulator:
         w = grid.quadrature_weights
         # u = m(t) v: v enters the advective weights once, m the modulated
         # time weights
-        vx, vy = _profile_on_grid(u.profile, grid)
+        vx, vy = profile_on_grid(u.profile, grid)
         # phis that share a spatial part (a bank pairs each center with
         # several time profiles) share one node list and one weight array, and
         # phis that share a time profile share its evaluation
@@ -362,7 +351,7 @@ class LayerTransforms:
         """(ux, uy) at every node: the cached profile v scaled by m(t), so no
         layer evaluates the field."""
         m = self.u.modulation.value(self.t)
-        vx, vy = _profile_on_grid(self.u.profile, self.grid)
+        vx, vy = profile_on_grid(self.u.profile, self.grid)
         return vx * m, vy * m
 
     @cached_property

@@ -29,6 +29,7 @@ from transportlab.fields import (
     VelocityField,
     beta_smooth_approx,
     gaussian_blob,
+    profile_on_grid,
     static_field,
     vortex_field,
 )
@@ -369,15 +370,18 @@ def test_stability_interpolates_once_per_stack_and_density(
     monkeypatch.setattr(Grid, "interpolate", counted_interpolate)
     monkeypatch.setattr(FlowMapIntegrator, "advance", counted_advance)
     stability_experiment(u, rho0, times, fam, [2, 4, 8, 16])
-    assert len(advances) == times.nt  # one stack
+    # one stack, which steps one node per quarter-turn orbit about the
+    # centre node and interpolates every moving node
     moving = int(np.count_nonzero(u.support_mask(*grid.meshes())))
+    assert advances == [(rows, 1 + (moving - 1) // 4)] * times.nt
     assert calls[:densities] == [grid.shape] * densities
     assert calls[densities:] == [(rows, moving)] * (per_layer * times.nt)
 
 
 def test_initial_data_family_integrates_its_one_field_once(monkeypatch):
-    # five densities in one field: every layer takes one advance over the
-    # moving nodes, and one interpolation per member gives each its layer
+    # five densities in one field: every layer takes one advance over one
+    # moving node per quarter-turn orbit, and one interpolation per member
+    # gives each its layer
     grid = Grid(DOM, 48, 48)
     times = TimePartition(1.0, 30)
     u = vortex_field(DOM)
@@ -398,7 +402,37 @@ def test_initial_data_family_integrates_its_one_field_once(monkeypatch):
         for m, layer in enumerate(moving.assemble()):
             assert np.array_equal(layer, alone[m][j])
     moving = int(np.count_nonzero(u.support_mask(*grid.meshes())))
-    assert sizes == [moving] * times.nt
+    assert sizes == [1 + (moving - 1) // 4] * times.nt
+
+
+def test_stability_evaluates_each_velocity_profile_once(monkeypatch):
+    # the CFL substeps and the velocity distances read one cached grid
+    # evaluation of each member's profile, with the bits of a fresh one
+    grid = Grid(DOM, 24, 24)
+    times = TimePartition(1.0, 12)
+    u = vortex_field(DOM)
+    rho0 = static_field(grid, gaussian_blob())
+    fam = amplitude_family(u, rho0)
+    profile_on_grid.cache_clear()
+    points = []
+    original = VelocityField.eval
+
+    def counted(self, x, y, t=0.0):
+        points.append(np.size(x))
+        return original(self, x, y, t)
+
+    monkeypatch.setattr(VelocityField, "eval", counted)
+    rep = stability_experiment(u, rho0, times, fam, [2, 4, 8, 16])
+    assert points == [grid.shape[0] * grid.shape[1]] * 5
+    X, Y = grid.meshes()
+    for f in [u] + [fam(n)[0] for n in (2, 4, 8, 16)]:
+        vx, vy = profile_on_grid(f.profile, grid)
+        ax, ay = original(f.profile, X, Y)
+        assert np.array_equal(vx, ax) and np.array_equal(vy, ay)
+        assert not vx.flags.writeable
+        assert f.max_speed(grid) == float(np.max(np.hypot(ax, ay)))
+    (ax, ay), (bx, by) = original(fam(2)[0].profile, X, Y), original(u.profile, X, Y)
+    assert rep.d[0] == times.T * integrate(np.hypot(ax - bx, ay - by), grid)
 
 
 def test_stability_unperturbed_family_is_exactly_zero():

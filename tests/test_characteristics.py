@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from transportlab import characteristics
 from transportlab.characteristics import (
     CharacteristicsError,
     FamilyStream,
     FlowEscapeError,
     FlowMapIntegrator,
+    _recentred,
     flow_map,
     iter_solution_layers,
     solve_classical,
@@ -285,19 +287,31 @@ def test_shared_cases_store_no_solution(case, request):
 
 def test_solve_layers_match_flow_map_composition(vortex):
     # layer j is literally rho0 pulled back by the j-th backward flow map,
-    # whether the solver advanced incrementally or not
+    # whether the solver advanced incrementally or not: bit for bit against
+    # one integration of the node offsets from the vortex centre o, which is
+    # what the stack integrates, and to roundoff against the absolute
+    # flow_map
     grid = Grid(unit_square(), 32, 32)
     times = TimePartition(0.4, 8)
     rho0 = static_field(grid, gaussian_blob((0.55, 0.5), 0.15))
     rho = solve_classical(rho0, vortex, times)
     k = max(1, int(np.ceil(times.dt / (0.5 * grid.hx / vortex.max_speed(grid)))))
     X, Y = grid.meshes()
+    o = vortex.components[0].center
+    # o is node (16, 16), and on 32^2 the lattice offsets are exact
+    ax = (np.arange(33) - 16) * grid.hx
+    AX, AY = np.meshgrid(ax, ax, indexing="ij")
+    integ = FlowMapIntegrator((_recentred(vortex, o),), times.dt / k)
     for j in (3, 8):
-        dx, dy = flow_map(
-            vortex, float(times.times[j]), 0.0, X, Y,
-            dt=times.dt / k, escape_tol=grid.hx,
+        t = float(times.times[j])
+        ox, oy = integ.advance(AX[None], AY[None], t, 0.0, grid.hx)
+        fx, fy = o[0] + ox[0], o[1] + oy[0]
+        assert np.array_equal(rho.layer(j), grid.interpolate(rho0.layer(0), fx, fy))
+        dx, dy = flow_map(vortex, t, 0.0, X, Y, dt=times.dt / k, escape_tol=grid.hx)
+        assert np.max(np.hypot(fx - dx, fy - dy)) < 1e-13
+        np.testing.assert_allclose(
+            rho.layer(j), grid.interpolate(rho0.layer(0), dx, dy), rtol=0, atol=1e-13
         )
-        assert np.array_equal(rho.layer(j), grid.interpolate(rho0.layer(0), dx, dy))
 
 
 def solver_feet(u, grid, times):
@@ -410,9 +424,12 @@ def test_family_with_different_substep_counts_matches_one_member_solves(monkeypa
     calls = record_advances(monkeypatch)
     stream = iter_solution_layers([rho0] * 4, fields, times)
     family = [(j, t, moving.assemble()) for j, t, moving in stream]
+    # each stack steps one representative per quarter-turn orbit of its
+    # moving nodes about the centre node
     moving = int(np.count_nonzero(u.support_mask(*grid.meshes())))
+    reps = 1 + (moving - 1) // 4
     assert sorted(calls[:2]) == [
-        (times.dt / 4, 1.0 / 60, (1, moving)), (times.dt / 3, 1.0 / 60, (3, moving))
+        (times.dt / 4, 1.0 / 60, (1, reps)), (times.dt / 3, 1.0 / 60, (3, reps))
     ]
     assert len(calls) == 2 * times.nt
     for j, t, layers in family:
@@ -456,6 +473,90 @@ def test_family_stream_assembles_each_members_own_solve_over_two_support_radii()
             assert np.array_equal(np.signbit(layer), np.signbit(want[2]))
         steps += 1
     assert steps == times.nt + 1
+
+
+def _stream_layers(densities, fields, times):
+    return [moving.assemble() for _, _, moving in FamilyStream(densities, fields, times)]
+
+
+@pytest.mark.parametrize("n", [96, 128])
+@pytest.mark.parametrize("modulation", ["none", "linear", "inverse_sqrt"])
+@pytest.mark.parametrize("members", [1, 5], ids=["one-member", "amplitude-family"])
+def test_quarter_turn_orbits_give_the_bits_of_every_node_solve(n, modulation, members, monkeypatch):
+    # the vortex centre (0.5, 0.5) is a node, so each stack steps one node
+    # per quarter-turn orbit and rotates the other three feet; forcing the
+    # orbit map to the identity steps every moving node. 96^2 is a grid
+    # whose linspace nodes are not exact multiples of the cell.
+    grid = Grid(unit_square(), n, n)
+    times = TimePartition(1.0, 12)
+    u = vortex_field(unit_square(), modulation=modulation)
+    rho0 = static_field(grid, gaussian_blob())
+    fields = [u] + [u.scaled(1.0 + 1.0 / k) for k in (2, 4, 8, 16)][: members - 1]
+    moving = int(np.count_nonzero(u.support_mask(*grid.meshes())))
+    calls = record_advances(monkeypatch)
+    reduced = _stream_layers([rho0] * members, fields, times)
+    assert {shape[1] for _, _, shape in calls} == {1 + (moving - 1) // 4}
+    calls.clear()
+    monkeypatch.setattr(characteristics, "_quarter_turns", lambda *args: None)
+    full = _stream_layers([rho0] * members, fields, times)
+    assert {shape[1] for _, _, shape in calls} == {moving}
+    for a, b in zip(reduced, full, strict=True):
+        for x, y in zip(a, b, strict=True):
+            assert np.array_equal(x, y)
+            assert np.array_equal(np.signbit(x), np.signbit(y))
+
+
+@pytest.mark.parametrize("n", [32, 96, 100])
+def test_stack_starts_each_moving_node_within_an_ulp_of_the_centre(n, monkeypatch):
+    # the start offsets are lattice multiples of the cell from the centre
+    # node o = (0.5, 0.5): o + offset is the node itself where the linspace
+    # nodes are exact lattice multiples (32^2), and within one ulp of o where
+    # they are not
+    monkeypatch.setattr(characteristics, "_quarter_turns", lambda *args: None)
+    grid = Grid(unit_square(), n, n)
+    stack = characteristics._Stack([vortex_field(unit_square())], 1, TimePartition(1.0, 2), grid)
+    i, j = np.divmod(stack.moving, n + 1)
+    assert stack.x0.size == stack.moving.size
+    gap = max(
+        np.max(np.abs(0.5 + stack.x0 - grid.xs[i])), np.max(np.abs(0.5 + stack.y0 - grid.ys[j]))
+    )
+    assert gap <= np.spacing(0.5)
+    assert (gap == 0.0) == (n == 32)
+
+
+@pytest.mark.parametrize(
+    "u",
+    [
+        vortex_field(unit_square(), center=(0.47, 0.5)),
+        from_stream_function(
+            [StreamFunction((0.5, 0.5), 0.2, 0.5), StreamFunction((0.55, 0.45), 0.2, 0.3)],
+            unit_square(),
+        ),
+        VelocityField((), unit_square()),
+    ],
+    ids=["off-node-centre", "two-centres", "zero-field"],
+)
+def test_stacks_without_quarter_turn_orbits_step_every_moving_node(u, monkeypatch):
+    # an off-node centre or a component off the first one's centre breaks
+    # the orbits, so every moving node is stepped; the zero field steps
+    # none and yields its still layers. Each member is its one-member solve.
+    grid = Grid(unit_square(), 96, 96)
+    times = TimePartition(1.0, 6)
+    rho0 = static_field(grid, gaussian_blob())
+    X, Y = grid.meshes()
+    moving = int(np.count_nonzero(u.support_mask(X, Y)))
+    fields = [u, u.scaled(1.5)]
+    alone = [list(iter_solution_layers(rho0, f, times)) for f in fields]
+    calls = record_advances(monkeypatch)
+    family = _stream_layers([rho0, rho0], fields, times)
+    assert {shape[1] for _, _, shape in calls} == ({moving} if moving else set())
+    for j, layers in enumerate(family):
+        for m, layer in enumerate(layers):
+            assert np.array_equal(layer, alone[m][j][2])
+    if not moving:
+        still = grid.interpolate(rho0.layer(0), X, Y)
+        assert np.array_equal(family[0][0], rho0.layer(0))
+        assert all(np.array_equal(layer, still) for layers in family[1:] for layer in layers)
 
 
 def test_family_members_share_grid():

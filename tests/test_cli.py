@@ -267,6 +267,9 @@ def test_non_finite_or_repeated_values_exit_2_naming_the_key(
         ("velocity.radius=1e-163", "velocity.radius"),
         # |rho|^3 of the default sweeps.p_list overflows to inf in lp_norm
         ("density.amplitude=6e102", "density.amplitude"),
+        # |rho|^2 = 1e-600 underflows to 0, so a norm or a weak-form
+        # residual would pass on nothing
+        ("density.amplitude=1e-300", "density.amplitude"),
     ],
 )
 def test_float_range_edges_exit_2_naming_the_key(command, override, field, tmp_path, capsys):
@@ -285,8 +288,6 @@ def test_float_range_edges_exit_2_naming_the_key(command, override, field, tmp_p
         ("mollify", "mollify.p=1000", "1000"),
         # |rho_n - rho|^1000 of every member underflows to 0
         ("stability", "stability.p=1000", "1000"),
-        # |rho|^2 = 1e-600 underflows to 0
-        ("conservation", "density.amplitude=1e-300", "2"),
     ],
 )
 def test_an_lp_norm_that_underflows_exits_2_naming_p(command, override, p, tmp_path, capsys):
@@ -315,6 +316,20 @@ def test_largest_accepted_amplitude_runs_without_overflow(study, tmp_path, capsy
         assert all(math.isfinite(c["measured"]) for c in summary["checks"])
     above = math.nextafter(limit, math.inf)
     assert main([*base, "--set", f"density.amplitude={above!r}"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "density.amplitude" in err[0]
+
+
+def test_smallest_accepted_amplitude_validates(capsys):
+    # the default sweeps.p_list tops out at p = 3, so 2^(-1021 / 3) is the
+    # smallest nonzero |density.amplitude| taken and the next float down is
+    # refused; 0 is taken
+    low = 2.0 ** (-1021.0 / 3.0)
+    assert low**3 >= sys.float_info.min
+    for amplitude in (low, -low, 0.0):
+        assert main(["validate-config", "--set", f"density.amplitude={amplitude!r}"]) == 0
+    below = math.nextafter(low, 0.0)
+    assert main(["validate-config", "--set", f"density.amplitude={below!r}"]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "density.amplitude" in err[0]
 
@@ -523,7 +538,7 @@ _EDGES = {
     "velocity.amplitude": ["-0.5", "0", "1e-300", "1e300", "inf"],
     "density.center": ["0, 0", "1, 1", "2, 2", "1e160, 0.5"],
     "density.sigma": ["-1", "0", "1e-300", "1e154", "1.35e154", "1e308"],
-    "density.amplitude": ["-1", "0", "4.4e102", "6e102", "1e308"],
+    "density.amplitude": ["-1", "0", "1e-300", "4.4e102", "6e102", "1e308"],
     "sweeps.eps_list": ["0.14, 0.1", "0.2, 0.1", "0.3, 0.1", "0.1, 0.1", "0.05, 0.1", "0.1, 0"],
     "sweeps.n_list": ["1, 2", "4, 2", "0, 1"],
     "sweeps.p_list": ["1, inf", "2", "0.5", "1, 1", "nan"],

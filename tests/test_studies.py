@@ -429,7 +429,8 @@ def replace_everywhere(monkeypatch, original, replacement):
 
 def test_stability_study_solves_each_problem_once(tmp_path, monkeypatch):
     # the reference and every member are stepped once per layer, in one
-    # stream, and no study route stores a solution
+    # stream, one node per quarter-turn orbit of the moving nodes, and no
+    # study route stores a solution
     def refuse(*args, **kwargs):
         raise AssertionError("the stability study stored a solution")
 
@@ -446,8 +447,35 @@ def test_stability_study_solves_each_problem_once(tmp_path, monkeypatch):
     grid, times, u, _ = build_case(cfg)
     moving = int(np.count_nonzero(u.support_mask(*grid.meshes())))
     out = run_stability_study(cfg)
-    assert stepped == {float(t): (1 + len(cfg.n_list)) * moving for t in times.times[1:]}
+    reps = 1 + (moving - 1) // 4
+    assert stepped == {float(t): (1 + len(cfg.n_list)) * reps for t in times.times[1:]}
     assert out.checks[-1].name.startswith("analysis.renormalized_convergence[")
+
+
+class _FirstAdvance(Exception):
+    """Ends a study run at its first characteristic step."""
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.stem)
+def test_shipped_study_steps_one_node_per_quarter_turn_orbit(path, tmp_path, monkeypatch):
+    # every shipped config centres its vortex on a node of a square-celled
+    # grid, so its stack steps the centre node and one node of each
+    # quarter-turn orbit of the other moving nodes: a start offset or mask
+    # that breaks the orbits fails here, not only in the benchmark
+    cfg = parse_study_config(path, [f"output.dir={tmp_path}"])
+    grid, _, u, _ = build_case(cfg)
+    moving = int(np.count_nonzero(u.support_mask(*grid.meshes())))
+    assert moving % 4 == 1
+    shapes = []
+
+    def first(self, x, y, t_from, t_to, escape_tol):
+        shapes.append(np.shape(x))
+        raise _FirstAdvance
+
+    monkeypatch.setattr(characteristics.FlowMapIntegrator, "advance", first)
+    with pytest.raises(_FirstAdvance):
+        run_study(cfg)
+    assert shapes[0][-1] == 1 + (moving - 1) // 4
 
 
 # ---------------------------------------------------------------------------
