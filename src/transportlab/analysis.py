@@ -249,16 +249,18 @@ class _FamilyDistances:
     as lp_norm takes it; and per beta, the running squared distance
     renormalization_convergence_check takes.
 
-    Every distance is reduced over the whole grid, in the order lp_norm and
-    integrate reduce it, so each value keeps their bits. A full-grid buffer
-    per distance and initial density (members that share one share the
-    buffer) holds the integrand. The first layer fixes the nodes and the
-    densities the buffers serve; the part off the nodes is written whenever
-    a layer brings still layers other than the last ones, and each layer
-    rewrites only the entries at the nodes. Each beta is evaluated once per
-    layer, on every member's values at once. A finite-p distance that reads
-    0 or not finite while rho_n - rho is not all zero is refused, as
-    lp_norm refuses it.
+    Each distance is reduced once per layer over the (members, nodes)
+    integrand at the moving nodes (a sum per row for finite p and each
+    beta, a max for p = inf), plus a per-member constant for the part off
+    the nodes, taken whenever a layer brings still layers other than the
+    last ones (j = 0 and j = 1). That part is exactly 0 for members that
+    share the reference's initial density, as the amplitude and identity
+    families do. The terms are those lp_norm and integrate take on the whole
+    grid, summed in another order: the finite-p and beta distances are
+    roundoff-close to the stored route's (within an ulp or so), the p = inf
+    ones equal. Each beta is evaluated once per layer, on every member's
+    values at once. A finite-p distance that reads 0 or not finite while
+    rho_n - rho is not all zero is refused, as lp_norm refuses it.
     """
 
     def __init__(self, grid: Grid, times: np.ndarray, p: float, betas: Sequence[AdmissibleBeta]):
@@ -273,64 +275,55 @@ class _FamilyDistances:
         with np.errstate(all="ignore"):
             return a if np.isinf(self.p) else a**self.p * w
 
-    def _set_still(self, stills: Sequence[np.ndarray]) -> None:
-        """Write the part off the nodes: stills[d] is the layer of density d,
-        stills[0] the reference's."""
-        self.still = stills
-        for beta, bufs in zip(self.betas, self.buffers):
-            b = {d: beta(stills[d]) for d in {0, *bufs}}
-            for d, buf in bufs.items():
-                buf[...] = (b[d] - b[0]) ** 2 * self.w
-        for d, buf in self.buffers[-1].items():
-            buf[...] = self._lp_integrand(stills[d] - stills[0], self.w)
+    def _reduce(self, integrand: np.ndarray, axis=None):
+        if np.isinf(self.p):
+            return np.max(integrand, axis=axis, initial=0.0)
+        return np.sum(integrand, axis=axis)
 
-    def _reduce(self, bufs: dict, integrands: np.ndarray, reduce) -> list[float]:
-        """Per member, its integrand written into its density's buffer at the
-        nodes, and the whole buffer reduced."""
-        out = []
-        for d, row in zip(self.density, integrands):
-            buf = bufs[d]
-            buf.ravel()[self.nodes] = row
-            out.append(float(reduce(buf)))
-        return out
+    def _set_still(self, stills: Sequence[np.ndarray]) -> None:
+        """Per distance (each beta, then L^p), each member's part off the
+        nodes: stills[d] is the layer of density d, stills[0] the
+        reference's."""
+        self.still = stills
+        w = self.w.ravel()[self.off]
+        ref = stills[0].ravel()[self.off]
+        base = [beta(ref) for beta in self.betas]
+        self.parts = [np.zeros(len(self.density)) for _ in range(len(self.betas) + 1)]
+        for d in set(self.density) - {0}:
+            other, at = stills[d].ravel()[self.off], np.equal(self.density, d)
+            for beta, b, part in zip(self.betas, base, self.parts):
+                part[at] = np.sum((beta(other) - b) ** 2 * w)
+            self.parts[-1][at] = self._reduce(self._lp_integrand(other - ref, w))
 
     def add_layer(self, j: int, t: float, layer: MovingLayers) -> None:
         """layer.values[m]: member m's layer j at the nodes, member 0 the
         reference."""
         if j == 0:
             self.nodes = layer.nodes
+            self.off = np.ones(self.grid.shape[0] * self.grid.shape[1], dtype=bool)
+            self.off[layer.nodes] = False
             self.w_nodes = self.w.ravel()[layer.nodes]
             self.density = tuple(layer.density[1:])
-            # buffers[k][d]: distance k (each beta, then L^p) for density d
-            self.buffers = [
-                {d: np.empty(self.grid.shape) for d in sorted(set(self.density))}
-                for _ in range(len(self.betas) + 1)
-            ]
-            self.e = [0.0] * len(self.density)
-            self.sq = [[0.0] * len(self.density) for _ in self.betas]
+            self.e = np.zeros(len(self.density))
+            self.sq = [np.zeros(len(self.density)) for _ in self.betas]
         if layer.still is not self.still:
             self._set_still(layer.still)
         values = layer.values
-        for beta, bufs, sq in zip(self.betas, self.buffers, self.sq):
+        for beta, sq, part in zip(self.betas, self.sq, self.parts):
             b = beta(values)
-            sums = self._reduce(bufs, (b[1:] - b[0]) ** 2 * self.w_nodes, np.sum)
-            for m, v in enumerate(sums):
-                sq[m] += self.tw[j] * v
-        integrands = self._lp_integrand(values[1:] - values[0], self.w_nodes)
+            sq += self.tw[j] * (np.sum((b[1:] - b[0]) ** 2 * self.w_nodes, axis=1) + part)
+        reduced = self._reduce(self._lp_integrand(values[1:] - values[0], self.w_nodes), 1)
         if np.isinf(self.p):
-            norms = self._reduce(self.buffers[-1], integrands, np.max)
+            norms = np.maximum(reduced, self.parts[-1])
         else:
-            norms = [
-                float(v ** (1.0 / self.p))
-                for v in self._reduce(self.buffers[-1], integrands, np.sum)
-            ]
+            norms = (reduced + self.parts[-1]) ** (1.0 / self.p)
             for m, norm in enumerate(norms):
                 if not 0.0 < norm < np.inf:  # lost to the float range unless rho_n = rho
                     diff = layer.still[self.density[m]] - layer.still[0]
                     diff.ravel()[self.nodes] = layer.values[m + 1] - layer.values[0]
                     if np.any(diff):
-                        raise _unrepresentable(self.p, norm)
-        self.e = [max(e, v) for e, v in zip(self.e, norms)]
+                        raise _unrepresentable(self.p, float(norm))
+        np.maximum(self.e, norms, out=self.e)
 
 
 # ---------------------------------------------------------------------------
@@ -418,13 +411,13 @@ def stability_experiment(
     time L^p distance. The reference and every member are one family of
     iter_solution_layers, integrated as one stacked pass that stores
     nothing, and its layers are driven into one consumer as MovingLayers, on
-    the moving nodes alone. At each time node the
-    running e_n maxima are updated and, for each beta in betas, the
-    renormalized distances ||beta(rho_n) - beta(rho)|| in L2((0,T) x Omega)
-    accumulate, each with the bits lp_norm and
-    renormalization_convergence_check give on the stored solutions. Their
-    trend is the report's renormalization field. Judging how e_n and the
-    trend decay is the caller's business.
+    the moving nodes alone. At each time node the running e_n maxima are
+    updated and, for each beta in betas, the renormalized distances
+    ||beta(rho_n) - beta(rho)|| in L2((0,T) x Omega) accumulate. Each sums
+    the terms lp_norm and renormalization_convergence_check sum on the
+    stored solutions in another order, so it is theirs to roundoff (p = inf
+    exactly). Their trend is the report's renormalization field. Judging how
+    e_n and the trend decay is the caller's business.
     """
     if not all(isinstance(n, (int, np.integer)) or float(n).is_integer() for n in n_list):
         raise AnalysisError(f"n_list entries must be integers, got {tuple(n_list)}")
@@ -440,4 +433,5 @@ def stability_experiment(
     dist = _FamilyDistances(grid, times.times, p, betas)
     rho0s = [rho0] + [r for _, r in members]
     drive(iter_solution_layers(rho0s, [u] + fields, times), [dist])
-    return StabilityReport(tuple(ns), d, tuple(dist.e), float(p), _trend(betas, dist.sq))
+    e = tuple(float(v) for v in dist.e)
+    return StabilityReport(tuple(ns), d, e, float(p), _trend(betas, dist.sq))

@@ -293,37 +293,33 @@ def _recentred(v: VelocityField, o: tuple[float, float]) -> VelocityField:
     return VelocityField(comps, shifted, v.modulation)
 
 
-def _quarter_turns(a: np.ndarray, b: np.ndarray, span: int):
-    """The quarter-turn orbits (a, b) -> (-b, a) of integer node offsets.
+def _radius_classes(a: np.ndarray, b: np.ndarray):
+    """The radius classes of integer node offsets (a, b) from a centre node.
 
-    a and b hold the offsets, in cells, of the moving nodes, in increasing
-    flat order, the centre node (0, 0) among them; span bounds every |a|
-    and |b|. Returns None unless the nodes fall into complete orbits.
-    Otherwise returns (reps, gx, gy): reps indexes the orbit
-    representatives among the nodes (a > 0, b >= 0, and the centre node),
-    and node n's foot is (P[gx[n]], P[gy[n]]) with P the representatives'
-    feet laid out as [x, y, -x, -y]: a node s quarter turns from its
-    representative has foot R^s (x, y), R(x, y) = (-y, x).
+    a and b hold the offsets, in cells, of the moving nodes; the nodes of
+    one a^2 + b^2 lie on one circle about the centre. Returns (reps, cls, w):
+    reps indexes one representative per class among the nodes (its first in
+    flat order), node n is in class cls[n], and, as complex numbers, node
+    n's offset is w[n] times its representative's, w[n] = (a_n + i b_n)
+    (a_r - i b_r) / (a_r^2 + b_r^2) from the integers: exactly 1, i, -1 or
+    -i on the representative's quarter-turn relatives, 1 on the centre.
     """
-    s = np.zeros(a.shape, dtype=np.intp)
-    s[(a <= 0) & (b > 0)] = 1
-    s[(a < 0) & (b <= 0)] = 2
-    s[(a >= 0) & (b < 0)] = 3
-    # the representative, s quarter turns back: R^-1 (a, b) = (b, -a)
-    ra = np.choose(s, [a, b, -a, -b])
-    rb = np.choose(s, [b, -a, -b, a])
-    # a * width + b orders the nodes as their flat indices do
-    width = 2 * span + 1
-    keys = a * width + b
-    reps = np.flatnonzero(s == 0)
-    rep_keys = keys[reps]
-    pos = np.minimum(np.searchsorted(rep_keys, ra * width + rb), reps.size - 1)
-    # each representative has at most one node per s, so every orbit is
-    # complete exactly when every node's representative moves and the
-    # count is full: four nodes per orbit, and the centre alone in its own
-    if not (np.array_equal(rep_keys[pos], ra * width + rb) and a.size == 4 * reps.size - 3):
-        return None
-    return reps, (4 - s) % 4 * reps.size + pos, (5 - s) % 4 * reps.size + pos
+    r2 = a * a + b * b
+    # classes by a sort: np.unique would import numpy.ma, about 0.6 MB
+    order = np.argsort(r2, kind="stable")
+    ordered = r2[order]
+    first = np.empty(r2.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    reps = order[first]
+    cls = np.empty(r2.size, dtype=np.intp)
+    cls[order] = np.cumsum(first) - 1
+    ar, br, den = a[reps][cls], b[reps][cls], np.maximum(r2, 1)
+    w = np.empty(r2.size, dtype=complex)
+    w.real = (a * ar + b * br) / den
+    w.imag = (b * ar - a * br) / den
+    w[r2 == 0] = 1.0
+    return reps, cls, w
 
 
 class _Stack:
@@ -338,16 +334,21 @@ class _Stack:
     not exact multiples of the cell (96^2, 100^2), o + offset and the node
     differ by at most one ulp of o at the start.
 
-    When every component is centred at o, o is a node and hx == hy, the
-    moving offsets fall into complete quarter-turn orbits (a, b) -> (-b, a),
-    and the stack advances one representative per orbit: after each layer,
-    one gather per plane from [x, y, -x, -y] writes every node's foot. This
-    is bit for bit the solve of every node: the slope kernel squares the
-    offsets and adds the squares, and every other step of it and of RK4 is
-    a product, sum or difference of the coordinates, each of which commutes
-    with an exact negation, so the solve commutes with the quarter turn up
-    to the sign of a zero, which o + offset drops. Any other stack advances
-    every moving node and makes no gather.
+    When every component is centred at o, o is a node and hx == hy, every
+    field of the stack is a radial vortex about o, so two nodes at one
+    distance from o have one solve up to a rotation. The stack then advances
+    one representative per radius class a^2 + b^2 of the moving offsets
+    (see _radius_classes) and, after each layer, writes every foot as
+    o + w_n Z[class(n)]: one complex gather and one complex product, with Z
+    the representatives' offset feet. The representative's quarter-turn
+    relatives get w in {1, i, -1, -i}, so their feet are its own exactly
+    turned, bit for bit what stepping them gives (the slope kernel and RK4
+    commute with an exact quarter turn), up to the sign of a zero, which
+    o + offset drops. Every other node of the class gets the
+    exact-arithmetic rotation of the representative's solve, roundoff-close
+    but not bit-equal to stepping it: its float offsets square and add to
+    another roundoff of a^2 + b^2, and w is rounded. Any other stack
+    advances every moving node and makes no gather.
 
     Its feet are read through interpolation jobs, one per initial density
     its members use: the rows of those members, interpolated in one call
@@ -371,19 +372,19 @@ class _Stack:
         ay = (np.arange(grid.ny + 1) - jc) * grid.hy + shift[1]
         self.moving = np.flatnonzero(self.integ.velocity[0].support_mask(ax[:, None], ay[None, :]))
         i, j = np.divmod(self.moving, grid.ny + 1)
-        orbits = None
+        classes = None
         if (
             self.moving.size
             and all(c.center == o for c in comps)
             and shift == (0.0, 0.0)
             and grid.hx == grid.hy
         ):
-            orbits = _quarter_turns(i - ic, j - jc, grid.nx + grid.ny)
+            classes = _radius_classes(i - ic, j - jc)
         self.rows = len(fields)
-        if orbits is None:
-            reps, self.gather = slice(None), None
+        if classes is None:
+            reps, self.classes = slice(None), None
         else:
-            reps, *self.gather = orbits
+            reps, *self.classes = classes
         self.x0, self.y0 = ax[i[reps]], ay[j[reps]]
         self.feet = None
 
@@ -391,15 +392,20 @@ class _Stack:
         """Put every row's feet back on the representatives' start offsets.
 
         The first pass allocates every node's feet and, for a stack that
-        steps orbit representatives, the representatives' turned feet
-        [x, y, -x, -y] and the interpolation jobs' scratch, once the
-        stream's set-up temporaries are freed."""
+        steps class representatives, the complex offset feet of the
+        representatives and of every node and the interpolation jobs'
+        scratch, once the stream's set-up temporaries are freed. Every
+        node's complex feet are free once the feet are written, so their
+        memory, seen as two float planes, is two of the scratch's six."""
         if self.feet is None:
             shape = (self.rows, self.moving.size)
             self.feet = np.empty((2,) + shape)
-            if self.gather is not None:
-                self._turns = np.empty((self.rows, 4, self.x0.size))
-                self._floats, self._k = np.empty((6,) + shape), np.empty(shape, dtype=np.intp)
+            if self.classes is not None:
+                self._z = np.empty((self.rows, self.x0.size), dtype=complex)
+                self._c = np.empty(shape, dtype=complex)
+                halves = self._c.view(float).reshape((2,) + shape)
+                self._floats = [*halves, *np.empty((4,) + shape)]
+                self._k = np.empty(shape, dtype=np.intp)
         self.fx = np.tile(self.x0, (self.rows, 1))
         self.fy = np.tile(self.y0, (self.rows, 1))
 
@@ -410,18 +416,15 @@ class _Stack:
         fx, fy = self.fx, self.fy = self.integ.advance(
             self.fx, self.fy, self.tau[j], self.tau[j - 1], escape_tol
         )
-        if self.gather is None:
-            for plane, f, c in zip(self.feet, (fx, fy), self.o):
-                np.add(f, c, out=plane)
-            return
-        turns = self._turns
-        turns[:, 0], turns[:, 1] = fx, fy
-        np.negative(fx, out=turns[:, 2])
-        np.negative(fy, out=turns[:, 3])
-        flat = turns.reshape(self.rows, -1)
-        for plane, index, c in zip(self.feet, self.gather, self.o):
-            flat.take(index, axis=1, out=plane, mode="clip")
-            plane += c
+        if self.classes is not None:
+            cls, w = self.classes
+            z, c = self._z, self._c
+            z.real, z.imag = fx, fy
+            z.take(cls, axis=1, out=c, mode="clip")
+            np.multiply(c, w, out=c)
+            fx, fy = c.real, c.imag
+        for plane, f, o in zip(self.feet, (fx, fy), self.o):
+            np.add(f, o, out=plane)
 
     def job(self, rows: list[int]):
         """(index, work): the stack's rows as an index (a slice when they are
@@ -429,14 +432,15 @@ class _Stack:
         jobs share, as they run one at a time. A stack that steps every
         moving node lends the planes of its RK4 workspace, free between
         layers, and the slope kernel's q seen as integers; one that steps
-        orbit representatives has too small a workspace and keeps its own."""
+        class representatives has too small a workspace and keeps its own
+        (see start)."""
         n, size = len(rows), self.moving.size
         index = slice(rows[0], rows[0] + n) if rows == list(range(rows[0], rows[0] + n)) else rows
-        if self.gather is None:
+        if self.classes is None:
             ws = self.integ._workspace((self.rows, size))
             floats = [a[i, :n] for a in (ws.points, ws.slope, ws.sum) for i in (0, 1)]
             return index, InterpolationWorkspace((n, size), floats, ws.kernel.q[:n].view(np.intp))
-        return index, InterpolationWorkspace((n, size), list(self._floats[:, :n]), self._k[:n])
+        return index, InterpolationWorkspace((n, size), [a[:n] for a in self._floats], self._k[:n])
 
 
 class FamilyStream:
@@ -481,9 +485,12 @@ class FamilyStream:
     A stack integrates offsets from its fields' first component centre o
     and hands o + offset to the interpolation (see _Stack). When every
     component is centred at o, o is a node and the cells are square, the
-    moving nodes fall into quarter-turn orbits about o, and the stack steps
-    one node per orbit and rotates the other three feet exactly, with the
-    bits of stepping every node. On grids whose linspace nodes are not
+    stack steps one node per radius class a^2 + b^2 of the moving offsets
+    and rotates its foot onto every other node of the class. The
+    representative's quarter-turn relatives keep the bits of stepping them;
+    the other nodes of a class are roundoff-close to it (a foot gap of
+    about 1e-13), not bit-equal, as the slope kernel sees their radii
+    through different roundoff. On grids whose linspace nodes are not
     exact multiples of the cell (96^2, 100^2) a moving node starts at most
     one ulp of o from its node.
     """

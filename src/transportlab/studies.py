@@ -259,6 +259,14 @@ def _amplitude_limits(cfg: StudyConfig) -> tuple[float, float]:
     )
 
 
+def _density_unit(cfg: StudyConfig) -> float:
+    """|density.amplitude|, or 1 when it is 0: the unit in which the linear
+    weak-form checks measure, so that their values and verdicts do not
+    depend on the density's units. The renormalized residuals stay
+    absolute, since a clip level is in the density's units."""
+    return abs(cfg.d_amplitude) or 1.0
+
+
 def _validate(cfg: StudyConfig) -> StudyConfig:
     def fail(name: str, msg: str):
         raise StudiesError(f"{name}: {msg}")
@@ -652,7 +660,9 @@ def run_mollification_study(cfg: StudyConfig) -> StudyOutcome:
     transforms per layer serves every eps and the pairing. If the config's
     (alpha, p) pairing gives gamma < 1 the commutator estimate does not
     apply; the study still runs, measures the curve in the always-defined
-    L1 gauge, and flags the hypothesis as not satisfied.
+    L1 gauge, and flags the hypothesis as not satisfied. The identity and
+    the stencil gap are linear in the density, so they are measured in its
+    unit (_density_unit); the decay checks are ratios.
     """
     grid, times, u, rho0 = build_case(cfg)
     inner = shrink(grid.domain, cfg.inner_margin)
@@ -677,15 +687,16 @@ def run_mollification_study(cfg: StudyConfig) -> StudyOutcome:
     curve = sweep.curve()
     norms = curve.norms
     lhs, rhs = pairing.result()
+    unit = _density_unit(cfg)
     checks = [
         CheckResult(
             "weakform.remainder_decay", _ratio(norms[-1], norms[0]), cfg.tol_decay_ratio, "derived"
         ),
         CheckResult("weakform.remainder_monotone", _worst_step(norms), 1.0, "derived"),
         CheckResult(
-            "weakform.consistency_identity", abs(lhs - rhs), cfg.tol_identity, "derived"
+            "weakform.consistency_identity", abs(lhs - rhs) / unit, cfg.tol_identity, "derived"
         ),
-        CheckResult("weakform.stencil_consistency", probe.gap, 1e-10, "trivial"),
+        CheckResult("weakform.stencil_consistency", probe.gap / unit, 1e-10, "trivial"),
     ]
 
     outcome = StudyOutcome(cfg.study, tuple(checks), hypothesis=hypothesis)
@@ -722,7 +733,8 @@ def run_renormalization_study(cfg: StudyConfig) -> StudyOutcome:
 
     The freeze-time corruption knob is a negative control: it drives the
     initial layer in place of every solved one, which leaves the advective
-    term unbalanced and must trip the residual gate.
+    term unbalanced and must trip the residual gate. The distributional
+    residual is measured in the density's unit (_density_unit).
     """
     grid, times, u, rho0 = build_case(cfg)
     phis = _phi_bank(grid.domain, cfg.horizon)
@@ -740,6 +752,7 @@ def run_renormalization_study(cfg: StudyConfig) -> StudyOutcome:
         worst = max(r.residual for r in batch)
         if beta is None:
             name, provenance = "weakform.distributional_residual", "derived"
+            worst /= _density_unit(cfg)
         else:
             name = f"weakform.renormalized_residual[{beta.label}]"
             provenance = "trivial" if beta.label.startswith("const") else "derived"

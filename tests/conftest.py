@@ -192,6 +192,18 @@ def exact_vortex_flow(
     return center[0] + c * dx - sn * dy, center[1] + sn * dx + c * dy
 
 
+def moving_nodes_and_radii(u, grid) -> tuple[int, int]:
+    """(moving, radii): how many nodes u's support moves, and how many
+    distinct a^2 + b^2 their cell offsets (a, b) from u's first centre take,
+    the radius classes a single-centre stack steps one node of each."""
+    X, Y = grid.meshes()
+    inside = u.support_mask(X, Y)
+    c = u.components[0].center
+    a = np.rint((X[inside] - c[0]) / grid.hx).astype(int)
+    b = np.rint((Y[inside] - c[1]) / grid.hy).astype(int)
+    return int(np.count_nonzero(inside)), len(set((a * a + b * b).tolist()))
+
+
 @pytest.fixture(scope="session")
 def vortex_rotation():
     return exact_vortex_flow

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import moving_nodes_and_radii
 
 from transportlab import characteristics
 from transportlab.characteristics import (
@@ -287,10 +288,11 @@ def test_shared_cases_store_no_solution(case, request):
 
 def test_solve_layers_match_flow_map_composition(vortex):
     # layer j is literally rho0 pulled back by the j-th backward flow map,
-    # whether the solver advanced incrementally or not: bit for bit against
-    # one integration of the node offsets from the vortex centre o, which is
-    # what the stack integrates, and to roundoff against the absolute
-    # flow_map
+    # whether the solver advanced incrementally or not: against one
+    # integration of every node's offset from the vortex centre o, bit for
+    # bit where the stack turns a radius class's representative by a
+    # quarter turn and to 1e-12 elsewhere, and to roundoff against the
+    # absolute flow_map
     grid = Grid(unit_square(), 32, 32)
     times = TimePartition(0.4, 8)
     rho0 = static_field(grid, gaussian_blob((0.55, 0.5), 0.15))
@@ -301,12 +303,18 @@ def test_solve_layers_match_flow_map_composition(vortex):
     # o is node (16, 16), and on 32^2 the lattice offsets are exact
     ax = (np.arange(33) - 16) * grid.hx
     AX, AY = np.meshgrid(ax, ax, indexing="ij")
+    moving = np.flatnonzero(vortex.support_mask(X, Y))
+    a, b = np.divmod(moving, 33)
+    _, _, w = characteristics._radius_classes(a - 16, b - 16)
+    turned = moving[np.isin(w, (1.0, 1j, -1.0, -1j))]
     integ = FlowMapIntegrator((_recentred(vortex, o),), times.dt / k)
     for j in (3, 8):
         t = float(times.times[j])
         ox, oy = integ.advance(AX[None], AY[None], t, 0.0, grid.hx)
         fx, fy = o[0] + ox[0], o[1] + oy[0]
-        assert np.array_equal(rho.layer(j), grid.interpolate(rho0.layer(0), fx, fy))
+        want = grid.interpolate(rho0.layer(0), fx, fy)
+        assert np.array_equal(rho.layer(j).ravel()[turned], want.ravel()[turned])
+        np.testing.assert_allclose(rho.layer(j), want, rtol=0, atol=1e-12)
         dx, dy = flow_map(vortex, t, 0.0, X, Y, dt=times.dt / k, escape_tol=grid.hx)
         assert np.max(np.hypot(fx - dx, fy - dy)) < 1e-13
         np.testing.assert_allclose(
@@ -424,12 +432,11 @@ def test_family_with_different_substep_counts_matches_one_member_solves(monkeypa
     calls = record_advances(monkeypatch)
     stream = iter_solution_layers([rho0] * 4, fields, times)
     family = [(j, t, moving.assemble()) for j, t, moving in stream]
-    # each stack steps one representative per quarter-turn orbit of its
-    # moving nodes about the centre node
-    moving = int(np.count_nonzero(u.support_mask(*grid.meshes())))
-    reps = 1 + (moving - 1) // 4
+    # each stack steps one representative per radius class of its moving
+    # nodes about the centre node
+    radii = moving_nodes_and_radii(u, grid)[1]
     assert sorted(calls[:2]) == [
-        (times.dt / 4, 1.0 / 60, (1, reps)), (times.dt / 3, 1.0 / 60, (3, reps))
+        (times.dt / 4, 1.0 / 60, (1, radii)), (times.dt / 3, 1.0 / 60, (3, radii))
     ]
     assert len(calls) == 2 * times.nt
     for j, t, layers in family:
@@ -479,31 +486,57 @@ def _stream_layers(densities, fields, times):
     return [moving.assemble() for _, _, moving in FamilyStream(densities, fields, times)]
 
 
+def _stream_feet(densities, fields, times):
+    """A family stream's stacks, and per layer j >= 1 every member's whole
+    layer and the feet of every stack's rows, stacked in stack order."""
+    stream = FamilyStream(densities, fields, times)
+    stacks = stream._stacks
+    out = [
+        (moving.assemble(), *(np.concatenate([s.feet[i] for s in stacks]) for i in (0, 1)))
+        for j, _, moving in stream
+        if j
+    ]
+    return stacks, out
+
+
 @pytest.mark.parametrize("n", [96, 128])
 @pytest.mark.parametrize("modulation", ["none", "linear", "inverse_sqrt"])
 @pytest.mark.parametrize("members", [1, 5], ids=["one-member", "amplitude-family"])
 def test_quarter_turn_orbits_give_the_bits_of_every_node_solve(n, modulation, members, monkeypatch):
     # the vortex centre (0.5, 0.5) is a node, so each stack steps one node
-    # per quarter-turn orbit and rotates the other three feet; forcing the
-    # orbit map to the identity steps every moving node. 96^2 is a grid
-    # whose linspace nodes are not exact multiples of the cell.
+    # per radius class and rotates its foot onto the rest of the class;
+    # forcing the class map off steps every moving node. The
+    # representative's quarter-turn relatives keep the bits of stepping
+    # them, and every other foot is within roundoff of its own solve. 96^2
+    # is a grid whose linspace nodes are not exact multiples of the cell.
     grid = Grid(unit_square(), n, n)
     times = TimePartition(1.0, 12)
     u = vortex_field(unit_square(), modulation=modulation)
     rho0 = static_field(grid, gaussian_blob())
     fields = [u] + [u.scaled(1.0 + 1.0 / k) for k in (2, 4, 8, 16)][: members - 1]
-    moving = int(np.count_nonzero(u.support_mask(*grid.meshes())))
+    moving, radii = moving_nodes_and_radii(u, grid)
     calls = record_advances(monkeypatch)
-    reduced = _stream_layers([rho0] * members, fields, times)
-    assert {shape[1] for _, _, shape in calls} == {1 + (moving - 1) // 4}
+    stacks, reduced = _stream_feet([rho0] * members, fields, times)
+    assert {shape[1] for _, _, shape in calls} == {radii}
+    # the nodes whose foot is a representative's turned by 1, i, -1 or -i;
+    # the stacks differ only in their substep counts
+    _, w = stacks[0].classes
+    assert all(np.array_equal(s.classes[1], w) for s in stacks)
+    exact = np.isin(w, (1.0, 1j, -1.0, -1j))
+    assert np.count_nonzero(exact) == 4 * (radii - 1) + 1
+    nodes = stacks[0].moving[exact]
     calls.clear()
-    monkeypatch.setattr(characteristics, "_quarter_turns", lambda *args: None)
-    full = _stream_layers([rho0] * members, fields, times)
+    monkeypatch.setattr(characteristics, "_radius_classes", lambda *args: None)
+    _, full = _stream_feet([rho0] * members, fields, times)
     assert {shape[1] for _, _, shape in calls} == {moving}
-    for a, b in zip(reduced, full, strict=True):
-        for x, y in zip(a, b, strict=True):
-            assert np.array_equal(x, y)
-            assert np.array_equal(np.signbit(x), np.signbit(y))
+    for (layers, x, y), (want, wx, wy) in zip(reduced, full, strict=True):
+        assert np.max(np.hypot(x - wx, y - wy)) < 1e-12
+        assert np.array_equal(x[:, exact], wx[:, exact])
+        assert np.array_equal(y[:, exact], wy[:, exact])
+        for a, b in zip(layers, want, strict=True):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+            assert np.array_equal(a.ravel()[nodes], b.ravel()[nodes])
+            assert np.array_equal(np.signbit(a), np.signbit(b))
 
 
 @pytest.mark.parametrize("n", [32, 96, 100])
@@ -512,7 +545,7 @@ def test_stack_starts_each_moving_node_within_an_ulp_of_the_centre(n, monkeypatc
     # node o = (0.5, 0.5): o + offset is the node itself where the linspace
     # nodes are exact lattice multiples (32^2), and within one ulp of o where
     # they are not
-    monkeypatch.setattr(characteristics, "_quarter_turns", lambda *args: None)
+    monkeypatch.setattr(characteristics, "_radius_classes", lambda *args: None)
     grid = Grid(unit_square(), n, n)
     stack = characteristics._Stack([vortex_field(unit_square())], 1, TimePartition(1.0, 2), grid)
     i, j = np.divmod(stack.moving, n + 1)
@@ -525,22 +558,27 @@ def test_stack_starts_each_moving_node_within_an_ulp_of_the_centre(n, monkeypatc
 
 
 @pytest.mark.parametrize(
-    "u",
+    "u, ny",
     [
-        vortex_field(unit_square(), center=(0.47, 0.5)),
-        from_stream_function(
-            [StreamFunction((0.5, 0.5), 0.2, 0.5), StreamFunction((0.55, 0.45), 0.2, 0.3)],
-            unit_square(),
+        (vortex_field(unit_square(), center=(0.47, 0.5)), 96),
+        (
+            from_stream_function(
+                [StreamFunction((0.5, 0.5), 0.2, 0.5), StreamFunction((0.55, 0.45), 0.2, 0.3)],
+                unit_square(),
+            ),
+            96,
         ),
-        VelocityField((), unit_square()),
+        (VelocityField((), unit_square()), 96),
+        (vortex_field(unit_square()), 80),
     ],
-    ids=["off-node-centre", "two-centres", "zero-field"],
+    ids=["off-node-centre", "two-centres", "zero-field", "unequal-cells"],
 )
-def test_stacks_without_quarter_turn_orbits_step_every_moving_node(u, monkeypatch):
-    # an off-node centre or a component off the first one's centre breaks
-    # the orbits, so every moving node is stepped; the zero field steps
-    # none and yields its still layers. Each member is its one-member solve.
-    grid = Grid(unit_square(), 96, 96)
+def test_stacks_without_quarter_turn_orbits_step_every_moving_node(u, ny, monkeypatch):
+    # an off-node centre, a component off the first one's centre or cells
+    # that are not square break the radius classes, so every moving node is
+    # stepped; the zero field steps none and yields its still layers. Each
+    # member is its one-member solve.
+    grid = Grid(unit_square(), 96, ny)
     times = TimePartition(1.0, 6)
     rho0 = static_field(grid, gaussian_blob())
     X, Y = grid.meshes()

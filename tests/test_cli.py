@@ -66,11 +66,13 @@ def test_module_invocation_reaches_the_parser():
 def test_runs_without_importing_scipy_integrate(tmp_path):
     # the package pays for no quadrature module at import or in a study run,
     # and for no scipy FFT either: numpy.fft does every transform. Nor for
-    # numpy.random: the mollify probes are drawn by the stdlib's generator
+    # numpy.random: the mollify probes are drawn by the stdlib's generator.
+    # Nor for numpy.ma (about 0.6 MB of RSS), which np.unique imports: the
+    # solver groups its nodes by sorting
     script = f"""
 import sys
 import transportlab
-ABSENT = ("scipy.integrate", "scipy.fft", "scipy.special", "numpy.random")
+ABSENT = ("scipy.integrate", "scipy.fft", "scipy.special", "numpy.random", "numpy.ma")
 assert "scipy.integrate" not in sys.modules, "after import"
 from transportlab.cli import main
 assert not [m for m in ABSENT if m in sys.modules], "after importing the CLI"

@@ -11,7 +11,7 @@ import pytest
 
 import numpy as np
 
-from conftest import consistency_identity, stored_layers
+from conftest import consistency_identity, moving_nodes_and_radii, stored_layers
 from transportlab import characteristics, cli, weakform
 from transportlab.analysis import NormHistory
 from transportlab.fields import (
@@ -429,8 +429,8 @@ def replace_everywhere(monkeypatch, original, replacement):
 
 def test_stability_study_solves_each_problem_once(tmp_path, monkeypatch):
     # the reference and every member are stepped once per layer, in one
-    # stream, one node per quarter-turn orbit of the moving nodes, and no
-    # study route stores a solution
+    # stream, one node per radius class of the moving nodes, and no study
+    # route stores a solution
     def refuse(*args, **kwargs):
         raise AssertionError("the stability study stored a solution")
 
@@ -445,27 +445,52 @@ def test_stability_study_solves_each_problem_once(tmp_path, monkeypatch):
     monkeypatch.setattr(characteristics.FlowMapIntegrator, "advance", counted)
     cfg = cfg_for("stability", tmp_path / "run", "grid.nx=32", "grid.ny=32", "time.nt=12")
     grid, times, u, _ = build_case(cfg)
-    moving = int(np.count_nonzero(u.support_mask(*grid.meshes())))
+    radii = moving_nodes_and_radii(u, grid)[1]
     out = run_stability_study(cfg)
-    reps = 1 + (moving - 1) // 4
-    assert stepped == {float(t): (1 + len(cfg.n_list)) * reps for t in times.times[1:]}
+    assert stepped == {float(t): (1 + len(cfg.n_list)) * radii for t in times.times[1:]}
     assert out.checks[-1].name.startswith("analysis.renormalized_convergence[")
+
+
+@pytest.mark.parametrize("study", ["mollify", "renorm"])
+def test_linear_weak_form_checks_do_not_depend_on_the_density_unit(study, tmp_path):
+    # the transport is linear and a power of two scales every float
+    # operation exactly, so the linear checks, measured in units of
+    # |density.amplitude|, keep their bits at amplitudes 2^k
+    linear = {"weakform.distributional_residual", "weakform.consistency_identity",
+              "weakform.stencil_consistency"}
+    seen = []
+    for k in (-40, -20, 0, 20, 40):
+        cfg = cfg_for(
+            study, tmp_path / str(k), "grid.nx=48", "grid.ny=48", "time.nt=8",
+            f"density.amplitude={2.0 ** k!r}",
+        )
+        checks = run_study(cfg).checks
+        seen.append([(c.name, c.measured, c.passed) for c in checks if c.name in linear])
+    assert len(seen[0]) == (1 if study == "renorm" else 2)
+    assert all(s == seen[0] for s in seen)
 
 
 class _FirstAdvance(Exception):
     """Ends a study run at its first characteristic step."""
 
 
+# rows x radius classes each shipped config's stack steps per RK4 step
+SHIPPED_STEPS = {
+    "conservation": (1, 1680), "mollify": (1, 470), "renorm": (1, 470), "stability": (5, 280)
+}
+
+
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.stem)
-def test_shipped_study_steps_one_node_per_quarter_turn_orbit(path, tmp_path, monkeypatch):
+def test_shipped_study_steps_one_node_per_radius_class(path, tmp_path, monkeypatch):
     # every shipped config centres its vortex on a node of a square-celled
-    # grid, so its stack steps the centre node and one node of each
-    # quarter-turn orbit of the other moving nodes: a start offset or mask
-    # that breaks the orbits fails here, not only in the benchmark
+    # grid, so its stack steps one node of each distinct a^2 + b^2 of the
+    # moving nodes' cell offsets (a, b) from the centre: a start offset, a
+    # mask or a class map that breaks the reduction fails here, not only in
+    # the benchmark
     cfg = parse_study_config(path, [f"output.dir={tmp_path}"])
     grid, _, u, _ = build_case(cfg)
-    moving = int(np.count_nonzero(u.support_mask(*grid.meshes())))
-    assert moving % 4 == 1
+    moving, radii = moving_nodes_and_radii(u, grid)
+    assert radii < moving
     shapes = []
 
     def first(self, x, y, t_from, t_to, escape_tol):
@@ -475,7 +500,8 @@ def test_shipped_study_steps_one_node_per_quarter_turn_orbit(path, tmp_path, mon
     monkeypatch.setattr(characteristics.FlowMapIntegrator, "advance", first)
     with pytest.raises(_FirstAdvance):
         run_study(cfg)
-    assert shapes[0][-1] == 1 + (moving - 1) // 4
+    assert shapes[0][1] == radii
+    assert shapes[0] == SHIPPED_STEPS[path.stem]
 
 
 # ---------------------------------------------------------------------------
