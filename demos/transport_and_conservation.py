@@ -12,6 +12,7 @@ from transportlab import (
     Grid,
     NormHistory,
     TimePartition,
+    WholeLayers,
     drive,
     gaussian_blob,
     iter_solution_layers,
@@ -37,9 +38,11 @@ class Extrema:
 
 
 print("solving 128^2, 200 layers, T = 1 ...")
-# one streamed solve drives both readers; no layer is stored
+# one streamed solve drives both readers; no layer is stored. The solve
+# yields each layer on the nodes that move, and WholeLayers writes them
+# into one whole grid that both readers read
 history, extrema = NormHistory(grid, (1.0, 2.0, 3.0, np.inf)), Extrema()
-drive(iter_solution_layers(rho0, u, times), [history, extrema])
+drive(iter_solution_layers(rho0, u, times), [WholeLayers([history, extrema])])
 
 reports = history.reports()
 print(f"{'p':>5} {'initial norm':>14} {'final norm':>14} {'gate statistic':>15}")

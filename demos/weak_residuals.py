@@ -44,7 +44,8 @@ betas = [
 ]
 
 # one backward solve drives one accumulator that pairs every beta with
-# every test function; each layer evaluates each beta once
+# every test function; it reads each layer on the nodes the solve moves,
+# and evaluates each beta once per layer on those of its nodes
 bank = ResidualAccumulator(grid, times.times, u, phis, betas)
 drive(iter_solution_layers(rho0, u, times), [bank])
 reports = bank.report(rho0.layer(0))

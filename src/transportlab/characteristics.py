@@ -220,27 +220,20 @@ def iter_solution_layers(
     rho0: ScalarField | Sequence[ScalarField],
     u: VelocityField | Sequence[VelocityField],
     times: TimePartition,
-) -> Iterator[tuple[int, float, np.ndarray | MovingLayers]]:
-    """Yield (j, t_j, layer) of the classical solution without storing it.
+) -> Iterator[tuple[int, float, MovingLayers]]:
+    """Yield (j, t_j, MovingLayers) of the classical solution without storing it.
 
-    rho0 and u are one problem, or equal-length sequences of problems on one
-    grid (a family). Both are solved by one FamilyStream, which integrates
-    and interpolates only the nodes that move (see there): one problem is
-    the one-member family, so every solve takes the same path.
-
-    Layer j is rho0 evaluated at the backward characteristic foot of every
-    node, i.e. at flow_map(u, t_j, 0, node). One problem yields the bare
-    layer, a fresh array the caller may keep: its still layer with its
-    values on the moving nodes written in, so it has the bits of a
-    whole-grid solve. A family yields the stream's MovingLayers as they are,
-    for consumers that read only what moves; MovingLayers.assemble gives
-    every member's whole layer.
+    rho0 and u are one problem (the one-member family) or equal-length
+    sequences of problems on one grid, solved by one FamilyStream on the
+    nodes that move (see there). Layer j is rho0 at the backward
+    characteristic foot of every node, i.e. at flow_map(u, t_j, 0, node).
+    The next layer rewrites the view's values, so a consumer that keeps a
+    layer copies it; one that reads whole grids reads them through
+    WholeLayers.
     """
-    if not isinstance(u, VelocityField):
-        yield from FamilyStream(rho0, u, times)
-        return
-    for j, t, layer in FamilyStream([rho0], [u], times):
-        yield j, t, layer.assemble()[0]
+    if isinstance(u, VelocityField):
+        rho0, u = [rho0], [u]
+    yield from FamilyStream(rho0, u, times)
 
 
 class MovingLayers(NamedTuple):
@@ -248,7 +241,10 @@ class MovingLayers(NamedTuple):
 
     values[m] is member m's layer at nodes (flat indices, increasing), one
     row per member; off the nodes it is still[density[m]]. values is the
-    stream's own array, rewritten by the next layer.
+    stream's own array, rewritten by the next layer. Every layer of a pass
+    shares one nodes array, and a new still list comes only with new still
+    layers (j = 0 and j = 1 of a FamilyStream pass), so a consumer that
+    compares still lists by identity rereads the still part only then.
     """
 
     values: np.ndarray
@@ -256,14 +252,29 @@ class MovingLayers(NamedTuple):
     density: tuple[int, ...]
     still: list[np.ndarray]
 
-    def assemble(self) -> tuple[np.ndarray, ...]:
-        """Every member's whole layer, each a fresh array."""
-        layers = []
-        for d, v in zip(self.density, self.values):
-            layer = self.still[d].copy()
-            layer.ravel()[self.nodes] = v
-            layers.append(layer)
-        return tuple(layers)
+
+class WholeLayers:
+    """Feeds consumers that read whole grids from a stream of MovingLayers.
+
+    Member 0's whole layer is kept in one owned buffer: the still layer is
+    copied into it only when the still list is not the last one, and every
+    layer rewrites its moving nodes. Every consumer's
+    add_layer(j, t, layer) gets the buffer itself, in list order: the next
+    layer rewrites it, so a consumer that keeps a layer copies it.
+    """
+
+    def __init__(self, consumers: Sequence):
+        self.consumers, self.layer, self._still = consumers, None, None
+
+    def add_layer(self, j: int, t: float, layer: MovingLayers) -> None:
+        if layer.still is not self._still:
+            self._still, still = layer.still, layer.still[layer.density[0]]
+            if self.layer is None:
+                self.layer = np.empty_like(still)
+            np.copyto(self.layer, still)
+        self.layer.ravel()[layer.nodes] = layer.values[0]
+        for consumer in self.consumers:
+            consumer.add_layer(j, t, self.layer)
 
 
 def _substeps(u: VelocityField, grid: Grid, times: TimePartition) -> int:
@@ -445,7 +456,7 @@ class _Stack:
 
 class FamilyStream:
     """A family's layers on its moving nodes: the producer behind
-    iter_solution_layers.
+    iter_solution_layers, for one problem (the one-member family) or many.
 
     rho0 and u are equal-length sequences of problems on one grid. nodes
     holds the flat indices, increasing, of every node some member's field
@@ -459,18 +470,14 @@ class FamilyStream:
     and at every later j its interpolation at the nodes themselves, which
     need not return the nodal value; they change only at j = 0 and j = 1.
 
-    Only nodes strictly inside some support ball are integrated. Elsewhere
-    v vanishes, so every RK4 stage slope is exactly zero and the node is a
-    fixed point of the integrator and of its clamp: its foot is the node
-    itself in every layer. For u = m(t) v(x) the foot of a moving node is
-    the flow of the time-independent v run backward over the clock
-    interval [0, tau_j], tau_j = M(t_j), so the stored departure points
-    advance incrementally from tau_j to tau_{j-1} in fixed RK4 steps of v.
-    The step is times.dt / k with k the fewest substeps per layer interval
-    that keep max|v| step within the CFL cap, so it is CFL-safe in tau
-    whatever the modulation; for an unmodulated field tau is times.times
-    itself and each layer takes exactly the steps a per-layer integration
-    would.
+    Only nodes strictly inside some support ball are integrated: elsewhere
+    v vanishes, every RK4 stage slope is exactly zero, and the foot is the
+    node itself in every layer. For u = m(t) v(x) a moving node's foot is
+    the flow of v run backward over the clock interval [0, tau_j],
+    tau_j = M(t_j), so the feet advance incrementally from tau_j to
+    tau_{j-1} in fixed RK4 steps of v of size times.dt / k (see _substeps),
+    CFL-safe in tau whatever the modulation; unmodulated, each layer takes
+    exactly the steps a per-layer integration would.
 
     Members whose fields share k, domain, modulation and component centres
     and radii move the same nodes on the same clock, so they are integrated
@@ -482,17 +489,11 @@ class FamilyStream:
     keeps its own coefficients, so neither the node split, the stacking nor
     the shared interpolation changes a bit of any layer.
 
-    A stack integrates offsets from its fields' first component centre o
-    and hands o + offset to the interpolation (see _Stack). When every
-    component is centred at o, o is a node and the cells are square, the
-    stack steps one node per radius class a^2 + b^2 of the moving offsets
-    and rotates its foot onto every other node of the class. The
-    representative's quarter-turn relatives keep the bits of stepping them;
-    the other nodes of a class are roundoff-close to it (a foot gap of
-    about 1e-13), not bit-equal, as the slope kernel sees their radii
-    through different roundoff. On grids whose linspace nodes are not
-    exact multiples of the cell (96^2, 100^2) a moving node starts at most
-    one ulp of o from its node.
+    A stack integrates offsets from its fields' first component centre.
+    When that centre is a node, every component sits on it and the cells
+    are square, it steps one node per radius class and rotates its foot
+    onto the rest of the class: bit for bit on quarter-turn relatives,
+    roundoff-close (a foot gap of about 1e-13) elsewhere (see _Stack).
     """
 
     def __init__(
@@ -617,5 +618,5 @@ def solve_classical(
     name; once the harness no longer names it, it can move into the tests.
     """
     values = np.empty((times.nt + 1,) + rho0.grid.shape)
-    drive(iter_solution_layers(rho0, u, times), [_Stored(values)])
+    drive(iter_solution_layers(rho0, u, times), [WholeLayers([_Stored(values)])])
     return ScalarField(rho0.grid, times.times.copy(), values)

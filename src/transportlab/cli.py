@@ -17,7 +17,7 @@ from dataclasses import replace
 import scipy  # noqa: F401
 
 from .analysis import AnalysisError
-from .characteristics import CharacteristicsError, drive, iter_solution_layers
+from .characteristics import CharacteristicsError, WholeLayers, drive, iter_solution_layers
 from .fields import FieldError
 from .geometry import GeometryError
 from .studies import (
@@ -106,19 +106,12 @@ def _load_config(ns: argparse.Namespace) -> StudyConfig:
     return cfg
 
 
-class _Final:
-    """Keeps the last layer it is fed, with its time."""
-
-    def add_layer(self, j: int, t: float, layer) -> None:
-        self.t, self.layer = t, layer
-
-
 def _run_solve(cfg: StudyConfig, quiet: bool) -> int:
     grid, times, u, rho0 = build_case(cfg)
-    final = _Final()
+    final = WholeLayers([])  # its buffer holds the last layer once the pass ends
     drive(iter_solution_layers(rho0, u, times), [final])
     out = make_out_dir(cfg, "solve")
-    csv_path, json_path = save_snapshot(grid, final.layer, final.t, out / "solution_final")
+    csv_path, json_path = save_snapshot(grid, final.layer, times.T, out / "solution_final")
     if not quiet:
         print(f"solved {cfg.nx}x{cfg.ny} over {cfg.nt} steps to t = {cfg.horizon:g}")
         print(f"wrote {csv_path} and {json_path}")

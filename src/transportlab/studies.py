@@ -34,7 +34,7 @@ from .analysis import (
     initial_data_family,
     stability_experiment,
 )
-from .characteristics import drive, iter_solution_layers
+from .characteristics import MovingLayers, WholeLayers, drive, iter_solution_layers
 from .fields import (
     AdmissibleBeta,
     ScalarField,
@@ -623,7 +623,7 @@ def run_conservation_study(cfg: StudyConfig) -> StudyOutcome:
     """
     grid, times, u, rho0 = build_case(cfg)
     history = NormHistory(grid, cfg.p_list)
-    drive(iter_solution_layers(rho0, u, times), [history])
+    drive(iter_solution_layers(rho0, u, times), [WholeLayers([history])])
     checks = []
     rows = []
     for p, rep in history.reports().items():
@@ -682,7 +682,7 @@ def run_mollification_study(cfg: StudyConfig) -> StudyOutcome:
     # probe-point sampling is the seed's only job: the FFT-windowed full
     # layer and the per-point gather must agree to roundoff
     probe = _StencilProbe(sweep, (times.nt + 1) // 2, *_probe_nodes(grid, inner, cfg.seed))
-    drive(iter_solution_layers(rho0, u, times), [sweep, pairing, probe])
+    drive(iter_solution_layers(rho0, u, times), [WholeLayers([sweep, pairing, probe])])
 
     curve = sweep.curve()
     norms = curve.norms
@@ -741,7 +741,9 @@ def run_renormalization_study(cfg: StudyConfig) -> StudyOutcome:
     betas: list[AdmissibleBeta | None] = [None] + list(_beta_bank())
 
     base = rho0.layer(0)
-    frozen = ((j, t, base) for j, t in enumerate(times.times))
+    # every layer the initial one: a view in which no node moves
+    still = MovingLayers(np.empty((1, 0)), np.empty(0, dtype=np.intp), (0,), [base])
+    frozen = ((j, t, still) for j, t in enumerate(times.times))
     acc = ResidualAccumulator(grid, times.times, u, phis, betas)
     drive(iter_solution_layers(rho0, u, times) if cfg.corruption == "none" else frozen, [acc])
     reports = acc.report(base)

@@ -26,6 +26,7 @@ import numpy as np
 from numpy.fft import ifft, irfft, rfft2
 
 from transportlab.analysis import lp_norm
+from transportlab.characteristics import MovingLayers
 from transportlab.fields import (
     AdmissibleBeta,
     Kernel,
@@ -101,21 +102,21 @@ class ResidualAccumulator:
     """Streaming evaluation of the three weak-form terms for a whole bank.
 
     One accumulator pairs every renormalization in `betas` (None pairs the
-    density itself) with every test function in `phis`. Driven by a solve
-    as it goes, it keeps refined solves at constant memory.
+    density itself) with every test function in `phis`. It reads a
+    stream's MovingLayers (member 0) as they come, at constant memory.
 
-    Every test function vanishes outside its support ball, so each distinct
-    spatial part keeps its time and advective weights only at its nodes: the
-    flat indices of the grid nodes where either weight is nonzero, with the
-    two weights as the columns of one contiguous (n_k, 2) array. Elsewhere
-    both weights are exact zeros, so dropping those nodes drops only exact
-    zeros. The node lists of the parts are laid end to end; each layer is
-    taken at them once, each beta is evaluated once on that vector, and each
-    (beta, part) pair reduces its own slice of it with one matrix-vector
-    product, once for every phi that shares the part. A pairing's bits
-    therefore depend only on its own nodes, and a bank of any size gives,
-    pair for pair, the bits of a one-pair accumulator. Each distinct time
-    profile is evaluated at every time node once, when the bank is built.
+    A test function's time and advective weights are exact zeros off its
+    support ball, so the bank keeps them only on the distinct nodes of its
+    spatial parts, as a dense matrix with part k's two weights in rows 2k
+    and 2k + 1. The first layer splits those nodes into the stream's moving
+    nodes and the still ones. Per layer the moving values are taken once,
+    each beta is evaluated once on them and reduced against every part by
+    one matrix-vector product; the still part's sums are retaken only when
+    the still list changes (j = 0 and j = 1 of a FamilyStream pass). A
+    whole layer enters as a view in which every node moves, or none does.
+    A pair sums its one-pair accumulator's terms in another order, so the
+    two are roundoff-close, not bit-equal. Each distinct time profile is
+    evaluated at every time node once, when the bank is built.
 
     report returns the pairings beta-major: entry b * len(phis) + k pairs
     betas[b] with phis[k].
@@ -156,8 +157,8 @@ class ResidualAccumulator:
         # time weights
         vx, vy = profile_on_grid(u.profile, grid)
         # phis that share a spatial part (a bank pairs each center with
-        # several time profiles) share one node list and one weight array, and
-        # phis that share a time profile share its evaluation
+        # several time profiles) share its two weight rows, and phis that
+        # share a time profile share its evaluation
         spatial, self._spatial_index = _distinct(
             (phi.center, phi.radius, phi.amplitude) for phi in self.phis
         )
@@ -171,45 +172,68 @@ class ResidualAccumulator:
         self._time_factors = self.tw * dpsi
         self._advective_factors = time_weights(self.times, u.modulation) * psi
         self._psi0 = psi[self._profile_index, 0]
-        nodes, self._weights = [], []
+        parts = []
+        # the distinct nodes as a mask: np.unique would import numpy.ma
+        bank = np.zeros(X.size, dtype=bool)
         for k in spatial:
             phi = self.phis[k]
             phi_w = phi.spatial(X, Y) * w
             gx, gy = phi.spatial_gradient(X, Y)
             adv_w = vx * (gx * w) + vy * (gy * w)
             idx = np.flatnonzero((phi_w != 0) | (adv_w != 0))
-            nodes.append(idx)
-            self._weights.append(np.stack([phi_w.ravel()[idx], adv_w.ravel()[idx]], axis=1))
-        self._nodes = np.concatenate(nodes)
-        ends = np.cumsum([idx.size for idx in nodes]).tolist()
-        self._parts = [slice(end - idx.size, end) for idx, end in zip(nodes, ends)]
+            bank[idx] = True
+            parts.append((idx, phi_w.ravel()[idx], adv_w.ravel()[idx]))
+        self._bank = np.flatnonzero(bank)
+        self._weights = np.zeros((2 * len(parts), self._bank.size))
+        for k, (idx, phi_w, adv_w) in enumerate(parts):
+            at = np.searchsorted(self._bank, idx)
+            self._weights[2 * k, at], self._weights[2 * k + 1, at] = phi_w, adv_w
         shape = (len(self.betas), len(self.phis))
         self.term_time = np.zeros(shape)
         self.term_advective = np.zeros(shape)
         self._seen = 0
 
-    def _take(self, layer: np.ndarray) -> np.ndarray:
-        """A full-grid layer at the parts' nodes, laid end to end."""
+    def _split(self, nodes: np.ndarray) -> None:
+        """Split the bank's nodes into the stream's nodes[_at] and the still
+        _still_nodes, each with its own contiguous weight columns."""
+        at = np.searchsorted(nodes, self._bank)
+        inside = at < nodes.size
+        moving = np.zeros(self._bank.size, dtype=bool)
+        moving[inside] = nodes[at[inside]] == self._bank[inside]
+        self._nodes, self._at, self._still_nodes = nodes, at[moving], self._bank[~moving]
+        # compress keeps the rows contiguous, as the products read them
+        self._moving_w = self._weights.compress(moving, axis=1)
+        self._still_w = self._weights.compress(~moving, axis=1)
+        self._bank = self._weights = self._still = None
+
+    def _pair_sums(self, values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """Shape (len(betas), len(phis), 2): each beta of the values against
+        every part's time and advective weights at their nodes, one
+        matrix-vector product per beta, spread over the phis of the part."""
+        sums = np.empty((len(self.betas), weights.shape[0]))
+        for row, beta in zip(sums, self.betas):
+            np.dot(weights, values if beta is None else beta(values), out=row)
+        return sums.reshape(len(self.betas), -1, 2)[:, self._spatial_index]
+
+    def _grid_layer(self, layer: np.ndarray) -> np.ndarray:
         if np.shape(layer) != self.grid.shape:
             raise WeakformError(
                 f"layer shape {np.shape(layer)} does not match grid {self.grid.shape}"
             )
-        return np.take(layer, self._nodes)
+        return layer.ravel()
 
-    def _pair_sums(self, taken: np.ndarray) -> np.ndarray:
-        """Shape (len(betas), len(phis), 2): each beta of the taken values
-        summed against each phi's time and advective weights at that phi's
-        nodes, once per distinct spatial part."""
-        sums = []
-        for beta in self.betas:
-            vals = taken if beta is None else beta(taken)
-            sums.append([vals[part] @ W for part, W in zip(self._parts, self._weights)])
-        return np.array(sums)[:, self._spatial_index]
-
-    def add_layer(self, j: int, t: float, layer: np.ndarray) -> None:
+    def add_layer(self, j: int, t: float, layer: MovingLayers) -> None:
         if j != self._seen:
             raise WeakformError(f"layers must arrive in order, expected {self._seen}")
-        sums = self._pair_sums(self._take(layer))
+        if j == 0:
+            self._split(layer.nodes)
+        elif layer.nodes is not self._nodes:
+            raise WeakformError("every layer of a pass must share the first layer's nodes")
+        if layer.still is not self._still:
+            self._still = layer.still
+            still = self._grid_layer(layer.still[layer.density[0]])
+            self._still_sums = self._pair_sums(still.take(self._still_nodes), self._still_w)
+        sums = self._pair_sums(layer.values[0].take(self._at), self._moving_w) + self._still_sums
         self.term_time -= self._time_factors[self._profile_index, j] * sums[..., 0]
         self.term_advective += self._advective_factors[self._profile_index, j] * sums[..., 1]
         self._seen += 1
@@ -219,7 +243,11 @@ class ResidualAccumulator:
             raise WeakformError(
                 f"saw {self._seen} layers, expected {self.times.size}"
             )
-        term_initial = -self._psi0 * self._pair_sums(self._take(rho0_layer))[..., 0]
+        flat = self._grid_layer(rho0_layer)
+        moving = self._pair_sums(flat.take(self._nodes[self._at]), self._moving_w)
+        term_initial = -self._psi0 * (moving + self._pair_sums(
+            flat.take(self._still_nodes), self._still_w
+        ))[..., 0]
         reports = []
         for b, beta in enumerate(self.betas):
             reports += [
@@ -577,15 +605,17 @@ class RemainderSweep:
 class IdentityPairing:
     """The consistency identity at the sweep's largest eps, fed after the
     sweep: each layer is mollified through the sweep's holder and paired
-    with its remainder. result returns (lhs, rhs), lhs the weak residual of
-    the mollified solution and rhs the space-time pairing of the remainder
-    with phi, each side taken by its own quadrature path. A layer index the
-    sweep has not taken last is refused."""
+    with its remainder; the mollified layer enters the accumulator as a
+    view in which every node moves. result returns (lhs, rhs), lhs the weak
+    residual of the mollified solution and rhs the space-time pairing of
+    the remainder with phi, each side taken by its own quadrature path. A
+    layer index the sweep has not taken last is refused."""
 
     def __init__(self, sweep: RemainderSweep, phi: TestFunction):
         self.sweep, self.phi, self.kernel = sweep, phi, sweep.kernels[0]
         self.acc = ResidualAccumulator(sweep.grid, sweep.times, sweep.u, [phi])
         self.phi_sp = phi.spatial(*sweep.grid.meshes())
+        self._every = np.arange(self.phi_sp.size)  # the view's nodes: every node moves
         self.rhs, self.moll0 = 0.0, None
 
     def add_layer(self, j: int, t: float, layer: np.ndarray) -> None:
@@ -598,8 +628,8 @@ class IdentityPairing:
             )
         moll = mollify_density(sweep.transforms, self.kernel)
         if j == 0:
-            self.moll0 = moll
-        self.acc.add_layer(j, t, moll)
+            self.moll0, self._still = moll, [moll]
+        self.acc.add_layer(j, t, MovingLayers(moll.reshape(1, -1), self._every, (0,), self._still))
         psi = float(self.phi.time_profile.value(t))
         self.rhs += self.acc.tw[j] * psi * integrate(sweep.remainders[0] * self.phi_sp, grid)
 

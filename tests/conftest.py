@@ -5,13 +5,18 @@ nodes, 1000 time layers, T = 1) backs the conservation, max-principle,
 residual and accuracy checks; a half-resolution twin (128^2 x 500) backs
 the refinement ratios and the weak-form tests. Each is one session-wide
 streamed solve: drive hands every layer of one iter_solution_layers pass to
-each reader as it goes by, as the studies do, and the case keeps the
-readers' results and the last layer, never the solution.
+each reader as it goes by, as the studies do (the residual bank reads the
+stream's MovingLayers, the whole-grid readers read them through
+WholeLayers), and the case keeps the readers' results and the last layer,
+never the solution.
 
 stored_layers, stored_residual and consistency_identity are the stored
 routes the streamed consumers are compared with: a stored solution fed as
-the stream a solve would yield, a one-pair residual over it, and the
-consistency identity written out layer by layer.
+the whole layers a solve would yield, a one-pair residual over it, and the
+consistency identity written out layer by layer. assemble writes a
+stream's view into fresh whole layers, solution_layers assembles each layer
+of one problem's solve, and whole_views turns whole layers into the views a
+residual accumulator reads.
 
 exact_vortex_flow is the closed-form flow map of the default vortex under
 any of the library's time modulations, an oracle for the RK4 integrator
@@ -25,7 +30,7 @@ import numpy as np
 import pytest
 
 from transportlab.analysis import NormHistory
-from transportlab.characteristics import drive, iter_solution_layers
+from transportlab.characteristics import MovingLayers, WholeLayers, drive, iter_solution_layers
 from transportlab.cli import _steady_heap
 from transportlab.fields import (
     ScalarField,
@@ -73,12 +78,41 @@ def stored_layers(rho: ScalarField):
     return zip(range(rho.n_layers), rho.times, rho.values)
 
 
+def assemble(moving: MovingLayers) -> tuple[np.ndarray, ...]:
+    """Every member's whole layer of a stream's view, each a fresh array:
+    its still layer with its values on the moving nodes written in."""
+    layers = []
+    for d, v in zip(moving.density, moving.values):
+        layer = moving.still[d].copy()
+        layer.ravel()[moving.nodes] = v
+        layers.append(layer)
+    return tuple(layers)
+
+
+def solution_layers(rho0: ScalarField, u, times):
+    """(j, t_j, layer) of one problem's solve, each layer a fresh whole array
+    assembled from the stream's view."""
+    for j, t, moving in iter_solution_layers(rho0, u, times):
+        yield j, t, assemble(moving)[0]
+
+
+def whole_views(stream):
+    """(j, t_j, view) for a stream of whole layers: each layer as a
+    one-member MovingLayers in which every node moves, every view sharing
+    one nodes array and one still list, as a solve's views do."""
+    nodes = still = None
+    for j, t, layer in stream:
+        if nodes is None:
+            nodes, still = np.arange(np.size(layer)), [layer]
+        yield j, t, MovingLayers(np.reshape(layer, (1, -1)), nodes, (0,), still)
+
+
 def stored_residual(rho: ScalarField, rho0: ScalarField, u, phi, beta=None) -> ResidualReport:
     """The weak-form pairing of a stored field with phi: a one-pair
     accumulator driven over its layers, paired with rho0's layer 0 (with
     beta, beta(rho) with beta(rho0))."""
     acc = ResidualAccumulator(rho.grid, rho.times, u, [phi], [beta])
-    drive(stored_layers(rho), [acc])
+    drive(whole_views(stored_layers(rho)), [acc])
     return acc.report(rho0.layer(0))[0]
 
 
@@ -101,21 +135,31 @@ def consistency_identity(rho: ScalarField, u, eps: float, phi) -> tuple[float, f
 
 
 class _Readings:
-    """The test-local readers of a layer stream: the extrema over all
-    layers, the hand-written L2 norm of each layer, the last layer and, with
-    a control bank, 1.5 times every layer fed to it."""
+    """The test-local whole-grid readers of a layer stream: the extrema over
+    all layers, the hand-written L2 norm of each layer and the last layer
+    (the WholeLayers buffer, which holds it once the pass ends)."""
 
-    def __init__(self, w: np.ndarray, scaled: ResidualAccumulator | None):
-        self.w, self.scaled = w, scaled
+    def __init__(self, w: np.ndarray):
+        self.w = w
         self.lo, self.hi, self.l2_norms, self.last = np.inf, -np.inf, [], None
 
     def add_layer(self, j: int, t: float, layer: np.ndarray) -> None:
-        if self.scaled is not None:
-            self.scaled.add_layer(j, t, 1.5 * layer)
         self.lo = min(self.lo, float(layer.min()))
         self.hi = max(self.hi, float(layer.max()))
         self.l2_norms.append(np.sqrt(np.sum(layer**2 * self.w)))
         self.last = layer
+
+
+class _Scaled:
+    """Feeds an accumulator 1.5 times every view of a stream."""
+
+    def __init__(self, acc: ResidualAccumulator):
+        self.acc, self.source, self.still = acc, None, None
+
+    def add_layer(self, j: int, t: float, layer: MovingLayers) -> None:
+        if layer.still is not self.source:
+            self.source, self.still = layer.still, [1.5 * s for s in layer.still]
+        self.acc.add_layer(j, t, layer._replace(values=1.5 * layer.values, still=self.still))
 
 
 def stream_transport_case(n: int, nt: int, phis, betas, control=None) -> SimpleNamespace:
@@ -134,9 +178,11 @@ def stream_transport_case(n: int, nt: int, phis, betas, control=None) -> SimpleN
     history = NormHistory(grid, (1.0, 2.0, 3.0, np.inf))
     bank = ResidualAccumulator(grid, times.times, u, phis, betas)
     scaled = None if control is None else ResidualAccumulator(grid, times.times, u, [control])
-    readings = _Readings(grid.quadrature_weights, scaled)
+    readings = _Readings(grid.quadrature_weights)
+    readers = [WholeLayers([history, readings]), bank]
+    readers += [] if scaled is None else [_Scaled(scaled)]
     t0 = time.perf_counter()
-    drive(iter_solution_layers(rho0, u, times), [history, bank, readings])
+    drive(iter_solution_layers(rho0, u, times), readers)
     solve_seconds = time.perf_counter() - t0
     layer0 = rho0.layer(0)
     return SimpleNamespace(

@@ -13,7 +13,13 @@ from transportlab.analysis import (
     boundary_flux_decay,
     stability_experiment,
 )
-from transportlab.characteristics import drive, flow_map, iter_solution_layers, solve_classical
+from transportlab.characteristics import (
+    WholeLayers,
+    drive,
+    flow_map,
+    iter_solution_layers,
+    solve_classical,
+)
 from transportlab.fields import (
     gaussian_blob,
     make_kernel,
@@ -145,7 +151,7 @@ def test_criterion_5_commutator_decay():
     rho0 = static_field(grid, gaussian_blob((0.6, 0.5), 0.08))
     times = TimePartition(1.0, 40)
     sweep = RemainderSweep(grid, times.times, u, (0.1, 0.05, 0.025), np.inf, 1.0, shrink(DOM, 0.15))
-    drive(iter_solution_layers(rho0, u, times), [sweep])
+    drive(iter_solution_layers(rho0, u, times), [WholeLayers([sweep])])
     curve = sweep.curve()
     decreasing = all(b < a for a, b in zip(curve.norms, curve.norms[1:]))
     ratio = curve.norms[-1] / curve.norms[0]

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from conftest import moving_nodes_and_radii
+from conftest import assemble, moving_nodes_and_radii, solution_layers
 
 from transportlab.analysis import (
     AnalysisError,
@@ -398,7 +398,7 @@ def test_initial_data_family_integrates_its_one_field_once(monkeypatch):
     rho0 = static_field(grid, gaussian_blob())
     fam = initial_data_family(u, rho0)
     densities = [rho0] + [fam(n)[1] for n in (2, 4, 8, 16)]
-    alone = [[layer for _, _, layer in iter_solution_layers(r, u, times)] for r in densities]
+    alone = [[layer for _, _, layer in solution_layers(r, u, times)] for r in densities]
     sizes = []
     original = FlowMapIntegrator.advance
 
@@ -409,7 +409,7 @@ def test_initial_data_family_integrates_its_one_field_once(monkeypatch):
     monkeypatch.setattr(FlowMapIntegrator, "advance", counted)
     stream = iter_solution_layers(densities, [u] * len(densities), times)
     for j, _, moving in stream:
-        for m, layer in enumerate(moving.assemble()):
+        for m, layer in enumerate(assemble(moving)):
             assert np.array_equal(layer, alone[m][j])
     assert sizes == [moving_nodes_and_radii(u, grid)[1]] * times.nt
 

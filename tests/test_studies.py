@@ -544,6 +544,30 @@ def test_every_study_runs_without_a_stored_solve(study, overrides, tmp_path, mon
     assert len(passes) == 1
 
 
+@pytest.mark.parametrize("study", (*STUDY_NAMES, "solve"))
+def test_every_study_solves_through_one_iter_solution_layers_pass(study, tmp_path, monkeypatch):
+    # the benchmark's characteristics.solves and characteristics.layers
+    # count the calls of iter_solution_layers and the layers it yields, by
+    # name: a study that reached the FamilyStream another way, or solved
+    # twice, would read wrong there while every check still passed
+    yields, original = [], characteristics.iter_solution_layers
+
+    def counted(*args, **kwargs):
+        yields.append(0)
+        for item in original(*args, **kwargs):
+            yields[-1] += 1
+            yield item
+
+    replace_everywhere(monkeypatch, original, counted)
+    size = ("grid.nx=32", "grid.ny=32", "time.nt=8")
+    if study == "solve":
+        sets = [arg for item in size for arg in ("--set", item)]
+        assert cli.main(["solve", "--quiet", "--out", str(tmp_path / "run"), *sets]) == 0
+    else:
+        assert run_study(cfg_for(study, tmp_path / "run", *size)).checks
+    assert yields == [8 + 1]
+
+
 def test_mollification_fails_before_the_solve(tmp_path, monkeypatch):
     class Sentinel(Exception):
         pass
@@ -676,7 +700,8 @@ def test_streamed_norm_history_matches_the_stored_one():
     sol = characteristics.solve_classical(rho0, u, times)
     stored, streamed = NormHistory(grid, cfg.p_list), NormHistory(grid, cfg.p_list)
     characteristics.drive(stored_layers(sol), [stored])
-    characteristics.drive(characteristics.iter_solution_layers(rho0, u, times), [streamed])
+    streamed_layers = characteristics.iter_solution_layers(rho0, u, times)
+    characteristics.drive(streamed_layers, [characteristics.WholeLayers([streamed])])
     stored, streamed = stored.reports(), streamed.reports()
     assert stored.keys() == streamed.keys()
     for p, rep in stored.items():
