@@ -252,15 +252,15 @@ class _FamilyDistances:
     Each distance is reduced once per layer over the (members, nodes)
     integrand at the moving nodes (a sum per row for finite p and each
     beta, a max for p = inf), plus a per-member constant for the part off
-    the nodes, taken whenever a layer brings still layers other than the
-    last ones (j = 0 and j = 1). That part is exactly 0 for members that
-    share the reference's initial density, as the amplitude and identity
-    families do. The terms are those lp_norm and integrate take on the whole
-    grid, summed in another order: the finite-p and beta distances are
-    roundoff-close to the stored route's (within an ulp or so), the p = inf
-    ones equal. Each beta is evaluated once per layer, on every member's
-    values at once. A finite-p distance that reads 0 or not finite while
-    rho_n - rho is not all zero is refused, as lp_norm refuses it.
+    the nodes: still[d] is density d's layer 0, one list for the pass, read
+    at j = 0. That part is exactly 0 for members that share the reference's
+    initial density, as the amplitude and identity families do. The terms
+    are those lp_norm and integrate take on the whole grid, summed in
+    another order: the finite-p and beta distances are roundoff-close to
+    the stored route's (within an ulp or so), the p = inf ones equal. Each
+    beta is evaluated once per layer, on every member's values at once. A
+    finite-p distance that reads 0 or not finite while rho_n - rho is not
+    all zero is refused, as lp_norm refuses it.
     """
 
     def __init__(self, grid: Grid, times: np.ndarray, p: float, betas: Sequence[AdmissibleBeta]):
@@ -268,7 +268,6 @@ class _FamilyDistances:
         self.betas = list(betas)
         self.tw = time_weights(times)
         self.w = grid.quadrature_weights
-        self.still: Sequence[np.ndarray] | None = None  # the last still layers written
 
     def _lp_integrand(self, diff: np.ndarray, w) -> np.ndarray:
         a = np.abs(diff)
@@ -280,34 +279,27 @@ class _FamilyDistances:
             return np.max(integrand, axis=axis, initial=0.0)
         return np.sum(integrand, axis=axis)
 
-    def _set_still(self, stills: Sequence[np.ndarray]) -> None:
-        """Per distance (each beta, then L^p), each member's part off the
-        nodes: stills[d] is the layer of density d, stills[0] the
-        reference's."""
-        self.still = stills
-        w = self.w.ravel()[self.off]
-        ref = stills[0].ravel()[self.off]
-        base = [beta(ref) for beta in self.betas]
-        self.parts = [np.zeros(len(self.density)) for _ in range(len(self.betas) + 1)]
-        for d in set(self.density) - {0}:
-            other, at = stills[d].ravel()[self.off], np.equal(self.density, d)
-            for beta, b, part in zip(self.betas, base, self.parts):
-                part[at] = np.sum((beta(other) - b) ** 2 * w)
-            self.parts[-1][at] = self._reduce(self._lp_integrand(other - ref, w))
-
     def add_layer(self, j: int, t: float, layer: MovingLayers) -> None:
         """layer.values[m]: member m's layer j at the nodes, member 0 the
         reference."""
         if j == 0:
             self.nodes = layer.nodes
-            self.off = np.ones(self.grid.shape[0] * self.grid.shape[1], dtype=bool)
-            self.off[layer.nodes] = False
+            off = np.ones(self.grid.shape[0] * self.grid.shape[1], dtype=bool)
+            off[layer.nodes] = False
             self.w_nodes = self.w.ravel()[layer.nodes]
             self.density = tuple(layer.density[1:])
             self.e = np.zeros(len(self.density))
             self.sq = [np.zeros(len(self.density)) for _ in self.betas]
-        if layer.still is not self.still:
-            self._set_still(layer.still)
+            # per distance (each beta, then L^p), each member's part off the
+            # nodes, against the reference's still layer still[0]
+            w, ref = self.w.ravel()[off], layer.still[0].ravel()[off]
+            base = [beta(ref) for beta in self.betas]
+            self.parts = [np.zeros(len(self.density)) for _ in range(len(self.betas) + 1)]
+            for d in set(self.density) - {0}:
+                other, at = layer.still[d].ravel()[off], np.equal(self.density, d)
+                for beta, b, part in zip(self.betas, base, self.parts):
+                    part[at] = np.sum((beta(other) - b) ** 2 * w)
+                self.parts[-1][at] = self._reduce(self._lp_integrand(other - ref, w))
         values = layer.values
         for beta, sq, part in zip(self.betas, self.sq, self.parts):
             b = beta(values)

@@ -242,9 +242,8 @@ class MovingLayers(NamedTuple):
     values[m] is member m's layer at nodes (flat indices, increasing), one
     row per member; off the nodes it is still[density[m]]. values is the
     stream's own array, rewritten by the next layer. Every layer of a pass
-    shares one nodes array, and a new still list comes only with new still
-    layers (j = 0 and j = 1 of a FamilyStream pass), so a consumer that
-    compares still lists by identity rereads the still part only then.
+    shares one nodes array and one still list: still[d] is density d's
+    layer 0, so a consumer reads the still part once, at j = 0.
     """
 
     values: np.ndarray
@@ -256,19 +255,19 @@ class MovingLayers(NamedTuple):
 class WholeLayers:
     """Feeds consumers that read whole grids from a stream of MovingLayers.
 
-    Member 0's whole layer is kept in one owned buffer: the still layer is
-    copied into it only when the still list is not the last one, and every
-    layer rewrites its moving nodes. Every consumer's
+    Member 0's whole layer is kept in one owned buffer: its still layer,
+    density 0's layer 0, is copied into it at j = 0, and every layer
+    rewrites its moving nodes. Every consumer's
     add_layer(j, t, layer) gets the buffer itself, in list order: the next
     layer rewrites it, so a consumer that keeps a layer copies it.
     """
 
     def __init__(self, consumers: Sequence):
-        self.consumers, self.layer, self._still = consumers, None, None
+        self.consumers, self.layer = consumers, None
 
     def add_layer(self, j: int, t: float, layer: MovingLayers) -> None:
-        if layer.still is not self._still:
-            self._still, still = layer.still, layer.still[layer.density[0]]
+        if j == 0:
+            still = layer.still[layer.density[0]]
             if self.layer is None:
                 self.layer = np.empty_like(still)
             np.copyto(self.layer, still)
@@ -466,9 +465,9 @@ class FamilyStream:
 
     density maps each member to its initial density among the family's
     distinct ones (rho0 objects compared by identity, member 0's first).
-    The still layers, one per distinct density, are its layer 0 at j = 0,
-    and at every later j its interpolation at the nodes themselves, which
-    need not return the nodal value; they change only at j = 0 and j = 1.
+    still[d] is density d's layer 0, one list for the pass, read at j = 0:
+    a node no field moves is a fixed point of the flow, so its exact value
+    in every layer is its nodal value in rho0.
 
     Only nodes strictly inside some support ball are integrated: elsewhere
     v vanishes, every RK4 stage slope is exactly zero, and the foot is the
@@ -533,9 +532,6 @@ class FamilyStream:
             moves[stack.moving] = True
         self.nodes = np.flatnonzero(moves)
         self._initial = [r.layer(0) for r in distinct.values()]
-        X0, Y0 = grid.meshes()
-        self._still = [grid.interpolate(base, X0, Y0) for base in self._initial]
-        del X0, Y0  # the stream keeps only what its layers read
         # one interpolation job per stack and initial density: the rows it
         # reads and, per member it serves, that member's row of the result
         # and where among the nodes its values go
@@ -558,29 +554,22 @@ class FamilyStream:
         self._values = np.empty((len(problems), self.nodes.size))
         self._grid, self._times, self._h_min = grid, times, h_min
 
-    def _fill(self, layers: list[np.ndarray]) -> None:
-        for v, d in zip(self._values, self.density):
-            layers[d].ravel().take(self.nodes, out=v)
-
     def __iter__(self) -> Iterator[tuple[int, float, MovingLayers]]:
-        grid, times, values = self._grid, self._times, self._values
+        grid, times, values, still = self._grid, self._times, self._values, self._initial
         for stack in self._stacks:
             stack.start()
         jobs = [(s, base, *s.job(rows), at, t) for s, base, rows, at, t in self._jobs]
-        self._fill(self._initial)
-        yield 0, 0.0, MovingLayers(values, self.nodes, self.density, self._initial)
+        for v, d in zip(values, self.density):
+            still[d].ravel().take(self.nodes, out=v)
+        yield 0, 0.0, MovingLayers(values, self.nodes, self.density, still)
         for j in range(1, times.nt + 1):
             for stack in self._stacks:
                 stack.advance(j, self._h_min)
-            if j == 1:
-                self._fill(self._still)
             for stack, base, index, work, at, targets in jobs:
                 out = grid.interpolate(base, stack.feet[0][index], stack.feet[1][index], work)
                 for m, row in targets:
                     values[m, at] = out[row]
-            yield j, float(times.times[j]), MovingLayers(
-                values, self.nodes, self.density, self._still
-            )
+            yield j, float(times.times[j]), MovingLayers(values, self.nodes, self.density, still)
 
 
 def drive(stream: Iterable[tuple[int, float, object]], consumers: Sequence) -> None:

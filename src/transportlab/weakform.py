@@ -109,11 +109,11 @@ class ResidualAccumulator:
     support ball, so the bank keeps them only on the distinct nodes of its
     spatial parts, as a dense matrix with part k's two weights in rows 2k
     and 2k + 1. The first layer splits those nodes into the stream's moving
-    nodes and the still ones. Per layer the moving values are taken once,
-    each beta is evaluated once on them and reduced against every part by
-    one matrix-vector product; the still part's sums are retaken only when
-    the still list changes (j = 0 and j = 1 of a FamilyStream pass). A
-    whole layer enters as a view in which every node moves, or none does.
+    nodes and the still ones, and takes the still part's sums: still[d] is
+    density d's layer 0, one list for the pass, read at j = 0. Per layer the
+    moving values are taken once, each beta is evaluated once on them and
+    reduced against every part by one matrix-vector product. A whole layer
+    enters as a view in which every node moves, or none does.
     A pair sums its one-pair accumulator's terms in another order, so the
     two are roundoff-close, not bit-equal. Each distinct time profile is
     evaluated at every time node once, when the bank is built.
@@ -193,9 +193,11 @@ class ResidualAccumulator:
         self.term_advective = np.zeros(shape)
         self._seen = 0
 
-    def _split(self, nodes: np.ndarray) -> None:
-        """Split the bank's nodes into the stream's nodes[_at] and the still
-        _still_nodes, each with its own contiguous weight columns."""
+    def _split(self, layer: MovingLayers) -> None:
+        """Split the bank's nodes into the layer's nodes[_at] and the still
+        _still_nodes, each with its own contiguous weight columns, and take
+        the still part's sums."""
+        nodes = layer.nodes
         at = np.searchsorted(nodes, self._bank)
         inside = at < nodes.size
         moving = np.zeros(self._bank.size, dtype=bool)
@@ -204,7 +206,9 @@ class ResidualAccumulator:
         # compress keeps the rows contiguous, as the products read them
         self._moving_w = self._weights.compress(moving, axis=1)
         self._still_w = self._weights.compress(~moving, axis=1)
-        self._bank = self._weights = self._still = None
+        self._bank = self._weights = None
+        still = self._grid_layer(layer.still[layer.density[0]])
+        self._still_sums = self._pair_sums(still.take(self._still_nodes), self._still_w)
 
     def _pair_sums(self, values: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """Shape (len(betas), len(phis), 2): each beta of the values against
@@ -226,13 +230,9 @@ class ResidualAccumulator:
         if j != self._seen:
             raise WeakformError(f"layers must arrive in order, expected {self._seen}")
         if j == 0:
-            self._split(layer.nodes)
+            self._split(layer)
         elif layer.nodes is not self._nodes:
             raise WeakformError("every layer of a pass must share the first layer's nodes")
-        if layer.still is not self._still:
-            self._still = layer.still
-            still = self._grid_layer(layer.still[layer.density[0]])
-            self._still_sums = self._pair_sums(still.take(self._still_nodes), self._still_w)
         sums = self._pair_sums(layer.values[0].take(self._at), self._moving_w) + self._still_sums
         self.term_time -= self._time_factors[self._profile_index, j] * sums[..., 0]
         self.term_advective += self._advective_factors[self._profile_index, j] * sums[..., 1]
@@ -628,8 +628,8 @@ class IdentityPairing:
             )
         moll = mollify_density(sweep.transforms, self.kernel)
         if j == 0:
-            self.moll0, self._still = moll, [moll]
-        self.acc.add_layer(j, t, MovingLayers(moll.reshape(1, -1), self._every, (0,), self._still))
+            self.moll0 = moll
+        self.acc.add_layer(j, t, MovingLayers(moll.reshape(1, -1), self._every, (0,), [self.moll0]))
         psi = float(self.phi.time_profile.value(t))
         self.rhs += self.acc.tw[j] * psi * integrate(sweep.remainders[0] * self.phi_sp, grid)
 

@@ -154,11 +154,11 @@ class _Scaled:
     """Feeds an accumulator 1.5 times every view of a stream."""
 
     def __init__(self, acc: ResidualAccumulator):
-        self.acc, self.source, self.still = acc, None, None
+        self.acc = acc
 
     def add_layer(self, j: int, t: float, layer: MovingLayers) -> None:
-        if layer.still is not self.source:
-            self.source, self.still = layer.still, [1.5 * s for s in layer.still]
+        if j == 0:
+            self.still = [1.5 * s for s in layer.still]
         self.acc.add_layer(j, t, layer._replace(values=1.5 * layer.values, still=self.still))
 
 

@@ -1,11 +1,11 @@
 """The one layer type: consumers read a solve's MovingLayers.
 
-A solve yields each layer as values on its moving nodes plus still layers
-that change only at j = 0 and j = 1. Whole-grid consumers read it through
-WholeLayers, which keeps one buffer; the residual bank reads the view as it
-is. These tests hold both routes to the per-layer assembled route they
-replaced, check that a changing still layer reaches the bank, and that no
-layer of a streamed pass allocates a grid.
+A solve yields each layer as values on its moving nodes plus one still
+list for the pass: each density's layer 0. Whole-grid consumers read it
+through WholeLayers, which keeps one buffer; the residual bank reads the
+view as it is. These tests hold both routes to the per-layer assembled route
+they replaced, check that every node off the moving ones keeps its layer-0
+value, and that no layer of a streamed pass allocates a grid.
 """
 
 import tracemalloc
@@ -17,14 +17,13 @@ from conftest import assemble, whole_views
 from transportlab import cli
 from transportlab.analysis import NormHistory
 from transportlab.characteristics import (
-    MovingLayers,
     WholeLayers,
     drive,
     iter_solution_layers,
     solve_classical,
 )
-from transportlab.fields import make_test_function, quadratic_decay_profile, vortex_field
-from transportlab.geometry import Grid, TimePartition, shrink, unit_square
+from transportlab.fields import ScalarField, make_test_function, quadratic_decay_profile
+from transportlab.geometry import shrink
 from transportlab.studies import (
     PROBE_CENTER,
     PROBE_RADIUS,
@@ -40,8 +39,7 @@ from transportlab.weakform import IdentityPairing, RemainderSweep, ResidualAccum
 
 # A bank that reads the stream's views sums each pair's terms in another
 # order than one fed whole layers in which every node moves: the gap
-# measured at most 5.9e-16 of the pair's largest term (128^2 and 96^2 x 12,
-# and the synthetic stream below), against 0.15 for a stale still part.
+# measured at most 5.9e-16 of the pair's largest term (128^2 and 96^2 x 12).
 BANK_RTOL = 1e-14
 
 
@@ -85,13 +83,7 @@ def _mollify_consumers(cfg, grid, times, u):
 
 @pytest.mark.parametrize("n", [128, 96])
 def test_whole_grid_consumers_get_the_bits_of_assembled_layers(n, tmp_path):
-    # on 96^2 the linspace nodes are not exact multiples of the cell, so the
-    # still layer the stream brings at j = 1 is not layer 0 and WholeLayers
-    # must rewrite its still entries then
     cfg, grid, times, u, rho0 = _case(n)
-    stills = [moving.still[0] for j, _, moving in iter_solution_layers(rho0, u, times) if j < 2]
-    assert np.array_equal(stills[1], stills[0]) == (n == 128)
-
     routes = {}
     for route in (WholeLayers, _Assembled):
         history, layers = NormHistory(grid, cfg.p_list), _Layers()
@@ -132,66 +124,27 @@ def _assert_banks_close(reports, want):
         assert np.max(np.abs(got - terms)) <= BANK_RTOL * np.max(np.abs(terms)), (rep, ref)
 
 
-def _stream_with_a_new_still_layer(n=32, nt=6):
-    """A synthetic stream on an n^2 grid: random values on a disc of moving
-    nodes, and a still layer that changes by O(1) at j = 1, where a solve's
-    changes by interpolation roundoff at most."""
-    grid = Grid(unit_square(), n, n)
-    times = TimePartition(1.0, nt)
-    X, Y = grid.meshes()
-    nodes = np.flatnonzero(np.hypot(X - 0.5, Y - 0.5) < 0.3)
-    rng = np.random.default_rng(7)
-    first = [np.exp(-((X - 0.4) ** 2 + (Y - 0.6) ** 2) / 0.05)]
-    later = [first[0] + 1.0 + np.sin(3.0 * X)]
-    values = np.empty((1, nodes.size))
-    stream = []
-    for j, t in enumerate(times.times):
-        values[0] = rng.uniform(0.0, 2.0, nodes.size)
-        still = first if j == 0 else later
-        stream.append((j, float(t), MovingLayers(values.copy(), nodes, (0,), still)))
-    return grid, times, stream
-
-
-class _StaleStill(ResidualAccumulator):
-    """An accumulator that keeps the still part of its first layer: the
-    fault the still-refresh guard must catch."""
-
-    def add_layer(self, j, t, layer):
-        super().add_layer(j, t, layer if j == 0 else layer._replace(still=self._still))
-
-
-def _bank_matches_whole_layers(accumulator, grid, times, stream) -> bool:
-    u = vortex_field(grid.domain)
-    phis = _phi_bank(grid.domain, 1.0)
-    betas = [None, *_beta_bank()]
-    bank = accumulator(grid, times.times, u, phis, betas)
-    drive(stream, [bank])
-    whole = ResidualAccumulator(grid, times.times, u, phis, betas)
-    layers = [(j, t, assemble(moving)[0]) for j, t, moving in stream]
-    drive(whole_views(layers), [whole])
-    rho0 = layers[0][2]
-    try:
-        _assert_banks_close(bank.report(rho0), whole.report(rho0))
-    except AssertionError:
-        return False
-    return True
-
-
-def test_bank_rereads_a_still_layer_that_changes():
-    # at the reference grids a stale still part moves the checks only by
-    # roundoff, so the guard feeds a stream whose still layer moves by O(1)
-    grid, times, stream = _stream_with_a_new_still_layer()
-    assert np.max(np.abs(stream[1][2].still[0] - stream[0][2].still[0])) > 0.5
-    assert _bank_matches_whole_layers(ResidualAccumulator, grid, times, stream)
-    assert not _bank_matches_whole_layers(_StaleStill, grid, times, stream)
-
-
-def test_whole_layers_rewrite_their_still_entries_when_the_still_layer_changes():
-    grid, times, stream = _stream_with_a_new_still_layer()
+def test_a_pass_keeps_layer_0_off_its_moving_nodes():
+    # at 96^2 interpolating rho0 at the nodes themselves is off the nodal
+    # values by roundoff; a node no field moves is a fixed point of the flow
+    # and keeps its layer-0 value in every layer, through one still list
+    cfg, grid, times, u, rho0 = _case(96)
+    rho0s = [rho0, ScalarField(grid, rho0.times, 0.5 + rho0.values), rho0]
     fed = _Layers()
-    drive(stream, [WholeLayers([fed])])
-    for (_, _, moving), layer in zip(stream, fed.layers, strict=True):
-        assert np.array_equal(layer, assemble(moving)[0])
+    whole = WholeLayers([fed])
+    for j, t, moving in iter_solution_layers(rho0s, [u, u, u.scaled(1.5)], times):
+        whole.add_layer(j, t, moving)
+        if j == 0:
+            still = moving.still
+            off = np.ones(grid.shape, dtype=bool)
+            off.ravel()[moving.nodes] = False
+        assert moving.still is still
+        assert moving.density == (0, 1, 0)
+        assert all(np.array_equal(still[d], rho0s[d].layer(0)) for d in (0, 1))
+        for r, layer in zip(rho0s, assemble(moving), strict=True):
+            assert np.array_equal(layer[off], r.layer(0)[off])
+    assert 0 < np.count_nonzero(off) < off.size
+    assert all(np.array_equal(layer[off], rho0.layer(0)[off]) for layer in fed.layers)
 
 
 def _conservation_peak(nt: int) -> int:
