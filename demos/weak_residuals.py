@@ -48,7 +48,7 @@ betas = [
 # and evaluates each beta once per layer on those of its nodes
 bank = ResidualAccumulator(grid, times.times, u, phis, betas)
 drive(iter_solution_layers(rho0, u, times), [bank])
-reports = bank.report(rho0.layer(0))
+reports = bank.report()
 
 print(f"{'test function':<36} {'beta':<14} {'residual':>10}")
 for rep in reports:

@@ -97,11 +97,11 @@ def _unrepresentable(p: float, norm: float) -> AnalysisError:
 class NormReport:
     """Per-time-node L^p norms of a solved density against the t=0 value.
 
-    drift is the two-sided relative excursion; growth keeps only the
-    positive side. Backward semi-Lagrangian evaluation averages nodal
-    values, so it can lose extrema to smoothing but never create them:
-    for p = inf the meaningful conservation statistic is growth, while
-    finite p sees both sides of the quadrature wobble.
+    Backward semi-Lagrangian evaluation averages nodal values, so it can
+    lose extrema to smoothing but never create them: for p = inf a node's
+    deviation keeps only the growth above the t=0 value, while finite p
+    sees both sides of the quadrature wobble. statistic, the value a study
+    gates, is the largest deviation.
     """
 
     p: float
@@ -114,22 +114,13 @@ class NormReport:
         return self.reference if self.reference > 0.0 else 1.0
 
     @property
-    def drift(self) -> float:
-        return float(np.max(np.abs(self.values - self.reference)) / self._scale)
-
-    @property
-    def growth(self) -> float:
-        return float(max(np.max(self.values - self.reference) / self._scale, 0.0))
-
-    @property
     def statistic(self) -> float:
-        """The value a study gates: growth for p = inf, two-sided drift otherwise."""
-        return self.growth if np.isinf(self.p) else self.drift
+        return float(np.max(self.deviations))
 
     @property
     def deviations(self) -> np.ndarray:
-        """Per-time-node relative departure from the t=0 value, one-sided
-        for p = inf as statistic is."""
+        """Per-time-node relative departure from the t=0 value: two-sided,
+        or for p = inf only upward."""
         if np.isinf(self.p):
             return np.maximum(self.values - self.reference, 0.0) / self._scale
         return np.abs(self.values - self.reference) / self._scale

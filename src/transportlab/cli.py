@@ -62,9 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
         "config_pos", nargs="?", metavar="CONFIG", help="configuration file"
     )
     common.add_argument(
-        "--config", metavar="PATH", help="configuration file (alternative to the positional)"
-    )
-    common.add_argument(
         "--out", metavar="DIR", help=f"output directory (overrides the config and ${OUTPUT_ROOT_ENV})"
     )
     common.add_argument(
@@ -81,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="transportlab",
         description="Transport-equation studies: solve, verify, and report.",
         epilog=(
-            "every subcommand accepts --config PATH, --out DIR, "
+            "every subcommand accepts CONFIG, --out DIR, "
             "--set SECTION.KEY=VALUE (repeatable), and --quiet; "
             f"${OUTPUT_ROOT_ENV} sets the default output root"
         ),
@@ -93,13 +90,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(ns: argparse.Namespace) -> StudyConfig:
-    if ns.config_pos and ns.config:
-        raise StudiesError(
-            "pass the configuration either positionally or with --config, not both"
-        )
-    path = ns.config_pos or ns.config
     study = [f"study.name={ns.command}"] if ns.command in STUDY_NAMES else []
-    cfg = parse_study_config(path, [*ns.overrides, *study])  # validated as the study it runs
+    # validated as the study it runs
+    cfg = parse_study_config(ns.config_pos, [*ns.overrides, *study])
     if ns.out:
         cfg = replace(cfg, out_dir=ns.out)
     return cfg

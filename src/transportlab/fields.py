@@ -327,9 +327,14 @@ def profile_on_grid(v: VelocityField, grid: Grid) -> tuple[np.ndarray, np.ndarra
     This is the one grid evaluation of a profile: the CFL substeps, the
     stability study's velocity distances and the weak form all read it
     through this cache. u = m(t) v, so every layer of u is this pair times
-    the scalar m(t).
+    the scalar m(t). A profile that is not finite on the grid is refused
+    here, before any reader computes with it.
     """
     vx, vy = v.eval(*grid.meshes())
+    if not (np.isfinite(vx).all() and np.isfinite(vy).all()):
+        # a vortex coefficient 2 A / R^2 that overflows makes inf * 0 at its
+        # centre node
+        raise FieldError("the field's max |v| on the grid is not finite")
     for a in (vx, vy):
         a.flags.writeable = False  # shared by every caller through the cache
     return vx, vy
@@ -406,6 +411,13 @@ class Kernel:
 def make_kernel(eps: float = 0.1) -> Kernel:
     if eps <= 0.0:
         raise FieldError(f"kernel scale must be positive, got {eps}")
+    # the gradient coefficient 2 (Z / eps^2) / eps^2 must be a finite float;
+    # eps^4 as products refuses the same eps as that quotient does
+    if eps * eps * eps * eps < 2.0 * Kernel.normalization / np.finfo(float).max:
+        raise FieldError(
+            f"kernel scale {eps!r} is too small: its gradient coefficient "
+            "2 Z / eps^4 overflows a float (eps below about 1.2427e-77)"
+        )
     return Kernel(float(eps))
 
 

@@ -52,14 +52,6 @@ class Domain:
     def min_side(self) -> float:
         return min(self.width, self.height)
 
-    @property
-    def area(self) -> float:
-        return self.width * self.height
-
-    @property
-    def perimeter(self) -> float:
-        return 2.0 * (self.width + self.height)
-
     def locate(self, x: float, y: float) -> str:
         """Classify a point as 'interior', 'boundary', or 'exterior'."""
         if (

@@ -37,6 +37,7 @@ from .analysis import (
 from .characteristics import MovingLayers, WholeLayers, drive, iter_solution_layers
 from .fields import (
     AdmissibleBeta,
+    FieldError,
     ScalarField,
     TestFunction,
     VelocityField,
@@ -45,6 +46,7 @@ from .fields import (
     beta_truncation,
     cosine_decay_profile,
     gaussian_blob,
+    make_kernel,
     make_test_function,
     quadratic_decay_profile,
     static_field,
@@ -281,6 +283,10 @@ def _validate(cfg: StudyConfig) -> StudyConfig:
     e = cfg.eps_list
     if len(e) < 2 or not e[-1] > 0.0 or not all(b < a for a, b in zip(e, e[1:])):
         fail("sweeps.eps_list", f"need >= 2 strictly decreasing positive entries, got {e}")
+    try:
+        make_kernel(e[-1])  # the smallest eps makes the largest kernel coefficients
+    except FieldError as exc:
+        fail("sweeps.eps_list", str(exc))
     n = cfg.n_list
     if len(n) < 2 or n[0] < 1 or any(b <= a for a, b in zip(n, n[1:])):
         fail("sweeps.n_list", f"need >= 2 strictly increasing positive integers, got {n}")
@@ -758,7 +764,7 @@ def run_renormalization_study(cfg: StudyConfig) -> StudyOutcome:
     frozen = ((j, t, still) for j, t in enumerate(times.times))
     acc = ResidualAccumulator(grid, times.times, u, phis, betas)
     drive(iter_solution_layers(rho0, u, times) if cfg.corruption == "none" else frozen, [acc])
-    reports = acc.report(base)
+    reports = acc.report()
 
     checks = []
     for b, beta in enumerate(betas):
@@ -839,7 +845,3 @@ RUNNERS: dict[str, Callable[[StudyConfig], StudyOutcome]] = {
     "renorm": run_renormalization_study,
     "stability": run_stability_study,
 }
-
-
-def run_study(cfg: StudyConfig) -> StudyOutcome:
-    return RUNNERS[cfg.study](cfg)

@@ -113,7 +113,9 @@ class ResidualAccumulator:
     density d's layer 0, one list for the pass, read at j = 0. Per layer the
     moving values are taken once, each beta is evaluated once on them and
     reduced against every part by one matrix-vector product. A whole layer
-    enters as a view in which every node moves, or none does.
+    enters as a view in which every node moves, or none does. The initial
+    term -int rho0 phi(0) is layer 0's sums against the spatial parts, times
+    psi(0): it is taken at j = 0, so report reads no layer.
     A pair sums its one-pair accumulator's terms in another order, so the
     two are roundoff-close, not bit-equal. Each distinct time profile is
     evaluated at every time node once, when the bank is built.
@@ -147,7 +149,6 @@ class ResidualAccumulator:
                     "test function time profile does not vanish at the final time"
                 )
         self.grid = grid
-        self.u = u
         if self.times.size < 2:
             raise WeakformError("need at least two time layers for a residual")
         self.tw = time_weights(self.times)
@@ -195,20 +196,25 @@ class ResidualAccumulator:
 
     def _split(self, layer: MovingLayers) -> None:
         """Split the bank's nodes into the layer's nodes[_at] and the still
-        _still_nodes, each with its own contiguous weight columns, and take
-        the still part's sums."""
+        ones, the moving part with its own contiguous weight columns, and
+        take the still part's sums from the layer's still list."""
+        still = layer.still[layer.density[0]]
+        if np.shape(still) != self.grid.shape:
+            raise WeakformError(
+                f"layer shape {np.shape(still)} does not match grid {self.grid.shape}"
+            )
         nodes = layer.nodes
         at = np.searchsorted(nodes, self._bank)
         inside = at < nodes.size
         moving = np.zeros(self._bank.size, dtype=bool)
         moving[inside] = nodes[at[inside]] == self._bank[inside]
-        self._nodes, self._at, self._still_nodes = nodes, at[moving], self._bank[~moving]
+        self._nodes, self._at = nodes, at[moving]
         # compress keeps the rows contiguous, as the products read them
         self._moving_w = self._weights.compress(moving, axis=1)
-        self._still_w = self._weights.compress(~moving, axis=1)
+        self._still_sums = self._pair_sums(
+            still.ravel().take(self._bank[~moving]), self._weights.compress(~moving, axis=1)
+        )
         self._bank = self._weights = None
-        still = self._grid_layer(layer.still[layer.density[0]])
-        self._still_sums = self._pair_sums(still.take(self._still_nodes), self._still_w)
 
     def _pair_sums(self, values: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """Shape (len(betas), len(phis), 2): each beta of the values against
@@ -219,13 +225,6 @@ class ResidualAccumulator:
             np.dot(weights, values if beta is None else beta(values), out=row)
         return sums.reshape(len(self.betas), -1, 2)[:, self._spatial_index]
 
-    def _grid_layer(self, layer: np.ndarray) -> np.ndarray:
-        if np.shape(layer) != self.grid.shape:
-            raise WeakformError(
-                f"layer shape {np.shape(layer)} does not match grid {self.grid.shape}"
-            )
-        return layer.ravel()
-
     def add_layer(self, j: int, t: float, layer: MovingLayers) -> None:
         if j != self._seen:
             raise WeakformError(f"layers must arrive in order, expected {self._seen}")
@@ -234,26 +233,23 @@ class ResidualAccumulator:
         elif layer.nodes is not self._nodes:
             raise WeakformError("every layer of a pass must share the first layer's nodes")
         sums = self._pair_sums(layer.values[0].take(self._at), self._moving_w) + self._still_sums
+        if j == 0:
+            self.term_initial = -self._psi0 * sums[..., 0]
         self.term_time -= self._time_factors[self._profile_index, j] * sums[..., 0]
         self.term_advective += self._advective_factors[self._profile_index, j] * sums[..., 1]
         self._seen += 1
 
-    def report(self, rho0_layer: np.ndarray) -> list[ResidualReport]:
+    def report(self) -> list[ResidualReport]:
         if self._seen != self.times.size:
             raise WeakformError(
                 f"saw {self._seen} layers, expected {self.times.size}"
             )
-        flat = self._grid_layer(rho0_layer)
-        moving = self._pair_sums(flat.take(self._nodes[self._at]), self._moving_w)
-        term_initial = -self._psi0 * (moving + self._pair_sums(
-            flat.take(self._still_nodes), self._still_w
-        ))[..., 0]
         reports = []
         for b, beta in enumerate(self.betas):
             reports += [
                 ResidualReport(
                     term_time=float(self.term_time[b, k]),
-                    term_initial=float(term_initial[b, k]),
+                    term_initial=float(self.term_initial[b, k]),
                     term_advective=float(self.term_advective[b, k]),
                     phi=phi.label,
                     beta=beta.label if beta is not None else None,
@@ -606,17 +602,18 @@ class IdentityPairing:
     """The consistency identity at the sweep's largest eps, fed after the
     sweep: each layer is mollified through the sweep's holder and paired
     with its remainder; the mollified layer enters the accumulator as a
-    view in which every node moves. result returns (lhs, rhs), lhs the weak
-    residual of the mollified solution and rhs the space-time pairing of
-    the remainder with phi, each side taken by its own quadrature path. A
-    layer index the sweep has not taken last is refused."""
+    view in which every node moves, its still list the layer itself (read
+    at j = 0 only). result returns (lhs, rhs), lhs the weak residual of the
+    mollified solution and rhs the space-time pairing of the remainder with
+    phi, each side taken by its own quadrature path. A layer index the
+    sweep has not taken last is refused."""
 
     def __init__(self, sweep: RemainderSweep, phi: TestFunction):
         self.sweep, self.phi, self.kernel = sweep, phi, sweep.kernels[0]
         self.acc = ResidualAccumulator(sweep.grid, sweep.times, sweep.u, [phi])
         self.phi_sp = phi.spatial(*sweep.grid.meshes())
         self._every = np.arange(self.phi_sp.size)  # the view's nodes: every node moves
-        self.rhs, self.moll0 = 0.0, None
+        self.rhs = 0.0
 
     def add_layer(self, j: int, t: float, layer: np.ndarray) -> None:
         sweep, grid = self.sweep, self.sweep.grid
@@ -627,12 +624,10 @@ class IdentityPairing:
                 f"the sweep took layer {sweep.j} last, not layer {j}; feed it before the pairing"
             )
         moll = mollify_density(sweep.transforms, self.kernel)
-        if j == 0:
-            self.moll0 = moll
-        self.acc.add_layer(j, t, MovingLayers(moll.reshape(1, -1), self._every, (0,), [self.moll0]))
+        self.acc.add_layer(j, t, MovingLayers(moll.reshape(1, -1), self._every, (0,), [moll]))
         psi = float(self.phi.time_profile.value(t))
         self.rhs += self.acc.tw[j] * psi * integrate(sweep.remainders[0] * self.phi_sp, grid)
 
     def result(self) -> tuple[float, float]:
-        rep = self.acc.report(self.moll0)[0]
+        rep = self.acc.report()[0]
         return rep.term_time + rep.term_initial + rep.term_advective, self.rhs

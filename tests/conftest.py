@@ -107,13 +107,13 @@ def whole_views(stream):
         yield j, t, MovingLayers(np.reshape(layer, (1, -1)), nodes, (0,), still)
 
 
-def stored_residual(rho: ScalarField, rho0: ScalarField, u, phi, beta=None) -> ResidualReport:
+def stored_residual(rho: ScalarField, u, phi, beta=None) -> ResidualReport:
     """The weak-form pairing of a stored field with phi: a one-pair
-    accumulator driven over its layers, paired with rho0's layer 0 (with
-    beta, beta(rho) with beta(rho0))."""
+    accumulator driven over its layers, its initial term from its layer 0
+    (with beta, of beta(rho))."""
     acc = ResidualAccumulator(rho.grid, rho.times, u, [phi], [beta])
     drive(whole_views(stored_layers(rho)), [acc])
-    return acc.report(rho0.layer(0))[0]
+    return acc.report()[0]
 
 
 def consistency_identity(rho: ScalarField, u, eps: float, phi) -> tuple[float, float]:
@@ -130,7 +130,7 @@ def consistency_identity(rho: ScalarField, u, eps: float, phi) -> tuple[float, f
         psi = float(phi.time_profile.value(t))
         rhs += tw[j] * psi * integrate(commutator_remainder(transforms, kernel) * phi_sp, grid)
     moll = ScalarField(grid, rho.times, np.stack(mollified))
-    rep = stored_residual(moll, moll, u, phi)
+    rep = stored_residual(moll, u, phi)
     return rep.term_time + rep.term_initial + rep.term_advective, rhs
 
 
@@ -151,15 +151,14 @@ class _Readings:
 
 
 class _Scaled:
-    """Feeds an accumulator 1.5 times every view of a stream."""
+    """Feeds an accumulator every view of a stream, its moving values 1.5
+    times the solve's after layer 0."""
 
     def __init__(self, acc: ResidualAccumulator):
         self.acc = acc
 
     def add_layer(self, j: int, t: float, layer: MovingLayers) -> None:
-        if j == 0:
-            self.still = [1.5 * s for s in layer.still]
-        self.acc.add_layer(j, t, layer._replace(values=1.5 * layer.values, still=self.still))
+        self.acc.add_layer(j, t, layer if j == 0 else layer._replace(values=1.5 * layer.values))
 
 
 def stream_transport_case(n: int, nt: int, phis, betas, control=None) -> SimpleNamespace:
@@ -184,7 +183,6 @@ def stream_transport_case(n: int, nt: int, phis, betas, control=None) -> SimpleN
     t0 = time.perf_counter()
     drive(iter_solution_layers(rho0, u, times), readers)
     solve_seconds = time.perf_counter() - t0
-    layer0 = rho0.layer(0)
     return SimpleNamespace(
         grid=grid,
         rho0=rho0,
@@ -194,8 +192,8 @@ def stream_transport_case(n: int, nt: int, phis, betas, control=None) -> SimpleN
         l2_norms=np.array(readings.l2_norms),
         last=readings.last,
         betas=tuple(None if beta is None else beta.label for beta in betas),
-        residuals={(r.phi, r.beta): r for r in bank.report(layer0)},
-        scaled_residual=None if scaled is None else scaled.report(layer0)[0],
+        residuals={(r.phi, r.beta): r for r in bank.report()},
+        scaled_residual=None if scaled is None else scaled.report()[0],
         solve_seconds=solve_seconds,
     )
 

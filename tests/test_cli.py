@@ -7,6 +7,7 @@ import json
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -46,13 +47,26 @@ def tiny_cfg(tmp_path):
     return path
 
 
+def _readme_usage() -> str:
+    """The usage line of the README's "Command line" section."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return readme.split("## Command line", 1)[1].split("```", 2)[1].strip()
+
+
 def test_help_enumerates_subcommands_and_flags(capsys):
+    # the flags are the README usage line's, so the docs and the parser
+    # cannot drift apart: --help lists exactly those, besides itself
+    usage = _readme_usage()
+    assert usage.startswith("transportlab <study> [CONFIG]")
+    flags = set(re.findall(r"--[a-z]+", usage))
     assert main(["--help"]) == 0
     text = capsys.readouterr().out
     for command in ("conservation", "mollify", "renorm", "stability", "solve", "validate-config"):
         assert command in text
-    for flag in ("--config", "--out", "--set", "--quiet"):
-        assert flag in text
+        assert main([command, "--help"]) == 0
+        sub = capsys.readouterr().out
+        assert "CONFIG" in sub and set(re.findall(r"--[a-z]+", sub)) == flags | {"--help"}
+    assert set(re.findall(r"--[a-z]+", text)) == flags | {"--help"}
 
 
 def test_module_invocation_reaches_the_parser():
@@ -207,8 +221,12 @@ def test_validate_config_reports_field_errors(tmp_path, capsys):
             "grid.nx",
         ),
         (["mollify.inner_margin=0.05"], "sweeps.eps_list"),
+        # the kernel gradient coefficient 2 Z / eps^4 overflows below about
+        # 1.2427e-77, and eps^2 itself is 0 below about 1e-162
+        (["sweeps.eps_list=0.1, 1.2e-77"], "sweeps.eps_list"),
+        (["sweeps.eps_list=0.1, 1e-300"], "sweeps.eps_list"),
     ],
-    ids=["identity-probe", "no-probe-node", "margin-below-eps"],
+    ids=["identity-probe", "no-probe-node", "margin-below-eps", "kernel-overflow", "kernel-zero"],
 )
 def test_validation_refuses_what_mollify_refuses(command, overrides, field, tmp_path, capsys):
     argv = [command, "--out", str(tmp_path)]
@@ -217,6 +235,10 @@ def test_validation_refuses_what_mollify_refuses(command, overrides, field, tmp_
     assert main(argv) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and field in err[0]
+
+
+def test_smallest_kernel_scale_with_a_finite_coefficient_validates():
+    assert main(["validate-config", "--quiet", "--set", "sweeps.eps_list=0.1, 1.3e-77"]) == 0
 
 
 @pytest.mark.parametrize("command", ["solve", "renorm"])
@@ -435,11 +457,6 @@ def test_bad_override_exits_2(tiny_cfg, capsys):
     assert "grid.bogus" in capsys.readouterr().err
 
 
-def test_positional_and_flag_config_conflict(tiny_cfg, capsys):
-    assert main(["conservation", str(tiny_cfg), "--config", str(tiny_cfg)]) == 2
-    assert "not both" in capsys.readouterr().err
-
-
 def test_quiet_silences_stdout(tiny_cfg, capsys):
     assert main(["conservation", str(tiny_cfg), "--quiet"]) == 0
     assert capsys.readouterr().out == ""
@@ -510,6 +527,14 @@ def test_env_var_sets_default_output_root(tiny_cfg, tmp_path, monkeypatch):
         (["grid.nx=16", "grid.ny=16", "time.nt=2", "time.horizon=1e12"], "substep count"),
         # 2.1e7 RK4 steps per layer: a solve that never ends
         (["grid.nx=16", "grid.ny=16", "time.nt=2", "time.horizon=1e6"], "substep count"),
+        # the vortex coefficient 2 A / R^2 overflows and the centre node's
+        # velocity is inf * 0, refused where the profile meets the grid
+        (["grid.nx=32", "grid.ny=32", "time.nt=4", "velocity.amplitude=1e308"], "max |v|"),
+        (
+            ["grid.nx=32", "grid.ny=32", "time.nt=4", "velocity.radius=1e-150",
+             "velocity.amplitude=1e10"],
+            "max |v|",
+        ),
     ],
 )
 def test_unrunnable_config_exits_2_without_traceback(tmp_path, overrides, field):
@@ -578,11 +603,14 @@ _EDGES = {
     "velocity.modulation": ["linear", "inverse-sqrt"],
     "velocity.center": ["0.3, 0.6", "0, 0.5", "1.2, 0.5", "nan, 0.5"],
     "velocity.radius": ["-0.3", "0", "1e-300", "1e-163", "1e-160", "0.05", "0.45", "0.5"],
-    "velocity.amplitude": ["-0.5", "0", "1e-300", "1e300", "inf"],
+    "velocity.amplitude": ["-0.5", "0", "1e-300", "1e300", "1e308", "inf"],
     "density.center": ["0, 0", "1, 1", "2, 2", "1e160, 0.5"],
     "density.sigma": ["-1", "0", "1e-300", "1e154", "1.35e154", "1e308"],
     "density.amplitude": ["-1", "0", "1e-300", "4.4e102", "6e102", "1e308"],
-    "sweeps.eps_list": ["0.14, 0.1", "0.2, 0.1", "0.3, 0.1", "0.1, 0.1", "0.05, 0.1", "0.1, 0"],
+    "sweeps.eps_list": [
+        "0.14, 0.1", "0.2, 0.1", "0.3, 0.1", "0.1, 0.1", "0.05, 0.1", "0.1, 0",
+        "0.1, 1e-300", "0.1, 1e-100",
+    ],
     "sweeps.n_list": ["1, 2", "4, 2", "0, 1", _n_list(MAX_NODES // 25)],
     "sweeps.p_list": ["1, inf", "2", "0.5", "1, 1", "nan"],
     "mollify.inner_margin": ["0", "0.05", "0.45", "0.5"],

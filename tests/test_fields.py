@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -436,6 +437,28 @@ def test_kernel_validation():
         make_kernel(eps=0.0)
     with pytest.raises(FieldError):
         make_kernel(eps=-0.1)
+    with pytest.raises(FieldError, match="too small"):
+        make_kernel(eps=1e-300)
+
+
+def test_smallest_kernel_scale_has_a_finite_gradient_coefficient():
+    # bisect the smallest eps make_kernel takes: its coefficient 2 Z / eps^4
+    # is finite, and the next float down's overflows
+    def refused(eps):
+        try:
+            make_kernel(eps)
+        except FieldError:
+            return True
+        return False
+
+    lo, hi = 1.2e-77, 1.3e-77
+    assert refused(lo) and not refused(hi)
+    while math.nextafter(lo, hi) != hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if refused(mid) else (lo, mid)
+    assert np.isfinite(make_kernel(hi)._radial.coefficient())
+    z = Kernel.normalization
+    assert 2.0 * (z / lo**2) / lo**2 == math.inf
 
 
 def test_kernel_normalization_constant_frozen():

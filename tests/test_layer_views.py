@@ -114,7 +114,7 @@ def test_whole_grid_consumers_get_the_bits_of_assembled_layers(n, tmp_path):
     banks = [ResidualAccumulator(grid, times.times, u, phis, betas) for _ in range(2)]
     drive(iter_solution_layers(rho0, u, times), [banks[0]])
     drive(whole_views(zip(range(times.nt + 1), times.times, want[1])), [banks[1]])
-    _assert_banks_close(*(bank.report(rho0.layer(0)) for bank in banks))
+    _assert_banks_close(*(bank.report() for bank in banks))
 
 
 def _assert_banks_close(reports, want):

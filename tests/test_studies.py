@@ -23,6 +23,7 @@ from transportlab.geometry import Domain, Grid, shrink
 from transportlab.studies import (
     PROBE_CENTER,
     PROBE_RADIUS,
+    RUNNERS,
     STUDY_NAMES,
     StudiesError,
     StudyOutcome,
@@ -36,7 +37,6 @@ from transportlab.studies import (
     run_mollification_study,
     run_renormalization_study,
     run_stability_study,
-    run_study,
     save_snapshot,
     _probe_box,
     _probe_nodes,
@@ -106,7 +106,7 @@ def test_benchmark_workloads_keep_their_check_names(study, tmp_path):
         CONFIGS / f"{study}.cfg",
         ["grid.nx=32", "grid.ny=32", "time.nt=6", f"output.dir={tmp_path}"],
     )
-    out = run_study(cfg)
+    out = RUNNERS[cfg.study](cfg)
     assert sorted(c.name for c in out.checks) == sorted(reference)
 
 
@@ -353,7 +353,7 @@ def test_renormalization_study_passes(tmp_path):
     ids=STUDY_NAMES,
 )
 def test_renormalization_csv_numbers_are_plain_floats(study, table, labels, tmp_path):
-    run_study(cfg_for(study, tmp_path / "run", "grid.nx=32", "grid.ny=32", "time.nt=20"))
+    RUNNERS[study](cfg_for(study, tmp_path / "run", "grid.nx=32", "grid.ny=32", "time.nt=20"))
     text = (tmp_path / "run" / table).read_text()
     assert "np.float64(" not in text
     rows = list(csv.reader(text.splitlines()))
@@ -464,7 +464,7 @@ def test_linear_weak_form_checks_do_not_depend_on_the_density_unit(study, tmp_pa
             study, tmp_path / str(k), "grid.nx=48", "grid.ny=48", "time.nt=8",
             f"density.amplitude={2.0 ** k!r}",
         )
-        checks = run_study(cfg).checks
+        checks = RUNNERS[cfg.study](cfg).checks
         seen.append([(c.name, c.measured, c.passed) for c in checks if c.name in linear])
     assert len(seen[0]) == (1 if study == "renorm" else 2)
     assert all(s == seen[0] for s in seen)
@@ -499,7 +499,7 @@ def test_shipped_study_steps_one_node_per_radius_class(path, tmp_path, monkeypat
 
     monkeypatch.setattr(characteristics.FlowMapIntegrator, "advance", first)
     with pytest.raises(_FirstAdvance):
-        run_study(cfg)
+        RUNNERS[cfg.study](cfg)
     assert shapes[0][1] == radii
     assert shapes[0] == SHIPPED_STEPS[path.stem]
 
@@ -539,7 +539,7 @@ def test_every_study_runs_without_a_stored_solve(study, overrides, tmp_path, mon
         sets = [arg for item in size for arg in ("--set", item)]
         assert cli.main(["solve", "--quiet", "--out", str(tmp_path / "run"), *sets]) == 0
     else:
-        out = run_study(cfg_for(study, tmp_path / "run", *size, *overrides))
+        out = RUNNERS[study](cfg_for(study, tmp_path / "run", *size, *overrides))
         assert out.study == study and out.checks
     assert len(passes) == 1
 
@@ -564,7 +564,7 @@ def test_every_study_solves_through_one_iter_solution_layers_pass(study, tmp_pat
         sets = [arg for item in size for arg in ("--set", item)]
         assert cli.main(["solve", "--quiet", "--out", str(tmp_path / "run"), *sets]) == 0
     else:
-        assert run_study(cfg_for(study, tmp_path / "run", *size)).checks
+        assert RUNNERS[study](cfg_for(study, tmp_path / "run", *size)).checks
     assert yields == [8 + 1]
 
 
@@ -716,12 +716,12 @@ def test_streamed_norm_history_matches_the_stored_one():
 # ---------------------------------------------------------------------------
 
 
-def test_run_study_dispatches_on_the_config(tmp_path):
+def test_runners_dispatch_on_the_config(tmp_path):
     cfg = cfg_for(
         "stability", tmp_path / "run",
         "grid.nx=48", "grid.ny=48", "time.nt=10", "stability.family=identity",
     )
-    out = run_study(cfg)
+    out = RUNNERS[cfg.study](cfg)
     assert out.study == "stability"
 
 
@@ -763,7 +763,7 @@ def test_outcome_pass_iff_all_checks_pass():
     ],
 )
 def test_summary_verdicts_follow_the_rule(study, overrides, passed, tmp_path):
-    run_study(cfg_for(study, tmp_path / "run", *overrides))
+    RUNNERS[study](cfg_for(study, tmp_path / "run", *overrides))
     summary = json.loads((tmp_path / "run" / "summary.json").read_text())
     assert summary["passed"] is passed
     for check in summary["checks"]:
