@@ -298,9 +298,23 @@ def cell_overlaps(g: np.ndarray, grid: Grid, region: Domain):
     how far each cell's x and y spans overlap the region (zero if apart), so
     that cell (i, j) overlaps it on the area ox[i] * oy[j]."""
     mean = 0.25 * (g[:-1, :-1] + g[1:, :-1] + g[:-1, 1:] + g[1:, 1:])
+    return (mean, *_overlaps(grid, region))
+
+
+def _overlaps(grid: Grid, region: Domain) -> tuple[np.ndarray, np.ndarray]:
     ox = np.minimum(grid.xs[1:], region.x_hi) - np.maximum(grid.xs[:-1], region.x_lo)
     oy = np.minimum(grid.ys[1:], region.y_hi) - np.maximum(grid.ys[:-1], region.y_lo)
-    return mean, np.clip(ox, 0.0, None), np.clip(oy, 0.0, None)
+    return np.clip(ox, 0.0, None), np.clip(oy, 0.0, None)
+
+
+def region_box(grid: Grid, region: Domain) -> tuple[slice, slice]:
+    """The half-open node ranges of the cells the region overlaps: the only
+    nodes integrate(..., region) weights, and a superset of the nodes the
+    region holds. A region that overlaps no cell is refused."""
+    cx, cy = (np.flatnonzero(o > 0.0) for o in _overlaps(grid, region))
+    if not (cx.size and cy.size):
+        raise GeometryError("the region overlaps no grid cell")
+    return slice(int(cx[0]), int(cx[-1]) + 2), slice(int(cy[0]), int(cy[-1]) + 2)
 
 
 @dataclass(frozen=True)

@@ -375,6 +375,16 @@ def _validate(cfg: StudyConfig) -> StudyConfig:
                 f"support margin {margin:.3g} around velocity.center {cfg.v_center} "
                 f"is below one grid cell {cell:.3g}",
             )
+    # the kernel vanishes at distance eps, so below the coarser grid spacing
+    # it reaches no node off its centre on that axis; on a square grid the
+    # remainder is then exactly 0 and the decay checks pass on nothing
+    spacing = max(1.0 / cfg.nx, 1.0 / cfg.ny)
+    if cfg.study == "mollify" and e[-1] <= spacing:
+        fail(
+            "sweeps.eps_list",
+            f"smallest eps {e[-1]:g} must exceed the grid spacing {spacing:g}, "
+            "or its kernel reaches no node off its centre",
+        )
     return cfg
 
 
@@ -661,17 +671,21 @@ def run_conservation_study(cfg: StudyConfig) -> StudyOutcome:
 
 class _StencilProbe:
     """Fed after the sweep: at layer mid, the gap between the sweep's smallest
-    eps remainder and the per-point gather at the probe nodes."""
+    eps remainder and the per-point gather at the probe nodes. Built, the
+    probe widens the sweep's box to its nodes."""
 
     def __init__(self, sweep: RemainderSweep, mid: int, ii: np.ndarray, jj: np.ndarray):
         self.sweep, self.mid, self.ii, self.jj = sweep, mid, ii, jj
+        sweep.widen((slice(ii.min(), ii.max() + 1), slice(jj.min(), jj.max() + 1)))
 
     def add_layer(self, j: int, t: float, layer: np.ndarray) -> None:
         if j == self.mid:
             sweep, ii, jj = self.sweep, self.ii, self.jj
             xs, ys = sweep.grid.xs[ii], sweep.grid.ys[jj]
             probed = commutator_at_points(sweep.grid, layer, sweep.u, sweep.kernels[-1], xs, ys, t)
-            self.gap = float(np.max(np.abs(probed - sweep.remainders[-1][ii, jj])))
+            rows, cols = sweep.box
+            at = sweep.remainders[-1][ii - rows.start, jj - cols.start]
+            self.gap = float(np.max(np.abs(probed - at)))
 
 
 def run_mollification_study(cfg: StudyConfig) -> StudyOutcome:

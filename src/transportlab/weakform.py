@@ -41,7 +41,7 @@ from transportlab.geometry import (
     GeometryError,
     Grid,
     dist_to_boundary,
-    integrate,
+    region_box,
     shrink,
 )
 
@@ -269,11 +269,13 @@ class _WindowSpectra:
     """Real-FFT transforms of the flipped stencils of one kernel on one grid,
     zero-padded to `shape`.
 
-    A padded length L realizes the linear correlation, with no window
-    wrapping around into the opposite edge of the grid, on the crop
-    [K : K + n] whenever L >= n + K. The shape a sweep uses is the fast
-    length of n + 2 K_max for its largest eps, so it serves every kernel up
-    to that eps.
+    A holder's input is its box of b nodes per axis widened on each side,
+    W nodes with the box starting `off` nodes in. A padded length L realizes
+    this kernel's linear correlation, with no window wrapping around into
+    the opposite end of the input, on the crop [K + off : K + off + b]
+    whenever L >= K + max(off + b, W - off): for a whole-grid holder,
+    L >= n + K. The fast length of b + 2 K_max for a sweep's largest eps
+    serves every kernel up to that eps.
 
     Every remainder reads both gradient spectra G1 and G2, so they are taken
     at once. The value spectrum H is read only by mollify_density and is
@@ -284,7 +286,6 @@ class _WindowSpectra:
     kernel: Kernel
     Kx: int
     Ky: int
-    nodes: tuple[int, int]
     shape: tuple[int, int]
     offsets: tuple[np.ndarray, np.ndarray]
     G1: np.ndarray
@@ -329,54 +330,77 @@ def _window_spectra(kernel: Kernel, grid: Grid, shape: tuple[int, int]) -> _Wind
     oy = grid.hy * np.arange(-Ky, Ky + 1)
     OX, OY = np.meshgrid(ox, oy, indexing="ij")
     G1, G2 = (_stencil_spectrum(S, shape) for S in kernel.grad(OX, OY))
-    return _WindowSpectra(kernel, Kx, Ky, grid.shape, shape, (OX, OY), G1, G2)
+    return _WindowSpectra(kernel, Kx, Ky, shape, (OX, OY), G1, G2)
 
 
-def _window_inverse(spec: _WindowSpectra, product: np.ndarray) -> np.ndarray:
-    """out[m] = sum_o stencil[o] F[m + o], F zero-padded outside the grid.
+def _window_inverse(spec: _WindowSpectra, product: np.ndarray, crop: Box) -> np.ndarray:
+    """out[m] = sum_o stencil[o] F[m + o] at the input nodes m of `crop`, F
+    zero-padded outside the input.
 
     `product` is rfft2(F) times a stencil spectrum; correlating with the
-    stencil is convolving with its flip, whose full output is offset by K.
-    This is numpy's irfft2 taken one axis after the other, with the last
-    axis transformed only on the rows that are kept; the kept values are
-    the same bits. The slice is copied so a stored layer does not keep the
-    padded buffer.
+    stencil is convolving with its flip, whose full output is offset by K,
+    so the crop is read K further on. This is numpy's irfft2 taken one
+    axis after the other, with the last axis transformed only on the rows
+    that are kept; the kept values are the same bits. The slice is copied
+    so a stored layer does not keep the padded buffer.
     """
-    n1, n2 = spec.nodes
-    rows = ifft(product, spec.shape[0], axis=0)[spec.Kx : spec.Kx + n1]
-    return irfft(rows, spec.shape[1], axis=1)[:, spec.Ky : spec.Ky + n2].copy()
+    rows, cols = crop
+    kept = ifft(product, spec.shape[0], axis=0)[spec.Kx + rows.start : spec.Kx + rows.stop]
+    return irfft(kept, spec.shape[1], axis=1)[:, spec.Ky + cols.start : spec.Ky + cols.stop].copy()
 
 
 class LayerTransforms:
     """The forward real FFTs of one density layer of the field u at time t,
-    for every kernel up to scale eps.
+    for every kernel up to scale eps, evaluated on a box of nodes.
 
-    Three fields of the layer are transformed: F = rho w, read by the
-    mollified layer and by both gradient correlations of the remainder, and
-    F ux and F uy, read by its rho u correlation. Each is taken on its first
-    read, so a caller pays only for what it reads. The transforms are
-    zero-padded to the fast length of n + 2K per axis, K the half-width of
-    the window at eps. Every kernel whose window fits that shape (n + K
-    nodes per axis) multiplies its own stencil spectra against the same
-    transforms, so a holder at a sweep's largest eps serves every eps of the
-    sweep and the identity pairing: a layer costs three forward transforms,
-    however many kernels read it.
+    `box`, a pair of node slices, is where the kernels are evaluated; None
+    is the whole grid. mollify_density and commutator_remainder return
+    arrays of the box's shape. Their windows read the layer on the box
+    widened by the half-width K of eps on each side and clipped to the
+    grid, so that is the input, `wide`, in which the box is `crop`. Three
+    fields of it are transformed: F = rho w, read by the mollified layer and
+    by both gradient correlations of the remainder, and F ux and F uy, read
+    by its rho u correlation. Each is taken on its first read, so a caller
+    pays only for what it reads. The transforms are zero-padded to the fast
+    length of b + 2K per axis, b the box's length (n + 2K for the whole
+    grid). Every kernel up to eps multiplies its own stencil spectra
+    against the same transforms, so a holder at a sweep's largest eps
+    serves every eps of the sweep and the identity pairing: a layer costs
+    three forward transforms, however many kernels read it.
     """
 
-    def __init__(self, grid: Grid, layer: np.ndarray, u: VelocityField, t: float, eps: float):
-        self.grid, self.layer, self.u, self.t = grid, layer, u, t
-        Kx, Ky = _window_radius(eps, grid)
-        n1, n2 = grid.shape
-        self.shape = _fast_len(n1 + 2 * Kx), _fast_len(n2 + 2 * Ky)
-        self.F = layer * grid.quadrature_weights
+    def __init__(
+        self,
+        grid: Grid,
+        layer: np.ndarray,
+        u: VelocityField,
+        t: float,
+        eps: float,
+        box: Box | None = None,
+    ):
+        self.grid, self.u, self.t = grid, u, t
+        self.K = _window_radius(eps, grid)
+        spans = [s.indices(n)[:2] for s, n in zip(box or (slice(None),) * 2, grid.shape)]
+        self.box = tuple(slice(lo, hi) for lo, hi in spans)
+        self.wide = tuple(
+            slice(max(0, lo - K), min(n, hi + K))
+            for (lo, hi), K, n in zip(spans, self.K, grid.shape)
+        )
+        self.crop = tuple(slice(lo - w.start, hi - w.start) for (lo, hi), w in zip(spans, self.wide))
+        self.shape = tuple(_fast_len(hi - lo + 2 * K) for (lo, hi), K in zip(spans, self.K))
+        self.F = layer[self.wide] * grid.quadrature_weights[self.wide]
 
-    @cached_property
-    def velocity(self) -> tuple[np.ndarray, np.ndarray]:
-        """(ux, uy) at every node: the cached profile v scaled by m(t), so no
+    def _velocity(self, nodes: Box) -> tuple[np.ndarray, np.ndarray]:
+        """(ux, uy) on the nodes: the cached profile v scaled by m(t), so no
         layer evaluates the field."""
         m = self.u.modulation.value(self.t)
         vx, vy = profile_on_grid(self.u.profile, self.grid)
-        return vx * m, vy * m
+        return vx[nodes] * m, vy[nodes] * m
+
+    @cached_property
+    def velocity(self) -> tuple[np.ndarray, np.ndarray]:
+        """(ux, uy) on the box."""
+        return self._velocity(self.box)
 
     @cached_property
     def F_hat(self) -> np.ndarray:
@@ -384,17 +408,22 @@ class LayerTransforms:
 
     @cached_property
     def Fu_hat(self) -> tuple[np.ndarray, np.ndarray]:
-        ux, uy = self.velocity
+        ux, uy = self._velocity(self.wide)
         return rfft2(self.F * ux, s=self.shape), rfft2(self.F * uy, s=self.shape)
 
     def spectra(self, kernel: Kernel) -> _WindowSpectra:
-        """The kernel's stencil spectra at this holder's shape."""
+        """The kernel's stencil spectra at this holder's shape. A window
+        wider than the holder's eps would read past its input, and one
+        whose correlation does not fit the shape would wrap around."""
         Kx, Ky = _window_radius(kernel.eps, self.grid)
-        n1, n2 = self.grid.shape
-        if self.shape[0] < n1 + Kx or self.shape[1] < n2 + Ky:
+        fits = all(
+            k <= K and L >= k + max(c.stop, w.stop - w.start - c.start)
+            for k, K, L, c, w in zip((Kx, Ky), self.K, self.shape, self.crop, self.wide)
+        )
+        if not fits:
             raise WeakformError(
-                f"transform shape {self.shape} is too short for a window of "
-                f"{Kx} x {Ky} nodes on a {n1} x {n2} grid"
+                f"transform shape {self.shape} for windows up to {self.K[0]} x {self.K[1]} "
+                f"nodes is too short for a window of {Kx} x {Ky} nodes"
             )
         return _window_spectra(kernel, self.grid, self.shape)
 
@@ -412,19 +441,18 @@ def mollify_density(transforms: LayerTransforms, kernel: Kernel) -> np.ndarray:
 
     Nodal quadrature of int rho(y) eta_eps(x - y) dy over the grid; exact
     unit kernel mass makes this a local average, so values contract every
-    Lp norm on the shrunk region. The result covers the whole grid so that
-    region-weighted quadrature has all cell corners it needs; only nodes
-    inside shrink(grid.domain, eps) carry that meaning (outside it the
+    Lp norm on the shrunk region. The result covers the holder's box; only
+    nodes inside shrink(grid.domain, eps) carry that meaning (outside it the
     window was truncated at the boundary).
     """
     _inner_region(transforms.grid, kernel.eps)
     spec = transforms.spectra(kernel)
-    return _window_inverse(spec, transforms.F_hat * spec.H)
+    return _window_inverse(spec, transforms.F_hat * spec.H, transforms.crop)
 
 
 def commutator_remainder(transforms: LayerTransforms, kernel: Kernel) -> np.ndarray:
     """Nodal layer of r_eps = int rho(y) (u(x) - u(y)) . grad(eta_eps)(y - x) dy
-    for the holder's density layer, field u and time t.
+    for the holder's density layer, field u and time t, on the holder's box.
 
     Splitting the parenthesis turns the integral into four windowed
     correlations (two gradient components over rho and over rho u), plus a
@@ -443,9 +471,10 @@ def commutator_remainder(transforms: LayerTransforms, kernel: Kernel) -> np.ndar
     ux, uy = transforms.velocity
     F_hat = transforms.F_hat
     Fux_hat, Fuy_hat = transforms.Fu_hat
-    conv_b1 = _window_inverse(spec, F_hat * spec.G1)
-    conv_b2 = _window_inverse(spec, F_hat * spec.G2)
-    conv_u = _window_inverse(spec, Fux_hat * spec.G1 + Fuy_hat * spec.G2)
+    crop = transforms.crop
+    conv_b1 = _window_inverse(spec, F_hat * spec.G1, crop)
+    conv_b2 = _window_inverse(spec, F_hat * spec.G2, crop)
+    conv_u = _window_inverse(spec, Fux_hat * spec.G1 + Fuy_hat * spec.G2, crop)
     return ux * conv_b1 + uy * conv_b2 - conv_u
 
 
@@ -559,11 +588,15 @@ class RemainderSweep:
 
     The inner region must clear the boundary by more than the largest eps,
     so every remainder layer is genuinely a mollification statement there.
-    Every eps reads one LayerTransforms per layer, taken for the largest eps,
-    which serves every smaller eps exactly. The sweep keeps the index of the
-    layer it took last as `j`, that layer's holder as `transforms` and its
-    remainders, largest eps first, as `remainders`, for consumers fed after
-    it.
+    Every eps reads one LayerTransforms per layer, taken for the largest eps
+    on the sweep's `box`, which serves every smaller eps exactly. The box
+    starts as the nodes of the cells the inner region overlaps, the only
+    nodes the norms read; a consumer fed after the sweep that reads other
+    nodes widens it before the first layer. For its norm, each remainder is
+    written into one whole-grid buffer that is zero off the box. The sweep
+    keeps the index of the layer it took last as `j`, that layer's holder
+    as `transforms` and its remainders on the box, largest eps first, as
+    `remainders`, for consumers fed after it.
     """
 
     def __init__(self, grid: Grid, times, u: VelocityField, eps_list, alpha, p, inner: Domain):
@@ -580,16 +613,27 @@ class RemainderSweep:
         self.kernels = [make_kernel(eps=e) for e in self.eps]
         self.times, self.tw = times, time_weights(times)
         self.norms = [0.0] * len(self.eps)
+        self.box: Box = region_box(grid, inner)
+        self._buffer = np.zeros(grid.shape)
         self.j: int | None = None
         self.transforms: LayerTransforms | None = None
         self.remainders: list[np.ndarray] = []
 
+    def widen(self, box: Box) -> None:
+        """Grow the box to cover `box` too; refused once a layer is taken."""
+        if self.j is not None:
+            raise WeakformError("the sweep's box can widen only before its first layer")
+        self.box = tuple(
+            slice(min(a.start, int(b.start)), max(a.stop, int(b.stop))) for a, b in zip(self.box, box)
+        )
+
     def add_layer(self, j: int, t: float, layer: np.ndarray) -> None:
         self.j = j
-        self.transforms = LayerTransforms(self.grid, layer, self.u, t, self.eps[0])
+        self.transforms = LayerTransforms(self.grid, layer, self.u, t, self.eps[0], self.box)
         self.remainders = [commutator_remainder(self.transforms, k) for k in self.kernels]
         for i, rem in enumerate(self.remainders):
-            norm = lp_norm(rem, self.grid, self.gamma, self.inner)
+            self._buffer[self.box] = rem
+            norm = lp_norm(self._buffer, self.grid, self.gamma, self.inner)
             self.norms[i] += float(self.tw[j]) * norm
 
     def curve(self) -> RemainderCurve:
@@ -601,18 +645,24 @@ class RemainderSweep:
 class IdentityPairing:
     """The consistency identity at the sweep's largest eps, fed after the
     sweep: each layer is mollified through the sweep's holder and paired
-    with its remainder; the mollified layer enters the accumulator as a
-    view in which every node moves, its still list the layer itself (read
-    at j = 0 only). result returns (lhs, rhs), lhs the weak residual of the
-    mollified solution and rhs the space-time pairing of the remainder with
-    phi, each side taken by its own quadrature path. A layer index the
-    sweep has not taken last is refused."""
+    with its remainder, both on the sweep's box. Built, the pairing widens
+    that box to its test function's support, which holds every node of its
+    bank. The mollified layer enters the accumulator as a view whose nodes
+    are the box's, so its still list, a zero layer, is never read. result
+    returns (lhs, rhs), lhs the weak residual of the mollified solution and
+    rhs the space-time pairing of the remainder with phi over the box, each
+    side taken by its own quadrature path. A layer index the sweep has not
+    taken last is refused."""
 
     def __init__(self, sweep: RemainderSweep, phi: TestFunction):
         self.sweep, self.phi, self.kernel = sweep, phi, sweep.kernels[0]
-        self.acc = ResidualAccumulator(sweep.grid, sweep.times, sweep.u, [phi])
-        self.phi_sp = phi.spatial(*sweep.grid.meshes())
-        self._every = np.arange(self.phi_sp.size)  # the view's nodes: every node moves
+        grid = sweep.grid
+        self.acc = ResidualAccumulator(grid, sweep.times, sweep.u, [phi])
+        i0, i1, j0, j1 = _window_box(grid, *phi.center, phi.radius)
+        rows, cols = np.divmod(self.acc._bank, grid.shape[1])
+        if not np.all((i0 <= rows) & (rows < i1) & (j0 <= cols) & (cols < j1)):
+            raise WeakformError("the test function's bank leaves its support box")
+        sweep.widen((slice(i0, i1), slice(j0, j1)))
         self.rhs = 0.0
 
     def add_layer(self, j: int, t: float, layer: np.ndarray) -> None:
@@ -623,10 +673,15 @@ class IdentityPairing:
             raise WeakformError(
                 f"the sweep took layer {sweep.j} last, not layer {j}; feed it before the pairing"
             )
+        if j == 0:  # the sweep's box is final once it has taken a layer
+            box = sweep.box
+            self._nodes = np.arange(np.prod(grid.shape)).reshape(grid.shape)[box].ravel()
+            self._still = [np.broadcast_to(0.0, grid.shape)]
+            self._phi_w = self.phi.spatial(*grid.meshes())[box] * grid.quadrature_weights[box]
         moll = mollify_density(sweep.transforms, self.kernel)
-        self.acc.add_layer(j, t, MovingLayers(moll.reshape(1, -1), self._every, (0,), [moll]))
+        self.acc.add_layer(j, t, MovingLayers(moll.reshape(1, -1), self._nodes, (0,), self._still))
         psi = float(self.phi.time_profile.value(t))
-        self.rhs += self.acc.tw[j] * psi * integrate(sweep.remainders[0] * self.phi_sp, grid)
+        self.rhs += self.acc.tw[j] * psi * float(np.sum(sweep.remainders[0] * self._phi_w))
 
     def result(self) -> tuple[float, float]:
         rep = self.acc.report()[0]

@@ -42,7 +42,7 @@ from transportlab.fields import (
     static_field,
     vortex_field,
 )
-from transportlab.geometry import Grid, TimePartition, integrate, trapezoid_weights, unit_square
+from transportlab.geometry import Grid, TimePartition, trapezoid_weights, unit_square
 from transportlab.studies import _beta_bank, _phi_bank
 from transportlab.weakform import (
     LayerTransforms,
@@ -53,6 +53,11 @@ from transportlab.weakform import (
 )
 
 DOM = unit_square()
+
+# the mollify study refuses a smallest eps at or below the grid spacing;
+# grids of 15 or more cells per axis resolve this list, and no other study
+# reads it
+RESOLVED_EPS = "sweeps.eps_list=0.1, 0.07"
 
 
 def pytest_configure(config):
@@ -116,20 +121,24 @@ def stored_residual(rho: ScalarField, u, phi, beta=None) -> ResidualReport:
     return acc.report()[0]
 
 
-def consistency_identity(rho: ScalarField, u, eps: float, phi) -> tuple[float, float]:
+def consistency_identity(rho: ScalarField, u, eps: float, phi, box=None) -> tuple[float, float]:
     """(lhs, rhs) of the consistency identity for a stored field, written out
-    layer by layer: lhs the weak residual of the mollified solution, rhs the
-    trapezoid pairing of the commutator remainder with phi. IdentityPairing
-    takes the same two sums while a RemainderSweep is driven."""
+    layer by layer on a box of nodes (None for the whole grid): lhs the weak
+    residual of the mollified solution, zero off the box, rhs the trapezoid
+    pairing of the commutator remainder with phi over the box. Given a
+    sweep's box, IdentityPairing takes the same two sums while that
+    RemainderSweep is driven."""
     grid, kernel = rho.grid, make_kernel(eps=eps)
-    tw, phi_sp = trapezoid_weights(rho.times), phi.spatial(*grid.meshes())
-    mollified, rhs = [], 0.0
+    box = box or (slice(None), slice(None))
+    tw = trapezoid_weights(rho.times)
+    phi_w = phi.spatial(*grid.meshes())[box] * grid.quadrature_weights[box]
+    mollified, rhs = np.zeros(rho.values.shape), 0.0
     for j, (t, layer) in enumerate(zip(rho.times, rho.values)):
-        transforms = LayerTransforms(grid, layer, u, t, eps)
-        mollified.append(mollify_density(transforms, kernel))
+        transforms = LayerTransforms(grid, layer, u, t, eps, box)
+        mollified[j][box] = mollify_density(transforms, kernel)
         psi = float(phi.time_profile.value(t))
-        rhs += tw[j] * psi * integrate(commutator_remainder(transforms, kernel) * phi_sp, grid)
-    moll = ScalarField(grid, rho.times, np.stack(mollified))
+        rhs += tw[j] * psi * float(np.sum(commutator_remainder(transforms, kernel) * phi_w))
+    moll = ScalarField(grid, rho.times, mollified)
     rep = stored_residual(moll, u, phi)
     return rep.term_time + rep.term_initial + rep.term_advective, rhs
 

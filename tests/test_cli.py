@@ -17,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
+from conftest import RESOLVED_EPS
 import transportlab
 from transportlab.characteristics import solve_classical
 from transportlab.cli import _steady_heap, main
@@ -241,6 +242,34 @@ def test_smallest_kernel_scale_with_a_finite_coefficient_validates():
     assert main(["validate-config", "--quiet", "--set", "sweeps.eps_list=0.1, 1.3e-77"]) == 0
 
 
+MOLLIFY_CFG = str(Path(__file__).parents[1] / "configs" / "mollify.cfg")
+
+
+@pytest.mark.parametrize("command", ["validate-config", "mollify"])
+@pytest.mark.parametrize("eps_list", ["0.1, 0.001", "0.1, 0.0078125"], ids=["below-h", "at-h"])
+def test_mollify_refuses_a_kernel_no_wider_than_the_grid_spacing(
+    command, eps_list, tmp_path, capsys
+):
+    # at or below the spacing 1/128 the kernel reaches no node off its
+    # centre: the smallest remainder read exactly 0, and remainder_decay
+    # passed on a zero numerator
+    argv = [command, MOLLIFY_CFG, "--out", str(tmp_path), "--set", f"sweeps.eps_list={eps_list}"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "sweeps.eps_list" in err[0]
+
+
+def test_only_mollify_refuses_a_kernel_at_the_grid_spacing():
+    # just above the spacing the remainder is not 0 (nor much more); no
+    # other study reads eps, so they keep their coarse grids
+    quiet = ["validate-config", "--quiet"]
+    assert main([*quiet, MOLLIFY_CFG, "--set", "sweeps.eps_list=0.1, 0.0079"]) == 0
+    coarse = ["--set", "grid.nx=32", "--set", "grid.ny=32"]
+    assert main([*quiet, MOLLIFY_CFG, *coarse]) == 2
+    for study in ("conservation", "renorm", "stability"):
+        assert main([*quiet, *coarse, "--set", f"study.name={study}"]) == 0
+
+
 @pytest.mark.parametrize("command", ["solve", "renorm"])
 def test_density_center_out_of_reach_exits_2_naming_the_key(command, tmp_path, capsys):
     # the blob squares each node's offset from its centre: at 1e160 that
@@ -319,7 +348,7 @@ def test_an_lp_norm_that_underflows_exits_2_naming_p(command, override, p, tmp_p
     # a norm reading 0 on data that is not all zero would pass a decay or
     # conservation check on nothing
     argv = [command, "--out", str(tmp_path)]
-    for item in ("grid.nx=32", "grid.ny=32", "time.nt=8", override):
+    for item in ("grid.nx=32", "grid.ny=32", "time.nt=8", RESOLVED_EPS, override):
         argv += ["--set", item]
     assert main(argv) == 2
     err = capsys.readouterr().err.strip().splitlines()
@@ -334,6 +363,7 @@ def test_largest_accepted_amplitude_runs_without_overflow(study, tmp_path, capsy
     # finite measurements and no overflow warning (tier-1 turns a
     # RuntimeWarning into an error), and the next float up exits 2
     base = [study, "--out", str(tmp_path), "--set", "grid.nx=16", "--set", "grid.ny=16"]
+    base += ["--set", RESOLVED_EPS]
     limit = 2.0**341
     for amplitude in (limit, -limit):
         assert main([*base, "--set", f"density.amplitude={amplitude!r}"]) in (0, 1)
@@ -539,7 +569,7 @@ def test_env_var_sets_default_output_root(tiny_cfg, tmp_path, monkeypatch):
 )
 def test_unrunnable_config_exits_2_without_traceback(tmp_path, overrides, field):
     args = [sys.executable, "-m", "transportlab", "mollify", "--out", str(tmp_path)]
-    for item in overrides:
+    for item in (RESOLVED_EPS, *overrides):
         args += ["--set", item]
     proc = subprocess.run(args, capture_output=True, text=True)
     assert proc.returncode == 2
@@ -609,7 +639,7 @@ _EDGES = {
     "density.amplitude": ["-1", "0", "1e-300", "4.4e102", "6e102", "1e308"],
     "sweeps.eps_list": [
         "0.14, 0.1", "0.2, 0.1", "0.3, 0.1", "0.1, 0.1", "0.05, 0.1", "0.1, 0",
-        "0.1, 1e-300", "0.1, 1e-100",
+        "0.1, 1e-300", "0.1, 1e-100", "0.1, 0.001",
     ],
     "sweeps.n_list": ["1, 2", "4, 2", "0, 1", _n_list(MAX_NODES // 25)],
     "sweeps.p_list": ["1, inf", "2", "0.5", "1, 1", "nan"],

@@ -11,8 +11,8 @@ import pytest
 
 import numpy as np
 
-from conftest import consistency_identity, moving_nodes_and_radii, stored_layers
-from transportlab import characteristics, cli, weakform
+from conftest import RESOLVED_EPS, consistency_identity, moving_nodes_and_radii, stored_layers
+from transportlab import characteristics, cli, studies, weakform
 from transportlab.analysis import NormHistory
 from transportlab.fields import (
     ScalarField,
@@ -38,11 +38,12 @@ from transportlab.studies import (
     run_renormalization_study,
     run_stability_study,
     save_snapshot,
+    _StencilProbe,
     _probe_box,
     _probe_nodes,
     _ratio,
 )
-from transportlab.weakform import RemainderSweep
+from transportlab.weakform import IdentityPairing, RemainderSweep
 
 
 CONFIGS = Path(__file__).parents[1] / "configs"
@@ -104,7 +105,7 @@ def test_benchmark_workloads_keep_their_check_names(study, tmp_path):
     reference = json.loads(BENCH_REFERENCE.read_text())["workloads"][study]["checks"]
     cfg = parse_study_config(
         CONFIGS / f"{study}.cfg",
-        ["grid.nx=32", "grid.ny=32", "time.nt=6", f"output.dir={tmp_path}"],
+        ["grid.nx=32", "grid.ny=32", "time.nt=6", RESOLVED_EPS, f"output.dir={tmp_path}"],
     )
     out = RUNNERS[cfg.study](cfg)
     assert sorted(c.name for c in out.checks) == sorted(reference)
@@ -353,7 +354,8 @@ def test_renormalization_study_passes(tmp_path):
     ids=STUDY_NAMES,
 )
 def test_renormalization_csv_numbers_are_plain_floats(study, table, labels, tmp_path):
-    RUNNERS[study](cfg_for(study, tmp_path / "run", "grid.nx=32", "grid.ny=32", "time.nt=20"))
+    size = ("grid.nx=32", "grid.ny=32", "time.nt=20", RESOLVED_EPS)
+    RUNNERS[study](cfg_for(study, tmp_path / "run", *size))
     text = (tmp_path / "run" / table).read_text()
     assert "np.float64(" not in text
     rows = list(csv.reader(text.splitlines()))
@@ -534,7 +536,7 @@ def test_every_study_runs_without_a_stored_solve(study, overrides, tmp_path, mon
     passes, drive = [], characteristics.drive
     replace_everywhere(monkeypatch, characteristics.solve_classical, refuse)
     replace_everywhere(monkeypatch, drive, counted)
-    size = ("grid.nx=32", "grid.ny=32", "time.nt=8")
+    size = ("grid.nx=32", "grid.ny=32", "time.nt=8", RESOLVED_EPS)
     if study == "solve":
         sets = [arg for item in size for arg in ("--set", item)]
         assert cli.main(["solve", "--quiet", "--out", str(tmp_path / "run"), *sets]) == 0
@@ -559,7 +561,7 @@ def test_every_study_solves_through_one_iter_solution_layers_pass(study, tmp_pat
             yield item
 
     replace_everywhere(monkeypatch, original, counted)
-    size = ("grid.nx=32", "grid.ny=32", "time.nt=8")
+    size = ("grid.nx=32", "grid.ny=32", "time.nt=8", RESOLVED_EPS)
     if study == "solve":
         sets = [arg for item in size for arg in ("--set", item)]
         assert cli.main(["solve", "--quiet", "--out", str(tmp_path / "run"), *sets]) == 0
@@ -602,23 +604,54 @@ def test_mollification_computes_each_remainder_once(tmp_path, monkeypatch):
     assert len(calls) == len(cfg.eps_list) * (cfg.nt + 1)
 
 
+def _recorded_sweeps(monkeypatch) -> list:
+    """Every RemainderSweep the studies build from now on."""
+    sweeps = []
+
+    class Recorded(RemainderSweep):
+        def __init__(self, *args):
+            super().__init__(*args)
+            sweeps.append(self)
+
+    monkeypatch.setattr(studies, "RemainderSweep", Recorded)
+    return sweeps
+
+
 def test_mollification_transforms_each_layer_once(tmp_path, monkeypatch):
-    # F = rho w, F ux and F uy: three forward transforms per layer serve
-    # every eps of the sweep and the identity pairing. The stencil spectra
-    # are cached and smaller than a layer, so they are not counted.
+    # F = rho w, F ux and F uy on the holder's input, the sweep's box
+    # widened by the window of its largest eps: three forward transforms
+    # per layer serve every eps of the sweep and the identity pairing. The
+    # stencil spectra are cached and smaller than that input, so they are
+    # not counted.
     cfg = cfg_for("mollify", tmp_path / "run", "grid.nx=48", "grid.ny=48", "time.nt=6")
-    layer_shape = (cfg.nx + 1, cfg.ny + 1)
-    calls = []
+    sweeps, shapes = _recorded_sweeps(monkeypatch), []
     original = weakform.rfft2
 
     def counted(a, *args, **kwargs):
-        if np.shape(a) == layer_shape:
-            calls.append(1)
+        shapes.append(np.shape(a))
         return original(a, *args, **kwargs)
 
     monkeypatch.setattr(weakform, "rfft2", counted)
     run_mollification_study(cfg)
-    assert len(calls) == 3 * (cfg.nt + 1)
+    (sweep,) = sweeps
+    wide = sweep.transforms.F.shape
+    assert wide[0] < cfg.nx + 1 and wide[1] < cfg.ny + 1
+    assert shapes.count(wide) == 3 * (cfg.nt + 1)
+
+
+def test_reference_mollify_sweep_transforms_only_its_box(tmp_path, monkeypatch):
+    # at configs/mollify.cfg the norms read the 91 x 91 nodes of the cells
+    # [0.15, 0.85]^2 overlaps, which hold the pairing's support and the
+    # probe nodes; widened by the 12-node window of eps = 0.1 on each side,
+    # 115 nodes per axis pad to 120, where the whole grid padded to 160
+    sweeps = _recorded_sweeps(monkeypatch)
+    cfg = parse_study_config(CONFIGS / "mollify.cfg", [f"output.dir={tmp_path}"])
+    run_mollification_study(cfg)
+    (sweep,) = sweeps
+    assert sweep.box == (slice(19, 110), slice(19, 110))
+    assert sweep.transforms.F.shape == (115, 115)
+    assert sweep.transforms.shape == (120, 120)
+    assert [rem.shape for rem in sweep.remainders] == [(91, 91)] * 3
 
 
 def test_mollification_builds_one_mollifier_spectrum(tmp_path, monkeypatch):
@@ -678,6 +711,13 @@ def test_mollification_stream_matches_the_stored_routes(overrides, tmp_path):
     else:
         alpha, p = float("inf"), 1.0
     sweep = RemainderSweep(grid, sol.times, u, cfg.eps_list, alpha, p, inner)
+    phi = make_test_function(
+        PROBE_CENTER, PROBE_RADIUS, quadratic_decay_profile(cfg.horizon), grid.domain
+    )
+    # the study's pairing and probe widen its sweep's box when they are
+    # built; the stored routes read through the same box
+    IdentityPairing(sweep, phi)
+    _StencilProbe(sweep, (cfg.nt + 1) // 2, *_probe_nodes(grid, inner, cfg.seed))
     characteristics.drive(stored_layers(sol), [sweep])
     curve = sweep.curve()
     assert by_name["weakform.remainder_decay"].measured == curve.norms[-1] / curve.norms[0]
@@ -687,10 +727,7 @@ def test_mollification_stream_matches_the_stored_routes(overrides, tmp_path):
             for e, n in zip(curve.eps, curve.norms)
         ]
 
-    phi = make_test_function(
-        PROBE_CENTER, PROBE_RADIUS, quadratic_decay_profile(cfg.horizon), grid.domain
-    )
-    lhs, rhs = consistency_identity(sol, u, cfg.eps_list[0], phi)
+    lhs, rhs = consistency_identity(sol, u, cfg.eps_list[0], phi, sweep.box)
     assert by_name["weakform.consistency_identity"].measured == abs(lhs - rhs)
 
 
