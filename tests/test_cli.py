@@ -621,7 +621,9 @@ def test_inverse_sqrt_modulation_runs_without_traceback(tiny_cfg, tmp_path):
 # run's memory and time grow with nt, so only the refused side of the
 # MAX_NT bound is drawn, and so it is of the MAX_NODES bounds: the long
 # n_list edge and the reference exceed MAX_NODES nodes on the coarsest grid
-# drawn that has probe nodes, nx = ny = 4.
+# drawn that has probe nodes, nx = ny = 4. The base eps list lies between
+# the coarsest base spacing, 1/8, and the default mollify.inner_margin, 0.15,
+# so mollify runs on every base grid unless an edge is drawn.
 _BASE = {"grid.nx": ["8", "17", "32"], "grid.ny": ["8", "17", "32"], "time.nt": ["1", "2", "8"]}
 _EDGES = {
     "grid.nx": ["-1", "0", "1", "4", "1000000000"],
@@ -657,6 +659,7 @@ _EDGES = {
 def _edge_configs(draw):
     values = {key: draw(st.sampled_from(v)) for key, v in _BASE.items()}
     values["sweeps.n_list"] = "2, 4"
+    values["sweeps.eps_list"] = "0.14, 0.13"
     for key in draw(st.lists(st.sampled_from(sorted(_EDGES)), max_size=3, unique=True)):
         values[key] = draw(st.sampled_from(_EDGES[key]))
     return values
