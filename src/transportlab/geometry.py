@@ -307,7 +307,10 @@ def _overlaps(grid: Grid, region: Domain) -> tuple[np.ndarray, np.ndarray]:
     return np.clip(ox, 0.0, None), np.clip(oy, 0.0, None)
 
 
-def region_box(grid: Grid, region: Domain) -> tuple[slice, slice]:
+Box = tuple[slice, slice]
+
+
+def region_box(grid: Grid, region: Domain) -> Box:
     """The half-open node ranges of the cells the region overlaps: the only
     nodes integrate(..., region) weights, and a superset of the nodes the
     region holds. A region that overlaps no cell is refused."""
@@ -315,6 +318,19 @@ def region_box(grid: Grid, region: Domain) -> tuple[slice, slice]:
     if not (cx.size and cy.size):
         raise GeometryError("the region overlaps no grid cell")
     return slice(int(cx[0]), int(cx[-1]) + 2), slice(int(cy[0]), int(cy[-1]) + 2)
+
+
+def window_box(grid: Grid, x0: float, y0: float, r: float) -> Box:
+    """The half-open node ranges of the closed window [x0 - r, x0 + r] x
+    [y0 - r, y0 + r], clipped to the grid. On an axis where the window holds
+    no node the range is empty (its stop raised to its start: a negative
+    stop would count from the far end)."""
+    d = grid.domain
+    i0 = max(0, int(np.ceil((x0 - r - d.x_lo) / grid.hx - 1e-12)))
+    i1 = min(grid.nx, int(np.floor((x0 + r - d.x_lo) / grid.hx + 1e-12)))
+    j0 = max(0, int(np.ceil((y0 - r - d.y_lo) / grid.hy - 1e-12)))
+    j1 = min(grid.ny, int(np.floor((y0 + r - d.y_lo) / grid.hy + 1e-12)))
+    return slice(i0, max(i0, i1 + 1)), slice(j0, max(j0, j1 + 1))
 
 
 @dataclass(frozen=True)

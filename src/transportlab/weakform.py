@@ -37,12 +37,14 @@ from transportlab.fields import (
     time_weights,
 )
 from transportlab.geometry import (
+    Box,
     Domain,
     GeometryError,
     Grid,
     dist_to_boundary,
     region_box,
     shrink,
+    window_box,
 )
 
 
@@ -68,25 +70,6 @@ class ResidualReport:
     @property
     def residual(self) -> float:
         return abs(self.term_time + self.term_initial + self.term_advective)
-
-
-Box = tuple[slice, slice]
-
-
-def _union_box(boxes: Sequence[tuple[int, int, int, int]]) -> tuple[Box, list[Box]]:
-    """The union box of `boxes` on the grid, and each box relative to it."""
-    full = [b for b in boxes if b[0] < b[1]]
-    i0 = min((b[0] for b in full), default=0)
-    i1 = max((b[1] for b in full), default=0)
-    j0 = min((b[2] for b in full), default=0)
-    j1 = max((b[3] for b in full), default=0)
-    relative = [
-        (slice(b[0] - i0, b[1] - i0), slice(b[2] - j0, b[3] - j0))
-        if b[0] < b[1]
-        else (slice(0, 0), slice(0, 0))
-        for b in boxes
-    ]
-    return (slice(i0, i1), slice(j0, j1)), relative
 
 
 def _distinct(keys) -> tuple[list[int], np.ndarray]:
@@ -478,37 +461,18 @@ def commutator_remainder(transforms: LayerTransforms, kernel: Kernel) -> np.ndar
     return ux * conv_b1 + uy * conv_b2 - conv_u
 
 
-def _window_box(grid: Grid, x0: float, y0: float, eps: float) -> tuple[int, int, int, int]:
-    """(i0, i1, j0, j1): the half-open box of the nodes in the kernel window
-    around (x0, y0)."""
-    i0 = max(0, int(np.ceil((x0 - eps - grid.domain.x_lo) / grid.hx - 1e-12)))
-    i1 = min(grid.nx, int(np.floor((x0 + eps - grid.domain.x_lo) / grid.hx + 1e-12)))
-    j0 = max(0, int(np.ceil((y0 - eps - grid.domain.y_lo) / grid.hy - 1e-12)))
-    j1 = min(grid.ny, int(np.floor((y0 + eps - grid.domain.y_lo) / grid.hy + 1e-12)))
-    return i0, i1 + 1, j0, j1 + 1
-
-
-def _probe_boxes(grid: Grid, kernel: Kernel, xs, ys):
-    """The probe points, the union box of their kernel windows, and each
-    window relative to that box."""
-    xs, ys = np.asarray(xs, dtype=float).reshape(-1), np.asarray(ys, dtype=float).reshape(-1)
-    points = list(zip(xs, ys))
-    union, windows = _union_box([_window_box(grid, x0, y0, kernel.eps) for x0, y0 in points])
-    return points, union, windows
-
-
 def mollify_at_points(grid: Grid, layer: np.ndarray, kernel: Kernel, xs, ys) -> np.ndarray:
     """rho_eps at arbitrary interior points (same quadrature as the layer).
 
-    The layer is read only on the union box of the points' windows."""
-    points, union, windows = _probe_boxes(grid, kernel, xs, ys)
-    F = layer[union] * grid.quadrature_weights[union]
-    X, Y = grid.xs[union[0], None], grid.ys[None, union[1]]
-    out = np.empty(np.asarray(xs, dtype=float).shape)
+    Each point reads the layer only on its own kernel window."""
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    out = np.empty(xs.shape)
     flat = out.reshape(-1)
-    for idx, ((x0, y0), (wi, wj)) in enumerate(zip(points, windows)):
-        H = kernel.value(x0 - X[wi], y0 - Y[:, wj])
-        flat[idx] = np.sum(H * F[wi, wj])
+    for idx, (x0, y0) in enumerate(zip(xs.reshape(-1), ys.reshape(-1))):
+        win = window_box(grid, x0, y0, kernel.eps)
+        F = layer[win] * grid.quadrature_weights[win]
+        H = kernel.value(x0 - grid.xs[win[0], None], y0 - grid.ys[None, win[1]])
+        flat[idx] = np.sum(H * F)
     return out
 
 
@@ -517,20 +481,19 @@ def commutator_at_points(
 ) -> np.ndarray:
     """r_eps at arbitrary interior points (same quadrature as the layer).
 
-    The layer is read, and u evaluated, only on the union box of the
-    points' windows."""
-    points, union, windows = _probe_boxes(grid, kernel, xs, ys)
-    F = layer[union] * grid.quadrature_weights[union]
-    X, Y = grid.xs[union[0], None], grid.ys[None, union[1]]
-    u1, u2 = u.eval(X, Y, t)
-    out = np.empty(np.asarray(xs, dtype=float).shape)
+    Each point reads the layer, and evaluates u, only on its own kernel
+    window."""
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    out = np.empty(xs.shape)
     flat = out.reshape(-1)
-    for idx, ((x0, y0), (wi, wj)) in enumerate(zip(points, windows)):
-        G1, G2 = kernel.grad(X[wi] - x0, Y[:, wj] - y0)
+    for idx, (x0, y0) in enumerate(zip(xs.reshape(-1), ys.reshape(-1))):
+        win = window_box(grid, x0, y0, kernel.eps)
+        F = layer[win] * grid.quadrature_weights[win]
+        X, Y = grid.xs[win[0], None], grid.ys[None, win[1]]
+        u1, u2 = u.eval(X, Y, t)
+        G1, G2 = kernel.grad(X - x0, Y - y0)
         ux0, uy0 = u.eval(x0, y0, t)
-        flat[idx] = np.sum(
-            F[wi, wj] * ((ux0 - u1[wi, wj]) * G1 + (uy0 - u2[wi, wj]) * G2)
-        )
+        flat[idx] = np.sum(F * ((ux0 - u1) * G1 + (uy0 - u2) * G2))
     return out
 
 
@@ -656,13 +619,8 @@ class IdentityPairing:
 
     def __init__(self, sweep: RemainderSweep, phi: TestFunction):
         self.sweep, self.phi, self.kernel = sweep, phi, sweep.kernels[0]
-        grid = sweep.grid
-        self.acc = ResidualAccumulator(grid, sweep.times, sweep.u, [phi])
-        i0, i1, j0, j1 = _window_box(grid, *phi.center, phi.radius)
-        rows, cols = np.divmod(self.acc._bank, grid.shape[1])
-        if not np.all((i0 <= rows) & (rows < i1) & (j0 <= cols) & (cols < j1)):
-            raise WeakformError("the test function's bank leaves its support box")
-        sweep.widen((slice(i0, i1), slice(j0, j1)))
+        self.acc = ResidualAccumulator(sweep.grid, sweep.times, sweep.u, [phi])
+        sweep.widen(window_box(sweep.grid, *phi.center, phi.radius))
         self.rhs = 0.0
 
     def add_layer(self, j: int, t: float, layer: np.ndarray) -> None:

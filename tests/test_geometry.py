@@ -11,6 +11,7 @@ from transportlab.geometry import (
     shrink,
     trapezoid_weights,
     unit_square,
+    window_box,
 )
 
 
@@ -263,6 +264,71 @@ def test_interpolate_matches_clip_and_shift_bits():
         one = g.interpolate(vals, x0, y0)
         assert np.shape(one) == ()
         assert one == clip_and_shift_interpolate(g, vals, np.asarray(x0), np.asarray(y0))
+
+
+# hx = 0.1 and hy = 0.075 on a 2 x 1.2 rectangle off the origin
+WINDOW_GRID = Grid(Domain(-0.3, 0.2, 1.7, 1.4), 20, 16)
+_xs, _ys, _hx, _hy = WINDOW_GRID.xs, WINDOW_GRID.ys, WINDOW_GRID.hx, WINDOW_GRID.hy
+WINDOWS = {
+    "interior": (0.61, 0.77, 0.23),
+    # node-centred windows whose edges fall on nodes up to roundoff, on
+    # either side of them, at each of the four edges
+    "node-centred, r = 3 hx": (_xs[6], _ys[7], 3 * _hx),
+    "node-centred, r = 2 hx": (_xs[10], _ys[5], 2 * _hx),
+    "node-centred, r = 2 hy": (_xs[12], _ys[12], 2 * _hy),
+    "node-centred, r = 4 hy": (_xs[9], _ys[13], 4 * _hy),
+    "left edge": (-0.25, 0.8, 0.2),
+    "right edge": (1.65, 0.8, 0.2),
+    "bottom edge": (0.7, 0.25, 0.2),
+    "top edge": (0.7, 1.35, 0.2),
+    "corner": (1.68, 0.22, 0.3),
+    "node-centred corner, r = 2 hx": (_xs[0], _ys[-1], 2 * _hx),
+    "outside the grid": (-1.0, -1.0, 0.2),
+}
+
+
+def brute_window(grid, x0, y0, r):
+    """The nodes within r of (x0, y0) on each axis, as a mask; the slack is
+    far below any node's distance from a window edge it does not lie on."""
+    tol = 1e-9 * min(grid.hx, grid.hy)
+    return np.outer(np.abs(grid.xs - x0) <= r + tol, np.abs(grid.ys - y0) <= r + tol)
+
+
+@pytest.mark.parametrize("x0, y0, r", WINDOWS.values(), ids=WINDOWS.keys())
+def test_window_box_holds_the_nodes_of_the_closed_window(x0, y0, r):
+    grid, d = WINDOW_GRID, WINDOW_GRID.domain
+    box = window_box(grid, x0, y0, r)
+    for s, n in zip(box, grid.shape):
+        assert s.step is None and 0 <= s.start <= s.stop <= n
+    got = np.zeros(grid.shape, dtype=bool)
+    got[box] = True
+    np.testing.assert_array_equal(got, brute_window(grid, x0, y0, r))
+    # a window past an edge keeps the nodes up to that edge
+    rows, cols = box
+    if got.any():
+        assert (rows.start == 0) == (x0 - r <= d.x_lo)
+        assert (rows.stop == grid.nx + 1) == (x0 + r >= d.x_hi)
+        assert (cols.start == 0) == (y0 - r <= d.y_lo)
+        assert (cols.stop == grid.ny + 1) == (y0 + r >= d.y_hi)
+
+
+def test_window_box_cases_clip_at_every_edge():
+    boxes = [window_box(WINDOW_GRID, *w) for w in WINDOWS.values()]
+    nx, ny = WINDOW_GRID.nx, WINDOW_GRID.ny
+    assert any(rows.start == 0 and rows.stop > 0 for rows, _ in boxes)
+    assert any(rows.stop == nx + 1 for rows, _ in boxes)
+    assert any(cols.start == 0 and cols.stop > 0 for _, cols in boxes)
+    assert any(cols.stop == ny + 1 for _, cols in boxes)
+    assert any(r.stop == nx + 1 and c.start == 0 for r, c in boxes)
+
+
+def test_window_box_between_nodes_below_half_a_cell_is_empty():
+    grid = WINDOW_GRID
+    x0, y0 = 0.5 * (grid.xs[3] + grid.xs[4]), 0.5 * (grid.ys[2] + grid.ys[3])
+    r = 0.4 * min(grid.hx, grid.hy)
+    rows, cols = window_box(grid, x0, y0, r)
+    assert not brute_window(grid, x0, y0, r).any()
+    assert rows.start == rows.stop and cols.start == cols.stop
 
 
 def test_time_partition_nodes():

@@ -33,8 +33,9 @@ from transportlab.geometry import (
     shrink,
     trapezoid_weights,
     unit_square,
+    window_box,
 )
-from transportlab.studies import _phi_bank
+from transportlab.studies import PROBE_CENTER, PROBE_RADIUS, _phi_bank
 from transportlab.weakform import (
     IdentityPairing,
     LayerTransforms,
@@ -508,6 +509,83 @@ def test_commutator_at_points_matches_layer_nodes():
     j = [26, 32, 49]
     pts = commutator_at_points(grid, rho.layer(0), u, kern, grid.xs[i], grid.ys[j])
     assert np.max(np.abs(pts - layer[i, j])) < 1e-14
+
+
+def _direct_point_sums(grid, layer, u, kern, x0, y0, t):
+    """rho_eps and r_eps at (x0, y0) by a double loop over every node within
+    eps of it on each axis."""
+    w = grid.quadrature_weights
+    moll = comm = 0.0
+    ux0, uy0 = u.eval(x0, y0, t)
+    for i, x in enumerate(grid.xs):
+        for j, y in enumerate(grid.ys):
+            if abs(x - x0) <= kern.eps and abs(y - y0) <= kern.eps:
+                F = layer[i, j] * w[i, j]
+                moll += float(kern.value(x0 - x, y0 - y)) * F
+                g1, g2 = (float(g) for g in kern.grad(x - x0, y - y0))
+                ux, uy = u.eval(x, y, t)
+                comm += F * ((ux0 - ux) * g1 + (uy0 - uy) * g2)
+    return moll, comm
+
+
+# (x0, y0) on a 40 x 30 grid of the unit square, eps = 0.2: windows clipped
+# at the left edge, at the top edge and at the (x_hi, y_lo) corner
+CLIPPED_POINTS = [(0.04, 0.52), (0.47, 0.95), (0.9, 0.12)]
+
+
+@pytest.mark.parametrize("x0, y0", CLIPPED_POINTS)
+def test_point_gathers_at_a_clipped_window_match_a_direct_loop(x0, y0):
+    grid = Grid(DOM, 40, 30)
+    layer = static_field(grid, gaussian_blob()).layer(0) + 0.25
+    # a vortex reaching into every clipped window, so no remainder is zero
+    u = vortex_field(DOM, radius=0.45, modulation="linear")
+    kern, t = make_kernel(eps=0.2), 0.3
+    rows, cols = window_box(grid, x0, y0, kern.eps)
+    assert rows.start == 0 or cols.start == 0 or rows.stop == 41 or cols.stop == 31
+    moll, comm = _direct_point_sums(grid, layer, u, kern, x0, y0, t)
+    assert moll != 0.0 and comm != 0.0
+    assert mollify_at_points(grid, layer, kern, x0, y0) == pytest.approx(moll, rel=1e-13)
+    got = commutator_at_points(grid, layer, u, kern, x0, y0, t)
+    assert got == pytest.approx(comm, rel=1e-12)
+
+
+def test_point_gathers_of_an_empty_window_are_zero():
+    # eps below half a cell, centred between nodes: no node in the window
+    grid = Grid(DOM, 8, 8)
+    layer, kern = np.ones(grid.shape), make_kernel(eps=0.05)
+    x0, y0 = 4.5 / 8, 3.5 / 8
+    assert np.ones(grid.shape)[window_box(grid, x0, y0, kern.eps)].size == 0
+    assert mollify_at_points(grid, layer, kern, x0, y0) == 0.0
+    assert commutator_at_points(grid, layer, vortex_field(DOM), kern, x0, y0, 0.2) == 0.0
+
+
+def test_point_gathers_of_a_batch_are_each_point_alone():
+    grid = Grid(DOM, 40, 30)
+    layer = static_field(grid, gaussian_blob()).layer(0)
+    u, kern, t = vortex_field(DOM), make_kernel(eps=0.2), 0.4
+    points = CLIPPED_POINTS + [(0.55, 0.45), (0.68, 0.54), (0.5125, 0.55)]
+    xs, ys = (np.array(c).reshape(2, 3) for c in zip(*points))
+    moll = mollify_at_points(grid, layer, kern, xs, ys)
+    comm = commutator_at_points(grid, layer, u, kern, xs, ys, t)
+    assert moll.shape == comm.shape == (2, 3)
+    for idx in np.ndindex(xs.shape):
+        x0, y0 = xs[idx], ys[idx]
+        assert moll[idx] == mollify_at_points(grid, layer, kern, x0, y0)
+        assert comm[idx] == commutator_at_points(grid, layer, u, kern, x0, y0, t)
+
+
+@pytest.mark.parametrize("nx, ny", [(64, 64), (128, 128), (97, 64)])
+def test_every_bank_node_lies_in_its_supports_window(nx, ny):
+    # IdentityPairing widens its sweep's box by this window alone, so every
+    # node its bank reads must lie inside it
+    grid, u = Grid(DOM, nx, ny), vortex_field(DOM)
+    times = TimePartition(1.0, 4).times
+    probe = make_test_function(PROBE_CENTER, PROBE_RADIUS, quadratic_decay_profile(1.0), DOM)
+    for phi in _phi_bank(DOM, 1.0) + [probe]:
+        bank = ResidualAccumulator(grid, times, u, [phi])._bank
+        inside = np.zeros(grid.shape, dtype=bool)
+        inside[window_box(grid, *phi.center, phi.radius)] = True
+        assert bank.size and inside.ravel()[bank].all()
 
 
 def _direct_window_layers(rho, u, kern):
